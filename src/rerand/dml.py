@@ -14,6 +14,8 @@ ensemble of depth-1 stumps.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,13 @@ class LearnerSpec:
             raise ValidationError(f"unknown link '{self.link}'")
         if self.target not in ("outcome", "missingness"):
             raise ValidationError(f"unknown learner target '{self.target}'")
+        for name, low in (("trees", 0), ("k_neighbors", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        rate = self.learning_rate
+        if not isinstance(rate, numbers.Real) or not math.isfinite(rate) or rate <= 0:
+            raise ValidationError(f"learning_rate must be finite and > 0, got {rate!r}")
 
 
 def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> FoldPlan:
@@ -137,9 +146,8 @@ def _fit_glm(X: np.ndarray, y: np.ndarray, logistic: bool):
         z = eta + (y - p) / w
         wsq = np.sqrt(w)
         beta, *_ = np.linalg.lstsq(design * wsq[:, None], z * wsq, rcond=None)
-    final = beta
     return lambda Xe: expit(
-        np.clip(np.column_stack([np.ones(len(Xe)), Xe]) @ final, -30.0, 30.0)
+        np.clip(np.column_stack([np.ones(len(Xe)), Xe]) @ beta, -30.0, 30.0)
     )
 
 
@@ -148,7 +156,7 @@ def _fit_knn(X: np.ndarray, y: np.ndarray, k: int):
     sd = X.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     train = (X - mean) / sd
-    k = min(max(int(k), 1), X.shape[0])
+    k = min(k, X.shape[0])
 
     def predict(Xe: np.ndarray) -> np.ndarray:
         Xe = (np.asarray(Xe, dtype=float) - mean) / sd
@@ -161,58 +169,59 @@ def _fit_knn(X: np.ndarray, y: np.ndarray, k: int):
 
 def _fit_stumps(X: np.ndarray, y: np.ndarray, trees: int, rate: float, logistic: bool):
     """Stage-wise boosting with depth-1 trees (least squares, or logistic for
-    binary targets via gradient steps on the log-loss)."""
+    binary targets via gradient steps on the log-loss); O(trees * n * p).
+
+    Each tree fits the gradient g. Its candidate cuts lie midway between
+    adjacent distinct sorted values of one feature and send x <= cut left. It
+    takes the cut of largest |L| mean_L(g)^2 + |R| mean_R(g)^2; ties go to the
+    lowest feature, then to the lowest cut. A feature with a NaN gain is
+    skipped, and boosting stops when all are; with no cut there are no trees.
+    """
     n, p = X.shape
     if logistic:
         mean = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
         f0 = float(np.log(mean / (1.0 - mean)))
     else:
         f0 = float(y.mean())
-    feats = np.empty(trees, dtype=np.int64)
-    thrs = np.empty(trees)
-    lefts = np.empty(trees)
-    rights = np.empty(trees)
     order = np.argsort(X, axis=0, kind="stable")
     sorted_x = np.take_along_axis(X, order, axis=0)
+    # candidate cuts, feature-major: cut c lies after sorted row k[c] of feat[c]
+    feat, k = np.nonzero((sorted_x[:-1] < sorted_x[1:]).T)
+    if feat.size == 0:
+        trees = 0  # all features constant: nothing to split on
+    left_n = k + 1.0
+    right_n = n - left_n
+    mids = 0.5 * (sorted_x[k, feat] + sorted_x[k + 1, feat])
+    cut_at, total_at = k * p + feat, (n - 1) * p + feat  # into (n, p) prefix sums
+    chosen = np.empty(trees, dtype=np.int64)
+    means = np.empty((trees, 2))  # left and right gradient means
 
     F = np.full(n, f0)
-    used = 0
     for t in range(trees):
         grad = (y - expit(F)) if logistic else (y - F)
-        best_gain = -np.inf
-        best = None
-        for j in range(p):
-            gs = grad[order[:, j]]
-            prefix = np.cumsum(gs)
-            total = prefix[-1]
-            xs = sorted_x[:, j]
-            cut = np.flatnonzero(xs[:-1] < xs[1:])
-            if cut.size == 0:
-                continue
-            left_n = cut + 1.0
-            right_n = n - left_n
-            lm = prefix[cut] / left_n
-            rm = (total - prefix[cut]) / right_n
-            gain = left_n * lm**2 + right_n * rm**2
-            pos = int(np.argmax(gain))
-            if gain[pos] > best_gain:
-                best_gain = float(gain[pos])
-                k = cut[pos]
-                best = (j, 0.5 * (xs[k] + xs[k + 1]), float(lm[pos]), float(rm[pos]))
-        if best is None:
-            break  # all features constant: nothing left to split on
-        feats[t], thrs[t], lefts[t], rights[t] = best
-        F = F + rate * np.where(X[:, feats[t]] <= thrs[t], lefts[t], rights[t])
-        used = t + 1
+        prefix = grad[order].cumsum(axis=0).ravel()
+        below = prefix[cut_at]
+        lm = below / left_n
+        rm = (prefix[total_at] - below) / right_n
+        gain = left_n * lm**2 + right_n * rm**2
+        best = int(gain.argmax())  # the first maximum in feature-major order
+        if math.isnan(gain[best]):
+            gain[np.isin(feat, feat[np.isnan(gain)])] = -np.inf
+            best = int(gain.argmax())
+            if gain[best] == -np.inf:
+                trees = t
+                break
+        chosen[t], means[t] = best, (lm[best], rm[best])
+        F = F + rate * np.where(X[:, feat[best]] <= mids[best], lm[best], rm[best])
 
-    feats, thrs = feats[:used], thrs[:used]
-    lefts, rights = lefts[:used], rights[:used]
+    feats, thrs = feat[chosen[:trees]], mids[chosen[:trees]]
+    lefts, rights = means[:trees].T
 
     def predict(Xe: np.ndarray) -> np.ndarray:
         Xe = np.asarray(Xe, dtype=float)
-        out = np.full(Xe.shape[0], f0)
-        for t in range(used):
-            out = out + rate * np.where(Xe[:, feats[t]] <= thrs[t], lefts[t], rights[t])
+        steps = rate * np.where(Xe[:, feats] <= thrs, lefts, rights)
+        # a running sum keeps the sequential order ((f0 + s1) + s2) + ...
+        out = np.column_stack([np.full(len(Xe), f0), steps]).cumsum(axis=1)[:, -1]
         return expit(out) if logistic else out
 
     return predict

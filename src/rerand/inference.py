@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .allocation import (
+    _as_matrix,
     balance_distance,
     chi_square_cdf,
     imbalance_simple,
@@ -44,7 +45,6 @@ class LimitSpec:
     q: int
     t: float
     distance: DistanceSpec = DistanceSpec()
-    stratified: bool = False
     projection: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self) -> None:
@@ -447,10 +447,3 @@ def _clamp_unit(raw: float, label: str) -> float:
         )
         return 0.0
     return float(raw)
-
-
-def _as_matrix(Xr: np.ndarray) -> np.ndarray:
-    Xr = np.asarray(Xr, dtype=float)
-    if Xr.ndim == 1:
-        Xr = Xr[:, None]
-    return Xr

@@ -61,8 +61,6 @@ class PsiSpec:
 
 @dataclass
 class SandwichParts:
-    B_hat: np.ndarray
-    meat: np.ndarray
     if_matrix: np.ndarray
 
 
@@ -144,8 +142,7 @@ def solve_estimating_equations(
             "residual vanishes but the Newton correction does not: the "
             "estimating equations have no finite root (separation?)"
         )
-    meat = psi.T @ psi / psi.shape[0]
-    parts = SandwichParts(B_hat=B, meat=meat, if_matrix=if_matrix)
+    parts = SandwichParts(if_matrix=if_matrix)
     diag = SolverDiag(iterations=iterations, residual_norm=residual, converged=True)
     return theta, parts, diag
 

@@ -256,6 +256,8 @@ class SimConfig:
             raise ValidationError("replicates must be at least 1")
         if not self.estimators:
             raise ValidationError("at least one estimator is required")
+        if any(est.kind == "mixed" for est in self.estimators):
+            raise ValidationError("estimator 'mixed' needs clusters; the simulation DGPs have none")
 
 
 @dataclass(frozen=True)
@@ -490,7 +492,6 @@ def scheme_inference(
             q=design.q,
             t=design.threshold_t,
             distance=design.distance,
-            stratified=design.scheme == "stratified_rerandomized",
             projection=projection,
         )
     elif design.scheme == "stratified":

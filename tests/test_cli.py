@@ -147,6 +147,14 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"]["estimator"] == "dml"
 
+    @pytest.mark.parametrize("learners", ["stump:-3:0.1,none", "stump:200:nan,none", "knn:0,none"])
+    def test_invalid_learner_is_a_data_error(self, trial_csv, learners, capsys):
+        outcome = run_command(
+            ["analyze", "--estimator", "dml", "--data", trial_csv, "--learners", learners]
+        )
+        assert outcome.exit_code == 3
+        assert "must be" in capsys.readouterr().err
+
     def test_drwls_on_missing_outcomes(self, tmp_path, capsys):
         rng = np.random.default_rng(31)
         lines = ["outcome,arm,x1"]
@@ -249,6 +257,18 @@ class TestSimulate:
         assert report["schema"] == 1
         assert {row["label"] for row in report["estimators"]} == {"Unadjusted", "ANCOVA"}
         assert csv_out.read_text().startswith("estimator,")
+
+    def test_mixed_estimator_fails_at_config_time(self, tmp_path, monkeypatch):
+        config = write(
+            tmp_path / "sim.cfg",
+            "dgp.family = continuous_sec7\ndgp.n = 80\ndesign.scheme = simple\n"
+            "estimator = mixed covariates=x1\nreplicates = 20\n",
+        )
+        replicates = []
+        monkeypatch.setattr("rerand.simlab._replicate", lambda *a: replicates.append(a))
+        outcome = run_command(["simulate", "--config", config, "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 3
+        assert replicates == []
 
     def test_worker_count_env_override(self, tmp_path, monkeypatch):
         config = write(

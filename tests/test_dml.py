@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from rerand import (
     EstimandSpec,
@@ -9,6 +14,7 @@ from rerand import (
     fit_learner,
     make_folds,
 )
+from rerand import dml
 from rerand.dml import FoldPlan
 from rerand.errors import ValidationError
 
@@ -242,3 +248,200 @@ class TestEstimateDml:
         )
         assert abs(res.if_values.mean()) < 1e-8
         assert np.all(res.details["kappa_hat"] >= 0.01)
+
+
+def _reference_fit_stumps(X: np.ndarray, y: np.ndarray, trees: int, rate: float, logistic: bool):
+    """The tree-by-tree, feature-by-feature loop that ``dml._fit_stumps``
+    replaced, kept verbatim as the oracle for its predictions."""
+    n, p = X.shape
+    if logistic:
+        mean = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
+        f0 = float(np.log(mean / (1.0 - mean)))
+    else:
+        f0 = float(y.mean())
+    feats = np.empty(trees, dtype=np.int64)
+    thrs = np.empty(trees)
+    lefts = np.empty(trees)
+    rights = np.empty(trees)
+    order = np.argsort(X, axis=0, kind="stable")
+    sorted_x = np.take_along_axis(X, order, axis=0)
+
+    F = np.full(n, f0)
+    used = 0
+    for t in range(trees):
+        grad = (y - expit(F)) if logistic else (y - F)
+        best_gain = -np.inf
+        best = None
+        for j in range(p):
+            gs = grad[order[:, j]]
+            prefix = np.cumsum(gs)
+            total = prefix[-1]
+            xs = sorted_x[:, j]
+            cut = np.flatnonzero(xs[:-1] < xs[1:])
+            if cut.size == 0:
+                continue
+            left_n = cut + 1.0
+            right_n = n - left_n
+            lm = prefix[cut] / left_n
+            rm = (total - prefix[cut]) / right_n
+            gain = left_n * lm**2 + right_n * rm**2
+            pos = int(np.argmax(gain))
+            if gain[pos] > best_gain:
+                best_gain = float(gain[pos])
+                k = cut[pos]
+                best = (j, 0.5 * (xs[k] + xs[k + 1]), float(lm[pos]), float(rm[pos]))
+        if best is None:
+            break  # all features constant: nothing left to split on
+        feats[t], thrs[t], lefts[t], rights[t] = best
+        F = F + rate * np.where(X[:, feats[t]] <= thrs[t], lefts[t], rights[t])
+        used = t + 1
+
+    feats, thrs = feats[:used], thrs[:used]
+    lefts, rights = lefts[:used], rights[:used]
+
+    def predict(Xe: np.ndarray) -> np.ndarray:
+        Xe = np.asarray(Xe, dtype=float)
+        out = np.full(Xe.shape[0], f0)
+        for t in range(used):
+            out = out + rate * np.where(Xe[:, feats[t]] <= thrs[t], lefts[t], rights[t])
+        return expit(out) if logistic else out
+
+    return predict
+
+
+def _panel_covariates(kind: str, n: int, p: int, rng) -> np.ndarray:
+    if kind == "continuous":
+        return rng.normal(size=(n, p))
+    if kind == "tied":  # few distinct values: ties within and across features
+        return rng.integers(0, 3, size=(n, p)).astype(float)
+    if kind == "adjacent_floats":  # midpoints round onto one of the two values
+        return 1.0 + rng.integers(0, 4, size=(n, p)) * np.spacing(1.0)
+    if kind == "constant_column":
+        X = rng.normal(size=(n, p))
+        X[:, 0] = 1.5
+        return X
+    return np.full((n, p), 2.0)  # all constant
+
+
+def _panel_outcome(kind: str, n: int, logistic: bool, rng) -> np.ndarray:
+    if kind == "zeros":
+        return np.zeros(n)
+    if kind == "ones":
+        return np.ones(n)
+    if logistic:
+        return (rng.random(n) < 0.4).astype(float)
+    return rng.normal(size=n)
+
+
+def _assert_same_predictions(X, y, trees, rate, logistic, *evaluations):
+    reference = _reference_fit_stumps(X, y, trees, rate, logistic)
+    fitted = dml._fit_stumps(X, y, trees, rate, logistic)
+    for Xe in evaluations:
+        expected, got = reference(Xe), fitted(Xe)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
+class TestStumpOracle:
+    """The vectorized stump learner reproduces the reference loop bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 80, 400])
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "x_kind", ["continuous", "tied", "adjacent_floats", "constant_column", "all_constant"]
+    )
+    def test_fixed_panel(self, n, p, x_kind):
+        rng = np.random.default_rng(1000 * n + 10 * p + len(x_kind))
+        X = _panel_covariates(x_kind, n, p, rng)
+        Xe = np.vstack([X, rng.normal(size=(7, p)), rng.integers(0, 3, size=(5, p))])
+        for trees in (0, 1, 200):
+            for logistic in (False, True):
+                for y_kind in ("varied", "zeros", "ones"):
+                    y = _panel_outcome(y_kind, n, logistic, rng)
+                    _assert_same_predictions(X, y, trees, 0.1, logistic, Xe, Xe[:0])
+
+    def test_overflowing_gradients(self):
+        # infinite prefix sums give NaN gains, which the split rule must skip
+        rng = np.random.default_rng(3)
+        for n, p in ((16, 1), (21, 2), (23, 3)):
+            X = rng.normal(size=(n, p))
+            y = rng.choice([1e308, -1e308, 1.0], size=n)
+            with np.errstate(all="ignore"):
+                _assert_same_predictions(X, y, 30, 0.1, False, X)
+
+    def test_non_finite_covariates(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 3))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        X[rng.random(X.shape) < 0.1] = np.inf
+        X[rng.random(X.shape) < 0.1] = -np.inf
+        with np.errstate(all="ignore"):
+            _assert_same_predictions(X, rng.normal(size=30), 50, 0.1, False, X)
+
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 6),
+        st.integers(0, 40),
+        st.booleans(),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_shapes(self, n, p, trees, logistic, levels, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, levels, size=(n, p)) + 0.25 * rng.normal(size=(n, p)).round(1)
+        y = _panel_outcome("varied", n, logistic, rng)
+        Xe = rng.normal(size=(int(rng.integers(0, 20)), p))
+        _assert_same_predictions(X, y, trees, float(rng.uniform(0.01, 1.0)), logistic, Xe)
+
+    def test_estimate_dml_matches_reference_learner(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        n = 96
+        arms = np.tile([1, 0], n // 2)
+        strata = np.repeat(["s0", "s1", "s2"], n // 3)
+        x = rng.normal(size=(n, 2))
+        y = (x[:, 0] + arms + rng.normal(size=n) > 0.5).astype(float)
+        frame = TrialFrame(
+            covariates=x,
+            covariate_names=("x1", "x2"),
+            outcome=np.where(rng.random(n) < 0.85, y, np.nan),
+            arm=arms,
+            stratum=strata,
+        )
+        args = (
+            frame,
+            LearnerSpec(kind="stump_ensemble", trees=60, learning_rate=0.2, link="logit"),
+            LearnerSpec(kind="stump_ensemble", trees=20),
+            4,
+            "stratum_arm",
+            DIFF,
+        )
+        new = estimate_dml(*args, seed=19, pi=0.5)
+        monkeypatch.setattr(dml, "_fit_stumps", _reference_fit_stumps)
+        old = estimate_dml(*args, seed=19, pi=0.5)
+        assert np.array_equal(new.details["eta_hat"], old.details["eta_hat"])
+        assert np.array_equal(new.details["kappa_hat"], old.details["kappa_hat"])
+        assert np.array_equal(new.if_values, old.if_values)
+        assert new.delta_hat == old.delta_hat
+
+
+class TestLearnerSpecValidation:
+    def test_negative_trees_rejected(self):
+        with pytest.raises(ValidationError, match="trees"):
+            LearnerSpec(kind="stump_ensemble", trees=-3)
+
+    def test_fractional_trees_rejected(self):
+        with pytest.raises(ValidationError, match="trees"):
+            LearnerSpec(kind="stump_ensemble", trees=2.5)
+
+    def test_zero_trees_allowed(self):
+        assert LearnerSpec(kind="stump_ensemble", trees=0).trees == 0
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -0.1])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            LearnerSpec(kind="stump_ensemble", learning_rate=rate)
+
+    def test_zero_neighbors_rejected(self):
+        with pytest.raises(ValidationError, match="k_neighbors"):
+            LearnerSpec(kind="knn", k_neighbors=0)

@@ -13,7 +13,7 @@ from rerand import (
     run_simulation,
     true_delta,
 )
-from rerand.errors import NumericError
+from rerand.errors import NumericError, ValidationError
 from rerand.simlab import report_csv_lines
 
 
@@ -91,6 +91,12 @@ def small_config(**overrides) -> SimConfig:
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+class TestSimConfig:
+    def test_mixed_estimator_rejected_before_any_replicate(self):
+        with pytest.raises(ValidationError, match="mixed"):
+            small_config(estimators=(SimEstimator(kind="mixed"),))
 
 
 class TestRunSimulation:
