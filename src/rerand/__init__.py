@@ -20,7 +20,6 @@ from .data_model import (
     EstimateResult,
     Tier,
     TrialFrame,
-    UnitRecord,
     load_csv,
     validate_design,
     write_csv,

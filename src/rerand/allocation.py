@@ -129,48 +129,59 @@ def imbalance_stratified(
     """
     Xr = _as_matrix(Xr)
     arms = np.asarray(arms)
-    strata = np.asarray(strata, dtype=object)
     n = arms.size
     n1 = int(arms.sum())
     n0 = n - n1
     if n1 == 0 or n0 == 0:
         raise ValidationError("both arms must be non-empty")
     imb = Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
-    vhat = n / (n1 * n0) * _stratum_centered_scatter(Xr, strata)
-    return imb, vhat
+    centered = _stratum_centered(Xr, *_stratum_codes(strata)[1:])
+    return imb, centered.T @ centered / (n1 * n0)
 
 
-def _stratum_centered_scatter(Xr: np.ndarray, strata: np.ndarray) -> np.ndarray:
-    n = Xr.shape[0]
-    second_moment = Xr.T @ Xr / n
-    for label in set(strata.tolist()):
-        mask = strata == label
-        if not mask.any():
-            raise ValidationError(f"empty stratum '{label}'")
-        p_s = mask.sum() / n
-        xbar_s = Xr[mask].mean(axis=0)
-        second_moment = second_moment - p_s * np.outer(xbar_s, xbar_s)
-    return second_moment
+def _stratum_codes(strata: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted labels, per-unit integer codes, per-label counts).
+
+    Codes follow the sorted label order, so every per-stratum sum built from
+    them is added in an order that does not depend on the hash seed.
+    """
+    labels, codes = np.unique(np.asarray(strata), return_inverse=True)
+    codes = codes.ravel()
+    return labels, codes, np.bincount(codes, minlength=labels.size)
+
+
+def _stratum_sums(codes: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Per-stratum column sums of an (n, p) array, each added in unit order."""
+    p = values.shape[1]
+    flat = (codes[:, None] * p + np.arange(p)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=size * p).reshape(size, p)
+
+
+def _stratum_centered(Xr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """X^r minus the mean of each unit's stratum."""
+    return Xr - (_stratum_sums(codes, Xr, counts.size) / counts[:, None])[codes]
 
 
 def imbalance_stratified_dagger(
     Xr: np.ndarray, arms: np.ndarray, strata: np.ndarray
 ) -> np.ndarray:
     """Stratum-weighted imbalance: sum_s phat_s (treated - control mean in s)."""
-    Xr = _as_matrix(Xr)
-    arms = np.asarray(arms)
-    strata = np.asarray(strata, dtype=object)
-    n = arms.size
-    total = np.zeros(Xr.shape[1])
-    for label in set(strata.tolist()):
-        mask = strata == label
-        treated = mask & (arms == 1)
-        control = mask & (arms == 0)
-        if not treated.any() or not control.any():
-            raise ValidationError(f"stratum '{label}' lacks one arm")
-        p_s = mask.sum() / n
-        total += p_s * (Xr[treated].mean(axis=0) - Xr[control].mean(axis=0))
-    return total
+    return _stratum_dagger(_as_matrix(Xr), np.asarray(arms), *_stratum_codes(strata))
+
+
+def _stratum_dagger(
+    Xr: np.ndarray, arms: np.ndarray, labels: np.ndarray, codes: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """Stratum-weighted imbalance from precomputed stratum codes."""
+    cells = 2 * codes + (arms == 1)
+    cell_n = np.bincount(cells, minlength=2 * labels.size).reshape(-1, 2)
+    empty = np.flatnonzero(cell_n.min(axis=1) == 0)
+    if empty.size:
+        raise ValidationError(f"stratum '{labels[empty[0]]}' lacks one arm")
+    means = _stratum_sums(cells, Xr, 2 * labels.size).reshape(-1, 2, Xr.shape[1])
+    means = means / cell_n[:, :, None]
+    return (counts / arms.size) @ (means[:, 1] - means[:, 0])
 
 
 def balance_distance(imbalance: np.ndarray, weight: np.ndarray) -> float:
@@ -220,12 +231,12 @@ class _BalanceChecker:
         self.design = design
         self.Xr = frame.covariates[:, list(design.rerand_covariates)]
         self.n = frame.n_units
-        self.strata = frame.stratum
         if design.stratified:
-            self.scatter = _stratum_centered_scatter(self.Xr, self.strata)
+            self.strata = _stratum_codes(frame.stratum)
+            centered = _stratum_centered(self.Xr, *self.strata[1:])
         else:
             centered = self.Xr - self.Xr.mean(axis=0)
-            self.scatter = centered.T @ centered
+        self.scatter = centered.T @ centered
         # positions of each tier's covariate indices inside the X^r vector
         self.tier_positions = [
             tuple(design.rerand_covariates.index(j) for j in tier.indices)
@@ -237,14 +248,11 @@ class _BalanceChecker:
         n0 = self.n - n1
         if n1 == 0 or n0 == 0:
             raise ValidationError("both arms must be non-empty")
-        if self.design.stratified:
-            vhat = self.n / (n1 * n0) * self.scatter
-            if self.design.stratified_statistic == "stratum_weighted":
-                imb = imbalance_stratified_dagger(self.Xr, arms, self.strata)
-            else:
-                imb = self.Xr[arms == 1].mean(axis=0) - self.Xr[arms == 0].mean(axis=0)
+        vhat = self.scatter / (n1 * n0)
+        design = self.design
+        if design.stratified and design.stratified_statistic == "stratum_weighted":
+            imb = _stratum_dagger(self.Xr, arms, *self.strata)
         else:
-            vhat = self.scatter / (n1 * n0)
             imb = self.Xr[arms == 1].mean(axis=0) - self.Xr[arms == 0].mean(axis=0)
         return imb, vhat
 

@@ -14,7 +14,6 @@ import difflib
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -124,10 +123,19 @@ def _parse_bool(text: str) -> bool:
     raise DataError(f"expected a boolean, got '{text}'")
 
 
-def _parse_float(text: str) -> float:
-    if text.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(text)
+def _parse_int(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{name}: '{text}' must be an integer") from None
+
+
+def _parse_float(text: str, name: str) -> float:
+    """A float; 'inf' and 'infinity' (any case, optional sign) are accepted."""
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"{name}: '{text}' must be a number") from None
 
 
 def _resolve_columns(tokens: str, frame: TrialFrame) -> tuple[int, ...]:
@@ -137,7 +145,7 @@ def _resolve_columns(tokens: str, frame: TrialFrame) -> tuple[int, ...]:
         if not token:
             continue
         if token.lstrip("-").isdigit():
-            out.append(int(token))
+            out.append(_parse_int(token, "covariate column"))
         else:
             try:
                 out.append(frame.covariate_names.index(token))
@@ -161,17 +169,21 @@ def design_from_config(cfg: dict, frame: TrialFrame, prefix: str = "") -> Design
         tier_idx = _resolve_columns(parts[0], frame)
         kind = parts[2] if len(parts) > 2 else "mahalanobis"
         tiers.append(
-            Tier(indices=tier_idx, threshold=_parse_float(parts[1]), distance=DistanceSpec(kind=kind))
+            Tier(
+                indices=tier_idx,
+                threshold=_parse_float(parts[1], f"tier '{spec}'"),
+                distance=DistanceSpec(kind=kind),
+            )
         )
     return Design(
-        pi=_parse_float(get("pi", "0.5")),
+        pi=_parse_float(get("pi", "0.5"), prefix + "pi"),
         scheme=get("scheme", "simple"),
         rerand_covariates=indices,
-        threshold_t=_parse_float(get("t", "inf")),
+        threshold_t=_parse_float(get("t", "inf"), prefix + "t"),
         distance=distance,
         tiers=tuple(tiers),
-        block_size=int(get("block_size", "2")),
-        max_attempts=int(get("max_attempts", "1000000")),
+        block_size=_parse_int(get("block_size", "2"), prefix + "block_size"),
+        max_attempts=_parse_int(get("max_attempts", "1000000"), prefix + "max_attempts"),
         stratified_statistic=get("statistic", "pooled"),
     )
 
@@ -182,15 +194,18 @@ def _parse_learner(token: str) -> LearnerSpec | None:
         return None
     parts = token.split(":")
     kind = parts[0]
+    name = f"learner '{token}'"
     if kind == "glm":
         return LearnerSpec(kind="glm", link=parts[1] if len(parts) > 1 else "identity")
     if kind == "knn":
-        return LearnerSpec(kind="knn", k_neighbors=int(parts[1]) if len(parts) > 1 else 5)
+        return LearnerSpec(
+            kind="knn", k_neighbors=_parse_int(parts[1], name) if len(parts) > 1 else 5
+        )
     if kind == "stump":
         return LearnerSpec(
             kind="stump_ensemble",
-            trees=int(parts[1]) if len(parts) > 1 else 200,
-            learning_rate=float(parts[2]) if len(parts) > 2 else 0.1,
+            trees=_parse_int(parts[1], name) if len(parts) > 1 else 200,
+            learning_rate=_parse_float(parts[2], name) if len(parts) > 2 else 0.1,
         )
     raise DataError(f"unknown learner token '{token}'")
 
@@ -214,7 +229,7 @@ def _estimator_from_tokens(spec: str) -> SimEstimator:
         elif key in ("estimand", "label", "link"):
             kwargs[key] = value
         elif key == "folds":
-            kwargs["folds"] = int(value)
+            kwargs["folds"] = _parse_int(value, "estimator option folds")
         elif key == "fold_mode":
             kwargs["fold_mode"] = value.replace("-", "_")
         elif key == "learners":
@@ -236,14 +251,14 @@ def sim_config_from_file(path: str) -> SimConfig:
         if key.startswith("dgp.") and key[4:] in custom_fields:
             name = key[4:]
             custom_kwargs[name] = (
-                _parse_bool(value) if name == "binary" else _parse_float(value)
+                _parse_bool(value) if name == "binary" else _parse_float(value, key)
             )
     family = cfg.get("dgp.family", "continuous_sec7")
     if family == "custom":
         custom = CustomDgp(**custom_kwargs)
     dgp = DgpSpec(
         family=family,
-        n=int(cfg.get("dgp.n", "400")),
+        n=_parse_int(cfg.get("dgp.n", "400"), "dgp.n"),
         missingness=_parse_bool(cfg.get("dgp.missingness", "false")),
         custom=custom,
     )
@@ -270,20 +285,20 @@ def sim_config_from_file(path: str) -> SimConfig:
             if len(parts) != 2:
                 raise DataError(f"{key} must be 'delta_star, mcse'")
             truth = truth or {}
-            truth[contrast] = (float(parts[0]), float(parts[1]))
+            truth[contrast] = (_parse_float(parts[0], key), _parse_float(parts[1], key))
 
-    workers = int(os.environ.get("RERAND_WORKERS", cfg.get("workers", "1")))
+    workers = _parse_int(os.environ.get("RERAND_WORKERS", cfg.get("workers", "1")), "workers")
     return SimConfig(
         dgp=dgp,
         design=design,
         estimators=estimators,
-        replicates=int(cfg.get("replicates", "1000")),
-        master_seed=int(cfg.get("master_seed", "0")),
-        alpha=float(cfg.get("alpha", "0.05")),
-        ci_draws=int(cfg.get("ci_draws", "10000")),
+        replicates=_parse_int(cfg.get("replicates", "1000"), "replicates"),
+        master_seed=_parse_int(cfg.get("master_seed", "0"), "master_seed"),
+        alpha=_parse_float(cfg.get("alpha", "0.05"), "alpha"),
+        ci_draws=_parse_int(cfg.get("ci_draws", "10000"), "ci_draws"),
         workers=workers,
         truth=truth,
-        truth_draws=int(cfg.get("truth_draws", "10000000")),
+        truth_draws=_parse_int(cfg.get("truth_draws", "10000000"), "truth_draws"),
         keep_replicates=_parse_bool(cfg.get("keep_replicates", "false")),
     )
 
@@ -325,7 +340,7 @@ def _build_parser() -> _Parser:
     p_ci.add_argument("--v", required=True, type=float)
     p_ci.add_argument("--r2", required=True, type=float)
     p_ci.add_argument("--q", required=True, type=int)
-    p_ci.add_argument("--t", required=True, type=_parse_float)
+    p_ci.add_argument("--t", required=True, type=float)
     p_ci.add_argument("--n", required=True, type=int)
     p_ci.add_argument("--alpha", type=float, default=0.05)
     p_ci.add_argument("--draws", type=int, default=10_000)

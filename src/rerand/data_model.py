@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,18 +20,6 @@ from .errors import DataError, ParseError, ValidationError
 RESERVED_COLUMNS = ("outcome", "observed", "arm", "stratum", "cluster")
 
 SCHEMES = ("simple", "stratified", "rerandomized", "stratified_rerandomized")
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One unit's observed data: (R*Y, R, A, X) plus optional stratum/cluster."""
-
-    outcome: float | None
-    observed: int
-    arm: int | None
-    covariates: np.ndarray
-    stratum: str | None = None
-    cluster: str | None = None
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -146,18 +134,6 @@ class TrialFrame:
         if self.stratum is None:
             return ()
         return tuple(sorted(set(self.stratum.tolist())))
-
-    def rows(self) -> Iterator[UnitRecord]:
-        for i in range(self.n_units):
-            seen = self.observed is not None and self.observed[i] == 1
-            yield UnitRecord(
-                outcome=float(self.outcome[i]) if seen else None,
-                observed=int(seen),
-                arm=None if self.arm is None else int(self.arm[i]),
-                covariates=self.covariates[i],
-                stratum=None if self.stratum is None else self.stratum[i],
-                cluster=None if self.cluster is None else self.cluster[i],
-            )
 
     def with_arms(self, arms: np.ndarray) -> "TrialFrame":
         return replace(self, arm=np.asarray(arms))

@@ -22,6 +22,8 @@ from scipy.special import ndtri
 
 from .allocation import (
     _as_matrix,
+    _stratum_centered,
+    _stratum_codes,
     balance_distance,
     chi_square_cdf,
     imbalance_simple,
@@ -77,103 +79,60 @@ def v_qt(q: int, t: float) -> float:
     return chi_square_cdf(q + 2, t) / denom
 
 
-def variance_simple(if_values: np.ndarray) -> float:
-    """Sandwich variance: the mean squared influence value."""
-    if_values = np.asarray(if_values, dtype=float)
-    if if_values.size < 2:
-        raise ValidationError("need at least two influence values")
-    return float(np.mean(if_values**2))
+def variance_simple(if_values: np.ndarray, fold_ids: np.ndarray | None = None) -> float:
+    """Sandwich variance: the mean squared influence value.
+
+    With ``fold_ids`` (cross-fitted influence values) the mean is taken per
+    fold and then averaged over folds.
+    """
+    return _sandwich(if_values, fold_ids=fold_ids)[0]
 
 
 def if_imbalance_covariance(
-    if_values: np.ndarray, arms: np.ndarray, Xr: np.ndarray, pi: float
+    if_values: np.ndarray,
+    arms: np.ndarray,
+    Xr: np.ndarray,
+    pi: float,
+    strata: np.ndarray | None = None,
+    fold_ids: np.ndarray | None = None,
 ) -> np.ndarray:
-    """C-hat: mean of (A-pi)/(pi(1-pi)) * IF * (X^r - mean X^r) over units."""
-    if_values = np.asarray(if_values, dtype=float)
-    arms = np.asarray(arms)
-    Xr = _as_matrix(Xr)
-    w = (arms - pi) / (pi * (1.0 - pi))
-    centered = Xr - Xr.mean(axis=0)
-    return (w * if_values) @ centered / if_values.size
+    """C-hat: mean of (A-pi)/(pi(1-pi)) * IF * (X^r - mean X^r) over units.
+
+    With ``strata`` X^r is centered at its stratum means; with ``fold_ids``
+    the mean is fold-averaged within each stratum.
+    """
+    return _sandwich(if_values, arms, pi, Xr, strata, fold_ids)[2]
 
 
 def rsquared_simple(
-    if_values: np.ndarray, arms: np.ndarray, Xr: np.ndarray, pi: float
+    if_values: np.ndarray,
+    arms: np.ndarray,
+    Xr: np.ndarray,
+    pi: float,
+    fold_ids: np.ndarray | None = None,
 ) -> float:
     """Fraction of the sandwich variance explained by X^r.
 
     Computes C-hat' {n Vhat(I)}^-1 C-hat / V-hat, clamped to [0, 1] with a
     diagnostic warning when the raw value falls outside.
     """
-    vhat = variance_simple(if_values)
-    if vhat == 0.0:
-        raise NumericError("V-hat is zero: R^2 undefined")
-    Xr = _as_matrix(Xr)
-    c_hat = if_imbalance_covariance(if_values, arms, Xr, pi)
-    _, var_i = imbalance_simple(Xr, arms)
-    n = len(if_values)
-    raw = _quadratic_form(c_hat, n * var_i) / vhat
-    return _clamp_unit(raw, "R^2")
+    return _rsquared(if_values, arms, Xr, pi, None, fold_ids)
 
 
 def variance_stratified(
-    if_values: np.ndarray, arms: np.ndarray, strata: np.ndarray, pi: float
+    if_values: np.ndarray,
+    arms: np.ndarray,
+    strata: np.ndarray,
+    pi: float,
+    fold_ids: np.ndarray | None = None,
 ) -> float:
     """Stratified-scheme variance: V-hat minus the between-stratum component.
 
     Returns V-hat - pi(1-pi) * sum_s phat_s dhat_s^2, floored at zero with a
     diagnostic warning when the subtraction goes negative in small samples.
     """
-    if_values = np.asarray(if_values, dtype=float)
-    arms = np.asarray(arms)
-    strata = np.asarray(strata, dtype=object)
-    vhat = variance_simple(if_values)
-    w = (arms - pi) / (pi * (1.0 - pi))
-    weighted = w * if_values
-    n = if_values.size
-    reduction = 0.0
-    for label in set(strata.tolist()):
-        mask = strata == label
-        if not mask.any():
-            raise ValidationError(f"empty stratum '{label}'")
-        p_s = mask.sum() / n
-        d_s = weighted[mask].sum() / n / p_s
-        reduction += p_s * d_s**2
-    value = vhat - pi * (1.0 - pi) * reduction
-    if value < 0.0:
-        warnings.warn(
-            f"stratified variance estimate {value:.3e} floored at 0",
-            DiagnosticWarning,
-            stacklevel=2,
-        )
-        value = 0.0
-    return float(value)
-
-
-def if_imbalance_covariance_stratified(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    strata: np.ndarray,
-    Xr: np.ndarray,
-    pi: float,
-) -> np.ndarray:
-    """Stratum-centered C-hat: sum_s phat_s [mean_s(w IF X^r) - dhat_s xbar_s]."""
-    if_values = np.asarray(if_values, dtype=float)
-    arms = np.asarray(arms)
-    strata = np.asarray(strata, dtype=object)
-    Xr = _as_matrix(Xr)
-    n = if_values.size
-    w = (arms - pi) / (pi * (1.0 - pi))
-    weighted = w * if_values
-    total = np.zeros(Xr.shape[1])
-    for label in set(strata.tolist()):
-        mask = strata == label
-        p_s = mask.sum() / n
-        d_s = weighted[mask].sum() / n / p_s
-        xbar_s = Xr[mask].sum(axis=0) / n / p_s
-        moment = weighted[mask] @ Xr[mask] / n / p_s
-        total += p_s * (moment - d_s * xbar_s)
-    return total
+    vhat, between, _ = _sandwich(if_values, arms, pi, strata=strata, fold_ids=fold_ids)
+    return _floor_stratified(vhat - pi * (1.0 - pi) * between)
 
 
 def rsquared_stratified(
@@ -182,134 +141,91 @@ def rsquared_stratified(
     strata: np.ndarray,
     Xr: np.ndarray,
     pi: float,
+    fold_ids: np.ndarray | None = None,
 ) -> float:
     """Stratified R^2: C-hat' {n Vhat(I-tilde)}^-1 C-hat / V-tilde-hat."""
-    vhat = variance_stratified(if_values, arms, strata, pi)
-    if vhat == 0.0:
-        raise NumericError("stratified variance estimate is zero: R^2 undefined")
-    Xr = _as_matrix(Xr)
-    c_hat = if_imbalance_covariance_stratified(if_values, arms, strata, Xr, pi)
-    _, var_i = imbalance_stratified(Xr, arms, strata)
-    n = len(if_values)
-    raw = _quadratic_form(c_hat, n * var_i) / vhat
-    return _clamp_unit(raw, "stratified R^2")
+    return _rsquared(if_values, arms, Xr, pi, strata, fold_ids)
 
 
-# ---------------------------------------------------------------------------
-# Cross-fitted variants: fold-weighted means over held-out influence values.
+def _rsquared(if_values, arms, Xr, pi, strata, fold_ids) -> float:
+    vhat, between, c_hat = _sandwich(if_values, arms, pi, Xr, strata, fold_ids)
+    if strata is None:
+        label = "R^2"
+        if vhat == 0.0:
+            raise NumericError("V-hat is zero: R^2 undefined")
+        _, var_i = imbalance_simple(Xr, arms)
+    else:
+        label = "stratified R^2"
+        vhat = _floor_stratified(vhat - pi * (1.0 - pi) * between)
+        if vhat == 0.0:
+            raise NumericError("stratified variance estimate is zero: R^2 undefined")
+        _, var_i = imbalance_stratified(Xr, arms, strata)
+    raw = balance_distance(c_hat, len(if_values) * var_i) / vhat
+    return _clamp_unit(raw, label)
 
 
-def variance_crossfit(if_values: np.ndarray, fold_ids: np.ndarray) -> float:
-    """Fold-weighted sandwich variance: (1/K) sum_k mean_{i in fold k} IF_i^2."""
+def _sandwich(if_values, arms=None, pi=None, Xr=None, strata=None, fold_ids=None):
+    """The one sandwich kernel: returns (V, B, C) as weighted sums over units.
+
+    Unit i in stratum s and fold k carries omega_i = phat_s / (K_s n_{s,k}),
+    where K_s counts the folds present in s; without folds omega_i = 1/n.
+    V = sum omega IF^2; B = sum_s phat_s dhat_s^2 with dhat_s =
+    sum_{i in s} omega w IF / phat_s and w = (A-pi)/(pi(1-pi)); C =
+    sum omega w IF (X^r - xbar_s), which equals sum omega w IF X^r -
+    sum_s phat_s dhat_s xbar_s. Without strata every unit is in one stratum.
+    B needs ``strata`` and C needs ``Xr``; each is None otherwise. Strata are
+    visited in sorted order, so sums do not depend on the hash seed; without
+    strata and folds V and C keep their plain mean forms.
+    """
     if_values = np.asarray(if_values, dtype=float)
-    return float(np.mean(_fold_means(if_values**2, np.asarray(fold_ids))))
-
-
-def rsquared_crossfit(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    Xr: np.ndarray,
-    pi: float,
-    fold_ids: np.ndarray,
-) -> float:
-    vhat = variance_crossfit(if_values, fold_ids)
-    if vhat == 0.0:
-        raise NumericError("V-hat is zero: R^2 undefined")
-    if_values = np.asarray(if_values, dtype=float)
-    arms = np.asarray(arms)
-    Xr = _as_matrix(Xr)
-    w = (arms - pi) / (pi * (1.0 - pi))
-    centered = Xr - Xr.mean(axis=0)
-    contrib = (w * if_values)[:, None] * centered
-    c_hat = np.vstack(
-        [_fold_means(contrib[:, j], np.asarray(fold_ids)) for j in range(Xr.shape[1])]
-    ).mean(axis=1)
-    _, var_i = imbalance_simple(Xr, arms)
-    raw = _quadratic_form(c_hat, len(if_values) * var_i) / vhat
-    return _clamp_unit(raw, "R^2")
-
-
-def variance_crossfit_stratified(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    strata: np.ndarray,
-    pi: float,
-    fold_ids: np.ndarray,
-) -> float:
-    """Stratum-and-fold weighted V-tilde-hat for the cross-fitted estimator."""
-    vhat, _ = _crossfit_stratified_parts(if_values, arms, strata, pi, fold_ids)
-    return vhat
-
-
-def rsquared_crossfit_stratified(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    strata: np.ndarray,
-    Xr: np.ndarray,
-    pi: float,
-    fold_ids: np.ndarray,
-) -> float:
-    vhat, d_s = _crossfit_stratified_parts(if_values, arms, strata, pi, fold_ids)
-    if vhat == 0.0:
-        raise NumericError("stratified variance estimate is zero: R^2 undefined")
-    if_values = np.asarray(if_values, dtype=float)
-    arms = np.asarray(arms)
-    strata = np.asarray(strata, dtype=object)
-    Xr = _as_matrix(Xr)
-    fold_ids = np.asarray(fold_ids)
     n = if_values.size
-    w = (arms - pi) / (pi * (1.0 - pi))
+    if n < 2:
+        raise ValidationError("need at least two influence values")
+    if strata is None:
+        codes, counts = np.zeros(n, dtype=np.intp), np.array([n])
+    else:
+        _, codes, counts = _stratum_codes(strata)
+    phat = counts / n
+    if fold_ids is None:
+        omega = 1.0 / n
+        vhat = float(np.mean(if_values**2))
+    else:
+        _, folds, _ = _stratum_codes(fold_ids)
+        k = folds.max() + 1
+        cells = codes * k + folds
+        cell_n = np.bincount(cells, minlength=counts.size * k)
+        k_s = np.count_nonzero(cell_n.reshape(-1, k), axis=1)
+        omega = phat[codes] / (k_s[codes] * cell_n[cells])
+        vhat = float(np.sum(omega * if_values**2))
+    if arms is None:
+        return vhat, None, None
+    w = (np.asarray(arms) - pi) / (pi * (1.0 - pi))
     weighted = w * if_values
-    total = np.zeros(Xr.shape[1])
-    for label in sorted({str(v) for v in strata.tolist()}):
-        mask = strata == label
-        phat = mask.sum() / n
-        xbar_s = Xr[mask].sum(axis=0) / n / phat
-        moment = np.vstack(
-            [
-                _fold_means(weighted[mask] * Xr[mask][:, j], fold_ids[mask])
-                for j in range(Xr.shape[1])
-            ]
-        ).mean(axis=1)
-        total += phat * (moment - d_s[label] * xbar_s)
-    _, var_i = imbalance_stratified(Xr, arms, strata)
-    raw = _quadratic_form(total, n * var_i) / vhat
-    return _clamp_unit(raw, "stratified R^2")
+    between = None
+    if strata is not None:
+        d_s = np.bincount(codes, omega * weighted) / phat
+        between = float(np.sum(phat * d_s**2))
+    if Xr is None:
+        return vhat, between, None
+    Xr = _as_matrix(Xr)
+    if strata is None:
+        centered = Xr - Xr.mean(axis=0)
+    else:
+        centered = _stratum_centered(Xr, codes, counts)
+    if fold_ids is None:
+        return vhat, between, weighted @ centered / n
+    return vhat, between, (omega * weighted) @ centered
 
 
-def _crossfit_stratified_parts(if_values, arms, strata, pi, fold_ids):
-    if_values = np.asarray(if_values, dtype=float)
-    arms = np.asarray(arms)
-    strata = np.asarray(strata, dtype=object)
-    fold_ids = np.asarray(fold_ids)
-    n = if_values.size
-    w = (arms - pi) / (pi * (1.0 - pi))
-    vhat = 0.0
-    reduction = 0.0
-    d_s: dict[str, float] = {}
-    for label in sorted({str(v) for v in strata.tolist()}):
-        mask = strata == label
-        if not mask.any():
-            raise ValidationError(f"empty stratum '{label}'")
-        phat = mask.sum() / n
-        vhat += phat * np.mean(_fold_means(if_values[mask] ** 2, fold_ids[mask]))
-        d = float(np.mean(_fold_means((w * if_values)[mask], fold_ids[mask])))
-        d_s[label] = d
-        reduction += phat * d**2
-    value = vhat - pi * (1.0 - pi) * reduction
+def _floor_stratified(value: float) -> float:
     if value < 0.0:
         warnings.warn(
             f"stratified variance estimate {value:.3e} floored at 0",
             DiagnosticWarning,
             stacklevel=3,
         )
-        value = 0.0
-    return float(value), d_s
-
-
-def _fold_means(values: np.ndarray, fold_ids: np.ndarray) -> np.ndarray:
-    folds = np.unique(fold_ids)
-    return np.array([values[fold_ids == k].mean() for k in folds])
+        return 0.0
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +345,6 @@ def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIRe
         draws=0,
         v_qt=1.0,
     )
-
-
-def _quadratic_form(vec: np.ndarray, mat: np.ndarray) -> float:
-    return balance_distance(vec, mat)
 
 
 def _clamp_unit(raw: float, label: str) -> float:

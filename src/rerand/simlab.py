@@ -442,48 +442,41 @@ def scheme_inference(
     ``ci_true`` uses the limit law matching the design's scheme (normal for
     non-rerandomized schemes, the truncated mixture otherwise, with the
     stratified variance and R^2 plug-ins under stratified schemes, and the
-    projection sampler for the general weight-matrix criterion).
+    projection sampler for the general weight-matrix criterion). Cross-fitted
+    (DML) estimates pass their folds to every plug-in; stratified plug-ins
+    take them only for stratum-arm folds, which nest within strata.
     """
     arms, strata, Xr = _analysis_units(est, result, frame, design)
     ifv = result.if_values
     n_units = len(ifv)
     pi = design.pi
-    crossfit = est.kind == "dml"
-    fold_ids = result.details["fold_plan"].assignment if crossfit else None
-
-    if crossfit:
-        v_simple = inference.variance_crossfit(ifv, fold_ids)
+    fold_ids = result.details["fold_plan"].assignment if est.kind == "dml" else None
+    v_simple = inference.variance_simple(ifv, fold_ids=fold_ids)
+    if design.stratified:
+        if est.fold_mode != "stratum_arm":
+            fold_ids = None
+        v_for_ci = inference.variance_stratified(ifv, arms, strata, pi, fold_ids=fold_ids)
     else:
-        v_simple = inference.variance_simple(ifv)
+        strata = None
+        v_for_ci = v_simple
 
     r2 = None
-    limit_spec = None
-    if design.rerandomized and design.q >= 1:
-        if design.scheme == "rerandomized":
-            if crossfit:
-                r2 = inference.rsquared_crossfit(ifv, arms, Xr, pi, fold_ids)
-            else:
-                r2 = inference.rsquared_simple(ifv, arms, Xr, pi)
-            v_for_ci = v_simple
-            c_hat = inference.if_imbalance_covariance(ifv, arms, Xr, pi)
-            _, var_i = imbalance_simple(Xr, arms)
+    if design.q >= 1:
+        if strata is None:
+            r2 = inference.rsquared_simple(ifv, arms, Xr, pi, fold_ids=fold_ids)
         else:
-            if crossfit and est.fold_mode == "stratum_arm":
-                v_for_ci = inference.variance_crossfit_stratified(
-                    ifv, arms, strata, pi, fold_ids
-                )
-                r2 = inference.rsquared_crossfit_stratified(
-                    ifv, arms, strata, Xr, pi, fold_ids
-                )
-            else:
-                v_for_ci = inference.variance_stratified(ifv, arms, strata, pi)
-                r2 = inference.rsquared_stratified(ifv, arms, strata, Xr, pi)
-            c_hat = inference.if_imbalance_covariance_stratified(
-                ifv, arms, strata, Xr, pi
-            )
-            _, var_i = imbalance_stratified(Xr, arms, strata)
+            r2 = inference.rsquared_stratified(ifv, arms, strata, Xr, pi, fold_ids=fold_ids)
+    limit_spec = None
+    if design.rerandomized:
         projection = None
         if design.distance.kind == "general":
+            c_hat = inference.if_imbalance_covariance(
+                ifv, arms, Xr, pi, strata=strata, fold_ids=fold_ids
+            )
+            if strata is None:
+                _, var_i = imbalance_simple(Xr, arms)
+            else:
+                _, var_i = imbalance_stratified(Xr, arms, strata)
             n_var_i = n_units * var_i
             projection = (c_hat, n_var_i, design.distance.realize(n_var_i))
         limit_spec = inference.LimitSpec(
@@ -494,14 +487,6 @@ def scheme_inference(
             distance=design.distance,
             projection=projection,
         )
-    elif design.scheme == "stratified":
-        v_for_ci = inference.variance_stratified(ifv, arms, strata, pi)
-        if design.q >= 1:
-            r2 = inference.rsquared_stratified(ifv, arms, strata, Xr, pi)
-    else:
-        v_for_ci = v_simple
-        if design.q >= 1:
-            r2 = inference.rsquared_simple(ifv, arms, Xr, pi)
 
     ci_normal = inference.normal_interval(result.delta_hat, v_simple, n_units, alpha)
     if limit_spec is None:

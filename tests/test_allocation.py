@@ -155,6 +155,61 @@ class TestImbalance:
                 np.array(["a", "a", "b", "b"], dtype=object),
             )
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_stratified_statistics_match_reference_loops(self, seed, n_strata, q):
+        rng = np.random.default_rng(seed)
+        labels = np.array([f"s{rng.integers(10**6)}-{j}" for j in range(n_strata)])
+        strata = np.repeat(labels, rng.integers(2, 25, size=n_strata)).astype(object)
+        n = strata.size
+        arms = np.tile([1, 0], n // 2 + 1)[:n]
+        perm = rng.permutation(n)
+        strata, arms = strata[perm], arms[perm]
+        xr = rng.normal(1.0, 1.0, size=(n, q))
+        _, vhat = imbalance_stratified(xr, arms, strata)
+        np.testing.assert_allclose(
+            vhat, _reference_imbalance_variance_stratified(xr, arms, strata), rtol=1e-12
+        )
+        both_arms = all(
+            0 < arms[strata == label].sum() < (strata == label).sum() for label in labels
+        )
+        if both_arms:
+            np.testing.assert_allclose(
+                imbalance_stratified_dagger(xr, arms, strata),
+                _reference_dagger(xr, arms, strata),
+                rtol=1e-12,
+                atol=1e-14,
+            )
+        else:
+            with pytest.raises(ValidationError, match="lacks one arm"):
+                imbalance_stratified_dagger(xr, arms, strata)
+
+
+def _reference_imbalance_variance_stratified(Xr, arms, strata):
+    """The stratum loop that ``imbalance_stratified`` replaced (its V-hat)."""
+    n = Xr.shape[0]
+    second_moment = Xr.T @ Xr / n
+    for label in set(strata.tolist()):
+        mask = strata == label
+        p_s = mask.sum() / n
+        xbar_s = Xr[mask].mean(axis=0)
+        second_moment = second_moment - p_s * np.outer(xbar_s, xbar_s)
+    n1 = int(arms.sum())
+    return n / (n1 * (n - n1)) * second_moment
+
+
+def _reference_dagger(Xr, arms, strata):
+    """The stratum loop that ``imbalance_stratified_dagger`` replaced."""
+    n = arms.size
+    total = np.zeros(Xr.shape[1])
+    for label in set(strata.tolist()):
+        mask = strata == label
+        treated = mask & (arms == 1)
+        control = mask & (arms == 0)
+        p_s = mask.sum() / n
+        total += p_s * (Xr[treated].mean(axis=0) - Xr[control].mean(axis=0))
+    return total
+
 
 class TestBalanceDistance:
     def test_hand_arithmetic(self):

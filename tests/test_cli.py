@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rerand.cli import run_command
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write(path, text):
@@ -147,7 +153,11 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"]["estimator"] == "dml"
 
-    @pytest.mark.parametrize("learners", ["stump:-3:0.1,none", "stump:200:nan,none", "knn:0,none"])
+    @pytest.mark.parametrize(
+        "learners",
+        ["stump:-3:0.1,none", "stump:200:nan,none", "knn:0,none", "stump:abc,none",
+         "stump:200:fast,none", "knn:x,none"],
+    )
     def test_invalid_learner_is_a_data_error(self, trial_csv, learners, capsys):
         outcome = run_command(
             ["analyze", "--estimator", "dml", "--data", trial_csv, "--learners", learners]
@@ -270,6 +280,44 @@ class TestSimulate:
         assert outcome.exit_code == 3
         assert replicates == []
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("estimator", "dml learners=stump:abc,none"),
+            ("estimator", "dml folds=five"),
+            ("replicates", "abc"),
+            ("master_seed", "1.5"),
+            ("ci_draws", "lots"),
+            ("alpha", "5%"),
+            ("workers", "two"),
+            ("dgp.n", "4e2"),
+            ("dgp.y_arm", "big"),
+            ("design.block_size", "two"),
+            ("design.t", "1.0x"),
+            ("design.pi", "half"),
+            ("truth.difference", "2.0, abc"),
+        ],
+    )
+    def test_malformed_number_is_a_data_error(self, tmp_path, monkeypatch, key, value):
+        lines = {
+            "dgp.family": "continuous_sec7",
+            "dgp.n": "80",
+            "design.scheme": "stratified",
+            "estimator": "dml learners=stump:50:0.1,none",
+            "replicates": "2",
+            "ci_draws": "2000",
+            "truth.difference": "2.0, 0.0015",
+        }
+        lines[key] = value
+        config = write(
+            tmp_path / "sim.cfg", "".join(f"{k} = {v}\n" for k, v in lines.items())
+        )
+        replicates = []
+        monkeypatch.setattr("rerand.simlab._replicate", lambda *a: replicates.append(a))
+        outcome = run_command(["simulate", "--config", config, "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 3
+        assert replicates == []
+
     def test_worker_count_env_override(self, tmp_path, monkeypatch):
         config = write(
             tmp_path / "sim.cfg",
@@ -291,3 +339,101 @@ class TestSimulate:
         from rerand.cli import sim_config_from_file
 
         assert sim_config_from_file(config).workers == 2
+
+
+_RUN_SCRIPT = """
+import multiprocessing
+import sys
+
+from rerand.cli import run_command
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    sys.exit(run_command(sys.argv[2:]).exit_code)
+"""
+
+
+class TestDeterminism:
+    """Output bytes depend only on (inputs, seed): not on the hash seed, the
+    worker count or the multiprocessing start method. Each run is a fresh
+    interpreter, since runs that share one process share its hash seed."""
+
+    @staticmethod
+    def run(tmp_path, args, hash_seed, start_method="spawn", workers=None):
+        script = tmp_path / "run_rerand.py"
+        script.write_text(_RUN_SCRIPT, encoding="utf-8")
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        env.pop("RERAND_WORKERS", None)
+        if workers is not None:
+            env["RERAND_WORKERS"] = str(workers)
+        proc = subprocess.run(
+            [sys.executable, str(script), start_method, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_stratified_analyze_is_independent_of_hash_seed(self, tmp_path):
+        rng = np.random.default_rng(31)
+        labels = [f"site-{name}" for name in rng.permutation(10_000)[:20]]
+        lines = ["outcome,arm,stratum,x1,x2"]
+        for i in range(400):
+            stratum = labels[i % 20]
+            arm = (i // 20) % 2
+            x1, x2 = (float(v) for v in rng.normal(size=2))
+            y = float(1.0 + arm + x1 - x2 + rng.normal())
+            lines.append(f"{y!r},{arm},{stratum},{x1!r},{x2!r}")
+        data = write(tmp_path / "trial.csv", "\n".join(lines) + "\n")
+        design = write(
+            tmp_path / "design.cfg",
+            "pi = 0.5\nscheme = stratified_rerandomized\nrerand = x1,x2\nt = 1.0\n",
+        )
+        outputs = []
+        for hash_seed in (0, 1):
+            out = tmp_path / f"analyze_{hash_seed}.json"
+            self.run(
+                tmp_path,
+                ["analyze", "--data", data, "--estimator", "ancova", "--design", design,
+                 "--draws", "2000", "--out", str(out)],
+                hash_seed,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_stratified_simulation_is_independent_of_workers_and_start_method(
+        self, tmp_path
+    ):
+        config = write(
+            tmp_path / "sim.cfg",
+            "\n".join(
+                [
+                    "dgp.family = continuous_sec7",
+                    "dgp.n = 120",
+                    "design.scheme = stratified_rerandomized",
+                    "design.rerand = x1,x2",
+                    "design.t = 1.0",
+                    "estimator = ancova covariates=x1,x2,stratum label=ANCOVA",
+                    "replicates = 16",
+                    "master_seed = 11",
+                    "ci_draws = 1000",
+                    "truth.difference = 2.0, 0.0015",
+                ]
+            )
+            + "\n",
+        )
+        # hash seeds 0 and 2 iterate the DGP's stratum labels {"0", "1"} in
+        # opposite orders, so a sum that follows set order would show
+        reports = []
+        for hash_seed, workers in ((0, 1), (2, 2)):
+            out = tmp_path / f"report_{workers}.json"
+            self.run(
+                tmp_path,
+                ["simulate", "--config", config, "--out", str(out)],
+                hash_seed,
+                workers=workers,
+            )
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]

@@ -112,11 +112,6 @@ class TestTrialFrame:
                 covariates=np.array([[np.inf]]), covariate_names=("x",)
             )
 
-    def test_rows_iterate_unit_records(self, four_row_frame):
-        rows = list(four_row_frame.rows())
-        assert rows[0].outcome == 3.0 and rows[0].arm == 1
-        assert all(r.observed == 1 for r in rows)
-
 
 class TestValidateDesign:
     def frame(self, strata=True):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,14 +19,14 @@ from rerand import (
     variance_simple,
     variance_stratified,
 )
-from rerand.errors import DiagnosticWarning, NumericError, SingularMatrixError
-from rerand.inference import (
-    if_imbalance_covariance,
-    rsquared_crossfit,
-    rsquared_crossfit_stratified,
-    variance_crossfit,
-    variance_crossfit_stratified,
+from rerand.allocation import _as_matrix, balance_distance, imbalance_simple
+from rerand.errors import (
+    DiagnosticWarning,
+    NumericError,
+    SingularMatrixError,
+    ValidationError,
 )
+from rerand.inference import _clamp_unit, if_imbalance_covariance
 
 IF_FIXTURE = np.array([-2.0, 2.0, 1.0, -1.0])
 ARMS_FIXTURE = np.array([1, 1, 0, 0])
@@ -141,8 +142,8 @@ class TestCrossfitVariants:
         arms = np.array([1, 0] * (n // 2))
         xr = rng.normal(size=(n, 2))
         folds = np.tile(np.arange(4), n // 4)
-        assert variance_crossfit(ifv, folds) == pytest.approx(variance_simple(ifv))
-        assert rsquared_crossfit(ifv, arms, xr, 0.5, folds) == pytest.approx(
+        assert variance_simple(ifv, fold_ids=folds) == pytest.approx(variance_simple(ifv))
+        assert rsquared_simple(ifv, arms, xr, 0.5, fold_ids=folds) == pytest.approx(
             rsquared_simple(ifv, arms, xr, 0.5)
         )
 
@@ -154,10 +155,317 @@ class TestCrossfitVariants:
         strata = np.repeat(["a", "b"], n // 2).astype(object)
         xr = rng.normal(size=(n, 1))
         folds = np.tile(np.arange(4), n // 4)
-        v_cf = variance_crossfit_stratified(ifv, arms, strata, 0.5, folds)
+        v_cf = variance_stratified(ifv, arms, strata, 0.5, fold_ids=folds)
         assert v_cf == pytest.approx(variance_stratified(ifv, arms, strata, 0.5))
-        r_cf = rsquared_crossfit_stratified(ifv, arms, strata, xr, 0.5, folds)
+        r_cf = rsquared_stratified(ifv, arms, strata, xr, 0.5, fold_ids=folds)
         assert r_cf == pytest.approx(rsquared_stratified(ifv, arms, strata, xr, 0.5))
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-flavour loop implementations that the stratum- and
+# fold-weighted kernel replaced, kept verbatim apart from their names.
+
+
+def _reference_variance_simple(if_values):
+    if_values = np.asarray(if_values, dtype=float)
+    if if_values.size < 2:
+        raise ValidationError("need at least two influence values")
+    return float(np.mean(if_values**2))
+
+
+def _reference_if_imbalance_covariance(if_values, arms, Xr, pi):
+    if_values = np.asarray(if_values, dtype=float)
+    arms = np.asarray(arms)
+    Xr = _as_matrix(Xr)
+    w = (arms - pi) / (pi * (1.0 - pi))
+    centered = Xr - Xr.mean(axis=0)
+    return (w * if_values) @ centered / if_values.size
+
+
+def _reference_rsquared_simple(if_values, arms, Xr, pi):
+    vhat = _reference_variance_simple(if_values)
+    if vhat == 0.0:
+        raise NumericError("V-hat is zero: R^2 undefined")
+    Xr = _as_matrix(Xr)
+    c_hat = _reference_if_imbalance_covariance(if_values, arms, Xr, pi)
+    _, var_i = imbalance_simple(Xr, arms)
+    n = len(if_values)
+    raw = balance_distance(c_hat, n * var_i) / vhat
+    return _clamp_unit(raw, "R^2")
+
+
+def _reference_stratum_centered_scatter(Xr, strata):
+    n = Xr.shape[0]
+    second_moment = Xr.T @ Xr / n
+    for label in set(strata.tolist()):
+        mask = strata == label
+        if not mask.any():
+            raise ValidationError(f"empty stratum '{label}'")
+        p_s = mask.sum() / n
+        xbar_s = Xr[mask].mean(axis=0)
+        second_moment = second_moment - p_s * np.outer(xbar_s, xbar_s)
+    return second_moment
+
+
+def _reference_imbalance_stratified(Xr, arms, strata):
+    Xr = _as_matrix(Xr)
+    arms = np.asarray(arms)
+    strata = np.asarray(strata, dtype=object)
+    n = arms.size
+    n1 = int(arms.sum())
+    n0 = n - n1
+    if n1 == 0 or n0 == 0:
+        raise ValidationError("both arms must be non-empty")
+    imb = Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
+    vhat = n / (n1 * n0) * _reference_stratum_centered_scatter(Xr, strata)
+    return imb, vhat
+
+
+def _reference_variance_stratified(if_values, arms, strata, pi):
+    if_values = np.asarray(if_values, dtype=float)
+    arms = np.asarray(arms)
+    strata = np.asarray(strata, dtype=object)
+    vhat = _reference_variance_simple(if_values)
+    w = (arms - pi) / (pi * (1.0 - pi))
+    weighted = w * if_values
+    n = if_values.size
+    reduction = 0.0
+    for label in set(strata.tolist()):
+        mask = strata == label
+        if not mask.any():
+            raise ValidationError(f"empty stratum '{label}'")
+        p_s = mask.sum() / n
+        d_s = weighted[mask].sum() / n / p_s
+        reduction += p_s * d_s**2
+    value = vhat - pi * (1.0 - pi) * reduction
+    if value < 0.0:
+        warnings.warn(
+            f"stratified variance estimate {value:.3e} floored at 0",
+            DiagnosticWarning,
+            stacklevel=2,
+        )
+        value = 0.0
+    return float(value)
+
+
+def _reference_if_imbalance_covariance_stratified(if_values, arms, strata, Xr, pi):
+    if_values = np.asarray(if_values, dtype=float)
+    arms = np.asarray(arms)
+    strata = np.asarray(strata, dtype=object)
+    Xr = _as_matrix(Xr)
+    n = if_values.size
+    w = (arms - pi) / (pi * (1.0 - pi))
+    weighted = w * if_values
+    total = np.zeros(Xr.shape[1])
+    for label in set(strata.tolist()):
+        mask = strata == label
+        p_s = mask.sum() / n
+        d_s = weighted[mask].sum() / n / p_s
+        xbar_s = Xr[mask].sum(axis=0) / n / p_s
+        moment = weighted[mask] @ Xr[mask] / n / p_s
+        total += p_s * (moment - d_s * xbar_s)
+    return total
+
+
+def _reference_rsquared_stratified(if_values, arms, strata, Xr, pi):
+    vhat = _reference_variance_stratified(if_values, arms, strata, pi)
+    if vhat == 0.0:
+        raise NumericError("stratified variance estimate is zero: R^2 undefined")
+    Xr = _as_matrix(Xr)
+    c_hat = _reference_if_imbalance_covariance_stratified(if_values, arms, strata, Xr, pi)
+    _, var_i = _reference_imbalance_stratified(Xr, arms, strata)
+    n = len(if_values)
+    raw = balance_distance(c_hat, n * var_i) / vhat
+    return _clamp_unit(raw, "stratified R^2")
+
+
+def _reference_variance_crossfit(if_values, fold_ids):
+    if_values = np.asarray(if_values, dtype=float)
+    return float(np.mean(_reference_fold_means(if_values**2, np.asarray(fold_ids))))
+
+
+def _reference_rsquared_crossfit(if_values, arms, Xr, pi, fold_ids):
+    vhat = _reference_variance_crossfit(if_values, fold_ids)
+    if vhat == 0.0:
+        raise NumericError("V-hat is zero: R^2 undefined")
+    if_values = np.asarray(if_values, dtype=float)
+    arms = np.asarray(arms)
+    Xr = _as_matrix(Xr)
+    w = (arms - pi) / (pi * (1.0 - pi))
+    centered = Xr - Xr.mean(axis=0)
+    contrib = (w * if_values)[:, None] * centered
+    c_hat = np.vstack(
+        [
+            _reference_fold_means(contrib[:, j], np.asarray(fold_ids))
+            for j in range(Xr.shape[1])
+        ]
+    ).mean(axis=1)
+    _, var_i = imbalance_simple(Xr, arms)
+    raw = balance_distance(c_hat, len(if_values) * var_i) / vhat
+    return _clamp_unit(raw, "R^2")
+
+
+def _reference_variance_crossfit_stratified(if_values, arms, strata, pi, fold_ids):
+    vhat, _ = _reference_crossfit_stratified_parts(if_values, arms, strata, pi, fold_ids)
+    return vhat
+
+
+def _reference_rsquared_crossfit_stratified(if_values, arms, strata, Xr, pi, fold_ids):
+    vhat, d_s = _reference_crossfit_stratified_parts(if_values, arms, strata, pi, fold_ids)
+    if vhat == 0.0:
+        raise NumericError("stratified variance estimate is zero: R^2 undefined")
+    if_values = np.asarray(if_values, dtype=float)
+    arms = np.asarray(arms)
+    strata = np.asarray(strata, dtype=object)
+    Xr = _as_matrix(Xr)
+    fold_ids = np.asarray(fold_ids)
+    n = if_values.size
+    w = (arms - pi) / (pi * (1.0 - pi))
+    weighted = w * if_values
+    total = np.zeros(Xr.shape[1])
+    for label in sorted({str(v) for v in strata.tolist()}):
+        mask = strata == label
+        phat = mask.sum() / n
+        xbar_s = Xr[mask].sum(axis=0) / n / phat
+        moment = np.vstack(
+            [
+                _reference_fold_means(weighted[mask] * Xr[mask][:, j], fold_ids[mask])
+                for j in range(Xr.shape[1])
+            ]
+        ).mean(axis=1)
+        total += phat * (moment - d_s[label] * xbar_s)
+    _, var_i = _reference_imbalance_stratified(Xr, arms, strata)
+    raw = balance_distance(total, n * var_i) / vhat
+    return _clamp_unit(raw, "stratified R^2")
+
+
+def _reference_crossfit_stratified_parts(if_values, arms, strata, pi, fold_ids):
+    if_values = np.asarray(if_values, dtype=float)
+    arms = np.asarray(arms)
+    strata = np.asarray(strata, dtype=object)
+    fold_ids = np.asarray(fold_ids)
+    n = if_values.size
+    w = (arms - pi) / (pi * (1.0 - pi))
+    vhat = 0.0
+    reduction = 0.0
+    d_s: dict[str, float] = {}
+    for label in sorted({str(v) for v in strata.tolist()}):
+        mask = strata == label
+        if not mask.any():
+            raise ValidationError(f"empty stratum '{label}'")
+        phat = mask.sum() / n
+        vhat += phat * np.mean(_reference_fold_means(if_values[mask] ** 2, fold_ids[mask]))
+        d = float(np.mean(_reference_fold_means((w * if_values)[mask], fold_ids[mask])))
+        d_s[label] = d
+        reduction += phat * d**2
+    value = vhat - pi * (1.0 - pi) * reduction
+    if value < 0.0:
+        warnings.warn(
+            f"stratified variance estimate {value:.3e} floored at 0",
+            DiagnosticWarning,
+            stacklevel=3,
+        )
+        value = 0.0
+    return float(value), d_s
+
+
+def _reference_fold_means(values, fold_ids):
+    folds = np.unique(fold_ids)
+    return np.array([values[fold_ids == k].mean() for k in folds])
+
+
+def _oracle_panel(seed, n_strata, n_folds, q, pi):
+    """Influence values, arms, X^r, optional string strata and fold ids.
+
+    Every stratum holds both arms, and the first holds at least 10 units so
+    that the stratum-centered X^r has full rank. Folds are dealt within each
+    stratum, as stratum-arm cross-fitting does, so a stratum smaller than the
+    fold count lacks some folds.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 30, size=max(n_strata, 1))
+    sizes[0] += 8
+    n = int(sizes.sum())
+    codes = rng.permutation(np.repeat(np.arange(sizes.size), sizes))
+    arms = (rng.random(n) < pi).astype(np.int8)
+    for s in range(sizes.size):
+        members = np.flatnonzero(codes == s)
+        arms[members[0]], arms[members[1]] = 1, 0
+    names = [f"{'zyxw'[j % 4]}-{rng.integers(1000)}-{j}" for j in range(sizes.size)]
+    strata = np.array([names[c] for c in codes], dtype=object) if n_strata else None
+    folds = None
+    if n_folds:
+        folds = np.empty(n, dtype=int)
+        for s in range(sizes.size):
+            members = np.flatnonzero(codes == s)
+            folds[members] = rng.permutation(np.arange(members.size) % n_folds)
+    ifv = rng.normal(size=n) + arms * rng.normal(size=n)
+    Xr = rng.normal(1.0, 1.0, size=(n, q))
+    return ifv, arms, Xr, strata, folds
+
+
+class TestKernelOracle:
+    """The kernel's entry points reproduce the retired loop implementations."""
+
+    @pytest.mark.parametrize("stratified", [False, True])
+    @pytest.mark.parametrize("crossfit", [False, True])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_strata=st.integers(1, 20),
+        n_folds=st.integers(2, 5),
+        q=st.integers(1, 3),
+        pi=st.sampled_from([0.5, 0.4]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_entry_points_match_reference(
+        self, stratified, crossfit, seed, n_strata, n_folds, q, pi
+    ):
+        ifv, arms, Xr, strata, folds = _oracle_panel(
+            seed, n_strata if stratified else 0, n_folds if crossfit else 0, q, pi
+        )
+        rtol = 1e-12
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DiagnosticWarning)
+            if strata is None and folds is None:
+                # the plain path keeps its exact expressions
+                assert variance_simple(ifv) == _reference_variance_simple(ifv)
+                np.testing.assert_array_equal(
+                    if_imbalance_covariance(ifv, arms, Xr, pi),
+                    _reference_if_imbalance_covariance(ifv, arms, Xr, pi),
+                )
+                assert rsquared_simple(ifv, arms, Xr, pi) == _reference_rsquared_simple(
+                    ifv, arms, Xr, pi
+                )
+            elif strata is None:
+                assert variance_simple(ifv, fold_ids=folds) == pytest.approx(
+                    _reference_variance_crossfit(ifv, folds), rel=rtol
+                )
+                assert rsquared_simple(ifv, arms, Xr, pi, fold_ids=folds) == pytest.approx(
+                    _reference_rsquared_crossfit(ifv, arms, Xr, pi, folds), rel=rtol
+                )
+            elif folds is None:
+                assert variance_stratified(ifv, arms, strata, pi) == pytest.approx(
+                    _reference_variance_stratified(ifv, arms, strata, pi), rel=rtol
+                )
+                np.testing.assert_allclose(
+                    if_imbalance_covariance(ifv, arms, Xr, pi, strata=strata),
+                    _reference_if_imbalance_covariance_stratified(ifv, arms, strata, Xr, pi),
+                    rtol=rtol,
+                )
+                assert rsquared_stratified(ifv, arms, strata, Xr, pi) == pytest.approx(
+                    _reference_rsquared_stratified(ifv, arms, strata, Xr, pi), rel=rtol
+                )
+            else:
+                got = variance_stratified(ifv, arms, strata, pi, fold_ids=folds)
+                assert got == pytest.approx(
+                    _reference_variance_crossfit_stratified(ifv, arms, strata, pi, folds),
+                    rel=rtol,
+                )
+                got = rsquared_stratified(ifv, arms, strata, Xr, pi, fold_ids=folds)
+                assert got == pytest.approx(
+                    _reference_rsquared_crossfit_stratified(ifv, arms, strata, Xr, pi, folds),
+                    rel=rtol,
+                )
 
 
 class TestSampleLimit:
