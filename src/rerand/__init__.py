@@ -39,7 +39,6 @@ from .inference import (
 )
 from .mestimators import (
     PsiSpec,
-    SandwichParts,
     estimate_ancova,
     estimate_drwls,
     estimate_gcomp_logistic,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .data_model import Design, TrialFrame, validate_design
+from .data_model import Design, Grouping, TrialFrame, factorize, group_sums, validate_design
 from .errors import NonTerminationError, SingularMatrixError, ValidationError
 
 
@@ -75,11 +75,11 @@ def permuted_block_assign(
     block uses only the prefix it needs.
     """
     rng = np.random.default_rng(seed)
-    return _permuted_block_draw(rng, np.asarray(strata, dtype=object), pi, k)
+    return _permuted_block_draw(rng, factorize(strata), pi, k)
 
 
 def _permuted_block_draw(
-    rng: np.random.Generator, strata: np.ndarray, pi: float, k: int
+    rng: np.random.Generator, strata: Grouping, pi: float, k: int
 ) -> np.ndarray:
     if k < 2:
         raise ValidationError("block size must be at least 2")
@@ -90,13 +90,11 @@ def _permuted_block_draw(
     base = np.zeros(k, dtype=np.int8)
     base[:ones] = 1
 
-    n = len(strata)
-    arms = np.empty(n, dtype=np.int8)
-    for label in sorted(set(strata.tolist())):
-        idx = np.flatnonzero(strata == label)
-        n_s = idx.size
-        blocks = [rng.permutation(base) for _ in range(-(-n_s // k))]
-        arms[idx] = np.concatenate(blocks)[:n_s]
+    arms = np.empty(strata.codes.size, dtype=np.int8)
+    for idx in strata.members:
+        # one call permutes every block's row, drawing as per-block permutations do
+        blocks = rng.permuted(np.tile(base, (-(-idx.size // k), 1)), axis=1)
+        arms[idx] = blocks.ravel()[: idx.size]
     return arms
 
 
@@ -135,53 +133,27 @@ def imbalance_stratified(
     if n1 == 0 or n0 == 0:
         raise ValidationError("both arms must be non-empty")
     imb = Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
-    centered = _stratum_centered(Xr, *_stratum_codes(strata)[1:])
+    centered = factorize(strata).centered(Xr)
     return imb, centered.T @ centered / (n1 * n0)
-
-
-def _stratum_codes(strata: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted labels, per-unit integer codes, per-label counts).
-
-    Codes follow the sorted label order, so every per-stratum sum built from
-    them is added in an order that does not depend on the hash seed.
-    """
-    labels, codes = np.unique(np.asarray(strata), return_inverse=True)
-    codes = codes.ravel()
-    return labels, codes, np.bincount(codes, minlength=labels.size)
-
-
-def _stratum_sums(codes: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Per-stratum column sums of an (n, p) array, each added in unit order."""
-    p = values.shape[1]
-    flat = (codes[:, None] * p + np.arange(p)).ravel()
-    return np.bincount(flat, values.ravel(), minlength=size * p).reshape(size, p)
-
-
-def _stratum_centered(Xr: np.ndarray, codes: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """X^r minus the mean of each unit's stratum."""
-    return Xr - (_stratum_sums(codes, Xr, counts.size) / counts[:, None])[codes]
 
 
 def imbalance_stratified_dagger(
     Xr: np.ndarray, arms: np.ndarray, strata: np.ndarray
 ) -> np.ndarray:
     """Stratum-weighted imbalance: sum_s phat_s (treated - control mean in s)."""
-    return _stratum_dagger(_as_matrix(Xr), np.asarray(arms), *_stratum_codes(strata))
+    return _stratum_dagger(_as_matrix(Xr), np.asarray(arms), factorize(strata))
 
 
-def _stratum_dagger(
-    Xr: np.ndarray, arms: np.ndarray, labels: np.ndarray, codes: np.ndarray,
-    counts: np.ndarray,
-) -> np.ndarray:
-    """Stratum-weighted imbalance from precomputed stratum codes."""
-    cells = 2 * codes + (arms == 1)
-    cell_n = np.bincount(cells, minlength=2 * labels.size).reshape(-1, 2)
+def _stratum_dagger(Xr: np.ndarray, arms: np.ndarray, strata: Grouping) -> np.ndarray:
+    """Stratum-weighted imbalance over a stratum grouping."""
+    cells = 2 * strata.codes + (arms == 1)
+    cell_n = np.bincount(cells, minlength=2 * strata.labels.size).reshape(-1, 2)
     empty = np.flatnonzero(cell_n.min(axis=1) == 0)
     if empty.size:
-        raise ValidationError(f"stratum '{labels[empty[0]]}' lacks one arm")
-    means = _stratum_sums(cells, Xr, 2 * labels.size).reshape(-1, 2, Xr.shape[1])
+        raise ValidationError(f"stratum '{strata.labels[empty[0]]}' lacks one arm")
+    means = group_sums(cells, Xr, 2 * strata.labels.size).reshape(-1, 2, Xr.shape[1])
     means = means / cell_n[:, :, None]
-    return (counts / arms.size) @ (means[:, 1] - means[:, 0])
+    return (strata.counts / arms.size) @ (means[:, 1] - means[:, 0])
 
 
 def balance_distance(imbalance: np.ndarray, weight: np.ndarray) -> float:
@@ -232,8 +204,8 @@ class _BalanceChecker:
         self.Xr = frame.covariates[:, list(design.rerand_covariates)]
         self.n = frame.n_units
         if design.stratified:
-            self.strata = _stratum_codes(frame.stratum)
-            centered = _stratum_centered(self.Xr, *self.strata[1:])
+            self.strata = frame.stratum_groups
+            centered = self.strata.centered(self.Xr)
         else:
             centered = self.Xr - self.Xr.mean(axis=0)
         self.scatter = centered.T @ centered
@@ -251,7 +223,7 @@ class _BalanceChecker:
         vhat = self.scatter / (n1 * n0)
         design = self.design
         if design.stratified and design.stratified_statistic == "stratum_weighted":
-            imb = _stratum_dagger(self.Xr, arms, *self.strata)
+            imb = _stratum_dagger(self.Xr, arms, self.strata)
         else:
             imb = self.Xr[arms == 1].mean(axis=0) - self.Xr[arms == 0].mean(axis=0)
         return imb, vhat
@@ -290,7 +262,7 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
 
     def propose() -> np.ndarray:
         if design.stratified:
-            return _permuted_block_draw(rng, frame.stratum, design.pi, design.block_size)
+            return _permuted_block_draw(rng, frame.stratum_groups, design.pi, design.block_size)
         return _simple_draw(rng, n, design.pi)
 
     record_balance = design.q >= 1

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -28,6 +29,69 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+@dataclass(frozen=True, eq=False)
+class Grouping:
+    """Units partitioned by label: the one rule for strata, clusters and folds.
+
+    ``labels`` are the distinct labels in sorted order, ``codes`` each unit's
+    index into them and ``counts`` the group sizes, so group-wise sums run in
+    label order whatever the hash seed; ``members`` lists rows in ascending
+    order and ``first_rows`` each group's first row. All arrays are read-only.
+    """
+
+    labels: np.ndarray
+    codes: np.ndarray
+    counts: np.ndarray
+
+    @cached_property
+    def members(self) -> list[np.ndarray]:
+        rows = _readonly(np.argsort(self.codes, kind="stable"))
+        return np.split(rows, np.cumsum(self.counts)[:-1])
+
+    @cached_property
+    def first_rows(self) -> np.ndarray:
+        return _readonly([rows[0] for rows in self.members])
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        return group_sums(self.codes, values, self.labels.size)
+
+    def centered(self, values: np.ndarray) -> np.ndarray:
+        """(n, p) values minus the mean of each unit's group."""
+        return values - (self.sums(values) / self.counts[:, None])[self.codes]
+
+    def common_values(self, values: np.ndarray, message: str) -> np.ndarray:
+        """The one value each group's units share; a group holding two raises
+        :class:`ValidationError` with ``message.format(label)`` (first in label order)."""
+        values = np.asarray(values)
+        first = values[self.first_rows]
+        mixed = self.codes[values != first[self.codes]]
+        if mixed.size:
+            raise ValidationError(message.format(self.labels[mixed.min()]))
+        return first
+
+
+def factorize(values: np.ndarray) -> Grouping:
+    """Group units by label; labels are compared with Python's ``<`` and ``==``."""
+    values = np.asarray(values)
+    items = values.ravel().tolist()
+    distinct = set(items)
+    levels = sorted(distinct)
+    code_of = {level: code for code, level in enumerate(levels)}
+    codes = np.fromiter(map(code_of.__getitem__, items), dtype=np.intp, count=len(items))
+    labels = np.array(levels, dtype=values.dtype)
+    counts = np.bincount(codes, minlength=len(levels))
+    return Grouping(_readonly(labels), _readonly(codes), _readonly(counts))
+
+
+def group_sums(codes: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Per-group sums of an (n,) array or (n, p) columns, each added in row order."""
+    if values.ndim == 1:
+        return np.bincount(codes, values, minlength=size)
+    p = values.shape[1]
+    flat = (codes[:, None] * p + np.arange(p)).ravel()
+    return np.bincount(flat, values.ravel(), minlength=size * p).reshape(size, p)
+
+
 @dataclass(frozen=True)
 class TrialFrame:
     """Immutable per-unit trial data.
@@ -41,6 +105,9 @@ class TrialFrame:
     arm : optional (n,) 0/1 array; absent for pre-allocation frames.
     stratum : optional (n,) label array; all units have one or none do.
     cluster : optional (n,) identifier array partitioning units into clusters.
+
+    ``stratum_groups`` and ``cluster_groups`` group units by those columns
+    (None when absent); each is computed at most once per frame.
     """
 
     covariates: np.ndarray
@@ -127,13 +194,13 @@ class TrialFrame:
             raise KeyError(f"no covariate named '{name}'") from None
         return self.covariates[:, j]
 
-    def column_indices(self, names: Sequence[str]) -> tuple[int, ...]:
-        return tuple(self.covariate_names.index(str(n)) for n in names)
+    @cached_property
+    def stratum_groups(self) -> Grouping | None:
+        return None if self.stratum is None else factorize(self.stratum)
 
-    def stratum_labels(self) -> tuple[str, ...]:
-        if self.stratum is None:
-            return ()
-        return tuple(sorted(set(self.stratum.tolist())))
+    @cached_property
+    def cluster_groups(self) -> Grouping | None:
+        return None if self.cluster is None else factorize(self.cluster)
 
     def with_arms(self, arms: np.ndarray) -> "TrialFrame":
         return replace(self, arm=np.asarray(arms))
@@ -288,7 +355,6 @@ class EstimandSpec:
 class SolverDiag:
     iterations: int
     residual_norm: float
-    converged: bool
 
 
 @dataclass(frozen=True)

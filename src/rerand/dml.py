@@ -89,11 +89,12 @@ def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> FoldPlan:
         return FoldPlan("plain", K, assignment)
 
     arms = frame.require_arms()
-    if frame.stratum is None:
+    strata = frame.stratum_groups
+    if strata is None:
         raise ValidationError("stratum_arm cross-fitting requires strata")
-    for label in frame.stratum_labels():
+    for label, rows in zip(strata.labels, strata.members):
         for a in (0, 1):
-            cell = np.flatnonzero((frame.stratum == label) & (arms == a))
+            cell = rows[arms[rows] == a]
             if cell.size < K:
                 raise ValidationError(
                     f"cell (arm={a}, stratum='{label}') has {cell.size} units, "
@@ -263,9 +264,9 @@ def estimate_dml(
 
     plan = fold_plan or make_folds(frame, K, mode, derive_seed(seed, "folds"))
     feature_names = list(frame.covariate_names)
-    if frame.stratum is not None and len(frame.stratum_labels()) > 1:
+    if frame.stratum is not None and frame.stratum_groups.labels.size > 1:
         feature_names.append("stratum")
-    features, _ = expand_model_columns(frame, feature_names)
+    features = expand_model_columns(frame, feature_names)
 
     outcome_learner = dataclasses.replace(outcome_learner, target="outcome")
     if missingness_learner is not None:
@@ -280,8 +281,8 @@ def estimate_dml(
         cell_masks = [(np.ones(frame.n_units, dtype=bool), "")]
     else:
         cell_masks = [
-            (np.asarray(frame.stratum == label), f", stratum '{label}'")
-            for label in frame.stratum_labels()
+            (frame.stratum_groups.codes == s, f", stratum '{label}'")
+            for s, label in enumerate(frame.stratum_groups.labels)
         ]
 
     for cell_mask, cell_desc in cell_masks:
@@ -334,9 +335,7 @@ def estimate_dml(
         mu_hat=(mu1, mu0),
         theta_hat=np.array([delta, mu1, mu0]),
         if_values=eif,
-        solver_diag=SolverDiag(
-            iterations=0, residual_norm=float(abs(eif.mean())), converged=True
-        ),
+        solver_diag=SolverDiag(iterations=0, residual_norm=float(abs(eif.mean()))),
         details={
             "fold_plan": plan,
             "clip_count": clip_count,

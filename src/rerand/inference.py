@@ -22,14 +22,12 @@ from scipy.special import ndtri
 
 from .allocation import (
     _as_matrix,
-    _stratum_centered,
-    _stratum_codes,
     balance_distance,
     chi_square_cdf,
     imbalance_simple,
     imbalance_stratified,
 )
-from .data_model import DistanceSpec
+from .data_model import DistanceSpec, factorize
 from .errors import DiagnosticWarning, NumericError, ValidationError
 
 
@@ -184,13 +182,14 @@ def _sandwich(if_values, arms=None, pi=None, Xr=None, strata=None, fold_ids=None
     if strata is None:
         codes, counts = np.zeros(n, dtype=np.intp), np.array([n])
     else:
-        _, codes, counts = _stratum_codes(strata)
+        groups = factorize(strata)
+        codes, counts = groups.codes, groups.counts
     phat = counts / n
     if fold_ids is None:
         omega = 1.0 / n
         vhat = float(np.mean(if_values**2))
     else:
-        _, folds, _ = _stratum_codes(fold_ids)
+        folds = factorize(fold_ids).codes
         k = folds.max() + 1
         cells = codes * k + folds
         cell_n = np.bincount(cells, minlength=counts.size * k)
@@ -211,7 +210,7 @@ def _sandwich(if_values, arms=None, pi=None, Xr=None, strata=None, fold_ids=None
     if strata is None:
         centered = Xr - Xr.mean(axis=0)
     else:
-        centered = _stratum_centered(Xr, codes, counts)
+        centered = groups.centered(Xr)
     if fold_ids is None:
         return vhat, between, weighted @ centered / n
     return vhat, between, (omega * weighted) @ centered

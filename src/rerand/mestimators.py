@@ -8,7 +8,7 @@ sandwich variance.
 
 Stage-wise fits (OLS, IRLS, profile likelihood) provide warm starts; a damped
 Newton pass then drives the stacked residual below tolerance and assembles the
-sandwich parts at the solution.
+influence values at the solution.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ class PsiSpec:
     evaluate: Callable[[TrialFrame, np.ndarray], np.ndarray]
     theta0: np.ndarray
     jacobian: Callable[[TrialFrame, np.ndarray], np.ndarray] | None = None
-    target_index: int = 0
-
-
-@dataclass
-class SandwichParts:
-    if_matrix: np.ndarray
 
 
 def _fd_jacobian(evaluate, frame, theta: np.ndarray) -> np.ndarray:
@@ -81,11 +75,12 @@ def _fd_jacobian(evaluate, frame, theta: np.ndarray) -> np.ndarray:
 
 def solve_estimating_equations(
     spec: PsiSpec, frame: TrialFrame
-) -> tuple[np.ndarray, SandwichParts, SolverDiag]:
+) -> tuple[np.ndarray, np.ndarray, SolverDiag]:
     """Solve sum_i psi(O_i; theta) = 0 by damped Newton with step halving.
 
-    Returns (theta_hat, sandwich parts at theta_hat, diagnostics). The
-    returned residual satisfies ||n^-1 sum psi||_inf <= 1e-10.
+    Returns (theta_hat, the (n, dim) influence matrix -psi B_hat^-T at
+    theta_hat, diagnostics). The returned residual satisfies
+    ||n^-1 sum psi||_inf <= 1e-10; every failure raises.
     """
     theta = np.array(spec.theta0, dtype=float)
     if theta.shape != (spec.dim,) or not np.all(np.isfinite(theta)):
@@ -142,38 +137,32 @@ def solve_estimating_equations(
             "residual vanishes but the Newton correction does not: the "
             "estimating equations have no finite root (separation?)"
         )
-    parts = SandwichParts(if_matrix=if_matrix)
-    diag = SolverDiag(iterations=iterations, residual_norm=residual, converged=True)
-    return theta, parts, diag
+    return theta, if_matrix, SolverDiag(iterations=iterations, residual_norm=residual)
 
 
 # ---------------------------------------------------------------------------
 # Model-matrix utilities.
 
 
-def expand_model_columns(
-    frame: TrialFrame, names: Sequence[str]
-) -> tuple[np.ndarray, list[str]]:
+def expand_model_columns(frame: TrialFrame, names: Sequence[str]) -> np.ndarray:
     """Resolve covariate names into a dense matrix.
 
     The special name ``stratum`` expands into drop-first dummy columns for the
     frame's stratum labels; all other names must be covariate columns.
     """
     columns: list[np.ndarray] = []
-    labels: list[str] = []
     for name in names:
         if name == "stratum":
             if frame.stratum is None:
                 raise ValidationError("frame has no strata to adjust for")
-            for level in frame.stratum_labels()[1:]:
-                columns.append((frame.stratum == level).astype(float))
-                labels.append(f"stratum={level}")
+            strata = frame.stratum_groups
+            dummies = strata.codes[:, None] == np.arange(1, strata.labels.size)
+            columns.append(dummies.astype(float))
         else:
             columns.append(frame.column(name))
-            labels.append(name)
     if not columns:
-        return np.empty((frame.n_units, 0)), []
-    return np.column_stack(columns), labels
+        return np.empty((frame.n_units, 0))
+    return np.column_stack(columns)
 
 
 class _ArmDesign:
@@ -186,15 +175,13 @@ class _ArmDesign:
         interactions: bool,
         interaction_columns: Sequence[str] | None,
     ):
-        self.X, self.names = expand_model_columns(frame, covariates)
+        self.X = expand_model_columns(frame, covariates)
         if interactions:
             cols = covariates if interaction_columns is None else interaction_columns
-            raw, int_names = expand_model_columns(frame, cols)
+            raw = expand_model_columns(frame, cols)
             self.X_int = raw - raw.mean(axis=0)
-            self.int_names = int_names
         else:
             self.X_int = np.empty((frame.n_units, 0))
-            self.int_names = []
         self.n = frame.n_units
 
     @property
@@ -315,8 +302,8 @@ def estimate_unadjusted(frame: TrialFrame, estimand: EstimandSpec) -> EstimateRe
 
     theta0 = np.array([estimand.value(mu1, mu0), mu1, mu0])
     spec = PsiSpec(dim=3, evaluate=evaluate, theta0=theta0, jacobian=jacobian)
-    theta, parts, diag = solve_estimating_equations(spec, frame)
-    return _result_from_parts(theta, parts, diag, mu_index=(1, 2))
+    theta, if_matrix, diag = solve_estimating_equations(spec, frame)
+    return _result_from_parts(theta, if_matrix, diag)
 
 
 def _glm_gcomp_stack(
@@ -325,7 +312,7 @@ def _glm_gcomp_stack(
     estimand: EstimandSpec,
     link: str,
     beta0: np.ndarray,
-) -> tuple[np.ndarray, SandwichParts, SolverDiag]:
+) -> tuple[np.ndarray, np.ndarray, SolverDiag]:
     """Shared (Delta, mu1, mu0, beta) stack for OLS / logistic g-computation."""
     arms = frame.require_arms()
     y = frame.outcome
@@ -386,8 +373,8 @@ def estimate_ancova(
     design = _ArmDesign(frame, covariates, interactions, interaction_columns)
     Z = design.matrix(frame.require_arms())
     beta0 = _ols(Z, frame.outcome)
-    theta, parts, diag = _glm_gcomp_stack(frame, design, estimand, "identity", beta0)
-    return _result_from_parts(theta, parts, diag, mu_index=(1, 2))
+    theta, if_matrix, diag = _glm_gcomp_stack(frame, design, estimand, "identity", beta0)
+    return _result_from_parts(theta, if_matrix, diag)
 
 
 def estimate_gcomp_logistic(
@@ -405,8 +392,8 @@ def estimate_gcomp_logistic(
     design = _ArmDesign(frame, covariates, interactions, interaction_columns)
     Z = design.matrix(frame.require_arms())
     beta0 = _logistic_ml(Z, y)
-    theta, parts, diag = _glm_gcomp_stack(frame, design, estimand, "logit", beta0)
-    return _result_from_parts(theta, parts, diag, mu_index=(1, 2))
+    theta, if_matrix, diag = _glm_gcomp_stack(frame, design, estimand, "logit", beta0)
+    return _result_from_parts(theta, if_matrix, diag)
 
 
 def estimate_drwls(
@@ -439,8 +426,8 @@ def estimate_drwls(
             beta0 = _ols(Z, frame.outcome)
         else:
             beta0 = _logistic_ml(Z, frame.outcome)
-        theta, parts, diag = _glm_gcomp_stack(frame, design, estimand, link, beta0)
-        result = _result_from_parts(theta, parts, diag, mu_index=(1, 2))
+        theta, if_matrix, diag = _glm_gcomp_stack(frame, design, estimand, link, beta0)
+        result = _result_from_parts(theta, if_matrix, diag)
         result.details["missingness_model"] = "none (no missing outcomes)"
         return result
 
@@ -493,8 +480,8 @@ def estimate_drwls(
     mu0 = float(np.mean(ginv(Zo0 @ beta0)))
     theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0, alpha0])
     spec = PsiSpec(dim=3 + p_out + p_miss, evaluate=evaluate, theta0=theta0)
-    theta, parts, diag = solve_estimating_equations(spec, frame)
-    result = _result_from_parts(theta, parts, diag, mu_index=(1, 2))
+    theta, if_matrix, diag = solve_estimating_equations(spec, frame)
+    result = _result_from_parts(theta, if_matrix, diag)
     result.details["propensity_clip_count"] = clipped
     return result
 
@@ -509,16 +496,14 @@ def _require_complete(frame: TrialFrame) -> None:
 
 
 def _result_from_parts(
-    theta: np.ndarray,
-    parts: SandwichParts,
-    diag: SolverDiag,
-    mu_index: tuple[int, int] | None,
+    theta: np.ndarray, if_matrix: np.ndarray, diag: SolverDiag
 ) -> EstimateResult:
+    """Result of a (Delta, mu1, mu0, ...) stack."""
     return EstimateResult(
         delta_hat=float(theta[0]),
-        mu_hat=None if mu_index is None else (float(theta[mu_index[0]]), float(theta[mu_index[1]])),
+        mu_hat=(float(theta[1]), float(theta[2])),
         theta_hat=theta,
-        if_values=parts.if_matrix[:, 0].copy(),
+        if_values=if_matrix[:, 0].copy(),
         solver_diag=diag,
         details={},
     )
@@ -534,26 +519,18 @@ class _ClusterData:
             raise ValidationError("mixed-model estimator requires cluster ids")
         _require_complete(frame)
         arms = frame.require_arms()
-        self.labels = sorted(set(frame.cluster.tolist()))
-        self.members = [np.flatnonzero(frame.cluster == lab) for lab in self.labels]
-        self.sizes = np.array([len(m) for m in self.members])
-        self.arms = np.empty(len(self.labels), dtype=np.int8)
-        for c, idx in enumerate(self.members):
-            cluster_arms = set(arms[idx].tolist())
-            if len(cluster_arms) != 1:
-                raise ValidationError(
-                    f"cluster '{self.labels[c]}' mixes treatment arms"
-                )
-            self.arms[c] = cluster_arms.pop()
-        if (self.arms == 1).sum() < 2 or (self.arms == 0).sum() < 2:
+        self.clusters = frame.cluster_groups
+        self.sizes = self.clusters.counts
+        cluster_arms = self.clusters.common_values(arms, "cluster '{}' mixes treatment arms")
+        if (cluster_arms == 1).sum() < 2 or (cluster_arms == 0).sum() < 2:
             raise ValidationError("need at least two clusters per arm")
         self.y = frame.outcome
         self.Z = design.matrix(arms)
         self.Z1 = design.matrix_at(1)
         self.Z0 = design.matrix_at(0)
         # per-cluster summaries used by the closed-form V inverse
-        self.z_sum = np.vstack([self.Z[idx].sum(axis=0) for idx in self.members])
-        self.y_sum = np.array([self.y[idx].sum() for idx in self.members])
+        self.z_sum = self.clusters.sums(self.Z)
+        self.y_sum = self.clusters.sums(self.y)
         self.ZtZ = self.Z.T @ self.Z
         self.Zty = self.Z.T @ self.y
         self.yty = float(self.y @ self.y)
@@ -599,10 +576,7 @@ def estimate_mixed_ancova(
     beta_ols = _ols(data.Z, data.y)
     resid = data.y - data.Z @ beta_ols
     v_resid = max(float(resid @ resid) / max(data.n_obs - data.Z.shape[1], 1), 1e-8)
-    cluster_means = np.array(
-        [resid[idx].mean() for idx in data.members if len(idx) > 0]
-    )
-    v_between = max(float(np.var(cluster_means)), 1e-8)
+    v_between = max(float(np.var(data.clusters.sums(resid) / data.sizes)), 1e-8)
 
     def objective(params):
         s2, t2 = params
@@ -637,57 +611,45 @@ def estimate_mixed_ancova(
 
 def _mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary):
     p = design.width
-    n_clusters = len(data.labels)
+    clusters = data.clusters
+    N = clusters.counts
     beta_init = data.gls_beta(sigma2, tau2)
-    ginv = lambda x: x  # identity link throughout
 
-    def cluster_psi(theta: np.ndarray) -> np.ndarray:
+    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
         delta, m1, m0 = theta[:3]
         beta = theta[3 : 3 + p]
         s2 = theta[3 + p]
         t2 = 0.0 if boundary else theta[4 + p]
-        dim = 3 + p + (1 if boundary else 2)
-        out = np.empty((n_clusters, dim))
         resid = data.y - data.Z @ beta
-        pred1 = data.Z1 @ beta
-        pred0 = data.Z0 @ beta
-        contrast = estimand.value(m1, m0) - delta
-        for c, idx in enumerate(data.members):
-            N = data.sizes[c]
-            r = resid[idx]
-            r_sum = r.sum()
-            denom = s2 + N * t2
-            vr = r / s2 - (t2 * r_sum / (s2 * denom)) * 1.0
-            out[c, 0] = contrast
-            out[c, 1] = m1 - pred1[idx].mean()
-            out[c, 2] = m0 - pred0[idx].mean()
-            out[c, 3 : 3 + p] = data.Z[idx].T @ vr
-            trace_v = N / s2 - t2 * N / (s2 * denom)
-            out[c, 3 + p] = -trace_v + vr @ vr
-            if not boundary:
-                out[c, 4 + p] = -N / denom + (r_sum / denom) ** 2
-        return out
+        r_sum = clusters.sums(resid)
+        denom = s2 + N * t2
+        vr = resid / s2 - (t2 * r_sum / (s2 * denom))[clusters.codes]
+        columns = [
+            np.full(N.size, estimand.value(m1, m0) - delta),
+            m1 - clusters.sums(data.Z1 @ beta) / N,
+            m0 - clusters.sums(data.Z0 @ beta) / N,
+            clusters.sums(data.Z * vr[:, None]),
+            -(N / s2 - t2 * N / (s2 * denom)) + clusters.sums(vr * vr),
+        ]
+        if not boundary:
+            columns.append(-N / denom + (r_sum / denom) ** 2)
+        return np.column_stack(columns)
 
-    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
-        return cluster_psi(theta)
-
-    mu1 = float(np.mean([np.mean((data.Z1 @ beta_init)[idx]) for idx in data.members]))
-    mu0 = float(np.mean([np.mean((data.Z0 @ beta_init)[idx]) for idx in data.members]))
+    mu1 = float(np.mean(clusters.sums(data.Z1 @ beta_init) / N))
+    mu0 = float(np.mean(clusters.sums(data.Z0 @ beta_init) / N))
     head = [estimand.value(mu1, mu0), mu1, mu0]
     tail = [sigma2] if boundary else [sigma2, tau2]
     theta0 = np.concatenate([head, beta_init, tail])
     spec = PsiSpec(dim=len(theta0), evaluate=evaluate, theta0=theta0)
-    theta, parts, diag = solve_estimating_equations(spec, frame)
+    theta, if_matrix, diag = solve_estimating_equations(spec, frame)
     if not boundary and theta[4 + p] < 0:
         # Newton polished tau^2 below zero: refit on the boundary stack
         return _mixed_stack(frame, design, data, estimand, float(theta[3 + p]), 0.0, True)
-    result = _result_from_parts(theta, parts, diag, mu_index=(1, 2))
+    result = _result_from_parts(theta, if_matrix, diag)
     result.details.update(
         {
             "sigma2": float(theta[3 + p]),
             "tau2": 0.0 if boundary else float(theta[4 + p]),
-            "cluster_labels": list(data.labels),
-            "cluster_arms": data.arms.copy(),
         }
     )
     return result

@@ -383,19 +383,22 @@ def apply_estimator(
     )
 
 
-def _analysis_units(est: SimEstimator, result, frame: TrialFrame, design: Design):
-    """Arms, strata, and X^r per analysis unit (clusters for the mixed model)."""
+def _analysis_units(est: SimEstimator, frame: TrialFrame, design: Design):
+    """Arms, stratum codes (stratified designs only) and X^r per analysis unit.
+
+    Mixed-model units are clusters in label order, with their units' mean X^r
+    and the arm and stratum those units must share (the estimator checks arms).
+    """
     Xr = frame.covariates[:, list(design.rerand_covariates)]
+    strata = frame.stratum_groups.codes if design.stratified else None
     if est.kind != "mixed":
-        return frame.arm, frame.stratum, Xr
-    labels = result.details["cluster_labels"]
-    arms = result.details["cluster_arms"]
-    rows = [np.flatnonzero(frame.cluster == lab) for lab in labels]
-    Xr_c = np.vstack([Xr[idx].mean(axis=0) for idx in rows]) if Xr.shape[1] else Xr[:0]
-    strata = None
-    if frame.stratum is not None:
-        strata = np.array([frame.stratum[idx[0]] for idx in rows], dtype=object)
-    return arms, strata, Xr_c
+        return frame.arm, strata, Xr
+    clusters = frame.cluster_groups
+    arms = frame.arm[clusters.first_rows]
+    Xr = clusters.sums(Xr) / clusters.counts[:, None]
+    if strata is not None:
+        strata = clusters.common_values(strata, "cluster '{}' spans more than one stratum")
+    return arms, strata, Xr
 
 
 def _replicate(config: SimConfig, truth: dict, r: int) -> dict:
@@ -446,19 +449,18 @@ def scheme_inference(
     (DML) estimates pass their folds to every plug-in; stratified plug-ins
     take them only for stratum-arm folds, which nest within strata.
     """
-    arms, strata, Xr = _analysis_units(est, result, frame, design)
+    arms, strata, Xr = _analysis_units(est, frame, design)
     ifv = result.if_values
     n_units = len(ifv)
     pi = design.pi
     fold_ids = result.details["fold_plan"].assignment if est.kind == "dml" else None
     v_simple = inference.variance_simple(ifv, fold_ids=fold_ids)
-    if design.stratified:
+    if strata is None:
+        v_for_ci = v_simple
+    else:
         if est.fold_mode != "stratum_arm":
             fold_ids = None
         v_for_ci = inference.variance_stratified(ifv, arms, strata, pi, fold_ids=fold_ids)
-    else:
-        strata = None
-        v_for_ci = v_simple
 
     r2 = None
     if design.q >= 1:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rerand import (
@@ -156,6 +156,7 @@ class TestImbalance:
             )
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 3))
+    @example(286603599, 20, 3)  # an off-diagonal entry 1e-4 of the matrix scale
     @settings(max_examples=40, deadline=None)
     def test_stratified_statistics_match_reference_loops(self, seed, n_strata, q):
         rng = np.random.default_rng(seed)
@@ -186,23 +187,29 @@ class TestImbalance:
 
 
 def _reference_imbalance_variance_stratified(Xr, arms, strata):
-    """The stratum loop that ``imbalance_stratified`` replaced (its V-hat)."""
+    """The stratum loop that ``imbalance_stratified`` replaced (its V-hat).
+
+    Its n^-1 X'X - sum_s phat_s xbar_s xbar_s' form cancels, so an entry near
+    zero would carry float64 rounding of the matrix scale; the loop therefore
+    runs in np.longdouble, over sorted labels so it does not follow the hash seed.
+    """
     n = Xr.shape[0]
-    second_moment = Xr.T @ Xr / n
-    for label in set(strata.tolist()):
+    X = Xr.astype(np.longdouble)
+    second_moment = X.T @ X / n
+    for label in sorted(set(strata.tolist())):
         mask = strata == label
-        p_s = mask.sum() / n
-        xbar_s = Xr[mask].mean(axis=0)
+        p_s = np.longdouble(mask.sum()) / n
+        xbar_s = X[mask].mean(axis=0)
         second_moment = second_moment - p_s * np.outer(xbar_s, xbar_s)
     n1 = int(arms.sum())
-    return n / (n1 * (n - n1)) * second_moment
+    return (n / np.longdouble(n1 * (n - n1)) * second_moment).astype(float)
 
 
 def _reference_dagger(Xr, arms, strata):
     """The stratum loop that ``imbalance_stratified_dagger`` replaced."""
     n = arms.size
     total = np.zeros(Xr.shape[1])
-    for label in set(strata.tolist()):
+    for label in sorted(set(strata.tolist())):
         mask = strata == label
         treated = mask & (arms == 1)
         control = mask & (arms == 0)

@@ -200,6 +200,22 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"]["n_units"] == 8
 
+    def test_mixed_cluster_spanning_strata_is_a_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(33)
+        lines = ["outcome,arm,cluster,stratum,x1"]
+        for c in range(40):
+            for j in range(4):
+                x1, y = (float(v) for v in rng.normal(size=2))
+                lines.append(f"{y + c % 2!r},{c % 2},c{c},{'ab'[j % 2]},{x1!r}")
+        path = write(tmp_path / "clusters.csv", "\n".join(lines) + "\n")
+        design = write(tmp_path / "design.cfg", "pi = 0.5\nscheme = stratified\n")
+        outcome = run_command(
+            ["analyze", "--estimator", "mixed", "--data", path, "--covariates", "x1",
+             "--design", design]
+        )
+        assert outcome.exit_code == 3
+        assert "cluster 'c0' spans more than one stratum" in capsys.readouterr().err
+
     def test_design_config_with_tier_lines(self, tmp_path, unassigned_csv):
         cfg = write(
             tmp_path / "tiered.cfg",

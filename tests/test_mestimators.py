@@ -37,10 +37,9 @@ class TestSolver:
 
         spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.zeros(2))
         frame = TrialFrame(covariates=X, covariate_names=("a", "b"))
-        theta, parts, diag = solve_estimating_equations(spec, frame)
+        theta, _, diag = solve_estimating_equations(spec, frame)
         np.testing.assert_allclose(theta, oracle, atol=1e-8)
         assert diag.residual_norm <= 1e-10
-        assert diag.converged
 
     def test_residual_postcondition_holds(self):
         frame = random_frame(1)
