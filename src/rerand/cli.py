@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
-import hashlib
 import json
 import logging
 import os
@@ -23,7 +22,6 @@ from .data_model import (
     Design,
     DistanceSpec,
     Tier,
-    TrialFrame,
     load_csv,
     validate_design,
     write_csv,
@@ -32,16 +30,19 @@ from .dml import LearnerSpec
 from .errors import DataError, NumericError, RerandError
 from .inference import LimitSpec, confidence_interval
 from .simlab import (
+    DGP_COVARIATES,
+    ESTIMATOR_KINDS,
     CustomDgp,
     DgpSpec,
     SimConfig,
     SimEstimator,
+    apply_estimator,
+    canonical_digest,
+    canonical_json,
     config_hash,
     report_csv_lines,
     run_simulation,
     scheme_inference,
-    apply_estimator,
-    _jsonable,
 )
 from ._seeds import derive_seed
 from .allocation import rerandomize
@@ -84,11 +85,6 @@ class _Parser(argparse.ArgumentParser):
                     message += f" (did you mean '{hits[0]}'?)"
                     break
         raise _UsageError(message)
-
-
-def _hash_payload(payload: dict) -> str:
-    text = json.dumps(_jsonable(payload), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -138,7 +134,7 @@ def _parse_float(text: str, name: str) -> float:
         raise DataError(f"{name}: '{text}' must be a number") from None
 
 
-def _resolve_columns(tokens: str, frame: TrialFrame) -> tuple[int, ...]:
+def _resolve_columns(tokens: str, names: tuple[str, ...]) -> tuple[int, ...]:
     out = []
     for token in tokens.split(","):
         token = token.strip()
@@ -148,25 +144,23 @@ def _resolve_columns(tokens: str, frame: TrialFrame) -> tuple[int, ...]:
             out.append(_parse_int(token, "covariate column"))
         else:
             try:
-                out.append(frame.covariate_names.index(token))
+                out.append(names.index(token))
             except ValueError:
                 raise DataError(f"no covariate column named '{token}'") from None
     return tuple(out)
 
 
-def design_from_config(cfg: dict, frame: TrialFrame, prefix: str = "") -> Design:
-    def get(key, default=None):
-        return cfg.get(prefix + key, default)
-
-    rerand = get("rerand", "")
-    indices = _resolve_columns(rerand, frame) if rerand else ()
-    distance = DistanceSpec(kind=get("distance", "mahalanobis"))
+def design_from_config(cfg: dict, names: tuple[str, ...]) -> Design:
+    """A design from config keys; column tokens are indices or covariate ``names``."""
+    rerand = cfg.get("rerand", "")
+    indices = _resolve_columns(rerand, names) if rerand else ()
+    distance = DistanceSpec(kind=cfg.get("distance", "mahalanobis"))
     tiers = []
-    for spec in cfg.get(prefix + "tier", []):
+    for spec in cfg.get("tier", []):
         parts = [p.strip() for p in spec.split(":")]
         if len(parts) < 2:
             raise DataError(f"tier spec '{spec}' needs 'columns : threshold'")
-        tier_idx = _resolve_columns(parts[0], frame)
+        tier_idx = _resolve_columns(parts[0], names)
         kind = parts[2] if len(parts) > 2 else "mahalanobis"
         tiers.append(
             Tier(
@@ -176,15 +170,15 @@ def design_from_config(cfg: dict, frame: TrialFrame, prefix: str = "") -> Design
             )
         )
     return Design(
-        pi=_parse_float(get("pi", "0.5"), prefix + "pi"),
-        scheme=get("scheme", "simple"),
+        pi=_parse_float(cfg.get("pi", "0.5"), "pi"),
+        scheme=cfg.get("scheme", "simple"),
         rerand_covariates=indices,
-        threshold_t=_parse_float(get("t", "inf"), prefix + "t"),
+        threshold_t=_parse_float(cfg.get("t", "inf"), "t"),
         distance=distance,
         tiers=tuple(tiers),
-        block_size=_parse_int(get("block_size", "2"), prefix + "block_size"),
-        max_attempts=_parse_int(get("max_attempts", "1000000"), prefix + "max_attempts"),
-        stratified_statistic=get("statistic", "pooled"),
+        block_size=_parse_int(cfg.get("block_size", "2"), "block_size"),
+        max_attempts=_parse_int(cfg.get("max_attempts", "1000000"), "max_attempts"),
+        stratified_statistic=cfg.get("statistic", "pooled"),
     )
 
 
@@ -263,12 +257,8 @@ def sim_config_from_file(path: str) -> SimConfig:
         custom=custom,
     )
 
-    # design columns are resolved against the DGP's covariate layout
-    from .simlab import generate_trial
-
-    probe = generate_trial(dgp, 0).allocation_frame()
     design = design_from_config(
-        {k[7:]: v for k, v in cfg.items() if k.startswith("design.")}, probe
+        {k[7:]: v for k, v in cfg.items() if k.startswith("design.")}, DGP_COVARIATES
     )
 
     estimators = tuple(
@@ -316,11 +306,7 @@ def _build_parser() -> _Parser:
 
     p_an = sub.add_parser("analyze", help="estimate a treatment effect")
     p_an.add_argument("--data", required=True)
-    p_an.add_argument(
-        "--estimator",
-        required=True,
-        choices=["unadjusted", "ancova", "glm2", "drwls", "mixed", "dml"],
-    )
+    p_an.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
     p_an.add_argument("--estimand", default="difference", choices=["difference", "ratio"])
     p_an.add_argument("--covariates", default=None, help="comma list; 'stratum' expands dummies")
     p_an.add_argument("--missing-covariates", dest="missing_covariates", default=None)
@@ -355,7 +341,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit(payload: dict, out_path: str | None, outcome: CommandOutcome) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
+    text = canonical_json(payload, indent=2)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -366,10 +352,10 @@ def _emit(payload: dict, out_path: str | None, outcome: CommandOutcome) -> None:
 
 def _cmd_allocate(args, outcome: CommandOutcome) -> None:
     frame = load_csv(args.data)
-    design = design_from_config(_parse_kv_file(args.design), frame)
+    design = design_from_config(_parse_kv_file(args.design), frame.covariate_names)
     validate_design(design, frame)
     resolved = {"design": dataclasses.asdict(design), "seed": args.seed, "data": args.data}
-    digest = _hash_payload(resolved)
+    digest = canonical_digest(resolved)
     _log_record(outcome, "allocate", resolved, digest)
     alloc = rerandomize(frame, design, args.seed)
     write_csv(frame.with_arms(alloc.arms), args.out)
@@ -412,7 +398,7 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         fold_mode=args.fold_mode.replace("-", "_"),
     )
     if args.design:
-        design = design_from_config(_parse_kv_file(args.design), frame)
+        design = design_from_config(_parse_kv_file(args.design), frame.covariate_names)
         validate_design(design, frame)
     else:
         design = Design(pi=0.5, scheme="simple")
@@ -424,7 +410,7 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         "seed": args.seed,
         "data": args.data,
     }
-    digest = _hash_payload(resolved)
+    digest = canonical_digest(resolved)
     _log_record(outcome, "analyze", resolved, digest)
     result = apply_estimator(est, frame, design, derive_seed(args.seed, "analyze"), 0)
     info = scheme_inference(
@@ -457,7 +443,7 @@ def _cmd_ci(args, outcome: CommandOutcome) -> None:
         k: getattr(args, k)
         for k in ("delta", "v", "r2", "q", "t", "n", "alpha", "draws", "seed")
     }
-    digest = _hash_payload(resolved)
+    digest = canonical_digest(resolved)
     _log_record(outcome, "ci", resolved, digest)
     spec = LimitSpec(V=args.v, R2=args.r2, q=args.q, t=args.t)
     ci = confidence_interval(args.delta, spec, args.n, args.alpha, args.draws, args.seed)
@@ -488,14 +474,11 @@ def _cmd_simulate(args, outcome: CommandOutcome) -> None:
 
 
 def _log_record(outcome: CommandOutcome, command: str, resolved: dict, digest: str) -> None:
-    record = {
-        "command": command,
-        "config": _jsonable(resolved),
-        "config_hash": digest,
-        "version": __version__,
-    }
-    outcome.log_records.append(record)
-    log.info("resolved config: %s", json.dumps(record, sort_keys=True))
+    text = canonical_json(
+        {"command": command, "config": resolved, "config_hash": digest, "version": __version__}
+    )
+    outcome.log_records.append(json.loads(text))
+    log.info("resolved config: %s", text)
 
 
 def run_command(argv: list[str]) -> CommandOutcome:

@@ -2,7 +2,7 @@
 
 A :class:`TrialFrame` holds one two-arm experiment's per-unit records as dense
 column-major arrays. Frames are immutable after construction and safe to share
-across workers. CSV ingestion follows the reserved-name schema documented in
+across workers. CSV ingestion follows the reserved column names documented in
 :func:`load_csv`.
 """
 
@@ -12,7 +12,6 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -27,6 +26,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _zero_one(values, name: str) -> np.ndarray:
+    """``values`` as int8 0/1; the first other value raises, naming its row."""
+    bad = np.flatnonzero(~np.isin(values, (0, 1)))
+    if bad.size:
+        raise ValidationError(f"{name} value not in {{0,1}} at row {bad[0] + 1}")
+    return np.asarray(values).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,10 +156,7 @@ class TrialFrame:
             if observed is None:
                 observed = derived
             else:
-                observed = np.asarray(observed)
-                if not np.isin(observed, (0, 1)).all():
-                    raise ValidationError("observed indicator must be 0 or 1")
-                observed = observed.astype(np.int8)
+                observed = _zero_one(observed, "observed")
                 if not np.array_equal(observed, derived):
                     row = int(np.nonzero(observed != derived)[0][0]) + 1
                     raise ValidationError(
@@ -167,10 +171,7 @@ class TrialFrame:
             arm = np.asarray(self.arm)
             if arm.shape != (n,):
                 raise ValidationError("arm length does not match covariates")
-            if not np.isin(arm, (0, 1)).all():
-                row = int(np.nonzero(~np.isin(arm, (0, 1)))[0][0]) + 1
-                raise ValidationError(f"arm value not in {{0,1}} at row {row}")
-            object.__setattr__(self, "arm", _readonly(arm.astype(np.int8)))
+            object.__setattr__(self, "arm", _readonly(_zero_one(arm, "arm")))
         for name in ("stratum", "cluster"):
             val = getattr(self, name)
             if val is not None:
@@ -373,31 +374,35 @@ class EstimateResult:
     details: dict = field(default_factory=dict)
 
 
-def _parse_float(text: str, row: int, col: str) -> float:
+def _numeric_column(
+    cells: tuple[str, ...], name: str, blank_is_nan: bool = False
+) -> np.ndarray:
+    """One column parsed by Python ``float``; the first bad cell raises :class:`ParseError`."""
+    if blank_is_nan:
+        cells = tuple(cell if cell.strip() else "nan" for cell in cells)
     try:
-        value = float(text)
+        return np.array(list(map(float, cells)), dtype=float)
     except ValueError:
-        raise ParseError(
-            f"malformed numeric cell '{text}' at row {row}, column '{col}'"
-        ) from None
-    return value
+        for row, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"malformed numeric cell '{cell}' at row {row}, column '{name}'"
+                ) from None
+        raise
 
 
-def load_csv(path, schema: Mapping[str, str] | None = None) -> TrialFrame:
+def load_csv(path) -> TrialFrame:
     """Load a trial CSV into a :class:`TrialFrame`.
 
     The header row is required. Columns named ``outcome``, ``observed``,
     ``arm``, ``stratum``, ``cluster`` (all optional) play their reserved
-    roles; every other column is a covariate. ``schema`` may remap reserved
-    roles to differently-named columns, e.g. ``{"outcome": "y"}``. Empty
-    outcome cells mean missing (observed = 0); when an explicit ``observed``
-    column is also present the two encodings must agree.
+    roles; every other column is a covariate. Numeric cells are read by Python
+    ``float``. Empty outcome cells mean missing (observed = 0); when an
+    explicit ``observed`` column is also present the two encodings must agree.
+    The frame checks that ``arm`` and ``observed`` hold 0 or 1.
     """
-    schema = dict(schema or {})
-    role_of: dict[str, str] = {}
-    for role in RESERVED_COLUMNS:
-        role_of[schema.get(role, role)] = role
-
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -411,81 +416,33 @@ def load_csv(path, schema: Mapping[str, str] | None = None) -> TrialFrame:
         if name in seen:
             raise DataError(f"duplicate column name '{name}'")
         seen.add(name)
-    for role, column in schema.items():
-        if column not in header:
-            raise DataError(f"schema maps '{role}' to missing column '{column}'")
-
-    roles = [role_of.get(name) for name in header]
-    covariate_names = [name for name, role in zip(header, roles) if role is None]
-    columns: dict[str, list] = {name: [] for name in header}
     for i, cells in enumerate(data_rows, start=1):
         if len(cells) != len(header):
             raise ParseError(f"row {i} has {len(cells)} cells, expected {len(header)}")
-        for name, cell in zip(header, cells):
-            columns[name].append(cell)
 
-    n = len(data_rows)
-
-    def reserved(role: str) -> list[str] | None:
-        for name, r in zip(header, roles):
-            if r == role:
-                return columns[name]
-        return None
-
-    outcome_cells = reserved("outcome")
-    outcome = None
-    if outcome_cells is not None:
-        outcome = np.array(
-            [
-                np.nan if cell.strip() == "" else _parse_float(cell, i + 1, "outcome")
-                for i, cell in enumerate(outcome_cells)
-            ]
-        )
-
-    observed_cells = reserved("observed")
-    observed = None
-    if observed_cells is not None:
-        observed = np.empty(n, dtype=np.int8)
-        for i, cell in enumerate(observed_cells):
-            value = _parse_float(cell, i + 1, "observed")
-            if value not in (0.0, 1.0):
-                raise ValidationError(
-                    f"observed value {cell} not in {{0,1}} at row {i + 1}"
-                )
-            observed[i] = int(value)
-
-    arm_cells = reserved("arm")
-    arm = None
-    if arm_cells is not None:
-        arm = np.empty(n, dtype=np.int8)
-        for i, cell in enumerate(arm_cells):
-            value = _parse_float(cell, i + 1, "arm")
-            if value not in (0.0, 1.0):
-                raise ValidationError(f"arm value {cell} not in {{0,1}} at row {i + 1}")
-            arm[i] = int(value)
-
-    def labels(role: str) -> np.ndarray | None:
-        cells = reserved(role)
-        if cells is None:
-            return None
-        for i, cell in enumerate(cells):
-            if cell.strip() == "":
-                raise ValidationError(f"empty {role} label at row {i + 1}")
-        return np.array(cells, dtype=object)
-
-    covariates = np.empty((n, len(covariate_names)))
+    columns = dict(zip(header, zip(*data_rows) if data_rows else [()] * len(header)))
+    numeric = {
+        name: _numeric_column(columns[name], name, blank_is_nan=name == "outcome")
+        for name in ("outcome", "observed", "arm")
+        if name in columns
+    }
+    covariate_names = tuple(name for name in header if name not in RESERVED_COLUMNS)
+    covariates = np.empty((len(data_rows), len(covariate_names)))
     for j, name in enumerate(covariate_names):
-        for i, cell in enumerate(columns[name]):
-            covariates[i, j] = _parse_float(cell, i + 1, name)
+        covariates[:, j] = _numeric_column(columns[name], name)
+    for role in ("stratum", "cluster"):
+        for i, cell in enumerate(columns.get(role, ()), start=1):
+            if not cell.strip():
+                raise ValidationError(f"empty {role} label at row {i}")
 
     return TrialFrame(
         covariates=covariates,
-        covariate_names=tuple(covariate_names),
-        outcome=outcome,
-        observed=observed,
-        arm=arm,
-        stratum=labels("stratum"),
-        cluster=labels("cluster"),
+        covariate_names=covariate_names,
+        outcome=numeric.get("outcome"),
+        observed=numeric.get("observed"),
+        arm=numeric.get("arm"),
+        stratum=columns.get("stratum"),
+        cluster=columns.get("cluster"),
     )
 
 
@@ -503,28 +460,25 @@ def write_csv(frame: TrialFrame, path) -> None:
     write -> load -> write is byte-stable.
     """
     header: list[str] = []
-    getters: list[Callable[[int], str]] = []
+    columns: list = []
     if frame.outcome is not None:
+        observed = frame.observed.tolist()
         header += ["outcome", "observed"]
-        getters.append(
-            lambda i: "" if frame.observed[i] == 0 else _format_float(frame.outcome[i])
+        columns.append(
+            _format_float(y) if seen else "" for y, seen in zip(frame.outcome.tolist(), observed)
         )
-        getters.append(lambda i: str(int(frame.observed[i])))
+        columns.append(observed)
     if frame.arm is not None:
         header.append("arm")
-        getters.append(lambda i: str(int(frame.arm[i])))
-    if frame.stratum is not None:
-        header.append("stratum")
-        getters.append(lambda i: str(frame.stratum[i]))
-    if frame.cluster is not None:
-        header.append("cluster")
-        getters.append(lambda i: str(frame.cluster[i]))
-    for j, name in enumerate(frame.covariate_names):
-        header.append(name)
-        getters.append(lambda i, j=j: _format_float(frame.covariates[i, j]))
+        columns.append(frame.arm.tolist())
+    for name in ("stratum", "cluster"):
+        if getattr(frame, name) is not None:
+            header.append(name)
+            columns.append(getattr(frame, name).tolist())
+    header += frame.covariate_names
+    columns += [map(_format_float, column) for column in frame.covariates.T.tolist()]
 
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i in range(frame.n_units):
-            writer.writerow([get(i) for get in getters])
+        writer.writerows(zip(*columns) if columns else [()] * frame.n_units)

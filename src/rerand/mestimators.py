@@ -166,20 +166,12 @@ def expand_model_columns(frame: TrialFrame, names: Sequence[str]) -> np.ndarray:
 
 
 class _ArmDesign:
-    """Design matrix [1, A, X, A*(X_int - mean X_int)] and its g-comp variants."""
+    """Design matrix [1, A, X, A*(X - mean X)] and its g-comp variants."""
 
-    def __init__(
-        self,
-        frame: TrialFrame,
-        covariates: Sequence[str],
-        interactions: bool,
-        interaction_columns: Sequence[str] | None,
-    ):
+    def __init__(self, frame: TrialFrame, covariates: Sequence[str], interactions: bool):
         self.X = expand_model_columns(frame, covariates)
         if interactions:
-            cols = covariates if interaction_columns is None else interaction_columns
-            raw = expand_model_columns(frame, cols)
-            self.X_int = raw - raw.mean(axis=0)
+            self.X_int = self.X - self.X.mean(axis=0)
         else:
             self.X_int = np.empty((frame.n_units, 0))
         self.n = frame.n_units
@@ -306,17 +298,19 @@ def estimate_unadjusted(frame: TrialFrame, estimand: EstimandSpec) -> EstimateRe
     return _result_from_parts(theta, if_matrix, diag)
 
 
-def _glm_gcomp_stack(
+def _gcomp(
     frame: TrialFrame,
-    design: _ArmDesign,
+    covariates: Sequence[str],
+    interactions: bool,
     estimand: EstimandSpec,
     link: str,
-    beta0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, SolverDiag]:
-    """Shared (Delta, mu1, mu0, beta) stack for OLS / logistic g-computation."""
-    arms = frame.require_arms()
+) -> EstimateResult:
+    """G-computation on complete outcomes: an OLS (identity link) or logistic
+    maximum-likelihood start, then Newton on the (Delta, mu1, mu0, beta) stack."""
+    design = _ArmDesign(frame, covariates, interactions)
     y = frame.outcome
-    Z = design.matrix(arms)
+    Z = design.matrix(frame.require_arms())
+    beta0 = _ols(Z, y) if link == "identity" else _logistic_ml(Z, y)
     Z1 = design.matrix_at(1)
     Z0 = design.matrix_at(0)
     ginv = (lambda x: x) if link == "identity" else expit
@@ -353,7 +347,7 @@ def _glm_gcomp_stack(
     mu0 = float(np.mean(ginv(Z0 @ beta0)))
     theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0])
     spec = PsiSpec(dim=3 + design.width, evaluate=evaluate, theta0=theta0, jacobian=jacobian)
-    return solve_estimating_equations(spec, frame)
+    return _result_from_parts(*solve_estimating_equations(spec, frame))
 
 
 def estimate_ancova(
@@ -361,7 +355,6 @@ def estimate_ancova(
     covariates: Sequence[str],
     interactions: bool,
     estimand: EstimandSpec,
-    interaction_columns: Sequence[str] | None = None,
 ) -> EstimateResult:
     """Least-squares covariate adjustment with g-computation.
 
@@ -370,11 +363,7 @@ def estimate_ancova(
     the estimate is produced by averaging predictions under both arm settings.
     """
     _require_complete(frame)
-    design = _ArmDesign(frame, covariates, interactions, interaction_columns)
-    Z = design.matrix(frame.require_arms())
-    beta0 = _ols(Z, frame.outcome)
-    theta, if_matrix, diag = _glm_gcomp_stack(frame, design, estimand, "identity", beta0)
-    return _result_from_parts(theta, if_matrix, diag)
+    return _gcomp(frame, covariates, interactions, estimand, "identity")
 
 
 def estimate_gcomp_logistic(
@@ -382,18 +371,12 @@ def estimate_gcomp_logistic(
     covariates: Sequence[str],
     interactions: bool,
     estimand: EstimandSpec,
-    interaction_columns: Sequence[str] | None = None,
 ) -> EstimateResult:
     """Logistic-regression g-computation for binary outcomes."""
     _require_complete(frame)
-    y = frame.outcome
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not np.isin(frame.outcome, (0.0, 1.0)).all():
         raise ValidationError("logistic g-computation requires a binary outcome")
-    design = _ArmDesign(frame, covariates, interactions, interaction_columns)
-    Z = design.matrix(frame.require_arms())
-    beta0 = _logistic_ml(Z, y)
-    theta, if_matrix, diag = _glm_gcomp_stack(frame, design, estimand, "logit", beta0)
-    return _result_from_parts(theta, if_matrix, diag)
+    return _gcomp(frame, covariates, interactions, estimand, "logit")
 
 
 def estimate_drwls(
@@ -403,7 +386,6 @@ def estimate_drwls(
     link: str,
     interactions: bool,
     estimand: EstimandSpec,
-    interaction_columns: Sequence[str] | None = None,
 ) -> EstimateResult:
     """Doubly-robust weighted least squares under outcome missingness.
 
@@ -420,19 +402,12 @@ def estimate_drwls(
     frame.require_outcomes()
     robs = frame.observed.astype(float)
     if robs.min() == 1.0:
-        design = _ArmDesign(frame, outcome_covs, interactions, interaction_columns)
-        Z = design.matrix(arms)
-        if link == "identity":
-            beta0 = _ols(Z, frame.outcome)
-        else:
-            beta0 = _logistic_ml(Z, frame.outcome)
-        theta, if_matrix, diag = _glm_gcomp_stack(frame, design, estimand, link, beta0)
-        result = _result_from_parts(theta, if_matrix, diag)
+        result = _gcomp(frame, outcome_covs, interactions, estimand, link)
         result.details["missingness_model"] = "none (no missing outcomes)"
         return result
 
-    out_design = _ArmDesign(frame, outcome_covs, interactions, interaction_columns)
-    miss_design = _ArmDesign(frame, missing_covs, interactions, interaction_columns)
+    out_design = _ArmDesign(frame, outcome_covs, interactions)
+    miss_design = _ArmDesign(frame, missing_covs, interactions)
     Zo = out_design.matrix(arms)
     Zo1 = out_design.matrix_at(1)
     Zo0 = out_design.matrix_at(0)
@@ -559,7 +534,6 @@ def estimate_mixed_ancova(
     covariates: Sequence[str],
     interactions: bool,
     estimand: EstimandSpec,
-    interaction_columns: Sequence[str] | None = None,
 ) -> EstimateResult:
     """Random-intercept linear mixed model with cluster-level influence values.
 
@@ -569,7 +543,7 @@ def estimate_mixed_ancova(
     influence values have one entry per cluster. When tau^2 is estimated at
     the boundary its estimating row is dropped from the sandwich stack.
     """
-    design = _ArmDesign(frame, covariates, interactions, interaction_columns)
+    design = _ArmDesign(frame, covariates, interactions)
     data = _ClusterData(frame, design)
     _check_full_rank(data.Z)
 

@@ -34,6 +34,7 @@ from .data_model import Design, EstimandSpec, TrialFrame
 from .errors import DiagnosticWarning, NumericError, RerandError, ValidationError
 
 ESTIMATOR_KINDS = ("unadjusted", "ancova", "glm2", "drwls", "mixed", "dml")
+DGP_COVARIATES = ("x1", "x2")  # the covariate columns of every built-in DGP
 
 
 @dataclass(frozen=True)
@@ -108,11 +109,7 @@ class CompleteTrial:
     missingness: bool
 
     def allocation_frame(self) -> TrialFrame:
-        return TrialFrame(
-            covariates=np.column_stack([self.x1, self.x2]),
-            covariate_names=("x1", "x2"),
-            stratum=self.s.astype(str),
-        )
+        return self._frame()
 
     def reveal(self, arms: np.ndarray) -> TrialFrame:
         arms = np.asarray(arms)
@@ -120,12 +117,14 @@ class CompleteTrial:
         if self.missingness:
             robs = np.where(arms == 1, self.r[1], self.r[0])
             y = np.where(robs == 1, y, np.nan)
+        return self._frame(outcome=y, arm=arms)
+
+    def _frame(self, **columns) -> TrialFrame:
         return TrialFrame(
             covariates=np.column_stack([self.x1, self.x2]),
-            covariate_names=("x1", "x2"),
-            outcome=y,
-            arm=arms,
+            covariate_names=DGP_COVARIATES,
             stratum=self.s.astype(str),
+            **columns,
         )
 
 
@@ -307,7 +306,7 @@ class SimReport:
         return payload
 
     def to_json(self) -> str:
-        return json.dumps(_jsonable(self.to_dict()), sort_keys=True, indent=2) + "\n"
+        return canonical_json(self.to_dict(), indent=2)
 
 
 def _jsonable(obj):
@@ -329,13 +328,25 @@ def _jsonable(obj):
     return obj
 
 
+def canonical_json(obj, indent: int | None = None) -> str:
+    """Sorted-key JSON text of ``obj``, with numpy values as Python numbers and
+    non-finite floats as "inf", "-inf" or "nan". Indented text is a file body
+    and ends in a newline."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=indent)
+    return text if indent is None else text + "\n"
+
+
+def canonical_digest(obj) -> str:
+    """SHA-256 hex digest of ``canonical_json(obj)``."""
+    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
 def config_hash(config: SimConfig) -> str:
     """Hash of the statistical configuration (worker count excluded)."""
     payload = dataclasses.asdict(config)
     payload.pop("workers", None)
     payload.pop("keep_replicates", None)
-    text = json.dumps(_jsonable(payload), sort_keys=True)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return canonical_digest(payload)
 
 
 def apply_estimator(

@@ -1,5 +1,13 @@
+import csv
+import re
+import tempfile
+from pathlib import Path
+from typing import Callable, Mapping
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rerand import (
     Design,
@@ -9,6 +17,7 @@ from rerand import (
     validate_design,
     write_csv,
 )
+from rerand.data_model import RESERVED_COLUMNS
 from rerand.errors import DataError, ParseError, ValidationError
 
 
@@ -73,13 +82,6 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="disagrees"):
             load_csv(path)
 
-    def test_schema_remaps_reserved_roles(self, tmp_path):
-        path = tmp_path / "trial.csv"
-        write_lines(path, ["y,treat,x1", "1.0,1,0.5", "2.0,0,0.25"])
-        frame = load_csv(path, schema={"outcome": "y", "arm": "treat"})
-        assert frame.covariate_names == ("x1",)
-        assert frame.arm.tolist() == [1, 0]
-
     def test_arm_column_optional_for_preallocation_data(self, tmp_path):
         path = tmp_path / "trial.csv"
         write_lines(path, ["x1,stratum", "0.5,a", "0.25,b"])
@@ -94,17 +96,20 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path)
 
-    def test_schema_mapping_to_missing_column_rejected(self, tmp_path):
-        path = tmp_path / "trial.csv"
-        write_lines(path, ["x1", "0.5"])
-        with pytest.raises(DataError, match="missing column 'y'"):
-            load_csv(path, schema={"outcome": "y"})
-
 
 class TestTrialFrame:
     def test_arrays_are_immutable(self, four_row_frame):
         with pytest.raises(ValueError):
             four_row_frame.covariates[0, 0] = 9.0
+
+    def test_observed_outside_zero_one_names_its_row(self):
+        with pytest.raises(ValidationError, match="observed value not in .* at row 3"):
+            TrialFrame(
+                covariates=np.zeros((4, 1)),
+                covariate_names=("x",),
+                outcome=np.array([1.0, 2.0, 3.0, np.nan]),
+                observed=np.array([1, 1, 2, 0]),
+            )
 
     def test_non_finite_covariate_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -158,3 +163,317 @@ class TestEstimandSpec:
     def test_ratio_rejects_zero_control_mean(self):
         with pytest.raises(ValidationError):
             EstimandSpec("ratio").value(1.0, 0.0)
+
+
+# Valid CSV texts: each loads to the same frame under both readers, and that
+# frame writes to the same bytes under both writers.
+VALID_CSV = {
+    "empty_and_nan_outcomes": "outcome,arm,x1\n,1,0.5\nnan,0,0.25\n1.5,1,0\n-nan,0,1\n",
+    "negative_zero": "outcome,arm,x1\n-0.0,1,-0.0\n0.0,0,0\n",
+    "large_integral_floats": (
+        "outcome,arm,x1,x2\n"
+        "9999999999999998,1,1e16,-1e16\n"
+        "1e16,0,12345678901234567890,1.0000000000000002e16\n"
+    ),
+    "subnormal_and_huge": "outcome,arm,x1\n5e-324,1,1e308\n-1e308,0,2.2250738585072014e-308\n",
+    "whitespace_and_underscores": "outcome,arm,x1\n 1.5 ,1, 2\n1_000,0,1e-3\n",
+    "quoted_labels": (
+        "outcome,arm,stratum,cluster,x1\n"
+        '1,1,"a,b","say ""hi""",0.5\n'
+        '2,0,"line\nbreak",c 1,0.25\n'
+    ),
+    "numeric_looking_labels": "arm,stratum,x1\n1,10,0.5\n0,2,0.25\n1,10,1\n0,2,2\n",
+    "zero_rows": "outcome,arm,stratum,x1\n",
+    "no_covariates": "outcome,arm\n1,0\n2,1\n",
+    "explicit_observed": "outcome,observed,arm,x1\n1.5,1,1,0\n,0,0,1\n2.5,1.0,1,2\n",
+    "arm_as_float": "outcome,arm,x1\n1,1.0,0\n2,0.0,1\n",
+}
+
+# Malformed CSV texts: both readers raise the same class, naming the same row
+# (and, for a ParseError, the same column).
+MALFORMED_CSV = {
+    "bad_outcome": "outcome,arm,x1\n1,1,0\nabc,0,1\nx,1,0\n",
+    "bad_observed": "outcome,observed,arm,x1\n1,1,1,0\n2,yes,0,1\n",
+    "bad_arm": "outcome,arm,x1\n1,1,0\n2,one,1\n3,0,2\n",
+    "bad_covariate": "outcome,arm,x1,x2\n1,1,0,0\n2,0,1,1.2.3\n3,1,2e,?\n",
+    "row_width": "outcome,arm,x1\n1,1,0\n2,0\n",
+    "duplicate_header": "x1,x2,x1\n1,2,3\n",
+    "empty_file": "",
+    "arm_two": "outcome,arm,x1\n1,1,0\n2,0,1\n3,2,2\n",
+    "observed_two": "outcome,observed,arm,x1\n1,1,1,0\n2,2,0,1\n",
+    "empty_stratum": "arm,stratum,x1\n1,a,0\n0, ,1\n",
+    "empty_cluster": "arm,cluster,x1\n1,c1,0\n0,,1\n",
+}
+
+
+def assert_same_frame(a: TrialFrame, b: TrialFrame) -> None:
+    """Equal arrays down to dtype, memory layout, NaN payload and the sign of zero."""
+    assert a.covariate_names == b.covariate_names
+    for name in ("covariates", "outcome", "observed", "arm", "stratum", "cluster"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            assert x is None and y is None, name
+            continue
+        assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), name
+        if x.dtype == object:
+            assert x.tolist() == y.tolist(), name
+        else:
+            assert x.tobytes() == y.tobytes(), name
+
+
+def _error_site(exc: Exception) -> tuple:
+    row = re.search(r"row (\d+)", str(exc))
+    column = re.search(r"column '([^']*)'", str(exc))
+    return (
+        type(exc),
+        row and row.group(1),
+        column.group(1) if column and isinstance(exc, ParseError) else None,
+    )
+
+
+def _write_bytes(writer, frame: TrialFrame, path: Path) -> bytes:
+    writer(frame, path)
+    return path.read_bytes()
+
+
+class TestCsvMatchesRowWiseOracle:
+    @pytest.mark.parametrize("name", sorted(VALID_CSV))
+    def test_valid_panel(self, name, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(VALID_CSV[name], encoding="utf-8", newline="")
+        frame = load_csv(path)
+        assert_same_frame(frame, _reference_load_csv(path))
+        written = _write_bytes(write_csv, frame, tmp_path / "new.csv")
+        assert written == _write_bytes(_reference_write_csv, frame, tmp_path / "old.csv")
+        reloaded = load_csv(tmp_path / "new.csv")
+        assert _write_bytes(write_csv, reloaded, tmp_path / "again.csv") == written
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CSV))
+    def test_malformed_panel(self, name, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(MALFORMED_CSV[name], encoding="utf-8", newline="")
+        with pytest.raises(DataError) as expected:
+            _reference_load_csv(path)
+        with pytest.raises(DataError) as actual:
+            load_csv(path)
+        assert _error_site(actual.value) == _error_site(expected.value)
+
+    def test_numeric_labels_stay_strings(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(VALID_CSV["numeric_looking_labels"], encoding="utf-8")
+        frame = load_csv(path)
+        assert frame.stratum.tolist() == ["10", "2", "10", "2"]
+        assert frame.stratum_groups.labels.tolist() == ["10", "2"]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_matches_oracle(self, data):
+        frame = data.draw(_frames())
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+            written = _write_bytes(write_csv, frame, new)
+            assert written == _write_bytes(_reference_write_csv, frame, old)
+            loaded = load_csv(new)
+            assert_same_frame(loaded, _reference_load_csv(new))
+            assert _write_bytes(write_csv, loaded, old) == written
+
+
+_LABEL_TEXT = st.text(alphabet="ab1 ,\"\n\r\u00e9", min_size=1, max_size=4).filter(str.strip)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e16, -1e16, 9999999999999998.0, 1e308, 2.0**53 + 2]
+)
+
+
+@st.composite
+def _frames(draw) -> TrialFrame:
+    n = draw(st.integers(0, 6))
+    names = draw(
+        st.lists(
+            st.text(alphabet="xy1 ,\"\n", min_size=1, max_size=3).filter(
+                lambda name: name not in RESERVED_COLUMNS
+            ),
+            max_size=3,
+            unique=True,
+        )
+    )
+    column = lambda elements: draw(st.lists(elements, min_size=n, max_size=n))
+    covariates = np.array(
+        [column(_FLOATS) for _ in names], dtype=float
+    ).reshape(len(names), n).T
+    outcome = None
+    if draw(st.booleans()):
+        outcome = np.array(column(_FLOATS | st.just(np.nan)), dtype=float)
+    arm = np.array(column(st.sampled_from([0, 1]))) if draw(st.booleans()) else None
+    stratum = column(_LABEL_TEXT) if draw(st.booleans()) else None
+    cluster = column(_LABEL_TEXT) if draw(st.booleans()) else None
+    return TrialFrame(
+        covariates=covariates,
+        covariate_names=tuple(names),
+        outcome=outcome,
+        arm=arm,
+        stratum=stratum,
+        cluster=cluster,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the row-wise CSV reader and writer that the column-wise ones
+# replaced, kept verbatim. The column-wise code must give the same bytes, the
+# same frames and, on malformed input, the same exception class, row and column.
+
+
+def _reference_parse_float(text: str, row: int, col: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(
+            f"malformed numeric cell '{text}' at row {row}, column '{col}'"
+        ) from None
+    return value
+
+
+def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialFrame:
+    """Load a trial CSV into a :class:`TrialFrame`.
+
+    The header row is required. Columns named ``outcome``, ``observed``,
+    ``arm``, ``stratum``, ``cluster`` (all optional) play their reserved
+    roles; every other column is a covariate. ``schema`` may remap reserved
+    roles to differently-named columns, e.g. ``{"outcome": "y"}``. Empty
+    outcome cells mean missing (observed = 0); when an explicit ``observed``
+    column is also present the two encodings must agree.
+    """
+    schema = dict(schema or {})
+    role_of: dict[str, str] = {}
+    for role in RESERVED_COLUMNS:
+        role_of[schema.get(role, role)] = role
+
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        data_rows = list(reader)
+
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise DataError(f"duplicate column name '{name}'")
+        seen.add(name)
+    for role, column in schema.items():
+        if column not in header:
+            raise DataError(f"schema maps '{role}' to missing column '{column}'")
+
+    roles = [role_of.get(name) for name in header]
+    covariate_names = [name for name, role in zip(header, roles) if role is None]
+    columns: dict[str, list] = {name: [] for name in header}
+    for i, cells in enumerate(data_rows, start=1):
+        if len(cells) != len(header):
+            raise ParseError(f"row {i} has {len(cells)} cells, expected {len(header)}")
+        for name, cell in zip(header, cells):
+            columns[name].append(cell)
+
+    n = len(data_rows)
+
+    def reserved(role: str) -> list[str] | None:
+        for name, r in zip(header, roles):
+            if r == role:
+                return columns[name]
+        return None
+
+    outcome_cells = reserved("outcome")
+    outcome = None
+    if outcome_cells is not None:
+        outcome = np.array(
+            [
+                np.nan if cell.strip() == "" else _reference_parse_float(cell, i + 1, "outcome")
+                for i, cell in enumerate(outcome_cells)
+            ]
+        )
+
+    observed_cells = reserved("observed")
+    observed = None
+    if observed_cells is not None:
+        observed = np.empty(n, dtype=np.int8)
+        for i, cell in enumerate(observed_cells):
+            value = _reference_parse_float(cell, i + 1, "observed")
+            if value not in (0.0, 1.0):
+                raise ValidationError(
+                    f"observed value {cell} not in {{0,1}} at row {i + 1}"
+                )
+            observed[i] = int(value)
+
+    arm_cells = reserved("arm")
+    arm = None
+    if arm_cells is not None:
+        arm = np.empty(n, dtype=np.int8)
+        for i, cell in enumerate(arm_cells):
+            value = _reference_parse_float(cell, i + 1, "arm")
+            if value not in (0.0, 1.0):
+                raise ValidationError(f"arm value {cell} not in {{0,1}} at row {i + 1}")
+            arm[i] = int(value)
+
+    def labels(role: str) -> np.ndarray | None:
+        cells = reserved(role)
+        if cells is None:
+            return None
+        for i, cell in enumerate(cells):
+            if cell.strip() == "":
+                raise ValidationError(f"empty {role} label at row {i + 1}")
+        return np.array(cells, dtype=object)
+
+    covariates = np.empty((n, len(covariate_names)))
+    for j, name in enumerate(covariate_names):
+        for i, cell in enumerate(columns[name]):
+            covariates[i, j] = _reference_parse_float(cell, i + 1, name)
+
+    return TrialFrame(
+        covariates=covariates,
+        covariate_names=tuple(covariate_names),
+        outcome=outcome,
+        observed=observed,
+        arm=arm,
+        stratum=labels("stratum"),
+        cluster=labels("cluster"),
+    )
+
+
+def _reference_format_float(x: float) -> str:
+    # repr gives the shortest string that round-trips at full precision
+    if x == int(x) and abs(x) < 1e16:
+        return str(int(x))
+    return repr(float(x))
+
+
+def _reference_write_csv(frame: TrialFrame, path) -> None:
+    """Write a frame in the canonical reserved-name CSV layout.
+
+    Numeric fields are written at full round-trip precision, so
+    write -> load -> write is byte-stable.
+    """
+    header: list[str] = []
+    getters: list[Callable[[int], str]] = []
+    if frame.outcome is not None:
+        header += ["outcome", "observed"]
+        getters.append(
+            lambda i: "" if frame.observed[i] == 0 else _reference_format_float(frame.outcome[i])
+        )
+        getters.append(lambda i: str(int(frame.observed[i])))
+    if frame.arm is not None:
+        header.append("arm")
+        getters.append(lambda i: str(int(frame.arm[i])))
+    if frame.stratum is not None:
+        header.append("stratum")
+        getters.append(lambda i: str(frame.stratum[i]))
+    if frame.cluster is not None:
+        header.append("cluster")
+        getters.append(lambda i: str(frame.cluster[i]))
+    for j, name in enumerate(frame.covariate_names):
+        header.append(name)
+        getters.append(lambda i, j=j: _reference_format_float(frame.covariates[i, j]))
+
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for i in range(frame.n_units):
+            writer.writerow([get(i) for get in getters])

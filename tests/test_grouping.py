@@ -280,7 +280,7 @@ class _ReferenceClusterData:
 
 
 def _reference_estimate_mixed_ancova(frame, covariates, interactions, estimand):
-    design = _ArmDesign(frame, covariates, interactions, None)
+    design = _ArmDesign(frame, covariates, interactions)
     data = _ReferenceClusterData(frame, design)
     _check_full_rank(data.Z)
 

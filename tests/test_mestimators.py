@@ -165,16 +165,6 @@ class TestAncova:
         mu1, mu0 = res.mu_hat
         assert res.delta_hat == pytest.approx(mu1 / mu0, abs=1e-10)
 
-    def test_interaction_columns_can_be_restricted(self):
-        frame = random_frame(22, n=80)
-        full = estimate_ancova(frame, ("x1", "x2"), True, DIFF)
-        restricted = estimate_ancova(
-            frame, ("x1", "x2"), True, DIFF, interaction_columns=("x1",)
-        )
-        # widths differ by the dropped interaction column
-        assert len(full.theta_hat) == len(restricted.theta_hat) + 1
-        assert abs(restricted.if_values.mean()) < 1e-8
-
 
 def _binary_frame(seed, n=60):
     rng = np.random.default_rng(seed)
