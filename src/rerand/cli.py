@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import hashlib
 import json
 import logging
 import os
@@ -354,9 +355,10 @@ def _cmd_allocate(args, outcome: CommandOutcome) -> None:
     frame = load_csv(args.data)
     design = design_from_config(_parse_kv_file(args.design), frame.covariate_names)
     validate_design(design, frame)
-    resolved = {"design": dataclasses.asdict(design), "seed": args.seed, "data": args.data}
+    resolved = {"design": dataclasses.asdict(design), "seed": args.seed}
+    resolved["data_sha256"] = _file_sha256(args.data)
     digest = canonical_digest(resolved)
-    _log_record(outcome, "allocate", resolved, digest)
+    _log_record(outcome, "allocate", resolved, digest, data=args.data)
     alloc = rerandomize(frame, design, args.seed)
     write_csv(frame.with_arms(alloc.arms), args.out)
     outcome.files.append(args.out)
@@ -408,10 +410,10 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         "alpha": args.alpha,
         "draws": args.draws,
         "seed": args.seed,
-        "data": args.data,
+        "data_sha256": _file_sha256(args.data),
     }
     digest = canonical_digest(resolved)
-    _log_record(outcome, "analyze", resolved, digest)
+    _log_record(outcome, "analyze", resolved, digest, data=args.data)
     result = apply_estimator(est, frame, design, derive_seed(args.seed, "analyze"), 0)
     info = scheme_inference(
         est, result, frame, design, args.alpha, args.draws, derive_seed(args.seed, "ci")
@@ -473,10 +475,19 @@ def _cmd_simulate(args, outcome: CommandOutcome) -> None:
         outcome.files.append(args.csv)
 
 
-def _log_record(outcome: CommandOutcome, command: str, resolved: dict, digest: str) -> None:
-    text = canonical_json(
-        {"command": command, "config": resolved, "config_hash": digest, "version": __version__}
-    )
+def _file_sha256(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _log_record(
+    outcome: CommandOutcome, command: str, resolved: dict, digest: str, data: str | None = None
+) -> None:
+    """Log the resolved config and its hash, and beside them the unhashed ``data`` path."""
+    record = dict(command=command, config=resolved, config_hash=digest, version=__version__)
+    if data is not None:
+        record["data"] = data
+    text = canonical_json(record)
     outcome.log_records.append(json.loads(text))
     log.info("resolved config: %s", text)
 

@@ -4,8 +4,9 @@ Estimator asymptotics under constrained randomization take the form
 sqrt(V) * (sqrt(1-R^2) z + sqrt(R^2) r_{q,t}) with z standard normal and
 r_{q,t} the first coordinate of a standard q-normal conditioned on squared
 norm < t. This module estimates (V, R^2) and their stratified counterparts
-from per-unit influence values, samples the limit law by rejection, and turns
-the draws into Monte-Carlo confidence intervals.
+from per-unit influence values, samples the limit law (exact sampler
+(Mahalanobis) / rejection (general form)), and turns the draws into
+Monte-Carlo confidence intervals.
 
 All estimator-side functions are pure; samplers own a seeded generator, so
 independent computations may run concurrently with distinct seeds.
@@ -18,7 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import erfinv, gammaincinv, ndtri
 
 from .allocation import (
     _as_matrix,
@@ -232,11 +233,11 @@ def _floor_stratified(value: float) -> float:
 
 
 def sample_limit(spec: LimitSpec, m: int, seed: int) -> np.ndarray:
-    """Draw m samples of the limit law by plain rejection sampling.
+    """Draw m samples of the limit law: exact sampler (Mahalanobis) / rejection (general form).
 
-    Mahalanobis form: sqrt(V) (sqrt(1-R2) z + sqrt(R2) d_1) with d a standard
-    q-normal accepted when d'd < t. General form: sqrt(V(1-R2)) z +
-    C' V_I^{-1/2} d with d accepted when d' V_I^{1/2} Hbar^{-1} V_I^{1/2} d < t.
+    Mahalanobis form: sqrt(V) (sqrt(1-R2) z + sqrt(R2) r_{q,t}), r_{q,t} from
+    ``_ball_coordinate``. General form: sqrt(V(1-R2)) z + C' V_I^{-1/2} d with d
+    a standard q-normal accepted when d' V_I^{1/2} Hbar^{-1} V_I^{1/2} d < t.
     Deterministic given the seed.
     """
     if m < 1:
@@ -246,23 +247,19 @@ def sample_limit(spec: LimitSpec, m: int, seed: int) -> np.ndarray:
 
     if spec.distance.kind == "general":
         c_vec, v_i, h_bar = (np.asarray(a, dtype=float) for a in spec.projection)
-        v_i = np.atleast_2d(v_i)
-        h_bar = np.atleast_2d(h_bar)
-        root = _spd_sqrt(v_i)
-        accept_mat = root @ np.linalg.solve(h_bar, root)
+        root = _spd_sqrt(np.atleast_2d(v_i))
+        accept_mat = root @ np.linalg.solve(np.atleast_2d(h_bar), root)
         proj = np.linalg.solve(root, np.atleast_1d(c_vec))
         trunc_scale = float(np.linalg.norm(proj))
     else:
-        accept_mat = None
-        proj = None
         trunc_scale = math.sqrt(spec.V * spec.R2)
 
     if trunc_scale == 0.0:
         return normal_sd * rng.standard_normal(m)
-
-    truncated = _rejection_sample(rng, spec.q, spec.t, m, accept_mat, proj)
-    if proj is None:
-        truncated = trunc_scale * truncated
+    if spec.distance.kind == "general":
+        truncated = _rejection_sample(rng, spec.q, spec.t, m, accept_mat) @ proj
+    else:
+        truncated = trunc_scale * _ball_coordinate(rng, spec.q, spec.t, m)
     return normal_sd * rng.standard_normal(m) + truncated
 
 
@@ -273,39 +270,53 @@ def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _rejection_sample(rng, q, t, m, accept_mat, proj):
-    """Accept standard q-normals d with d'd < t (or the projected criterion)."""
-    if math.isinf(t):
-        draws = rng.standard_normal((m, q))
-        return draws[:, 0] if proj is None else draws @ proj
+def _ball_coordinate(rng, q, t, m):
+    """Exact r_{q,t}, the first coordinate of a standard q-normal d given d'd < t.
 
-    pilot = rng.standard_normal((10_000, q))
-    stats = _criterion(pilot, accept_mat)
-    rate = float(np.mean(stats < t))
+    d'd, drawn as the chi^2_q quantile at U * P(chi^2_q < t), is independent of
+    the direction's first coordinate z_1 / sqrt(z_1^2 + chi^2_{q-1}); the cost
+    does not depend on t. Closed forms serve q = 1 (a normal truncated to
+    |r| < sqrt(t)) and q = 2 (d'd = -2 log(1 - p), uniform angle).
+    """
+    if math.isinf(t):
+        return rng.standard_normal((m, q))[:, 0]
+    mass = chi_square_cdf(q, t)
+    if mass == 0.0:
+        raise NumericError("threshold t too small: P(chi^2_q < t) underflows")
+    u = rng.random(m)
+    if q == 1:
+        return math.sqrt(2.0) * erfinv(mass * (2.0 * u - 1.0))
+    if q == 2:
+        radius = np.sqrt(-2.0 * np.log1p(-mass * u))
+        return radius * np.cos(2.0 * math.pi * rng.random(m))
+    radius = np.sqrt(2.0 * gammaincinv(q / 2.0, mass * u))
+    z = rng.standard_normal(m)
+    return radius * z / np.sqrt(z * z + rng.chisquare(q - 1, m))
+
+
+def _rejection_sample(rng, q, t, m, accept_mat):
+    """m standard q-normal rows d with d' accept_mat d < t, drawn in chunks of at
+    most 2^20 rows so that memory stays bounded at any acceptance rate."""
+    if math.isinf(t):
+        return rng.standard_normal((m, q))
+
+    pilot = _accepted(rng.standard_normal((10_000, q)), accept_mat, t)
+    rate = pilot.shape[0] / 10_000
     if rate < 1e-4:
         raise NumericError(
             f"estimated acceptance probability {rate:.1e} below 1e-4; "
             "consider a larger threshold t"
         )
-    kept = [pilot[stats < t]]
-    count = kept[0].shape[0]
+    kept, count = [pilot], pilot.shape[0]
     while count < m:
-        batch = max(10_000, int(1.5 * (m - count) / max(rate, 1e-4)))
-        draws = rng.standard_normal((batch, q))
-        stats = _criterion(draws, accept_mat)
-        good = draws[stats < t]
-        kept.append(good)
-        count += good.shape[0]
-    accepted = np.concatenate(kept)[:m]
-    if proj is None:
-        return accepted[:, 0]
-    return accepted @ proj
+        batch = min(1 << 20, max(10_000, int(1.5 * (m - count) / rate)))
+        kept.append(_accepted(rng.standard_normal((batch, q)), accept_mat, t))
+        count += kept[-1].shape[0]
+    return np.concatenate(kept)[:m]
 
 
-def _criterion(draws: np.ndarray, accept_mat: np.ndarray | None) -> np.ndarray:
-    if accept_mat is None:
-        return np.einsum("ij,ij->i", draws, draws)
-    return np.einsum("ij,jk,ik->i", draws, accept_mat, draws)
+def _accepted(draws: np.ndarray, accept_mat: np.ndarray, t: float) -> np.ndarray:
+    return draws[np.einsum("ij,jk,ik->i", draws, accept_mat, draws) < t]
 
 
 def confidence_interval(

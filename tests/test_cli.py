@@ -66,11 +66,22 @@ class TestCi:
     def test_numeric_error_exit_code(self, capsys):
         outcome = run_command(
             [
+                "ci", "--delta", "0", "--v", "1", "--r2", "0.5", "--q", "10",
+                "--t", "1e-300", "--n", "100", "--draws", "2000", "--seed", "1",
+            ]
+        )
+        assert outcome.exit_code == 4
+
+    def test_tiny_acceptance_succeeds(self, capsys):
+        outcome = run_command(
+            [
                 "ci", "--delta", "0", "--v", "1", "--r2", "0.5", "--q", "3",
                 "--t", "1e-7", "--n", "100", "--draws", "2000", "--seed", "1",
             ]
         )
-        assert outcome.exit_code == 4
+        assert outcome.exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lower"] < 0 < payload["upper"]
 
 
 class TestAllocate:
@@ -90,6 +101,30 @@ class TestAllocate:
         assert meta["attempts"] >= 1
         assert meta["accepted_distance"] < 1.0
         assert "config_hash" in meta
+
+    def test_config_hash_follows_data_bytes_not_path(
+        self, tmp_path, unassigned_csv, trial_csv, design_cfg
+    ):
+        commands = {
+            unassigned_csv: ["allocate", "--design", design_cfg, "--seed", "1",
+                             "--out", str(tmp_path / "alloc.csv")],
+            trial_csv: ["analyze", "--estimator", "unadjusted",
+                        "--out", str(tmp_path / "analysis.json")],
+        }
+        for data, argv in commands.items():
+            text = Path(data).read_text()
+            (tmp_path / "elsewhere").mkdir(exist_ok=True)
+            copy = write(tmp_path / "elsewhere" / "copy.csv", text)
+            # one edited byte: the last digit of the last row
+            edited = write(tmp_path / "edited.csv", text[:-2] + "19"[text[-2] == "1"] + "\n")
+            digests = []
+            for path in (data, copy, edited):
+                outcome = run_command(argv + ["--data", path])
+                assert outcome.exit_code == 0
+                record = outcome.log_records[0]
+                assert record["data"] == path and "data" not in record["config"]
+                digests.append(record["config_hash"])
+            assert digests[0] == digests[1] != digests[2]
 
     def test_arm_column_appended(self, tmp_path, unassigned_csv, design_cfg):
         out = tmp_path / "alloc.csv"

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ndtr
+from scipy.stats import chi2
 
 from rerand import (
     DistanceSpec,
@@ -19,6 +23,7 @@ from rerand import (
     variance_simple,
     variance_stratified,
 )
+from rerand import inference
 from rerand.allocation import _as_matrix, balance_distance, imbalance_simple
 from rerand.errors import (
     DiagnosticWarning,
@@ -508,10 +513,60 @@ class TestSampleLimit:
             sample_limit(spec, 2000, seed=6), sample_limit(spec, 2000, seed=6)
         )
 
-    def test_tiny_acceptance_raises(self):
-        spec = LimitSpec(V=1.0, R2=0.5, q=3, t=1e-7)
+    def test_tiny_acceptance_mahalanobis_draws(self):
+        # P(chi^2_3 < 1e-7) is about 8e-12; the exact sampler does not reject
+        spec = LimitSpec(V=2.0, R2=0.5, q=3, t=1e-7)
+        draws = sample_limit(spec, 200_000, seed=7)
+        target = 2.0 * (1.0 - 0.5) + 2.0 * 0.5 * v_qt(3, 1e-7)
+        assert abs(draws.var() - target) <= 4 * _variance_se(draws)
+
+    def test_tiny_acceptance_general_form_raises(self):
+        eye = np.eye(3)
+        spec = LimitSpec(
+            V=1.0,
+            R2=0.5,
+            q=3,
+            t=1e-7,
+            distance=DistanceSpec(kind="general"),
+            projection=(np.full(3, 0.4), eye, eye),
+        )
         with pytest.raises(NumericError, match="larger threshold"):
             sample_limit(spec, 1000, seed=7)
+
+    def test_acceptance_underflow_raises(self):
+        assert chi_square_cdf(10, 1e-300) == 0.0
+        with pytest.raises(NumericError, match="underflows"):
+            sample_limit(LimitSpec(V=1.0, R2=0.5, q=10, t=1e-300), 1000, seed=7)
+
+    def test_mahalanobis_form_never_rejects(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("rejection sampler called")
+
+        monkeypatch.setattr(inference, "_rejection_sample", fail)
+        for t in (1e-7, 1.0, math.inf):
+            sample_limit(LimitSpec(V=1.0, R2=0.5, q=4, t=t), 1000, seed=8)
+
+    def test_general_form_rejection_memory_is_bounded(self):
+        # 0.1% acceptance asks for ~4.5e6 rows of 4 normals (144 MiB) in one
+        # batch; a chunk of 2^20 rows is 32 MiB
+        q = 4
+        eye = np.eye(q)
+        spec = LimitSpec(
+            V=1.0,
+            R2=0.5,
+            q=q,
+            t=float(chi2.ppf(1e-3, q)),
+            distance=DistanceSpec(kind="general"),
+            projection=(np.full(q, 0.3), eye, eye),
+        )
+        tracemalloc.start()
+        try:
+            draws = sample_limit(spec, 3000, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draws.shape == (3000,)
+        assert peak < 64 * 2**20
 
     def test_general_projection_matches_mahalanobis_form(self):
         # with Hbar = V_I the projected criterion is d'd < t and the extra
@@ -534,6 +589,55 @@ class TestSampleLimit:
         draws = sample_limit(spec, 200_000, seed=9)
         target = 1.0 - (1.0 - v_qt(2, 1.0)) * r2_equiv
         assert abs(draws.var() - target) / target < 0.02
+
+
+def _variance_se(draws):
+    """Monte-Carlo standard error of the sample variance."""
+    return float(((draws - draws.mean()) ** 2).std() / math.sqrt(draws.size))
+
+
+def _limit_cdf_oracle(x, q, t, r2):
+    """CDF of sqrt(1-R2) z + sqrt(R2) r_{q,t} by 1-D quadrature of the mixture.
+
+    r_{q,t} has density proportional to phi(r) P(chi^2_{q-1} < t - r^2) on
+    |r| < sqrt(t), with chi^2_0 a point mass at zero.
+    """
+    edge = math.sqrt(t)
+
+    def density(r):
+        radial = 1.0 if q == 1 else chi_square_cdf(q - 1, max(t - r * r, 0.0))
+        return math.exp(-0.5 * r * r) * radial
+
+    norm = integrate.quad(density, -edge, edge)[0]
+    if r2 == 1.0:
+        return integrate.quad(density, -edge, min(max(x, -edge), edge))[0] / norm
+    sd, slope = math.sqrt(1.0 - r2), math.sqrt(r2)
+    mixed = integrate.quad(lambda r: ndtr((x - slope * r) / sd) * density(r), -edge, edge)
+    return mixed[0] / norm
+
+
+class TestExactSamplerOracle:
+    """The Mahalanobis-form sampler against quadrature and v_{q,t}."""
+
+    @pytest.mark.parametrize(
+        "q,t", [(1, 1.0), (2, 1.0), (3, 0.5), (10, float(chi2.ppf(0.01, 10)))]
+    )
+    @pytest.mark.parametrize("r2", [0.5, 1.0])
+    def test_quantiles_match_quadrature(self, q, t, r2):
+        m = 100_000
+        draws = sample_limit(LimitSpec(V=1.0, R2=r2, q=q, t=t), m, seed=100 + q)
+        for p in (0.025, 0.1, 0.25, 0.5, 0.75, 0.9, 0.975):
+            x = float(np.quantile(draws, p))
+            assert abs(_limit_cdf_oracle(x, q, t, r2) - p) <= 4 * math.sqrt(p * (1 - p) / m)
+
+    @pytest.mark.parametrize("q", [5, 10])
+    @pytest.mark.parametrize("acceptance", [1e-4, 1e-2, 0.2, 0.9])
+    def test_variance_grid(self, q, acceptance):
+        t = float(chi2.ppf(acceptance, q))
+        for r2 in (0.5, 1.0):
+            draws = sample_limit(LimitSpec(V=1.0, R2=r2, q=q, t=t), 200_000, seed=q)
+            target = 1.0 - (1.0 - v_qt(q, t)) * r2
+            assert abs(draws.var() - target) <= 4 * _variance_se(draws)
 
 
 class TestConfidenceInterval:
