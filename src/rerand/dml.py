@@ -9,6 +9,18 @@ unit's nuisances come only from its own cell's training rows.
 Built-in learners replace an external ensembling framework: a GLM, a
 k-nearest-neighbour averager on standardized features, and a gradient-boosted
 ensemble of depth-1 stumps.
+
+``estimate_dml`` checks and collects every (cell, fold, arm) training set
+before it fits anything, then makes one ``fit_learners`` call per learner.
+The stump ensembles of that call share one boosting loop over arrays padded
+to the largest training set, and each still predicts bit for bit what it
+would predict if fitted alone:
+- padded rows sort last and carry zero gradient, so each fit's prefix sums
+  are the same adds in the same order, and no cut borders a padded row;
+- gains are compared per fit with padding at -inf, so the first maximum in
+  feature-major order still breaks ties;
+- the NaN-gain skip and the early stop act per fit: a stopped fit's
+  ensemble freezes while the others keep boosting.
 """
 
 from __future__ import annotations
@@ -108,27 +120,42 @@ def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> FoldPlan:
 # ---------------------------------------------------------------------------
 # Learners. Each fit is a pure deterministic map from covariates to reals.
 
+_KNN_CHUNK = 1 << 20  # float64 elements in one (rows, train, features) k-NN block
+
 
 def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
     """Train a learner on (X, y); returns a prediction map over covariates.
 
     Missingness learners return probabilities clipped to [0.01, 1].
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
+    return fit_learners(spec, [X], [y])[0]
+
+
+def fit_learners(spec: LearnerSpec, Xs, ys) -> list:
+    """Train one learner per training set (Xs[i], ys[i]) and return the
+    prediction maps in order; map i equals ``fit_learner(spec, Xs[i], ys[i])``.
+
+    GLM and k-NN fits run one after another; stump ensembles share one
+    boosting loop (``_fit_stumps``).
+    """
+    Xs = [np.asarray(X, dtype=float) for X in Xs]
+    ys = [np.asarray(y, dtype=float) for y in ys]
+    if any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
         raise ValidationError("empty training set")
     binary_loss = spec.target == "missingness" or spec.link == "logit"
     if spec.kind == "glm":
-        predict = _fit_glm(X, y, binary_loss)
+        predicts = [_fit_glm(X, y, binary_loss) for X, y in zip(Xs, ys)]
     elif spec.kind == "knn":
-        predict = _fit_knn(X, y, spec.k_neighbors)
+        predicts = [_fit_knn(X, y, spec.k_neighbors) for X, y in zip(Xs, ys)]
     else:
-        predict = _fit_stumps(X, y, spec.trees, spec.learning_rate, binary_loss)
+        predicts = _fit_stumps(Xs, ys, spec.trees, spec.learning_rate, binary_loss)
     if spec.target == "missingness":
-        inner = predict
-        return lambda Xe: np.clip(inner(Xe), PROPENSITY_FLOOR, 1.0)
-    return predict
+        return [_clip_propensity(predict) for predict in predicts]
+    return predicts
+
+
+def _clip_propensity(predict):
+    return lambda Xe: np.clip(predict(Xe), PROPENSITY_FLOOR, 1.0)
 
 
 def _fit_glm(X: np.ndarray, y: np.ndarray, logistic: bool):
@@ -158,66 +185,140 @@ def _fit_knn(X: np.ndarray, y: np.ndarray, k: int):
     sd = np.where(sd == 0.0, 1.0, sd)
     train = (X - mean) / sd
     k = min(k, X.shape[0])
+    rows = max(1, _KNN_CHUNK // train.size)  # evaluation rows per block
 
     def predict(Xe: np.ndarray) -> np.ndarray:
         Xe = (np.asarray(Xe, dtype=float) - mean) / sd
-        d2 = ((Xe[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        return y[nearest].mean(axis=1)
+        out = np.empty(Xe.shape[0])
+        for lo in range(0, Xe.shape[0], rows):
+            block = Xe[lo : lo + rows]
+            d2 = ((block[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+            nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
+            out[lo : lo + rows] = y[nearest].mean(axis=1)
+        return out
 
     return predict
 
 
-def _fit_stumps(X: np.ndarray, y: np.ndarray, trees: int, rate: float, logistic: bool):
+def _fit_stumps(Xs: list, ys: list, trees: int, rate: float, logistic: bool) -> list:
     """Stage-wise boosting with depth-1 trees (least squares, or logistic for
-    binary targets via gradient steps on the log-loss); O(trees * n * p).
+    binary targets via gradient steps on the log-loss), one ensemble per
+    training set (Xs[i], ys[i]); O(trees * n * p) per fit.
 
     Each tree fits the gradient g. Its candidate cuts lie midway between
     adjacent distinct sorted values of one feature and send x <= cut left. It
     takes the cut of largest |L| mean_L(g)^2 + |R| mean_R(g)^2; ties go to the
     lowest feature, then to the lowest cut. A feature with a NaN gain is
     skipped, and boosting stops when all are; with no cut there are no trees.
-    """
-    n, p = X.shape
-    if logistic:
-        mean = float(np.clip(y.mean(), 1e-6, 1.0 - 1e-6))
-        f0 = float(np.log(mean / (1.0 - mean)))
-    else:
-        f0 = float(y.mean())
-    order = np.argsort(X, axis=0, kind="stable")
-    sorted_x = np.take_along_axis(X, order, axis=0)
-    # candidate cuts, feature-major: cut c lies after sorted row k[c] of feat[c]
-    feat, k = np.nonzero((sorted_x[:-1] < sorted_x[1:]).T)
-    if feat.size == 0:
-        trees = 0  # all features constant: nothing to split on
-    left_n = k + 1.0
-    right_n = n - left_n
-    mids = 0.5 * (sorted_x[k, feat] + sorted_x[k + 1, feat])
-    cut_at, total_at = k * p + feat, (n - 1) * p + feat  # into (n, p) prefix sums
-    chosen = np.empty(trees, dtype=np.int64)
-    means = np.empty((trees, 2))  # left and right gradient means
 
-    F = np.full(n, f0)
+    All fits share one loop over padded arrays, so the number of numpy calls
+    grows with ``trees``, not with the number of fits, and every fit predicts
+    exactly what it would predict if fitted alone:
+    - padded rows hold NaN covariates, which sort after every real value
+      (a stable sort keeps real NaNs first), so each fit's sort order ends in
+      identity indices, and no cut borders a padded row;
+    - padded rows hold zero gradient, and ``cumsum`` runs along rows in
+      order, so each fit's prefix sums are the same adds in the same order;
+    - a feature with no cut in any fit leaves the loop, which drops no
+      candidate;
+    - each tree scatters the gains into a (fits, most cuts) array filled with
+      -inf; a real gain is >= 0, NaN or +inf, so the row-wise first maximum
+      keeps the feature-major tie rule;
+    - the NaN-gain skip runs per fit, and a fit that runs out of cuts drops
+      out of ``active``: its F and its tree count freeze.
+    """
+    fits = len(Xs)
+    sizes = np.array([X.shape[0] for X in Xs])
+    n, p = int(sizes.max()), Xs[0].shape[1]
+    X = np.full((fits, n, p), np.nan)
+    y = np.zeros((fits, n))
+    f0 = np.empty(fits)
+    for i, (Xi, yi) in enumerate(zip(Xs, ys)):
+        X[i, : yi.size], y[i, : yi.size] = Xi, yi
+        if logistic:
+            mean = float(np.clip(yi.mean(), 1e-6, 1.0 - 1e-6))
+            f0[i] = np.log(mean / (1.0 - mean))
+        else:
+            f0[i] = yi.mean()
+    order = np.argsort(X, axis=1, kind="stable")
+    sorted_x = np.take_along_axis(X, order, axis=1)
+    splits = sorted_x[:, :-1] < sorted_x[:, 1:]
+    # only features that some fit can cut (not, say, a stratum dummy under
+    # stratum-by-arm folds) enter the loop
+    live = np.flatnonzero(splits.any(axis=(0, 1)))
+    order, sorted_x, p = order[:, :, live], sorted_x[:, :, live], live.size
+    # candidate cuts, fit-major then feature-major: cut c lies after sorted
+    # row k[c] of feature feat[c] in fit fit[c]
+    fit, feat, k = np.nonzero(splits[:, :, live].transpose(0, 2, 1))
+    cuts = np.bincount(fit, minlength=fits)
+    if fit.size == 0:
+        trees = 0  # all features constant in every fit: nothing to split on
+    left_n = k + 1.0
+    right_n = sizes[fit] - left_n
+    mids = 0.5 * (sorted_x[fit, k, feat] + sorted_x[fit, k + 1, feat])
+    # the prefix sums, the gather map and X share one layout: row
+    # column[c] = fit * p + feat of a (fits * p, n) array
+    column = fit * p + feat
+    cut_at = column * n + k
+    total_at = column * n + sizes[fit] - 1
+    x_rows = X[:, :, live].transpose(0, 2, 1).reshape(fits * p, n)
+    # gradients sit in grad_buf[:-1] as (fits, n); padded rows gather the
+    # trailing zero
+    grad_buf = np.zeros(fits * n + 1)
+    grad = grad_buf[:-1].reshape(fits, n)
+    gather = np.where(
+        np.arange(n) >= sizes[:, None, None],
+        fits * n,
+        order.transpose(0, 2, 1) + (np.arange(fits) * n)[:, None, None],
+    ).reshape(fits * p, n)
+    # gains as (fits, width); fit i's cuts start at cut starts[i] and fill the
+    # first cuts[i] places of its row
+    width = int(cuts.max())
+    starts = np.cumsum(cuts) - cuts
+    row_start = np.arange(fits) * width
+    place = row_start[fit] + np.arange(fit.size) - starts[fit]
+    cut_in = np.zeros(fits * width, dtype=np.int64)
+    cut_in[place] = np.arange(fit.size)
+    gains = np.full((fits, width), -np.inf)
+    gains_flat = gains.reshape(-1)
+
+    active = cuts > 0
+    used = np.zeros(fits, dtype=np.int64)
+    chosen = np.empty((trees, fits), dtype=np.int64)
+    means = np.empty((trees, 2, fits))  # left and right gradient means
+    F = np.repeat(f0[:, None], n, axis=1)
     for t in range(trees):
-        grad = (y - expit(F)) if logistic else (y - F)
-        prefix = grad[order].cumsum(axis=0).ravel()
+        np.subtract(y, expit(F) if logistic else F, out=grad)
+        prefix = grad_buf[gather].cumsum(axis=1).ravel()
         below = prefix[cut_at]
         lm = below / left_n
         rm = (prefix[total_at] - below) / right_n
-        gain = left_n * lm**2 + right_n * rm**2
-        best = int(gain.argmax())  # the first maximum in feature-major order
-        if math.isnan(gain[best]):
-            gain[np.isin(feat, feat[np.isnan(gain)])] = -np.inf
-            best = int(gain.argmax())
-            if gain[best] == -np.inf:
-                trees = t
-                break
-        chosen[t], means[t] = best, (lm[best], rm[best])
-        F = F + rate * np.where(X[:, feat[best]] <= mids[best], lm[best], rm[best])
+        gains_flat[place] = left_n * lm**2 + right_n * rm**2
+        best = row_start + gains.argmax(axis=1)  # first maximum, feature-major
+        for i in np.flatnonzero(active & np.isnan(gains_flat[best])):
+            real = gains[i, : cuts[i]]
+            real_feat = feat[starts[i] : starts[i] + cuts[i]]
+            real[np.isin(real_feat, real_feat[np.isnan(real)])] = -np.inf
+            best[i] = row_start[i] + real.argmax()
+            active[i] = real.max() > -np.inf
+        if not active.any():
+            break
+        used += active
+        c = chosen[t] = cut_in[best]
+        means[t] = lm[c], rm[c]
+        step = np.where(x_rows[column[c]] <= mids[c, None], rate * lm[c, None], rate * rm[c, None])
+        np.add(F, step, out=F, where=active[:, None])
 
-    feats, thrs = feat[chosen[:trees]], mids[chosen[:trees]]
-    lefts, rights = means[:trees].T
+    return [
+        _stump_predictor(
+            f0[i], live[feat[chosen[: used[i], i]]], mids[chosen[: used[i], i]],
+            *means[: used[i], :, i].T, rate, logistic,
+        )
+        for i in range(fits)
+    ]
 
+
+def _stump_predictor(f0, feats, thrs, lefts, rights, rate, logistic):
     def predict(Xe: np.ndarray) -> np.ndarray:
         Xe = np.asarray(Xe, dtype=float)
         steps = rate * np.where(Xe[:, feats] <= thrs, lefts, rights)
@@ -285,6 +386,8 @@ def estimate_dml(
             for s, label in enumerate(frame.stratum_groups.labels)
         ]
 
+    # every training set is checked and collected before any learner is fitted
+    evals, out_sets, kap_sets = [], [], []
     for cell_mask, cell_desc in cell_masks:
         for k in range(K):
             eval_mask = cell_mask & (plan.assignment == k)
@@ -294,21 +397,26 @@ def estimate_dml(
                 train_mask = cell_mask & (plan.assignment != k) & (arms == a)
                 assert not (train_mask & eval_mask).any()  # held-out discipline
                 out_train = train_mask & (robs == 1.0)
+                if any_missing and not train_mask.any():
+                    raise ValidationError(
+                        f"empty training set for arm {a}, fold {k}{cell_desc}"
+                    )
                 if not out_train.any():
                     raise ValidationError(
                         f"empty outcome training set for arm {a}, fold {k}{cell_desc}"
                     )
-                eta_fit = fit_learner(outcome_learner, features[out_train], y0[out_train])
-                eta[eval_mask, a] = eta_fit(features[eval_mask])
+                evals.append((eval_mask, a))
+                out_sets.append((features[out_train], y0[out_train]))
                 if any_missing:
-                    if not train_mask.any():
-                        raise ValidationError(
-                            f"empty training set for arm {a}, fold {k}{cell_desc}"
-                        )
-                    kap_fit = fit_learner(
-                        missingness_learner, features[train_mask], robs[train_mask]
-                    )
-                    kappa[eval_mask, a] = kap_fit(features[eval_mask])
+                    kap_sets.append((features[train_mask], robs[train_mask]))
+
+    eta_fits = fit_learners(outcome_learner, *zip(*out_sets))
+    for (eval_mask, a), eta_fit in zip(evals, eta_fits):
+        eta[eval_mask, a] = eta_fit(features[eval_mask])
+    if any_missing:
+        kap_fits = fit_learners(missingness_learner, *zip(*kap_sets))
+        for (eval_mask, a), kap_fit in zip(evals, kap_fits):
+            kappa[eval_mask, a] = kap_fit(features[eval_mask])
 
     clip_count = 0
     if any_missing:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -333,13 +334,21 @@ def _panel_outcome(kind: str, n: int, logistic: bool, rng) -> np.ndarray:
     return rng.normal(size=n)
 
 
-def _assert_same_predictions(X, y, trees, rate, logistic, *evaluations):
-    reference = _reference_fit_stumps(X, y, trees, rate, logistic)
-    fitted = dml._fit_stumps(X, y, trees, rate, logistic)
-    for Xe in evaluations:
-        expected, got = reference(Xe), fitted(Xe)
-        assert got.dtype == expected.dtype
-        assert np.array_equal(got, expected, equal_nan=True)
+def _assert_batch_matches(Xs, ys, trees, rate, logistic, evaluations):
+    """Each fit of one batched ``dml._fit_stumps`` call predicts bit for bit
+    what the reference loop predicts after fitting that training set alone."""
+    fitted = dml._fit_stumps(Xs, ys, trees, rate, logistic)
+    assert len(fitted) == len(Xs)
+    for X, y, predict, Xe in zip(Xs, ys, fitted, evaluations):
+        reference = _reference_fit_stumps(X, y, trees, rate, logistic)
+        for E in (Xe, Xe[:0]):
+            expected, got = reference(E), predict(E)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected, equal_nan=True)
+
+
+def _assert_same_predictions(X, y, trees, rate, logistic, Xe):
+    _assert_batch_matches([X], [y], trees, rate, logistic, [Xe])
 
 
 class TestStumpOracle:
@@ -358,7 +367,7 @@ class TestStumpOracle:
             for logistic in (False, True):
                 for y_kind in ("varied", "zeros", "ones"):
                     y = _panel_outcome(y_kind, n, logistic, rng)
-                    _assert_same_predictions(X, y, trees, 0.1, logistic, Xe, Xe[:0])
+                    _assert_same_predictions(X, y, trees, 0.1, logistic, Xe)
 
     def test_overflowing_gradients(self):
         # infinite prefix sums give NaN gains, which the split rule must skip
@@ -395,6 +404,13 @@ class TestStumpOracle:
         _assert_same_predictions(X, y, trees, float(rng.uniform(0.01, 1.0)), logistic, Xe)
 
     def test_estimate_dml_matches_reference_learner(self, monkeypatch):
+        self._check_estimate_dml("stratum_arm", monkeypatch)
+
+    def test_plain_folds_match_reference_learner(self, monkeypatch):
+        self._check_estimate_dml("plain", monkeypatch)
+
+    @staticmethod
+    def _check_estimate_dml(mode, monkeypatch):
         rng = np.random.default_rng(18)
         n = 96
         arms = np.tile([1, 0], n // 2)
@@ -413,16 +429,218 @@ class TestStumpOracle:
             LearnerSpec(kind="stump_ensemble", trees=60, learning_rate=0.2, link="logit"),
             LearnerSpec(kind="stump_ensemble", trees=20),
             4,
-            "stratum_arm",
+            mode,
             DIFF,
         )
         new = estimate_dml(*args, seed=19, pi=0.5)
-        monkeypatch.setattr(dml, "_fit_stumps", _reference_fit_stumps)
+        batches = []
+
+        def reference_batch(Xs, ys, *rest):
+            batches.append(len(Xs))
+            return [_reference_fit_stumps(X, y, *rest) for X, y in zip(Xs, ys)]
+
+        monkeypatch.setattr(dml, "_fit_stumps", reference_batch)
         old = estimate_dml(*args, seed=19, pi=0.5)
+        # one batch per learner: every (cell, fold, arm) training set at once
+        cells = 3 if mode == "stratum_arm" else 1
+        assert batches == [cells * 4 * 2] * 2
         assert np.array_equal(new.details["eta_hat"], old.details["eta_hat"])
         assert np.array_equal(new.details["kappa_hat"], old.details["kappa_hat"])
         assert np.array_equal(new.if_values, old.if_values)
         assert new.delta_hat == old.delta_hat
+
+
+def _batch_covariates(rng, n, p, levels):
+    return rng.integers(0, levels, size=(n, p)) + 0.25 * rng.normal(size=(n, p)).round(1)
+
+
+class TestBatchedStumps:
+    """One batched call fits every ensemble as the reference loop fits it alone,
+    whatever the other fits in the batch look like."""
+
+    @staticmethod
+    def _check(Xs, ys, rng, trees_grid=(0, 1, 200)):
+        evaluations = [np.vstack([X, rng.normal(size=(4, X.shape[1]))]) for X in Xs]
+        for trees in trees_grid:
+            for logistic in (False, True):
+                _assert_batch_matches(Xs, ys, trees, 0.1, logistic, evaluations)
+
+    @staticmethod
+    def _outcomes(sizes, rng):
+        return [(rng.random(n) < 0.4).astype(float) for n in sizes]
+
+    def test_one_row_fits_beside_ninety_row_fits(self):
+        rng = np.random.default_rng(30)
+        sizes = (1, 90, 1, 37, 90, 2)
+        Xs = [_batch_covariates(rng, n, 3, 4) for n in sizes]
+        self._check(Xs, self._outcomes(sizes, rng), rng)
+        self._check(Xs, [rng.normal(size=n) for n in sizes], rng)
+
+    def test_all_constant_fit_beside_normal_fits(self):
+        rng = np.random.default_rng(31)
+        Xs = [
+            rng.normal(size=(40, 2)),
+            np.full((25, 2), 2.0),  # no cut at all
+            np.column_stack([np.full(30, 1.5), rng.normal(size=30)]),
+            rng.integers(0, 2, size=(12, 2)).astype(float),
+        ]
+        self._check(Xs, self._outcomes([40, 25, 30, 12], rng), rng)
+
+    def test_only_constant_fits(self):
+        rng = np.random.default_rng(32)
+        Xs = [np.full((n, 2), float(n)) for n in (1, 5, 9)]
+        self._check(Xs, self._outcomes([1, 5, 9], rng), rng)
+
+    def test_overflowing_fits_beside_fits_that_run_every_tree(self):
+        rng = np.random.default_rng(3)
+        Xs = [rng.normal(size=(23, 3)) for _ in range(4)]
+        # the first fit's prefix sums overflow at once: every gain is NaN and
+        # it keeps no tree, while its neighbours boost on
+        ys = [rng.choice([1e308, -1e308, 1.0], size=23)] + [rng.normal(size=23) for _ in range(3)]
+        # at rates above 2 least squares diverges: the 1e300 fit overflows and
+        # stops after 14-46 trees, the 1e250 fit after 98-200, and the
+        # unit-scale fits run all 200
+        diverging = [rng.normal(size=23) * scale for scale in (1e300, 1.0, 1e250, 1.0)]
+        with np.errstate(all="ignore"):
+            _assert_batch_matches(Xs, ys, 200, 0.1, False, Xs)
+            _assert_batch_matches(Xs[::-1], ys[::-1], 200, 0.1, False, Xs[::-1])
+            for rate in (2.5, 3.0, 5.0):
+                _assert_batch_matches(Xs, diverging, 200, rate, False, Xs)
+
+    def test_non_finite_covariates_beside_finite_ones(self):
+        rng = np.random.default_rng(4)
+        Xs = [rng.normal(size=(n, 3)) for n in (30, 17, 44)]
+        Xs[1][rng.random(Xs[1].shape) < 0.2] = np.nan
+        Xs[1][rng.random(Xs[1].shape) < 0.1] = np.inf
+        Xs[1][rng.random(Xs[1].shape) < 0.1] = -np.inf
+        with np.errstate(all="ignore"):
+            self._check(Xs, [rng.normal(size=X.shape[0]) for X in Xs], rng, (50,))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 90), st.integers(1, 5), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 4),
+        st.integers(0, 40),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_batches(self, fits, p, trees, logistic):
+        Xs, ys, evaluations = [], [], []
+        for n, levels, seed in fits:
+            rng = np.random.default_rng(seed)
+            Xs.append(_batch_covariates(rng, n, p, levels))
+            ys.append(_panel_outcome("varied", n, logistic, rng))
+            evaluations.append(rng.normal(size=(int(rng.integers(0, 20)), p)))
+        rate = float(np.random.default_rng(fits[0][2]).uniform(0.01, 1.0))
+        _assert_batch_matches(Xs, ys, trees, rate, logistic, evaluations)
+
+
+def _reference_knn_predict(X, y, k, Xe):
+    """k-NN prediction over all evaluation rows at once."""
+    mean, sd = X.mean(axis=0), X.std(axis=0)
+    sd = np.where(sd == 0.0, 1.0, sd)
+    train, Xe = (X - mean) / sd, (Xe - mean) / sd
+    d2 = ((Xe[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    return y[np.argsort(d2, axis=1, kind="stable")[:, : min(k, X.shape[0])]].mean(axis=1)
+
+
+class TestKnnBlocks:
+    @pytest.mark.parametrize("chunk", [1, 3 * 40 * 3, 1 << 20])
+    def test_blocked_prediction_matches_one_block(self, chunk, monkeypatch):
+        rng = np.random.default_rng(33)
+        X = rng.integers(0, 3, size=(40, 3)).astype(float)  # ties between neighbours
+        y = rng.normal(size=40)
+        Xe = rng.integers(0, 3, size=(23, 3)).astype(float)
+        monkeypatch.setattr(dml, "_KNN_CHUNK", chunk)
+        for k in (1, 5, 40, 60):
+            predict = fit_learner(LearnerSpec(kind="knn", k_neighbors=k), X, y)
+            assert np.array_equal(predict(Xe), _reference_knn_predict(X, y, k, Xe))
+            assert predict(Xe[:0]).shape == (0,)
+
+    def test_prediction_memory_is_bounded(self):
+        # one block of all 500 rows would hold two (500, 1000, 29) float64
+        # temporaries, about 116 MB each
+        rng = np.random.default_rng(34)
+        X, y = rng.normal(size=(1000, 29)), rng.normal(size=1000)
+        Xe = rng.normal(size=(500, 29))
+        predict = fit_learner(LearnerSpec(kind="knn", k_neighbors=5), X, y)
+        tracemalloc.start()
+        try:
+            predict(Xe)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestEstimateDmlValidation:
+    """Empty training sets fail by arm, fold and stratum before any fit."""
+
+    @staticmethod
+    def _frame(observed):
+        rng = np.random.default_rng(35)
+        n = 40
+        arms = np.tile([1, 0], n // 2)
+        strata = np.repeat(["s0", "s1"], n // 2)
+        y = rng.normal(size=n)
+        return TrialFrame(
+            covariates=rng.normal(size=(n, 2)),
+            covariate_names=("x1", "x2"),
+            outcome=np.where(observed(arms, strata), y, np.nan),
+            arm=arms,
+            stratum=strata,
+        )
+
+    @staticmethod
+    def _count_fits(monkeypatch):
+        calls = []
+        for name in ("_fit_stumps", "_fit_glm", "_fit_knn"):
+            inner = getattr(dml, name)
+            monkeypatch.setattr(
+                dml, name, lambda *a, inner=inner: calls.append(1) or inner(*a)
+            )
+        return calls
+
+    def test_cell_fold_without_observed_outcomes(self, monkeypatch):
+        # every arm-1 outcome of stratum s1 is missing
+        frame = self._frame(lambda arms, strata: (arms == 0) | (strata == "s0"))
+        calls = self._count_fits(monkeypatch)
+        with pytest.raises(
+            ValidationError, match="empty outcome training set for arm 1, fold 0, stratum 's1'"
+        ):
+            estimate_dml(
+                frame, CONSTANT, LearnerSpec(kind="glm", link="logit"), 4, "stratum_arm",
+                DIFF, seed=20, pi=0.5,
+            )
+        assert calls == []
+
+    def test_arm_without_training_rows(self, monkeypatch):
+        frame = self._frame(lambda arms, strata: np.arange(arms.size) != 3)
+        plan = make_folds(frame, 4, "stratum_arm", seed=21)
+        assignment = plan.assignment.copy()
+        # all arm-1 units of stratum s1 in fold 2: fold 2 has no arm-1 training rows
+        assignment[(frame.arm == 1) & (frame.stratum == "s1")] = 2
+        calls = self._count_fits(monkeypatch)
+        with pytest.raises(
+            ValidationError, match="empty training set for arm 1, fold 2, stratum 's1'"
+        ):
+            estimate_dml(
+                frame, CONSTANT, LearnerSpec(kind="glm", link="logit"), 4, "stratum_arm",
+                DIFF, seed=22, pi=0.5, fold_plan=FoldPlan("stratum_arm", 4, assignment),
+            )
+        assert calls == []
+
+    def test_counter_sees_fits(self, monkeypatch):
+        frame = self._frame(lambda arms, strata: np.arange(arms.size) != 3)
+        calls = self._count_fits(monkeypatch)
+        estimate_dml(
+            frame, CONSTANT, LearnerSpec(kind="glm", link="logit"), 4, "stratum_arm",
+            DIFF, seed=23, pi=0.5,
+        )
+        assert len(calls) == 1 + 2 * 4 * 2  # one stump batch, one GLM per set
 
 
 class TestLearnerSpecValidation:
