@@ -12,7 +12,11 @@ ensemble of depth-1 stumps.
 
 ``estimate_dml`` checks and collects every (cell, fold, arm) training set
 before it fits anything, then makes one ``fit_learners`` call per learner.
-The stump ensembles of that call share one boosting loop over arrays padded
+That call splits the sets into consecutive groups whose padded cells (fits *
+largest rows * features) stay within ``_BATCH_CELLS``, a pure function of
+the set shapes, and fits each group in one batch.
+
+The stump ensembles of a batch share one boosting loop over arrays padded
 to the largest training set, and each still predicts bit for bit what it
 would predict if fitted alone:
 - padded rows sort last and carry zero gradient, so each fit's prefix sums
@@ -21,6 +25,12 @@ would predict if fitted alone:
   feature-major order still breaks ties;
 - the NaN-gain skip and the early stop act per fit: a stopped fit's
   ensemble freezes while the others keep boosting.
+
+The GLMs of a batch share one IRLS loop over zero-padded designs, solved by
+a stacked SVD with ``lstsq``'s minimum-norm rule, so each predicts what it
+would predict if fitted alone to rounding, not bit for bit. A logistic fit
+stops once its step is small, max|new - old| <= ``_GLM_TOL`` * (1 +
+max|new|), or after ``_GLM_ITERATIONS`` steps.
 """
 
 from __future__ import annotations
@@ -121,6 +131,9 @@ def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> FoldPlan:
 # Learners. Each fit is a pure deterministic map from covariates to reals.
 
 _KNN_CHUNK = 1 << 20  # float64 elements in one (rows, train, features) k-NN block
+_BATCH_CELLS = 1 << 17  # padded cells (fits * rows * features) in one batch
+_GLM_ITERATIONS = 25  # IRLS steps a logistic fit takes at most
+_GLM_TOL = 1e-12  # relative IRLS step at which a logistic fit stops
 
 
 def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
@@ -133,50 +146,131 @@ def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
 
 def fit_learners(spec: LearnerSpec, Xs, ys) -> list:
     """Train one learner per training set (Xs[i], ys[i]) and return the
-    prediction maps in order; map i equals ``fit_learner(spec, Xs[i], ys[i])``.
+    prediction maps in order.
 
-    GLM and k-NN fits run one after another; stump ensembles share one
-    boosting loop (``_fit_stumps``).
+    k-NN fits run one after another. Stump ensembles and GLMs are fitted in
+    batches of consecutive sets whose padded cells stay within
+    ``_BATCH_CELLS``; stump ensembles share one boosting loop per batch
+    (``_fit_stumps``) and GLMs one IRLS loop (``_fit_glms``). Map i equals
+    ``fit_learner(spec, Xs[i], ys[i])`` bit for bit for stumps and k-NN, and
+    to rounding for GLMs.
     """
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     ys = [np.asarray(y, dtype=float) for y in ys]
     if any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
         raise ValidationError("empty training set")
+    if len({X.shape[1] for X in Xs}) > 1:
+        raise ValidationError("training sets differ in their number of features")
+    if len(ys) != len(Xs) or any(y.shape != (X.shape[0],) for X, y in zip(Xs, ys)):
+        raise ValidationError("every training target must have one value per training row")
     binary_loss = spec.target == "missingness" or spec.link == "logit"
-    if spec.kind == "glm":
-        predicts = [_fit_glm(X, y, binary_loss) for X, y in zip(Xs, ys)]
-    elif spec.kind == "knn":
+    if spec.kind == "knn":
         predicts = [_fit_knn(X, y, spec.k_neighbors) for X, y in zip(Xs, ys)]
     else:
-        predicts = _fit_stumps(Xs, ys, spec.trees, spec.learning_rate, binary_loss)
+        predicts = []
+        for group in _batches([X.shape for X in Xs]):
+            if spec.kind == "glm":
+                predicts += _fit_glms(Xs[group], ys[group], binary_loss)
+            else:
+                predicts += _fit_stumps(
+                    Xs[group], ys[group], spec.trees, spec.learning_rate, binary_loss
+                )
     if spec.target == "missingness":
         return [_clip_propensity(predict) for predict in predicts]
     return predicts
+
+
+def _batches(shapes: list) -> list:
+    """Split training sets of the given (rows, features) shapes into slices of
+    consecutive sets whose fits * largest rows * features stays within
+    ``_BATCH_CELLS``; a set above it on its own is a slice of one."""
+    groups, start, rows = [], 0, 0
+    for i, (n, p) in enumerate(shapes):
+        rows = max(rows, n)
+        if i > start and (i + 1 - start) * rows * p > _BATCH_CELLS:
+            groups.append(slice(start, i))
+            start, rows = i, n
+    return groups + [slice(start, len(shapes))] if shapes else []
 
 
 def _clip_propensity(predict):
     return lambda Xe: np.clip(predict(Xe), PROPENSITY_FLOOR, 1.0)
 
 
-def _fit_glm(X: np.ndarray, y: np.ndarray, logistic: bool):
-    design = np.column_stack([np.ones(X.shape[0]), X])
+def _fit_glms(Xs: list, ys: list, logistic: bool) -> list:
+    """Least squares (identity link) or logistic IRLS, one GLM with an
+    intercept per training set (Xs[i], ys[i]).
+
+    All fits share one loop over designs zero-padded to the largest set,
+    with weight zero on padded rows; the identity link is the same solve with
+    unit weights. Each solve is ``lstsq``'s: the minimum-norm least-squares
+    answer, with singular values at or below eps * max(rows, columns) * the
+    largest treated as zero. Designs are often rank-deficient: under
+    stratum-by-arm folds the stratum dummy is constant within every training
+    set. A logistic fit clips the linear predictor to [-30, 30] and floors
+    the weights at 1e-6, so it never raises, even on separable data; it
+    leaves ``active`` once max|new - old| <= _GLM_TOL * (1 + max|new|), or
+    after _GLM_ITERATIONS steps. A fit with constant y predicts that
+    constant.
+    """
+    fits = len(Xs)
+    sizes = np.array([X.shape[0] for X in Xs])
+    n, d = int(sizes.max()), Xs[0].shape[1] + 1
+    design = np.zeros((fits, n, d))
+    y = np.zeros((fits, n))
+    for i, (Xi, yi) in enumerate(zip(Xs, ys)):
+        design[i, : yi.size, 0] = 1.0
+        design[i, : yi.size, 1:] = Xi
+        y[i, : yi.size] = yi
+    cutoff = np.finfo(float).eps * np.maximum(sizes, d)
     if not logistic:
-        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        return lambda Xe: np.column_stack([np.ones(len(Xe)), Xe]) @ beta
-    if y.min() == y.max():
-        constant = float(y[0])
-        return lambda Xe: np.full(len(Xe), constant)
-    beta = np.zeros(design.shape[1])
-    for _ in range(25):
-        eta = np.clip(design @ beta, -30.0, 30.0)
+        beta = _min_norm_solve(design, y, cutoff)
+        return [_glm_predictor(b, False) for b in beta]
+
+    real = np.arange(n) < sizes[:, None]
+    constant = np.array([yi.min() == yi.max() for yi in ys])
+    active = ~constant
+    beta = np.zeros((fits, d))
+    for _ in range(_GLM_ITERATIONS):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        A, old = design[idx], beta[idx]
+        eta = np.clip((A @ old[:, :, None])[:, :, 0], -30.0, 30.0)
         p = expit(eta)
         w = np.maximum(p * (1.0 - p), 1e-6)
-        z = eta + (y - p) / w
-        wsq = np.sqrt(w)
-        beta, *_ = np.linalg.lstsq(design * wsq[:, None], z * wsq, rcond=None)
-    return lambda Xe: expit(
-        np.clip(np.column_stack([np.ones(len(Xe)), Xe]) @ beta, -30.0, 30.0)
-    )
+        z = eta + (y[idx] - p) / w
+        wsq = np.sqrt(w) * real[idx]
+        new = beta[idx] = _min_norm_solve(A * wsq[:, :, None], z * wsq, cutoff[idx])
+        step = np.abs(new - old).max(axis=1)
+        # a NaN step never converges: such a fit runs to the cap
+        active[idx] = ~(step <= _GLM_TOL * (1.0 + np.abs(new).max(axis=1)))
+    return [
+        _constant_predictor(ys[i][0]) if constant[i] else _glm_predictor(beta[i], True)
+        for i in range(fits)
+    ]
+
+
+def _min_norm_solve(A: np.ndarray, b: np.ndarray, cutoff: np.ndarray) -> np.ndarray:
+    """Minimum-norm x of each min ||A[i] x - b[i]||, zeroing the singular
+    values of A[i] at or below cutoff[i] times its largest."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > (cutoff * s[:, 0])[:, None]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    Utb = (U.transpose(0, 2, 1) @ b[:, :, None])[:, :, 0]
+    return (Vt.transpose(0, 2, 1) @ (inv * Utb)[:, :, None])[:, :, 0]
+
+
+def _glm_predictor(beta: np.ndarray, logistic: bool):
+    def predict(Xe: np.ndarray) -> np.ndarray:
+        eta = np.column_stack([np.ones(len(Xe)), Xe]) @ beta
+        return expit(np.clip(eta, -30.0, 30.0)) if logistic else eta
+
+    return predict
+
+
+def _constant_predictor(value: float):
+    return lambda Xe: np.full(len(Xe), float(value))
 
 
 def _fit_knn(X: np.ndarray, y: np.ndarray, k: int):

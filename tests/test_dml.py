@@ -538,6 +538,347 @@ class TestBatchedStumps:
         _assert_batch_matches(Xs, ys, trees, rate, logistic, evaluations)
 
 
+def _reference_fit_glm(X: np.ndarray, y: np.ndarray, logistic: bool):
+    """The one-fit, fixed-25-step IRLS that ``dml._fit_glms`` replaced, kept
+    verbatim as the oracle for its predictions."""
+    design = np.column_stack([np.ones(X.shape[0]), X])
+    if not logistic:
+        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        return lambda Xe: np.column_stack([np.ones(len(Xe)), Xe]) @ beta
+    if y.min() == y.max():
+        constant = float(y[0])
+        return lambda Xe: np.full(len(Xe), constant)
+    beta = np.zeros(design.shape[1])
+    for _ in range(25):
+        eta = np.clip(design @ beta, -30.0, 30.0)
+        p = expit(eta)
+        w = np.maximum(p * (1.0 - p), 1e-6)
+        z = eta + (y - p) / w
+        wsq = np.sqrt(w)
+        beta, *_ = np.linalg.lstsq(design * wsq[:, None], z * wsq, rcond=None)
+    return lambda Xe: expit(
+        np.clip(np.column_stack([np.ones(len(Xe)), Xe]) @ beta, -30.0, 30.0)
+    )
+
+
+# The batched GLM rounds differently from one ``lstsq`` per step (a stacked
+# SVD, zero padding) and stops early, so it matches the oracle to a tolerance
+# fixed here: absolute on probabilities, relative to the largest reference
+# prediction on the identity link.
+GLM_PROB_ATOL = 1e-12
+GLM_LINEAR_RTOL = 1e-10
+# A separable logistic fit has no maximum-likelihood estimate: its
+# coefficients keep drifting, and the early stop can end the drift several
+# steps before the oracle's 25. On its training rows it still matches to
+# GLM_PROB_ATOL; off them, a tiny separable fit moved by up to 1.3e-11 in a
+# sweep of 4,000 random fits of 1-90 rows.
+GLM_SEPARABLE_FRESH_ATOL = 1e-10
+
+
+def _assert_glm_batch_matches(Xs, ys, logistic, fresh, fresh_atol=GLM_PROB_ATOL):
+    """Each fit of one batched ``dml._fit_glms`` call predicts, on its own
+    training rows and on the rows ``fresh[i]``, what the oracle predicts
+    after fitting that training set alone. ``fresh_atol`` is one tolerance
+    for every fit's fresh rows, or one per fit."""
+    fitted = dml._fit_glms(Xs, ys, logistic)
+    assert len(fitted) == len(Xs)
+    fresh_atols = np.broadcast_to(fresh_atol, len(Xs))
+    for X, y, predict, Xe, fresh_atol in zip(Xs, ys, fitted, fresh, fresh_atols):
+        reference = _reference_fit_glm(X, y, logistic)
+        for E, atol in ((X, GLM_PROB_ATOL), (Xe, fresh_atol)):
+            expected, got = reference(E), predict(E)
+            assert got.shape == expected.shape
+            if logistic:
+                assert np.all((got >= 0.0) & (got <= 1.0))
+                np.testing.assert_allclose(got, expected, rtol=0, atol=atol)
+            else:
+                scale = np.abs(expected).max(initial=1.0)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=GLM_LINEAR_RTOL * scale)
+
+
+def _glm_batch(rng, sizes, p, share=0.85):
+    Xs = [rng.normal(size=(n, p)) for n in sizes]
+    binary = [(rng.random(n) < share).astype(float) for n in sizes]
+    linear = [X @ rng.normal(size=p) + rng.normal(size=X.shape[0]) for X in Xs]
+    fresh = [rng.normal(size=(9, p)) for _ in sizes]
+    return Xs, binary, linear, fresh
+
+
+def _count_solves(monkeypatch):
+    """Record how many fits each IRLS step of ``dml._fit_glms`` solves."""
+    solves = []
+    inner = dml._min_norm_solve
+    monkeypatch.setattr(
+        dml, "_min_norm_solve", lambda A, *rest: solves.append(A.shape[0]) or inner(A, *rest)
+    )
+    return solves
+
+
+class TestBatchedGlm:
+    """One batched IRLS loop fits every GLM as the oracle fits it alone, to
+    the tolerances above."""
+
+    def test_one_row_to_ninety_row_fits(self):
+        rng = np.random.default_rng(40)
+        sizes = (1, 90, 2, 37, 90, 5, 64)
+        Xs, binary, linear, fresh = _glm_batch(rng, sizes, 3)
+        # fits of 1, 2 and 5 rows are constant or separable: compare them off
+        # their rows at the separable tolerance
+        atols = [GLM_SEPARABLE_FRESH_ATOL if n <= 5 else GLM_PROB_ATOL for n in sizes]
+        _assert_glm_batch_matches(Xs, binary, True, fresh, atols)
+        _assert_glm_batch_matches(Xs, linear, False, fresh)
+
+    def test_rank_deficient_designs(self):
+        # under stratum-by-arm folds the stratum dummy is constant within a
+        # training set: all zeros, or equal to the intercept
+        rng = np.random.default_rng(41)
+        sizes = (60, 75, 82, 44)
+        Xs, binary, linear, fresh = _glm_batch(rng, sizes, 2)
+        dummy = [np.column_stack([X, np.full(X.shape[0], float(i % 2))]) for i, X in enumerate(Xs)]
+        twice = [np.column_stack([X, X[:, :1]]) for X in Xs]  # a repeated column
+        for designs in (dummy, twice):
+            fresh_rows = [np.column_stack([E, E[:, :1]]) for E in fresh]
+            _assert_glm_batch_matches(designs, binary, True, fresh_rows)
+            _assert_glm_batch_matches(designs, linear, False, fresh_rows)
+
+    def test_constant_targets(self):
+        rng = np.random.default_rng(42)
+        Xs, binary, _, fresh = _glm_batch(rng, (30, 12, 50), 2)
+        ys = [np.zeros(30), np.ones(12), binary[2]]
+        _assert_glm_batch_matches(Xs, ys, True, fresh)
+        _assert_glm_batch_matches(Xs, ys, False, fresh)
+        fitted = dml._fit_glms(Xs, ys, True)
+        assert np.array_equal(fitted[0](fresh[0]), np.zeros(9))
+        assert np.array_equal(fitted[1](fresh[1]), np.ones(9))
+
+    def test_separable_targets(self):
+        rng = np.random.default_rng(43)
+        grid = np.linspace(-1.0, 1.0, 30)[:, None]
+        Xs = [
+            np.arange(4.0)[:, None],
+            np.arange(6.0)[:, None],
+            grid,
+            rng.normal(size=(50, 1)),
+        ]
+        ys = [
+            np.array([0.0, 0.0, 1.0, 1.0]),
+            (np.arange(6) > 2).astype(float),
+            (grid[:, 0] > 0).astype(float),
+            (Xs[3][:, 0] > 0.3).astype(float),
+        ]
+        fresh = [np.linspace(-3.0, 6.0, 19)[:, None]] * 4
+        _assert_glm_batch_matches(Xs, ys, True, fresh, GLM_SEPARABLE_FRESH_ATOL)
+
+    def test_demo_shaped_fits_stop_before_the_cap(self, monkeypatch):
+        # 20 fits as in a stratum-by-arm estimate: 60-90 rows, two covariates
+        # and a stratum dummy constant within each fit, 85% observed
+        rng = np.random.default_rng(44)
+        sizes = rng.integers(60, 91, size=20)
+        Xs, binary, _, fresh = _glm_batch(rng, sizes, 2)
+        Xs = [np.column_stack([X, np.full(X.shape[0], float(i % 2))]) for i, X in enumerate(Xs)]
+        fresh = [np.column_stack([E, np.zeros(9)]) for E in fresh]
+        solves = _count_solves(monkeypatch)
+        _assert_glm_batch_matches(Xs, binary, True, fresh)
+        assert solves[0] == 20
+        assert len(solves) < dml._GLM_ITERATIONS
+
+    def test_fit_that_never_converges_stops_at_the_cap(self, monkeypatch):
+        # two rows, y = x: the coefficients grow without bound (about 33 after
+        # 25 steps, 40 after 400), so the relative step never gets small
+        rng = np.random.default_rng(45)
+        Xs, binary, _, _ = _glm_batch(rng, (70, 80), 1)
+        Xs.insert(1, np.array([[0.0], [1.0]]))
+        binary.insert(1, np.array([0.0, 1.0]))
+        solves = _count_solves(monkeypatch)
+        fitted = dml._fit_glms(Xs, binary, True)
+        assert len(solves) == dml._GLM_ITERATIONS
+        assert solves[0] == 3 and solves[-1] == 1
+        grid = np.linspace(-50.0, 50.0, 101)[:, None]
+        got = fitted[1](grid)
+        assert np.all(np.isfinite(got)) and got.min() >= 0.0 and got.max() <= 1.0
+        np.testing.assert_allclose(
+            got, _reference_fit_glm(Xs[1], binary[1], True)(grid), rtol=0, atol=GLM_PROB_ATOL
+        )
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 90), st.integers(0, 2**32 - 1)), min_size=1, max_size=12),
+        st.integers(1, 4),
+        st.sampled_from(["none", "zero", "intercept"]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_batches(self, fits, p, extra, logistic):
+        Xs, ys, fresh = [], [], []
+        for n, seed in fits:
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(n, p)).round(1)
+            Xe = rng.normal(size=(int(rng.integers(0, 10)), p))
+            if extra != "none":
+                value = 0.0 if extra == "zero" else 1.0
+                X = np.column_stack([X, np.full(n, value)])
+                Xe = np.column_stack([Xe, np.full(Xe.shape[0], value)])
+            if logistic:
+                ys.append((rng.random(n) < rng.uniform(0.5, 0.95)).astype(float))
+            else:
+                ys.append(X @ rng.normal(size=X.shape[1]) + rng.normal(size=n))
+            Xs.append(X)
+            fresh.append(Xe)
+        # a random small fit may be separable
+        _assert_glm_batch_matches(Xs, ys, logistic, fresh, GLM_SEPARABLE_FRESH_ATOL)
+
+    @pytest.mark.parametrize("mode", ["stratum_arm", "plain"])
+    def test_estimate_dml_matches_reference_learner(self, mode, monkeypatch):
+        rng = np.random.default_rng(46)
+        n = 96
+        arms = np.tile([1, 0], n // 2)
+        x = rng.normal(size=(n, 2))
+        frame = TrialFrame(
+            covariates=x,
+            covariate_names=("x1", "x2"),
+            outcome=np.where(rng.random(n) < 0.85, x[:, 0] + arms + rng.normal(size=n), np.nan),
+            arm=arms,
+            stratum=np.repeat(["s0", "s1", "s2"], n // 3),
+        )
+        logit = LearnerSpec(kind="glm", link="logit")
+        args = (frame, LearnerSpec(kind="glm"), logit, 4, mode, DIFF)
+        new = estimate_dml(*args, seed=47, pi=0.5)
+        batches = []
+
+        def reference_batch(Xs, ys, logistic):
+            batches.append(len(Xs))
+            return [_reference_fit_glm(X, y, logistic) for X, y in zip(Xs, ys)]
+
+        monkeypatch.setattr(dml, "_fit_glms", reference_batch)
+        old = estimate_dml(*args, seed=47, pi=0.5)
+        cells = 3 if mode == "stratum_arm" else 1
+        assert batches == [cells * 4 * 2] * 2
+        np.testing.assert_allclose(
+            new.details["kappa_hat"], old.details["kappa_hat"], rtol=0, atol=GLM_PROB_ATOL
+        )
+        eta_scale = np.abs(old.details["eta_hat"]).max()
+        np.testing.assert_allclose(
+            new.details["eta_hat"], old.details["eta_hat"], rtol=0, atol=GLM_LINEAR_RTOL * eta_scale
+        )
+        assert new.delta_hat == pytest.approx(old.delta_hat, rel=1e-9)
+
+
+class TestBatchGroups:
+    """Batches are split by padded size, a pure function of the set shapes."""
+
+    def test_groups_follow_the_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(dml, "_BATCH_CELLS", 100)
+        shapes = [(10, 2), (20, 2), (5, 2), (60, 2), (1, 2)]
+        # 3 * 20 * 2 > 100 closes the first group; (60, 2) alone exceeds the
+        # cap and is a group of one
+        assert dml._batches(shapes) == [slice(0, 2), slice(2, 3), slice(3, 4), slice(4, 5)]
+        assert dml._batches([(200, 3)]) == [slice(0, 1)]
+        assert dml._batches([(25, 2), (25, 2), (1, 2)]) == [slice(0, 2), slice(2, 3)]  # at the cap
+
+    def test_demo_sized_batch_is_one_group(self):
+        assert dml._batches([(90, 3)] * 20) == [slice(0, 20)]
+
+    @pytest.mark.parametrize("kind", ["glm", "knn", "stump_ensemble"])
+    def test_empty_batch_fits_nothing(self, kind):
+        assert dml.fit_learners(LearnerSpec(kind=kind), [], []) == []
+
+    def test_capped_stumps_equal_uncapped_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        sizes = (1, 90, 2, 37, 90, 5, 64, 12)
+        Xs = [_batch_covariates(rng, n, 3, 4) for n in sizes]
+        Xe = rng.normal(size=(15, 3))
+        for spec in (
+            LearnerSpec(kind="stump_ensemble", trees=40),
+            LearnerSpec(kind="stump_ensemble", trees=40, target="missingness"),
+        ):
+            ys = [(rng.random(n) < 0.6).astype(float) for n in sizes]
+            whole = dml.fit_learners(spec, Xs, ys)
+            monkeypatch.setattr(dml, "_BATCH_CELLS", 600)
+            batches = []
+            inner = dml._fit_stumps
+            monkeypatch.setattr(
+                dml, "_fit_stumps", lambda Xs, *rest: batches.append(len(Xs)) or inner(Xs, *rest)
+            )
+            capped = dml.fit_learners(spec, Xs, ys)
+            monkeypatch.undo()
+            assert batches == [2, 2, 2, 2]
+            for a, b in zip(whole, capped):
+                assert np.array_equal(a(Xe), b(Xe))
+
+    def test_capped_glms_match_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(dml, "_BATCH_CELLS", 300)
+        rng = np.random.default_rng(49)
+        sizes = (90, 37, 90, 64, 12)
+        Xs, binary, linear, fresh = _glm_batch(rng, sizes, 3)
+        logit = LearnerSpec(kind="glm", link="logit")
+        for spec, ys in ((logit, binary), (LearnerSpec(kind="glm"), linear)):
+            for X, y, predict, Xe in zip(Xs, ys, dml.fit_learners(spec, Xs, ys), fresh):
+                expected = _reference_fit_glm(X, y, spec.link == "logit")(Xe)
+                np.testing.assert_allclose(predict(Xe), expected, rtol=0, atol=GLM_LINEAR_RTOL)
+
+    def test_plain_mode_peak_memory_is_bounded(self):
+        # plain folds K=5, n=4,000, 20 covariates + 9 stratum dummies: 10 stump
+        # fits of 3,200 rows. One batch of all 10 peaked at 69 MiB; fits
+        # grouped under the cap peak at about 18 MiB.
+        rng = np.random.default_rng(50)
+        n = 4000
+        arms = np.tile([1, 0], n // 2)
+        x = rng.normal(size=(n, 20))
+        frame = TrialFrame(
+            covariates=x,
+            covariate_names=tuple(f"x{j}" for j in range(20)),
+            outcome=x[:, 0] + arms + rng.normal(size=n),
+            arm=arms,
+            stratum=np.array([f"s{k}" for k in rng.integers(0, 10, size=n)]),
+        )
+        tracemalloc.start()
+        try:
+            estimate_dml(
+                frame, LearnerSpec(kind="stump_ensemble", trees=1), None, 5, "plain",
+                DIFF, seed=51, pi=0.5,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestLearnerInputs:
+    """Every target has one value per training row and every training set in
+    a batch has the same columns."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            LearnerSpec(kind="glm"),
+            LearnerSpec(kind="glm", link="logit"),
+            LearnerSpec(kind="knn"),
+            CONSTANT,
+        ],
+    )
+    @pytest.mark.parametrize("rows", [5, 8])
+    def test_target_length_must_match_rows(self, spec, rows):
+        X = np.random.default_rng(52).normal(size=(6, 2))
+        with pytest.raises(ValidationError, match="one value per training row"):
+            fit_learner(spec, X, np.arange(rows) % 2)
+
+    def test_two_dimensional_target_rejected(self):
+        X = np.random.default_rng(53).normal(size=(6, 2))
+        with pytest.raises(ValidationError, match="one value per training row"):
+            fit_learner(LearnerSpec(kind="glm"), X, np.zeros((6, 1)))
+
+    def test_missing_target_rejected(self):
+        X = np.random.default_rng(54).normal(size=(6, 2))
+        with pytest.raises(ValidationError, match="one value per training row"):
+            dml.fit_learners(LearnerSpec(kind="knn"), [X, X], [np.zeros(6)])
+
+    @pytest.mark.parametrize("kind", ["glm", "knn", "stump_ensemble"])
+    def test_feature_counts_must_agree(self, kind):
+        rng = np.random.default_rng(55)
+        Xs = [rng.normal(size=(6, 2)), rng.normal(size=(6, 3))]
+        with pytest.raises(ValidationError, match="number of features"):
+            dml.fit_learners(LearnerSpec(kind=kind), Xs, [np.zeros(6), np.zeros(6)])
+
+
 def _reference_knn_predict(X, y, k, Xe):
     """k-NN prediction over all evaluation rows at once."""
     mean, sd = X.mean(axis=0), X.std(axis=0)
@@ -597,7 +938,7 @@ class TestEstimateDmlValidation:
     @staticmethod
     def _count_fits(monkeypatch):
         calls = []
-        for name in ("_fit_stumps", "_fit_glm", "_fit_knn"):
+        for name in ("_fit_stumps", "_fit_glms", "_fit_knn"):
             inner = getattr(dml, name)
             monkeypatch.setattr(
                 dml, name, lambda *a, inner=inner: calls.append(1) or inner(*a)
@@ -640,7 +981,7 @@ class TestEstimateDmlValidation:
             frame, CONSTANT, LearnerSpec(kind="glm", link="logit"), 4, "stratum_arm",
             DIFF, seed=23, pi=0.5,
         )
-        assert len(calls) == 1 + 2 * 4 * 2  # one stump batch, one GLM per set
+        assert len(calls) == 2  # one stump batch, one GLM batch
 
 
 class TestLearnerSpecValidation:
