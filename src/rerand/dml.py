@@ -157,12 +157,16 @@ def fit_learners(spec: LearnerSpec, Xs, ys) -> list:
     """
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     ys = [np.asarray(y, dtype=float) for y in ys]
-    if any(X.ndim != 2 or X.shape[0] == 0 for X in Xs):
+    if any(X.ndim != 2 for X in Xs):
+        raise ValidationError("training covariates must be a 2-D (rows, features) array")
+    if any(X.shape[0] == 0 for X in Xs):
         raise ValidationError("empty training set")
     if len({X.shape[1] for X in Xs}) > 1:
         raise ValidationError("training sets differ in their number of features")
     if len(ys) != len(Xs) or any(y.shape != (X.shape[0],) for X, y in zip(Xs, ys)):
         raise ValidationError("every training target must have one value per training row")
+    if not all(np.isfinite(X).all() and np.isfinite(y).all() for X, y in zip(Xs, ys)):
+        raise ValidationError("training covariates and targets must be finite")
     binary_loss = spec.target == "missingness" or spec.link == "logit"
     if spec.kind == "knn":
         predicts = [_fit_knn(X, y, spec.k_neighbors) for X, y in zip(Xs, ys)]

@@ -4,11 +4,13 @@ Every estimator here is the root of a stacked system sum_i psi(O_i; theta) = 0
 whose first coordinate is the treatment effect. Per-unit influence values are
 the first entry of -B_hat^{-1} psi(O_i; theta_hat) with B_hat the averaged
 Jacobian, so they sum to zero by construction and their mean square is the
-sandwich variance.
+sandwich variance. Every stack supplies B_hat in closed form (Stefanski & Boos
+2002); nothing is differentiated numerically.
 
-Stage-wise fits (OLS, IRLS, profile likelihood) provide warm starts; a damped
-Newton pass then drives the stacked residual below tolerance and assembles the
-influence values at the solution.
+Stage-wise fits (OLS, IRLS, the mixed model's likelihood profiled over
+lambda = tau^2 / sigma^2) provide warm starts; a damped Newton pass then drives
+the stacked residual below tolerance and assembles the influence values at the
+solution.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .data_model import (
@@ -47,30 +48,14 @@ class PsiSpec:
     """A stacked estimating-function specification.
 
     ``evaluate(frame, theta)`` returns the (n, dim) matrix of per-unit psi
-    values. ``jacobian``, when given, returns the averaged (dim, dim) Jacobian
-    of the mean estimating function; otherwise central finite differences are
-    used with step max(1e-6, 1e-6 |theta_j|).
+    values and ``jacobian(frame, theta)`` the averaged (dim, dim) Jacobian of
+    the mean estimating function, d/dtheta n^-1 sum_i psi(O_i; theta).
     """
 
     dim: int
     evaluate: Callable[[TrialFrame, np.ndarray], np.ndarray]
     theta0: np.ndarray
-    jacobian: Callable[[TrialFrame, np.ndarray], np.ndarray] | None = None
-
-
-def _fd_jacobian(evaluate, frame, theta: np.ndarray) -> np.ndarray:
-    dim = theta.size
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        h = max(1e-6, 1e-6 * abs(theta[j]))
-        plus = theta.copy()
-        plus[j] += h
-        minus = theta.copy()
-        minus[j] -= h
-        jac[:, j] = (
-            evaluate(frame, plus).mean(axis=0) - evaluate(frame, minus).mean(axis=0)
-        ) / (2.0 * h)
-    return jac
+    jacobian: Callable[[TrialFrame, np.ndarray], np.ndarray]
 
 
 def solve_estimating_equations(
@@ -85,7 +70,6 @@ def solve_estimating_equations(
     theta = np.array(spec.theta0, dtype=float)
     if theta.shape != (spec.dim,) or not np.all(np.isfinite(theta)):
         raise ValidationError("theta0 must be a finite vector of length dim")
-    jac = spec.jacobian or (lambda fr, th: _fd_jacobian(spec.evaluate, fr, th))
 
     psi = spec.evaluate(frame, theta)
     residual = float(np.abs(psi.mean(axis=0)).max())
@@ -97,7 +81,7 @@ def solve_estimating_equations(
                 f"(residual {residual:.2e})"
             )
         iterations += 1
-        B = jac(frame, theta)
+        B = spec.jacobian(frame, theta)
         try:
             step = -np.linalg.solve(B, psi.mean(axis=0))
         except np.linalg.LinAlgError:
@@ -121,7 +105,7 @@ def solve_estimating_equations(
         if not np.all(np.isfinite(theta)) or np.abs(theta).max() > 1e10:
             raise ConvergenceError("parameter estimates diverged")
 
-    B = jac(frame, theta)
+    B = spec.jacobian(frame, theta)
     try:
         if_matrix = -np.linalg.solve(B, psi.T).T
         final_step = np.linalg.solve(B, psi.mean(axis=0))
@@ -195,13 +179,10 @@ def _check_full_rank(Z: np.ndarray) -> None:
         raise SingularMatrixError("design matrix is rank deficient")
 
 
-def _ols(Z: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+def _ols(Z: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
     _check_full_rank(Z)
-    if weights is None:
-        beta, *_ = np.linalg.lstsq(Z, y, rcond=None)
-    else:
-        w = np.sqrt(weights)
-        beta, *_ = np.linalg.lstsq(Z * w[:, None], y * w, rcond=None)
+    w = np.sqrt(weights)
+    beta, *_ = np.linalg.lstsq(Z * w[:, None], y * w, rcond=None)
     return beta
 
 
@@ -304,50 +285,93 @@ def _gcomp(
     interactions: bool,
     estimand: EstimandSpec,
     link: str,
+    missing_covs: Sequence[str] | None = None,
 ) -> EstimateResult:
-    """G-computation on complete outcomes: an OLS (identity link) or logistic
-    maximum-likelihood start, then Newton on the (Delta, mu1, mu0, beta) stack."""
+    """G-computation: an OLS (identity link) or logistic maximum-likelihood
+    start, then Newton on the (Delta, mu1, mu0, beta, alpha) stack.
+
+    With ``missing_covs`` a logistic missingness model prop = expit(Zm alpha)
+    joins the stack and the outcome rows are weighted by w = R / max(prop,
+    PROPENSITY_FLOOR). Without it alpha is empty and prop = w = 1.
+    """
+    n = frame.n_units
     design = _ArmDesign(frame, covariates, interactions)
-    y = frame.outcome
-    Z = design.matrix(frame.require_arms())
-    beta0 = _ols(Z, y) if link == "identity" else _logistic_ml(Z, y)
+    arms = frame.require_arms()
+    Z = design.matrix(arms)
     Z1 = design.matrix_at(1)
     Z0 = design.matrix_at(0)
+    p = design.width
+    robs = frame.observed.astype(float)
+    y = np.where(robs == 1.0, np.nan_to_num(frame.outcome), 0.0)
     ginv = (lambda x: x) if link == "identity" else expit
     dginv = (lambda x: np.ones_like(x)) if link == "identity" else (lambda x: expit(x) * (1 - expit(x)))
 
+    if missing_covs is None:
+        Zm = np.empty((n, 0))
+        propensity = lambda alpha: np.ones(n)
+        alpha0 = np.empty(0)
+    else:
+        Zm = _ArmDesign(frame, missing_covs, interactions).matrix(arms)
+        propensity = lambda alpha: expit(Zm @ alpha)
+        alpha0 = _logistic_ml(Zm, robs)
+    prop0 = propensity(alpha0)
+    clipped = int((prop0 < PROPENSITY_FLOOR).sum())
+    if clipped:
+        warnings.warn(
+            f"{clipped} fitted missingness propensities below {PROPENSITY_FLOOR} "
+            "were clipped",
+            DiagnosticWarning,
+            stacklevel=3,
+        )
+    weights = robs / np.clip(prop0, PROPENSITY_FLOOR, 1.0)
+    obs = robs == 1.0
+    if link == "identity":
+        beta0 = _ols(Z, y, weights)
+    else:
+        beta0 = _logistic_ml(Z[obs], y[obs], weights[obs])
+
     def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
         delta, m1, m0 = theta[:3]
-        beta = theta[3:]
-        pred = ginv(Z @ beta)
+        beta, alpha = theta[3 : 3 + p], theta[3 + p :]
+        prop = propensity(alpha)
+        w = robs / np.clip(prop, PROPENSITY_FLOOR, 1.0)
         return np.column_stack(
             [
                 np.full(fr.n_units, estimand.value(m1, m0) - delta),
                 ginv(Z1 @ beta) - m1,
                 ginv(Z0 @ beta) - m0,
-                (y - pred)[:, None] * Z,
+                (w * (y - ginv(Z @ beta)))[:, None] * Z,
+                (robs - prop)[:, None] * Zm,
             ]
         )
 
     def jacobian(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
         _, m1, m0 = theta[:3]
-        beta = theta[3:]
+        beta, alpha = theta[3 : 3 + p], theta[3 + p :]
+        prop = propensity(alpha)
+        w = robs / np.clip(prop, PROPENSITY_FLOOR, 1.0)
+        # dw/d(Zm alpha) is -w (1 - prop), and 0 where the floor clips prop
+        dw = np.where(prop < PROPENSITY_FLOOR, 0.0, -w * (1.0 - prop))
         f1, f0 = estimand.gradient(m1, m0)
-        p = design.width
-        B = np.zeros((3 + p, 3 + p))
+        B = np.zeros((theta.size, theta.size))
         B[0, :3] = [-1.0, f1, f0]
         B[1, 1] = -1.0
-        B[1, 3:] = (dginv(Z1 @ beta)[:, None] * Z1).mean(axis=0)
+        B[1, 3 : 3 + p] = (dginv(Z1 @ beta)[:, None] * Z1).mean(axis=0)
         B[2, 2] = -1.0
-        B[2, 3:] = (dginv(Z0 @ beta)[:, None] * Z0).mean(axis=0)
-        B[3:, 3:] = -(Z.T @ (Z * dginv(Z @ beta)[:, None])) / fr.n_units
+        B[2, 3 : 3 + p] = (dginv(Z0 @ beta)[:, None] * Z0).mean(axis=0)
+        B[3 : 3 + p, 3 : 3 + p] = -(Z.T @ (Z * (w * dginv(Z @ beta))[:, None])) / n
+        B[3 : 3 + p, 3 + p :] = Z.T @ (Zm * (dw * (y - ginv(Z @ beta)))[:, None]) / n
+        B[3 + p :, 3 + p :] = -(Zm.T @ (Zm * (prop * (1.0 - prop))[:, None])) / n
         return B
 
     mu1 = float(np.mean(ginv(Z1 @ beta0)))
     mu0 = float(np.mean(ginv(Z0 @ beta0)))
-    theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0])
-    spec = PsiSpec(dim=3 + design.width, evaluate=evaluate, theta0=theta0, jacobian=jacobian)
-    return _result_from_parts(*solve_estimating_equations(spec, frame))
+    theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0, alpha0])
+    spec = PsiSpec(dim=theta0.size, evaluate=evaluate, theta0=theta0, jacobian=jacobian)
+    result = _result_from_parts(*solve_estimating_equations(spec, frame))
+    if missing_covs is not None:
+        result.details["propensity_clip_count"] = clipped
+    return result
 
 
 def estimate_ancova(
@@ -398,67 +422,13 @@ def estimate_drwls(
     """
     if link not in ("identity", "logit"):
         raise ValidationError(f"unknown link '{link}'")
-    arms = frame.require_arms()
+    frame.require_arms()
     frame.require_outcomes()
-    robs = frame.observed.astype(float)
-    if robs.min() == 1.0:
+    if frame.observed.min() == 1:
         result = _gcomp(frame, outcome_covs, interactions, estimand, link)
         result.details["missingness_model"] = "none (no missing outcomes)"
         return result
-
-    out_design = _ArmDesign(frame, outcome_covs, interactions)
-    miss_design = _ArmDesign(frame, missing_covs, interactions)
-    Zo = out_design.matrix(arms)
-    Zo1 = out_design.matrix_at(1)
-    Zo0 = out_design.matrix_at(0)
-    Zm = miss_design.matrix(arms)
-    y0 = np.where(robs == 1.0, np.nan_to_num(frame.outcome), 0.0)
-    ginv = (lambda x: x) if link == "identity" else expit
-
-    alpha0 = _logistic_ml(Zm, robs)
-    prop_raw = expit(Zm @ alpha0)
-    clipped = int((prop_raw < PROPENSITY_FLOOR).sum())
-    if clipped:
-        warnings.warn(
-            f"{clipped} fitted missingness propensities below {PROPENSITY_FLOOR} "
-            "were clipped",
-            DiagnosticWarning,
-            stacklevel=2,
-        )
-    weights = robs / np.clip(prop_raw, PROPENSITY_FLOOR, 1.0)
-    if link == "identity":
-        beta0 = _ols(Zo, y0, weights=weights)
-    else:
-        obs = robs == 1.0
-        beta0 = _logistic_ml(Zo[obs], y0[obs], weights=weights[obs])
-
-    p_out = out_design.width
-    p_miss = miss_design.width
-
-    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
-        delta, m1, m0 = theta[:3]
-        beta = theta[3 : 3 + p_out]
-        alpha = theta[3 + p_out :]
-        prop = expit(Zm @ alpha)
-        w = robs / np.clip(prop, PROPENSITY_FLOOR, 1.0)
-        return np.column_stack(
-            [
-                np.full(fr.n_units, estimand.value(m1, m0) - delta),
-                ginv(Zo1 @ beta) - m1,
-                ginv(Zo0 @ beta) - m0,
-                (w * (y0 - ginv(Zo @ beta)))[:, None] * Zo,
-                (robs - prop)[:, None] * Zm,
-            ]
-        )
-
-    mu1 = float(np.mean(ginv(Zo1 @ beta0)))
-    mu0 = float(np.mean(ginv(Zo0 @ beta0)))
-    theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0, alpha0])
-    spec = PsiSpec(dim=3 + p_out + p_miss, evaluate=evaluate, theta0=theta0)
-    theta, if_matrix, diag = solve_estimating_equations(spec, frame)
-    result = _result_from_parts(theta, if_matrix, diag)
-    result.details["propensity_clip_count"] = clipped
-    return result
+    return _gcomp(frame, outcome_covs, interactions, estimand, link, missing_covs)
 
 
 def _require_complete(frame: TrialFrame) -> None:
@@ -508,25 +478,46 @@ class _ClusterData:
         self.y_sum = self.clusters.sums(self.y)
         self.ZtZ = self.Z.T @ self.Z
         self.Zty = self.Z.T @ self.y
-        self.yty = float(self.y @ self.y)
         self.n_obs = int(self.sizes.sum())
 
-    def gls_beta(self, sigma2: float, tau2: float) -> np.ndarray:
-        c = tau2 / (sigma2 + self.sizes * tau2)
+    def gls_beta(self, lam: float) -> np.ndarray:
+        """GLS coefficients under cluster covariances proportional to I + lam 11'."""
+        c = lam / (1.0 + self.sizes * lam)
         M = self.ZtZ - (self.z_sum * c[:, None]).T @ self.z_sum
         rhs = self.Zty - self.z_sum.T @ (c * self.y_sum)
         return np.linalg.solve(M, rhs)
 
-    def neg2_loglik(self, sigma2: float, tau2: float) -> float:
-        beta = self.gls_beta(sigma2, tau2)
-        resid_sum = self.y_sum - self.z_sum @ beta
-        c = tau2 / (sigma2 + self.sizes * tau2)
-        rss = self.yty - 2 * beta @ self.Zty + beta @ self.ZtZ @ beta
-        quad = (rss - (c * resid_sum**2).sum()) / sigma2
-        logdet = self.n_obs * math.log(sigma2) + np.log(
-            1.0 + self.sizes * tau2 / sigma2
-        ).sum()
-        return float(self.n_obs * math.log(2 * math.pi) + logdet + quad)
+    def profile(self, lam: float) -> tuple[float, float]:
+        """The slope in lam of the deviance -2 log L profiled over (beta,
+        sigma^2) at lam = tau^2 / sigma^2, and sigma^2-hat(lam)."""
+        resid = self.y - self.Z @ self.gls_beta(lam)
+        r_sum = self.clusters.sums(resid)
+        h = 1.0 + self.sizes * lam
+        q = float(resid @ resid - lam * (r_sum**2 / h).sum())
+        slope = float((self.sizes / h).sum() - self.n_obs * ((r_sum / h) ** 2).sum() / q)
+        return slope, q / self.n_obs
+
+    def lambda_hat(self) -> float:
+        """Maximum-likelihood lam: 0 where the profiled deviance rises from
+        lam = 0 or every cluster is a singleton (lam is then not identified),
+        else the sign change of its slope, bracketed by doubling and bisected
+        down to adjacent floats; a root at or below 1e-6 snaps to 0."""
+        if (self.sizes == 1).all() or self.profile(0.0)[0] >= 0:
+            return 0.0
+        lo, hi = 0.0, 1.0
+        while self.profile(hi)[0] < 0:
+            if hi > 1e12:
+                raise ConvergenceError(
+                    "mixed-model likelihood has no maximum: it grows without "
+                    "bound in tau^2 / sigma^2"
+                )
+            lo, hi = hi, 2.0 * hi
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if self.profile(mid)[0] < 0:
+                lo = mid
+            else:
+                hi = mid
+        return hi if hi > 1e-6 else 0.0
 
 
 def estimate_mixed_ancova(
@@ -537,88 +528,84 @@ def estimate_mixed_ancova(
 ) -> EstimateResult:
     """Random-intercept linear mixed model with cluster-level influence values.
 
-    Maximum likelihood is computed by profiling the Gaussian likelihood over
-    (sigma^2, tau^2 >= 0) using the closed-form inverse of
-    sigma^2 I + tau^2 11'. Clusters are the analysis units: the returned
-    influence values have one entry per cluster. When tau^2 is estimated at
-    the boundary its estimating row is dropped from the sandwich stack.
+    Maximum likelihood profiles the Gaussian likelihood over lam = tau^2 /
+    sigma^2 >= 0 (Bates, Maechler, Bolker & Walker 2015): for fixed lam,
+    beta-hat is GLS and sigma^2-hat its closed-form residual quadratic form
+    over n, both from the closed-form inverse of sigma^2 (I + lam 11'). lam-hat
+    is 0 or the root of the profiled score (``_ClusterData.lambda_hat``).
+    Clusters are the analysis units: the returned influence values have one
+    entry per cluster. When lam-hat is 0, tau^2 is 0 and its estimating row is
+    dropped from the sandwich stack.
     """
     design = _ArmDesign(frame, covariates, interactions)
     data = _ClusterData(frame, design)
     _check_full_rank(data.Z)
-
-    beta_ols = _ols(data.Z, data.y)
-    resid = data.y - data.Z @ beta_ols
-    v_resid = max(float(resid @ resid) / max(data.n_obs - data.Z.shape[1], 1), 1e-8)
-    v_between = max(float(np.var(data.clusters.sums(resid) / data.sizes)), 1e-8)
-
-    def objective(params):
-        s2, t2 = params
-        if s2 <= 0:
-            return np.inf
-        return data.neg2_loglik(s2, max(t2, 0.0))
-
-    starts = [(v_resid, 0.0), (max(v_resid - v_between, v_resid / 2), v_between)]
-    best = None
-    for start in starts:
-        fit = minimize(
-            objective,
-            x0=np.array(start),
-            method="L-BFGS-B",
-            bounds=[(1e-8 * v_resid, None), (0.0, None)],
-        )
-        if best is None or fit.fun < best.fun - 1e-9 * abs(best.fun):
-            best = fit
-        elif abs(fit.fun - best.fun) <= 1e-9 * abs(best.fun) and fit.x[1] < best.x[1]:
-            best = fit
-    if best is None or not np.isfinite(best.fun):
-        raise ConvergenceError("mixed-model likelihood optimization failed")
-    sigma2, tau2 = float(best.x[0]), float(max(best.x[1], 0.0))
-    # all-singleton clusters identify only sigma^2 + tau^2: resolve to tau^2 = 0
-    boundary = tau2 <= 1e-6 * sigma2 or (data.sizes == 1).all()
-    if boundary:
-        sigma2 = sigma2 + tau2 if (data.sizes == 1).all() else sigma2
-        tau2 = 0.0
-
-    return _mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary)
-
-
-def _mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary):
+    lam = data.lambda_hat()
+    boundary = lam == 0.0
     p = design.width
     clusters = data.clusters
     N = clusters.counts
-    beta_init = data.gls_beta(sigma2, tau2)
+    z1_mean = (clusters.sums(data.Z1) / N[:, None]).mean(axis=0)
+    z0_mean = (clusters.sums(data.Z0) / N[:, None]).mean(axis=0)
 
-    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
-        delta, m1, m0 = theta[:3]
+    def parts(theta):
         beta = theta[3 : 3 + p]
         s2 = theta[3 + p]
         t2 = 0.0 if boundary else theta[4 + p]
         resid = data.y - data.Z @ beta
         r_sum = clusters.sums(resid)
-        denom = s2 + N * t2
-        vr = resid / s2 - (t2 * r_sum / (s2 * denom))[clusters.codes]
+        d = s2 + N * t2
+        vr = resid / s2 - (t2 * r_sum / (s2 * d))[clusters.codes]  # V^-1 r
+        return beta, s2, t2, r_sum, d, vr
+
+    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+        delta, m1, m0 = theta[:3]
+        beta, s2, t2, r_sum, d, vr = parts(theta)
         columns = [
             np.full(N.size, estimand.value(m1, m0) - delta),
             m1 - clusters.sums(data.Z1 @ beta) / N,
             m0 - clusters.sums(data.Z0 @ beta) / N,
             clusters.sums(data.Z * vr[:, None]),
-            -(N / s2 - t2 * N / (s2 * denom)) + clusters.sums(vr * vr),
+            -(N / s2 - t2 * N / (s2 * d)) + clusters.sums(vr * vr),
         ]
         if not boundary:
-            columns.append(-N / denom + (r_sum / denom) ** 2)
+            columns.append(-N / d + (r_sum / d) ** 2)
         return np.column_stack(columns)
 
+    def jacobian(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+        _, m1, m0 = theta[:3]
+        beta, s2, t2, r_sum, d, vr = parts(theta)
+        u = vr / s2 - (t2 * r_sum / (s2 * d**2))[clusters.codes]  # V^-2 r
+        zs = data.z_sum
+        # (beta, sigma^2, tau^2) rows summed over clusters, from V^-1 1 = 1/d,
+        # dV^-1/dsigma^2 = -V^-2 and dV^-1/dtau^2 = -11'/d^2 per cluster
+        H = np.empty((p + 2, p + 2))
+        H[:p, :p] = (zs * (t2 / (s2 * d))[:, None]).T @ zs - data.ZtZ / s2
+        H[:p, p] = -(data.Z.T @ u)
+        H[:p, p + 1] = -(zs.T @ (r_sum / d**2))
+        H[p, :p] = 2.0 * H[:p, p]
+        H[p + 1, :p] = 2.0 * H[:p, p + 1]
+        H[p, p] = ((N - 1) / s2**2 + 1.0 / d**2).sum() - 2.0 * (vr @ u)
+        H[p, p + 1] = H[p + 1, p] = (N / d**2 - 2.0 * r_sum**2 / d**3).sum()
+        H[p + 1, p + 1] = (N**2 / d**2 - 2.0 * N * r_sum**2 / d**3).sum()
+        f1, f0 = estimand.gradient(m1, m0)
+        B = np.zeros((theta.size, theta.size))
+        B[0, :3] = [-1.0, f1, f0]
+        B[1, 1] = B[2, 2] = 1.0
+        B[1, 3 : 3 + p] = -z1_mean
+        B[2, 3 : 3 + p] = -z0_mean
+        B[3:, 3:] = H[: theta.size - 3, : theta.size - 3] / N.size
+        return B
+
+    beta_init = data.gls_beta(lam)
+    sigma2 = data.profile(lam)[1]
     mu1 = float(np.mean(clusters.sums(data.Z1 @ beta_init) / N))
     mu0 = float(np.mean(clusters.sums(data.Z0 @ beta_init) / N))
     head = [estimand.value(mu1, mu0), mu1, mu0]
-    tail = [sigma2] if boundary else [sigma2, tau2]
+    tail = [sigma2] if boundary else [sigma2, lam * sigma2]
     theta0 = np.concatenate([head, beta_init, tail])
-    spec = PsiSpec(dim=len(theta0), evaluate=evaluate, theta0=theta0)
+    spec = PsiSpec(dim=len(theta0), evaluate=evaluate, theta0=theta0, jacobian=jacobian)
     theta, if_matrix, diag = solve_estimating_equations(spec, frame)
-    if not boundary and theta[4 + p] < 0:
-        # Newton polished tau^2 below zero: refit on the boundary stack
-        return _mixed_stack(frame, design, data, estimand, float(theta[3 + p]), 0.0, True)
     result = _result_from_parts(theta, if_matrix, diag)
     result.details.update(
         {

@@ -29,3 +29,24 @@ def random_frame(seed: int, n: int = 120, beta=(1.0, -1.0), effect: float = 2.0)
         outcome=y,
         arm=arms,
     )
+
+
+def fd_jacobian(evaluate):
+    """Central finite differences (step max(1e-6, 1e-6 |theta_j|)) of the mean
+    of ``evaluate``: the oracle for every analytic ``PsiSpec.jacobian``."""
+
+    def jacobian(frame, theta):
+        theta = np.asarray(theta, dtype=float)
+        jac = np.empty((theta.size, theta.size))
+        for j in range(theta.size):
+            h = max(1e-6, 1e-6 * abs(theta[j]))
+            plus = theta.copy()
+            plus[j] += h
+            minus = theta.copy()
+            minus[j] -= h
+            jac[:, j] = (
+                evaluate(frame, plus).mean(axis=0) - evaluate(frame, minus).mean(axis=0)
+            ) / (2.0 * h)
+        return jac
+
+    return jacobian

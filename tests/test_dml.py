@@ -871,6 +871,23 @@ class TestLearnerInputs:
         with pytest.raises(ValidationError, match="one value per training row"):
             dml.fit_learners(LearnerSpec(kind="knn"), [X, X], [np.zeros(6)])
 
+    def test_one_dimensional_covariates_rejected_as_such(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            fit_learner(LearnerSpec(kind="glm"), np.zeros(5), np.zeros(5))
+
+    @pytest.mark.parametrize("kind", ["glm", "knn", "stump_ensemble"])
+    @pytest.mark.parametrize(
+        "X,y",
+        [
+            ([[np.nan], [1.0], [2.0]], [0.0, 1.0, 1.0]),
+            ([[0.0], [np.inf], [2.0]], [0.0, 1.0, 1.0]),
+            ([[0.0], [1.0], [2.0]], [0.0, np.nan, 1.0]),
+        ],
+    )
+    def test_non_finite_inputs_rejected_before_fitting(self, kind, X, y):
+        with pytest.raises(ValidationError, match="finite"):
+            fit_learner(LearnerSpec(kind=kind), X, y)
+
     @pytest.mark.parametrize("kind", ["glm", "knn", "stump_ensemble"])
     def test_feature_counts_must_agree(self, kind):
         rng = np.random.default_rng(55)

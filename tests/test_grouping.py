@@ -40,6 +40,8 @@ from rerand.mestimators import (
 )
 from rerand.simlab import SimEstimator, apply_estimator, scheme_inference
 
+from conftest import fd_jacobian
+
 DIFF = EstimandSpec("difference")
 RATIO = EstimandSpec("ratio")
 
@@ -284,7 +286,7 @@ def _reference_estimate_mixed_ancova(frame, covariates, interactions, estimand):
     data = _ReferenceClusterData(frame, design)
     _check_full_rank(data.Z)
 
-    beta_ols = _ols(data.Z, data.y)
+    beta_ols = _ols(data.Z, data.y, np.ones(data.n_obs))
     resid = data.y - data.Z @ beta_ols
     v_resid = max(float(resid @ resid) / max(data.n_obs - data.Z.shape[1], 1), 1e-8)
     cluster_means = np.array(
@@ -356,7 +358,10 @@ def _reference_mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary
     head = [estimand.value(mu1, mu0), mu1, mu0]
     tail = [sigma2] if boundary else [sigma2, tau2]
     theta0 = np.concatenate([head, beta_init, tail])
-    spec = PsiSpec(dim=len(theta0), evaluate=lambda fr, th: cluster_psi(th), theta0=theta0)
+    evaluate = lambda fr, th: cluster_psi(th)
+    spec = PsiSpec(
+        dim=len(theta0), evaluate=evaluate, theta0=theta0, jacobian=fd_jacobian(evaluate)
+    )
     theta, if_matrix, diag = solve_estimating_equations(spec, frame)
     if not boundary and theta[4 + p] < 0:
         return _reference_mixed_stack(frame, design, data, estimand, float(theta[3 + p]), 0.0, True)
@@ -405,15 +410,32 @@ class TestMixedOracle:
         expected = _reference_estimate_mixed_ancova(frame, ("x1", "x2"), interactions, estimand)
         assert got.delta_hat == pytest.approx(expected.delta_hat, rel=1e-12, abs=0)
         assert got.details["sigma2"] == pytest.approx(expected.details["sigma2"], rel=1e-12, abs=0)
-        # tau^2 agrees to rtol 1e-10 here, not 1e-12 (6.6e-12 seen on this
-        # panel): group sums add each cluster's units in row order where the
-        # loops summed pairwise, and tau^2 is the least determined parameter.
-        # The likelihood stage uses finite-difference gradients and Newton
-        # stops at residual 1e-10, so the loop code itself moves tau^2 by up to
-        # 4e-11 (delta-hat by 3e-12) when only the rows of these frames are permuted
+        # tau^2 agrees to rtol 1e-10 here, not 1e-12: the loop oracle takes
+        # tau^2 from an L-BFGS-B search with finite-difference gradients and a
+        # Newton pass that stops at residual 1e-10, so it moves tau^2 by up to
+        # 9e-11 (delta-hat by 6e-12) when only the rows of these frames are
+        # permuted, while the profiled root is stable to 1e-12 (next test)
         assert got.details["tau2"] == pytest.approx(expected.details["tau2"], rel=1e-10, abs=0)
         scale = np.abs(expected.if_values).max()
         np.testing.assert_allclose(got.if_values, expected.if_values, rtol=0, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize(
+        "name,shape,interactions,estimand", MIXED_PANEL, ids=[p[0] for p in MIXED_PANEL]
+    )
+    def test_row_permutations_agree(self, name, shape, interactions, estimand):
+        frame = _mixed_frame(**shape)
+        base = estimate_mixed_ancova(frame, ("x1", "x2"), interactions, estimand)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            rows = rng.permutation(frame.n_units)
+            permuted = TrialFrame(
+                covariates=frame.covariates[rows], covariate_names=frame.covariate_names,
+                outcome=frame.outcome[rows], arm=frame.arm[rows], cluster=frame.cluster[rows],
+            )
+            got = estimate_mixed_ancova(permuted, ("x1", "x2"), interactions, estimand)
+            assert got.delta_hat == pytest.approx(base.delta_hat, rel=1e-12, abs=0)
+            for key in ("sigma2", "tau2"):
+                assert got.details[key] == pytest.approx(base.details[key], rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------

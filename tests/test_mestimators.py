@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import rerand.mestimators
 from rerand import (
     EstimandSpec,
     PsiSpec,
@@ -20,7 +23,7 @@ from rerand.errors import (
     ValidationError,
 )
 
-from conftest import random_frame
+from conftest import fd_jacobian, random_frame
 
 DIFF = EstimandSpec("difference")
 RATIO = EstimandSpec("ratio")
@@ -35,7 +38,7 @@ class TestSolver:
         def evaluate(frame, theta):
             return (y - X @ theta)[:, None] * X
 
-        spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.zeros(2))
+        spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.zeros(2), jacobian=fd_jacobian(evaluate))
         frame = TrialFrame(covariates=X, covariate_names=("a", "b"))
         theta, _, diag = solve_estimating_equations(spec, frame)
         np.testing.assert_allclose(theta, oracle, atol=1e-8)
@@ -47,7 +50,9 @@ class TestSolver:
         def evaluate(fr, theta):
             return np.column_stack([fr.outcome - theta[0], fr.outcome**2 - theta[1]])
 
-        spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.array([0.0, 1.0]))
+        spec = PsiSpec(
+            dim=2, evaluate=evaluate, theta0=np.array([0.0, 1.0]), jacobian=fd_jacobian(evaluate)
+        )
         _, _, diag = solve_estimating_equations(spec, frame)
         assert diag.residual_norm <= 1e-10
 
@@ -60,7 +65,7 @@ class TestSolver:
             p = 1.0 / (1.0 + np.exp(-X @ theta))
             return (y - p)[:, None] * X
 
-        spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.zeros(2))
+        spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.zeros(2), jacobian=fd_jacobian(evaluate))
         frame = TrialFrame(covariates=X, covariate_names=("a", "b"))
         with pytest.raises(ConvergenceError):
             solve_estimating_equations(spec, frame)
@@ -388,3 +393,74 @@ class TestMixedAncova:
         )
         with pytest.raises(ValidationError, match="mixes"):
             estimate_mixed_ancova(bad, ("x",), False, DIFF)
+
+
+def _missing_frame(seed, binary, intercept=1.0, slope=1.0, n=300):
+    """Outcomes missing at random given x1; binary or continuous outcomes."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    arms = np.array([1, 0] * (n // 2))
+    eta = 0.2 + 0.8 * arms + x @ [0.7, -0.4]
+    if binary:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        y = eta + rng.normal(size=n)
+    robs = rng.random(n) < 1.0 / (1.0 + np.exp(-(intercept + slope * x[:, 0])))
+    robs[:4] = True  # keep both arms analyzable
+    return TrialFrame(
+        covariates=x, covariate_names=("x1", "x2"), outcome=np.where(robs, y, np.nan), arm=arms
+    )
+
+
+def _drwls(link, estimand, **shape):
+    frame = _missing_frame(binary=link == "logit", **shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticWarning)
+        return estimate_drwls(frame, ("x1", "x2"), ("x1", "x2"), link, True, estimand)
+
+
+# One call per production stack; the tag after ':' is checked on the result.
+STACKS = {
+    "unadjusted_difference": lambda: estimate_unadjusted(random_frame(30), DIFF),
+    "unadjusted_ratio": lambda: estimate_unadjusted(random_frame(31, effect=3.0), RATIO),
+    "ancova_interactions": lambda: estimate_ancova(random_frame(32), ("x1", "x2"), True, DIFF),
+    "glm2": lambda: estimate_gcomp_logistic(_binary_frame(33, n=120), ("x",), True, RATIO),
+    "drwls_identity": lambda: _drwls("identity", DIFF, seed=34),
+    "drwls_logit": lambda: _drwls("logit", RATIO, seed=35),
+    "drwls_identity:clipped": lambda: _drwls("identity", DIFF, seed=36, intercept=-3.5, slope=5.0),
+    "drwls_logit:clipped": lambda: _drwls("logit", RATIO, seed=37, intercept=-3.5, slope=5.0),
+    "mixed:interior": lambda: estimate_mixed_ancova(_cluster_frame(12), ("x",), False, RATIO),
+    "mixed:boundary": lambda: estimate_mixed_ancova(
+        _cluster_frame(16, tau=0.0), ("x",), True, DIFF
+    ),
+}
+
+
+class TestAnalyticJacobians:
+    """Every production stack's closed-form B-hat against central finite
+    differences of its own ``evaluate``, at theta-hat and at a perturbed theta."""
+
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_matches_finite_differences(self, name, monkeypatch):
+        solved = []
+        solve = rerand.mestimators.solve_estimating_equations
+
+        def spy(spec, frame):
+            theta, if_matrix, diag = solve(spec, frame)
+            solved.append((spec, frame, theta))
+            return theta, if_matrix, diag
+
+        monkeypatch.setattr(rerand.mestimators, "solve_estimating_equations", spy)
+        result = STACKS[name]()
+        tag = name.partition(":")[2]
+        if tag == "clipped":
+            assert result.details["propensity_clip_count"] > 0
+        elif tag:
+            assert (result.details["tau2"] == 0.0) == (tag == "boundary")
+        (spec, frame, theta_hat), = solved
+        rng = np.random.default_rng(0)
+        u = rng.uniform(-1.0, 1.0, size=(2, theta_hat.size))
+        for theta in (theta_hat, theta_hat * (1.0 + 0.1 * u[0]) + 0.01 * u[1]):
+            B = spec.jacobian(frame, theta)
+            oracle = fd_jacobian(spec.evaluate)(frame, theta)
+            np.testing.assert_allclose(B, oracle, rtol=0, atol=1e-7 * np.abs(B).max())
