@@ -9,9 +9,10 @@ across workers. CSV ingestion follows the reserved column names documented in
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -403,7 +404,7 @@ def load_csv(path) -> TrialFrame:
     explicit ``observed`` column is also present the two encodings must agree.
     The frame checks that ``arm`` and ``observed`` hold 0 or 1.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -446,39 +447,57 @@ def load_csv(path) -> TrialFrame:
     )
 
 
-def _format_float(x: float) -> str:
-    # repr gives the shortest string that round-trips at full precision
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(float(x))
+_WRITE_BLOCK_ROWS = 4096  # rows per write, so the transient text stays bounded as n grows
+
+
+def _number_fields(values: np.ndarray, rows: slice) -> list[str]:
+    """Integers below 1e16 without a point, NaN (a missing outcome) blank, others by repr."""
+    values = values[rows]
+    floats = values.tolist()
+    fields = list(map(repr, floats))
+    special = np.isnan(values) | ((values == np.trunc(values)) & (np.abs(values) < 1e16))
+    for i in np.flatnonzero(special).tolist():
+        fields[i] = "" if math.isnan(floats[i]) else str(int(floats[i]))
+    return fields
+
+
+def _label_fields(groups: Grouping):
+    """Each distinct label quoted once as csv.writer quotes it, then expanded by code."""
+    buffer, ends = io.StringIO(), [0]
+    writer = csv.writer(buffer)
+    for label in groups.labels.tolist():
+        writer.writerow((label, ""))  # a second field: csv writes a lone "" as '""'
+        ends.append(buffer.tell())
+    text = buffer.getvalue()
+    quoted = np.array([text[a : b - 3] for a, b in zip(ends, ends[1:])], dtype=object)
+    return lambda rows: quoted[groups.codes[rows]].tolist()
 
 
 def write_csv(frame: TrialFrame, path) -> None:
     """Write a frame in the canonical reserved-name CSV layout.
 
-    Numeric fields are written at full round-trip precision, so
-    write -> load -> write is byte-stable.
+    Numbers are written at full round-trip precision and labels quoted by csv's
+    rules, with CRLF line ends, so write -> load -> write is byte-stable.
     """
-    header: list[str] = []
-    columns: list = []
+    integers = lambda values: lambda rows: list(map(str, values[rows].tolist()))
+    columns: list = []  # (name, row slice -> that slice's CSV fields)
     if frame.outcome is not None:
-        observed = frame.observed.tolist()
-        header += ["outcome", "observed"]
-        columns.append(
-            _format_float(y) if seen else "" for y, seen in zip(frame.outcome.tolist(), observed)
-        )
-        columns.append(observed)
+        columns.append(("outcome", partial(_number_fields, frame.outcome)))
+        columns.append(("observed", integers(frame.observed)))
     if frame.arm is not None:
-        header.append("arm")
-        columns.append(frame.arm.tolist())
-    for name in ("stratum", "cluster"):
-        if getattr(frame, name) is not None:
-            header.append(name)
-            columns.append(getattr(frame, name).tolist())
-    header += frame.covariate_names
-    columns += [map(_format_float, column) for column in frame.covariates.T.tolist()]
+        columns.append(("arm", integers(frame.arm)))
+    for name, groups in (("stratum", frame.stratum_groups), ("cluster", frame.cluster_groups)):
+        if groups is not None:
+            columns.append((name, _label_fields(groups)))
+    for name, values in zip(frame.covariate_names, frame.covariates.T):
+        columns.append((name, partial(_number_fields, values)))
 
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*columns) if columns else [()] * frame.n_units)
+        csv.writer(handle).writerow([name for name, _ in columns])
+        for start in range(0, frame.n_units, _WRITE_BLOCK_ROWS):
+            rows = slice(start, min(start + _WRITE_BLOCK_ROWS, frame.n_units))
+            fields = [column(rows) for _, column in columns]
+            if len(fields) == 1:  # csv writes a row whose only field is empty as ""
+                fields[0] = [field or '""' for field in fields[0]]
+            lines = map(",".join, zip(*fields)) if fields else [""] * (rows.stop - start)
+            handle.write("\r\n".join(lines) + "\r\n")

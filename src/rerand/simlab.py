@@ -22,6 +22,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -108,8 +109,14 @@ class CompleteTrial:
     r: tuple[np.ndarray, np.ndarray]  # (r(0), r(1))
     missingness: bool
 
+    @cached_property
     def allocation_frame(self) -> TrialFrame:
-        return self._frame()
+        """The pre-allocation frame; ``reveal`` reuses its columns and labels."""
+        return TrialFrame(
+            covariates=np.column_stack([self.x1, self.x2]),
+            covariate_names=DGP_COVARIATES,
+            stratum=self.s.astype(str).tolist(),
+        )
 
     def reveal(self, arms: np.ndarray) -> TrialFrame:
         arms = np.asarray(arms)
@@ -117,15 +124,7 @@ class CompleteTrial:
         if self.missingness:
             robs = np.where(arms == 1, self.r[1], self.r[0])
             y = np.where(robs == 1, y, np.nan)
-        return self._frame(outcome=y, arm=arms)
-
-    def _frame(self, **columns) -> TrialFrame:
-        return TrialFrame(
-            covariates=np.column_stack([self.x1, self.x2]),
-            covariate_names=DGP_COVARIATES,
-            stratum=self.s.astype(str),
-            **columns,
-        )
+        return dataclasses.replace(self.allocation_frame, outcome=y, arm=arms)
 
 
 def _potential_draws(coef: CustomDgp, rng: np.random.Generator, n: int):
@@ -416,7 +415,7 @@ def _replicate(config: SimConfig, truth: dict, r: int) -> dict:
     rep_seed = derive_seed(config.master_seed, "replicate", r)
     trial = generate_trial(config.dgp, derive_seed(rep_seed, "data"))
     alloc = rerandomize(
-        trial.allocation_frame(), config.design, derive_seed(rep_seed, "alloc")
+        trial.allocation_frame, config.design, derive_seed(rep_seed, "alloc")
     )
     frame = trial.reveal(alloc.arms)
     design = config.design

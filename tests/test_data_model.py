@@ -1,3 +1,4 @@
+import codecs
 import csv
 import re
 import tempfile
@@ -17,7 +18,7 @@ from rerand import (
     validate_design,
     write_csv,
 )
-from rerand.data_model import RESERVED_COLUMNS
+from rerand.data_model import _WRITE_BLOCK_ROWS, RESERVED_COLUMNS
 from rerand.errors import DataError, ParseError, ValidationError
 
 
@@ -95,6 +96,16 @@ class TestLoadCsv:
         write_lines(path, ["x1,x1", "0.5,1.0"])
         with pytest.raises(DataError, match="duplicate"):
             load_csv(path)
+
+    def test_utf8_bom_is_not_part_of_the_first_name(self, tmp_path):
+        text = "outcome,arm,stratum,x1\r\n1.5,1,a,0.5\r\n,0,b,0.25\r\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        frame = load_csv(bom)
+        assert_same_frame(frame, load_csv(plain))
+        assert frame.covariate_names == ("x1",)
+        np.testing.assert_array_equal(frame.observed, [1, 0])
 
 
 class TestTrialFrame:
@@ -206,6 +217,63 @@ MALFORMED_CSV = {
 }
 
 
+def _large_frame() -> TrialFrame:
+    """More rows than two write blocks, ending in a partial block."""
+    n = 2 * _WRITE_BLOCK_ROWS + 3
+    rng = np.random.default_rng(10)
+    return TrialFrame(
+        covariates=np.column_stack([rng.normal(size=n), rng.integers(-5, 5, n)]),
+        covariate_names=("x", "count"),
+        outcome=np.where(rng.random(n) < 0.9, rng.normal(size=n), np.nan),
+        arm=rng.integers(0, 2, n),
+        stratum=[f"s{i % 7}" for i in range(n)],
+        cluster=[f"c,{i % 301}" for i in range(n)],
+    )
+
+
+_BOUNDARY_FLOATS = [
+    1e16 - 2, -(1e16 - 2), 1e16, -1e16, -0.0, 5e-324, 2.0**53 + 2, 0.5, 1e308,
+]
+_AWKWARD_LABELS = ["a,b", 'say "hi"', "cr\rx", "lf\nx", "a,\r\nb", '"', ",", "plain", " pad "]
+
+# Frames beyond the reach of the hypothesis panel; each is written to the same
+# bytes by the column-wise writer and the row-wise oracle.
+WRITER_FRAMES = {
+    "several_blocks": _large_frame,
+    "lone_empty_stratum": lambda: TrialFrame(
+        covariates=np.zeros((4, 0)), covariate_names=(), stratum=["", "a", "", '""']
+    ),
+    "lone_empty_cluster": lambda: TrialFrame(
+        covariates=np.zeros((2, 0)), covariate_names=(), cluster=["", ""]
+    ),
+    "empty_label_beside_others": lambda: TrialFrame(
+        covariates=np.zeros((2, 1)), covariate_names=("x",), stratum=["", "b"]
+    ),
+    "no_columns": lambda: TrialFrame(covariates=np.zeros((3, 0)), covariate_names=()),
+    "integer_boundaries": lambda: TrialFrame(
+        covariates=np.array([_BOUNDARY_FLOATS, _BOUNDARY_FLOATS[::-1]]).T,
+        covariate_names=("x", "y"),
+        outcome=np.array(_BOUNDARY_FLOATS),
+        arm=np.arange(len(_BOUNDARY_FLOATS)) % 2,
+    ),
+    "awkward_labels": lambda: TrialFrame(
+        covariates=np.arange(len(_AWKWARD_LABELS), dtype=float)[:, None] / 4,
+        covariate_names=("x,1",),
+        stratum=_AWKWARD_LABELS,
+        cluster=_AWKWARD_LABELS[::-1],
+    ),
+    "unobserved_outcomes": lambda: TrialFrame(
+        covariates=np.ones((4, 1)),
+        covariate_names=("x",),
+        outcome=np.array([np.nan, 2.5, np.nan, -0.0]),
+        arm=np.array([0, 1, 1, 0]),
+    ),
+    "only_unobserved_outcomes": lambda: TrialFrame(
+        covariates=np.zeros((2, 0)), covariate_names=(), outcome=np.array([np.nan, np.nan])
+    ),
+}
+
+
 def assert_same_frame(a: TrialFrame, b: TrialFrame) -> None:
     """Equal arrays down to dtype, memory layout, NaN payload and the sign of zero."""
     assert a.covariate_names == b.covariate_names
@@ -247,6 +315,12 @@ class TestCsvMatchesRowWiseOracle:
         assert written == _write_bytes(_reference_write_csv, frame, tmp_path / "old.csv")
         reloaded = load_csv(tmp_path / "new.csv")
         assert _write_bytes(write_csv, reloaded, tmp_path / "again.csv") == written
+
+    @pytest.mark.parametrize("name", sorted(WRITER_FRAMES))
+    def test_writer_panel(self, name, tmp_path):
+        frame = WRITER_FRAMES[name]()
+        written = _write_bytes(write_csv, frame, tmp_path / "new.csv")
+        assert written == _write_bytes(_reference_write_csv, frame, tmp_path / "old.csv")
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_CSV))
     def test_malformed_panel(self, name, tmp_path):
