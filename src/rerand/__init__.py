@@ -24,7 +24,7 @@ from .data_model import (
     validate_design,
     write_csv,
 )
-from .dml import FoldPlan, LearnerSpec, estimate_dml, fit_learner, make_folds
+from .dml import FoldPlan, LearnerSpec, estimate_dml, make_folds
 from .inference import (
     CIResult,
     LimitSpec,

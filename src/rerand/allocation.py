@@ -196,55 +196,18 @@ def _as_matrix(Xr: np.ndarray) -> np.ndarray:
     return Xr
 
 
-class _BalanceChecker:
-    """Per-proposal imbalance/distance evaluation with arm-free parts cached."""
-
-    def __init__(self, frame: TrialFrame, design: Design):
-        self.design = design
-        self.Xr = frame.covariates[:, list(design.rerand_covariates)]
-        self.n = frame.n_units
-        if design.stratified:
-            self.strata = frame.stratum_groups
-            centered = self.strata.centered(self.Xr)
-        else:
-            centered = self.Xr - self.Xr.mean(axis=0)
-        self.scatter = centered.T @ centered
-        # positions of each tier's covariate indices inside the X^r vector
-        self.tier_positions = [
-            tuple(design.rerand_covariates.index(j) for j in tier.indices)
-            for tier in design.tiers
-        ]
-
-    def statistic(self, arms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n1 = int(arms.sum())
-        n0 = self.n - n1
-        if n1 == 0 or n0 == 0:
-            raise ValidationError("both arms must be non-empty")
-        vhat = self.scatter / (n1 * n0)
-        design = self.design
-        if design.stratified and design.stratified_statistic == "stratum_weighted":
-            imb = _stratum_dagger(self.Xr, arms, self.strata)
-        else:
-            imb = self.Xr[arms == 1].mean(axis=0) - self.Xr[arms == 0].mean(axis=0)
-        return imb, vhat
-
-    def distances(
-        self, imb: np.ndarray, vhat: np.ndarray
-    ) -> tuple[float | None, tuple[float, ...] | None, bool]:
-        """Returns (overall distance, tier distances, accepted)."""
-        design = self.design
-        if design.tiers:
-            dists = []
-            ok = True
-            for tier, positions in zip(design.tiers, self.tier_positions):
-                idx = list(positions)
-                sub_v = vhat[np.ix_(idx, idx)]
-                dist = balance_distance(imb[idx], tier.distance.realize(sub_v))
-                dists.append(dist)
-                ok = ok and dist < tier.threshold
-            return None, tuple(dists), ok
-        dist = balance_distance(imb, design.distance.realize(vhat))
-        return dist, None, dist < design.threshold_t
+def balance_forms(design: Design, scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The balance criterion as one (X^r positions, weight, threshold) form per
+    tier of ``design.criterion``, the weight realized on the tier's block of
+    ``scale``, a q x q multiple c Var(I). An imbalance I passes the criterion
+    when I[positions]' (weight / c)^-1 I[positions] < threshold for every form.
+    """
+    forms = []
+    for tier in design.criterion:
+        positions = np.array([design.rerand_covariates.index(j) for j in tier.indices], np.intp)
+        weight = tier.distance.realize(scale[np.ix_(positions, positions)])
+        forms.append((positions, weight, tier.threshold))
+    return forms
 
 
 def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
@@ -252,7 +215,7 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
 
     One master seed drives the whole proposal stream, so the realized
     allocation is reproducible from (seed, design, frame). Non-rerandomized
-    schemes and an infinite threshold accept the first proposal. Degenerate
+    schemes and infinite thresholds accept the first proposal. Degenerate
     proposals that leave an arm (or a stratum-arm cell, for the
     stratum-weighted statistic) empty are rejected and counted.
     """
@@ -265,30 +228,44 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
             return _permuted_block_draw(rng, frame.stratum_groups, design.pi, design.block_size)
         return _simple_draw(rng, n, design.pi)
 
-    record_balance = design.q >= 1
-    checker = _BalanceChecker(frame, design) if record_balance else None
-    vacuous = (not design.rerandomized) or (
-        math.isinf(design.threshold_t) and not design.tiers
-    )
+    if design.q < 1:
+        return Allocation(propose(), 1, None, np.zeros(0), np.zeros((0, 0)))
+    Xr = frame.covariates[:, list(design.rerand_covariates)]
+    strata = frame.stratum_groups if design.stratified else None
+    centered = Xr - Xr.mean(axis=0) if strata is None else strata.centered(Xr)
+    scatter = centered.T @ centered  # Var(I) of a proposal is scatter / (N1 N0)
+    dagger = strata is not None and design.stratified_statistic == "stratum_weighted"
 
-    if vacuous:
+    def statistic(arms: np.ndarray) -> tuple[np.ndarray, int]:
+        n1 = int(arms.sum())
+        if n1 == 0 or n1 == n:
+            raise ValidationError("both arms must be non-empty")
+        if dagger:
+            return _stratum_dagger(Xr, arms, strata), n1 * (n - n1)
+        return Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0), n1 * (n - n1)
+
+    if not design.rerandomized or all(math.isinf(tier.threshold) for tier in design.criterion):
         arms = propose()
-        imb, vhat = (
-            checker.statistic(arms)
-            if record_balance
-            else (np.zeros(0), np.zeros((0, 0)))
-        )
-        return Allocation(arms, 1, None, imb, vhat)
+        imb, n1n0 = statistic(arms)
+        return Allocation(arms, 1, None, imb, scatter / n1n0)
 
+    forms = balance_forms(design, scatter)
     for attempt in range(1, design.max_attempts + 1):
         arms = propose()
         try:
-            imb, vhat = checker.statistic(arms)
+            imb, n1n0 = statistic(arms)
         except ValidationError:
             continue  # degenerate proposal: count it and redraw
-        dist, tier_dists, accepted = checker.distances(imb, vhat)
-        if accepted:
-            return Allocation(arms, attempt, dist, imb, vhat, tier_dists)
+        dists = []
+        for positions, weight, threshold in forms:
+            dists.append(balance_distance(imb[positions], weight / n1n0))
+            if not dists[-1] < threshold:
+                break
+        else:
+            tiered = bool(design.tiers)
+            accepted = None if tiered else dists[0]
+            tier_dists = tuple(dists) if tiered else None
+            return Allocation(arms, attempt, accepted, imb, scatter / n1n0, tier_dists)
     raise NonTerminationError(
         f"no proposal satisfied the balance criterion within "
         f"{design.max_attempts} attempts; consider a larger threshold t"

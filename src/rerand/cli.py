@@ -88,28 +88,60 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_kv_file(path: str) -> dict:
-    """Parse a `key = value` config file; `tier` and `estimator` repeat."""
+_DESIGN_KEYS = (
+    "pi", "scheme", "rerand", "t", "distance", "tier", "block_size", "max_attempts", "statistic",
+)
+_SIM_KEYS = (
+    "dgp.family", "dgp.n", "dgp.missingness",
+    *(f"dgp.{f.name}" for f in dataclasses.fields(CustomDgp)),
+    *(f"design.{key}" for key in _DESIGN_KEYS),
+    "estimator", "replicates", "master_seed", "alpha", "ci_draws", "workers",
+    "truth.difference", "truth.ratio", "truth_draws", "keep_replicates",
+)
+_REPEATED_KEYS = ("tier", "design.tier", "estimator")
+
+
+def _parse_kv_file(path: str, keys: tuple[str, ...]) -> dict:
+    """Parse a `key = value` config file over the known ``keys``.
+
+    A '#' at the start of a line or after whitespace starts a comment that
+    runs to the end of the line. `tier`, `design.tier` and `estimator` repeat
+    and map to lists; any other key keeps its last value. A line that is not
+    `key = value`, or whose key is not in ``keys``, raises :class:`DataError`
+    naming the file and line.
+    """
     values: dict = {}
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
     except OSError as exc:
         raise DataError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _uncommented(raw).strip()
+        if not line:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in ("tier", "estimator"):
+        if key not in keys:
+            raise DataError(f"{path}:{lineno}: unknown key '{key}'")
+        if key in _REPEATED_KEYS:
             values.setdefault(key, []).append(value)
         else:
             values[key] = value
     return values
+
+
+def _uncommented(line: str) -> str:
+    """``line`` up to its first '#' that starts the line or follows whitespace."""
+    for i, char in enumerate(line):
+        if char == "#" and (i == 0 or line[i - 1].isspace()):
+            return line[:i]
+    return line
 
 
 def _parse_bool(text: str) -> bool:
@@ -237,7 +269,7 @@ def _estimator_from_tokens(spec: str) -> SimEstimator:
 
 
 def sim_config_from_file(path: str) -> SimConfig:
-    cfg = _parse_kv_file(path)
+    cfg = _parse_kv_file(path, _SIM_KEYS)
 
     custom = None
     custom_fields = {f.name for f in dataclasses.fields(CustomDgp)}
@@ -353,14 +385,14 @@ def _emit(payload: dict, out_path: str | None, outcome: CommandOutcome) -> None:
 
 def _cmd_allocate(args, outcome: CommandOutcome) -> None:
     frame = load_csv(args.data)
-    design = design_from_config(_parse_kv_file(args.design), frame.covariate_names)
+    design = design_from_config(_parse_kv_file(args.design, _DESIGN_KEYS), frame.covariate_names)
     validate_design(design, frame)
     resolved = {"design": dataclasses.asdict(design), "seed": args.seed}
     resolved["data_sha256"] = _file_sha256(args.data)
     digest = canonical_digest(resolved)
     _log_record(outcome, "allocate", resolved, digest, data=args.data)
     alloc = rerandomize(frame, design, args.seed)
-    write_csv(frame.with_arms(alloc.arms), args.out)
+    write_csv(frame.with_columns(arm=alloc.arms), args.out)
     outcome.files.append(args.out)
     meta = {
         "attempts": alloc.attempts,
@@ -400,7 +432,8 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         fold_mode=args.fold_mode.replace("-", "_"),
     )
     if args.design:
-        design = design_from_config(_parse_kv_file(args.design), frame.covariate_names)
+        cfg = _parse_kv_file(args.design, _DESIGN_KEYS)
+        design = design_from_config(cfg, frame.covariate_names)
         validate_design(design, frame)
     else:
         design = Design(pi=0.5, scheme="simple")

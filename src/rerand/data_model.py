@@ -204,8 +204,14 @@ class TrialFrame:
     def cluster_groups(self) -> Grouping | None:
         return None if self.cluster is None else factorize(self.cluster)
 
-    def with_arms(self, arms: np.ndarray) -> "TrialFrame":
-        return replace(self, arm=np.asarray(arms))
+    def with_columns(self, **columns) -> "TrialFrame":
+        """This frame with ``columns`` replaced; the groupings it has computed
+        carry over for the label columns left as they are."""
+        frame = replace(self, **columns)
+        for label in {"stratum", "cluster"} - columns.keys():
+            if f"{label}_groups" in self.__dict__:
+                frame.__dict__[f"{label}_groups"] = self.__dict__[f"{label}_groups"]
+        return frame
 
     def require_arms(self) -> np.ndarray:
         if self.arm is None:
@@ -236,16 +242,13 @@ class DistanceSpec:
             raise ValidationError(f"unknown weight rule '{self.weight}'")
 
     def realize(self, vhat: np.ndarray) -> np.ndarray:
-        """Weight matrix to invert in the balance criterion, given V̂ar(I)."""
-        vhat = np.atleast_2d(np.asarray(vhat, dtype=float))
-        if self.kind == "mahalanobis":
-            return vhat
-        return np.diag(np.diag(vhat))
+        """Weight matrix to invert in the balance criterion, given a (q, q) V̂ar(I)."""
+        return vhat if self.kind == "mahalanobis" else np.diag(np.diag(vhat))
 
 
 @dataclass(frozen=True)
 class Tier:
-    """One tier of the tiered balance criterion: indices, rule, threshold."""
+    """One tier of the balance criterion: covariate indices, threshold, rule."""
 
     indices: tuple[int, ...]
     threshold: float
@@ -257,8 +260,9 @@ class Design:
     """Randomization scheme specification.
 
     ``rerand_covariates`` indexes into the frame's covariate columns and
-    defines X^r (dimension q). ``block_size`` only matters for stratified
-    schemes and must satisfy pi * block_size integral.
+    defines X^r (dimension q); the balance criterion is ``tiers`` or, without
+    them, ``threshold_t`` and ``distance``. ``block_size`` only matters for
+    stratified schemes and must satisfy pi * block_size integral.
     """
 
     pi: float
@@ -278,6 +282,8 @@ class Design:
             raise ValidationError(f"unknown scheme '{self.scheme}'")
         if self.threshold_t <= 0:
             raise ValidationError("threshold_t must be positive")
+        if self.tiers and not math.isinf(self.threshold_t):
+            raise ValidationError("a tiered design takes its thresholds from its tiers, not t")
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be at least 1")
         if self.stratified_statistic not in ("pooled", "stratum_weighted"):
@@ -300,6 +306,11 @@ class Design:
     @property
     def q(self) -> int:
         return len(self.rerand_covariates)
+
+    @property
+    def criterion(self) -> tuple[Tier, ...]:
+        """The tiers a proposal must all pass; without tiers, one over all of X^r."""
+        return self.tiers or (Tier(self.rerand_covariates, self.threshold_t, self.distance),)
 
 
 def validate_design(design: Design, frame: TrialFrame) -> Design:
@@ -402,15 +413,18 @@ def load_csv(path) -> TrialFrame:
     roles; every other column is a covariate. Numeric cells are read by Python
     ``float``. Empty outcome cells mean missing (observed = 0); when an
     explicit ``observed`` column is also present the two encodings must agree.
-    The frame checks that ``arm`` and ``observed`` hold 0 or 1.
+    The frame checks that ``arm`` and ``observed`` hold 0 or 1. Text that is
+    not UTF-8 raises :class:`DataError`.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        data_rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            data_rows = list(reader)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
 
     seen: set[str] = set()
     for name in header:

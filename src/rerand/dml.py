@@ -136,24 +136,16 @@ _GLM_ITERATIONS = 25  # IRLS steps a logistic fit takes at most
 _GLM_TOL = 1e-12  # relative IRLS step at which a logistic fit stops
 
 
-def fit_learner(spec: LearnerSpec, X: np.ndarray, y: np.ndarray):
-    """Train a learner on (X, y); returns a prediction map over covariates.
-
-    Missingness learners return probabilities clipped to [0.01, 1].
-    """
-    return fit_learners(spec, [X], [y])[0]
-
-
 def fit_learners(spec: LearnerSpec, Xs, ys) -> list:
     """Train one learner per training set (Xs[i], ys[i]) and return the
-    prediction maps in order.
+    prediction maps over covariates, in order.
 
-    k-NN fits run one after another. Stump ensembles and GLMs are fitted in
-    batches of consecutive sets whose padded cells stay within
-    ``_BATCH_CELLS``; stump ensembles share one boosting loop per batch
-    (``_fit_stumps``) and GLMs one IRLS loop (``_fit_glms``). Map i equals
-    ``fit_learner(spec, Xs[i], ys[i])`` bit for bit for stumps and k-NN, and
-    to rounding for GLMs.
+    Missingness learners return probabilities clipped to [0.01, 1]. k-NN fits
+    run one after another. Stump ensembles and GLMs are fitted in batches of
+    consecutive sets whose padded cells stay within ``_BATCH_CELLS``; stump
+    ensembles share one boosting loop per batch (``_fit_stumps``) and GLMs one
+    IRLS loop (``_fit_glms``). Map i equals the map of (Xs[i], ys[i]) fitted
+    alone, bit for bit for stumps and k-NN, and to rounding for GLMs.
     """
     Xs = [np.asarray(X, dtype=float) for X in Xs]
     ys = [np.asarray(y, dtype=float) for y in ys]

@@ -5,8 +5,8 @@ sqrt(V) * (sqrt(1-R^2) z + sqrt(R^2) r_{q,t}) with z standard normal and
 r_{q,t} the first coordinate of a standard q-normal conditioned on squared
 norm < t. This module estimates (V, R^2) and their stratified counterparts
 from per-unit influence values, samples the limit law (exact sampler
-(Mahalanobis) / rejection (general form)), and turns the draws into
-Monte-Carlo confidence intervals.
+(Mahalanobis) / rejection (projection form, for general weights and tiers)),
+and turns the draws into Monte-Carlo confidence intervals.
 
 All estimator-side functions are pure; samplers own a seeded generator, so
 independent computations may run concurrently with distinct seeds.
@@ -28,7 +28,7 @@ from .allocation import (
     imbalance_simple,
     imbalance_stratified,
 )
-from .data_model import DistanceSpec, factorize
+from .data_model import factorize
 from .errors import DiagnosticWarning, NumericError, ValidationError
 
 
@@ -36,27 +36,23 @@ from .errors import DiagnosticWarning, NumericError, ValidationError
 class LimitSpec:
     """Parameters of the asymptotic law of sqrt(n) * (estimate - truth).
 
-    ``projection`` carries (C, V_I, H_bar) and must be present exactly when
-    ``distance.kind == "general"``; it selects the projection form of the
-    limit in place of the scalar-R^2 mixture.
+    Without ``projection`` the law is the scalar-R^2 mixture for the
+    Mahalanobis criterion d'd < t. ``projection`` carries (C, V_I, forms),
+    with the forms of ``allocation.balance_forms`` built from V_I; it selects
+    the projection form of the limit, whose thresholds are the forms' own.
     """
 
     V: float
     R2: float
     q: int
     t: float
-    distance: DistanceSpec = DistanceSpec()
-    projection: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    projection: tuple[np.ndarray, np.ndarray, list] | None = None
 
     def __post_init__(self) -> None:
         if self.V < 0:
             raise ValidationError("V must be nonnegative")
         if not 0.0 <= self.R2 <= 1.0:
             raise ValidationError("R2 must lie in [0, 1]")
-        if (self.projection is not None) != (self.distance.kind == "general"):
-            raise ValidationError(
-                "projection must be given exactly for the general distance"
-            )
 
 
 @dataclass(frozen=True)
@@ -233,31 +229,36 @@ def _floor_stratified(value: float) -> float:
 
 
 def sample_limit(spec: LimitSpec, m: int, seed: int) -> np.ndarray:
-    """Draw m samples of the limit law: exact sampler (Mahalanobis) / rejection (general form).
+    """Draw m samples of the limit law: exact sampler (Mahalanobis) / rejection (projection form).
 
     Mahalanobis form: sqrt(V) (sqrt(1-R2) z + sqrt(R2) r_{q,t}), r_{q,t} from
-    ``_ball_coordinate``. General form: sqrt(V(1-R2)) z + C' V_I^{-1/2} d with d
-    a standard q-normal accepted when d' V_I^{1/2} Hbar^{-1} V_I^{1/2} d < t.
-    Deterministic given the seed.
+    ``_ball_coordinate``. Projection form: sqrt(V(1-R2)) z + C' V_I^{-1/2} d
+    with d a standard q-normal accepted when, for every form (P, W, a) with
+    finite a, (V_I^{1/2} d)[P]' W^{-1} (V_I^{1/2} d)[P] < a. Deterministic
+    given the seed.
     """
     if m < 1:
         raise ValidationError("m must be at least 1")
     rng = np.random.default_rng(seed)
     normal_sd = math.sqrt(spec.V * (1.0 - spec.R2))
 
-    if spec.distance.kind == "general":
-        c_vec, v_i, h_bar = (np.asarray(a, dtype=float) for a in spec.projection)
-        root = _spd_sqrt(np.atleast_2d(v_i))
-        accept_mat = root @ np.linalg.solve(np.atleast_2d(h_bar), root)
-        proj = np.linalg.solve(root, np.atleast_1d(c_vec))
+    if spec.projection is not None:
+        c_vec, v_i, forms = spec.projection
+        root = _spd_sqrt(np.asarray(v_i, dtype=float))
+        accept = [
+            (root[:, positions] @ np.linalg.solve(weight, root[positions]), threshold)
+            for positions, weight, threshold in forms
+            if not math.isinf(threshold)
+        ]
+        proj = np.linalg.solve(root, np.asarray(c_vec, dtype=float))
         trunc_scale = float(np.linalg.norm(proj))
     else:
         trunc_scale = math.sqrt(spec.V * spec.R2)
 
     if trunc_scale == 0.0:
         return normal_sd * rng.standard_normal(m)
-    if spec.distance.kind == "general":
-        truncated = _rejection_sample(rng, spec.q, spec.t, m, accept_mat) @ proj
+    if spec.projection is not None:
+        truncated = _rejection_sample(rng, spec.q, m, accept) @ proj
     else:
         truncated = trunc_scale * _ball_coordinate(rng, spec.q, spec.t, m)
     return normal_sd * rng.standard_normal(m) + truncated
@@ -294,13 +295,14 @@ def _ball_coordinate(rng, q, t, m):
     return radius * z / np.sqrt(z * z + rng.chisquare(q - 1, m))
 
 
-def _rejection_sample(rng, q, t, m, accept_mat):
-    """m standard q-normal rows d with d' accept_mat d < t, drawn in chunks of at
-    most 2^20 rows so that memory stays bounded at any acceptance rate."""
-    if math.isinf(t):
+def _rejection_sample(rng, q, m, accept):
+    """m standard q-normal rows d with d' A d < a for every (A, a) in ``accept``,
+    drawn in chunks of at most 2^20 rows so that memory stays bounded at any
+    acceptance rate."""
+    if not accept:
         return rng.standard_normal((m, q))
 
-    pilot = _accepted(rng.standard_normal((10_000, q)), accept_mat, t)
+    pilot = _accepted(rng.standard_normal((10_000, q)), accept)
     rate = pilot.shape[0] / 10_000
     if rate < 1e-4:
         raise NumericError(
@@ -310,13 +312,14 @@ def _rejection_sample(rng, q, t, m, accept_mat):
     kept, count = [pilot], pilot.shape[0]
     while count < m:
         batch = min(1 << 20, max(10_000, int(1.5 * (m - count) / rate)))
-        kept.append(_accepted(rng.standard_normal((batch, q)), accept_mat, t))
+        kept.append(_accepted(rng.standard_normal((batch, q)), accept))
         count += kept[-1].shape[0]
     return np.concatenate(kept)[:m]
 
 
-def _accepted(draws: np.ndarray, accept_mat: np.ndarray, t: float) -> np.ndarray:
-    return draws[np.einsum("ij,jk,ik->i", draws, accept_mat, draws) < t]
+def _accepted(draws: np.ndarray, accept: list) -> np.ndarray:
+    inside = [np.einsum("ij,jk,ik->i", draws, mat, draws) < t for mat, t in accept]
+    return draws[np.logical_and.reduce(inside)]
 
 
 def confidence_interval(

@@ -30,7 +30,7 @@ from scipy.special import expit
 from . import dml as dml_mod
 from . import inference, mestimators
 from ._seeds import derive_seed
-from .allocation import imbalance_simple, imbalance_stratified, rerandomize
+from .allocation import balance_forms, imbalance_simple, imbalance_stratified, rerandomize
 from .data_model import Design, EstimandSpec, TrialFrame
 from .errors import DiagnosticWarning, NumericError, RerandError, ValidationError
 
@@ -124,7 +124,7 @@ class CompleteTrial:
         if self.missingness:
             robs = np.where(arms == 1, self.r[1], self.r[0])
             y = np.where(robs == 1, y, np.nan)
-        return dataclasses.replace(self.allocation_frame, outcome=y, arm=arms)
+        return self.allocation_frame.with_columns(outcome=y, arm=arms)
 
 
 def _potential_draws(coef: CustomDgp, rng: np.random.Generator, n: int):
@@ -454,8 +454,9 @@ def scheme_inference(
     ``v_hat``/``ase`` always use the simple-randomization sandwich formula;
     ``ci_true`` uses the limit law matching the design's scheme (normal for
     non-rerandomized schemes, the truncated mixture otherwise, with the
-    stratified variance and R^2 plug-ins under stratified schemes, and the
-    projection sampler for the general weight-matrix criterion). Cross-fitted
+    stratified variance and R^2 plug-ins under stratified schemes): its
+    scalar-R^2 form for one Mahalanobis criterion over all of X^r, else the
+    projection form over the criterion's forms at n V-hat(I). Cross-fitted
     (DML) estimates pass their folds to every plug-in; stratified plug-ins
     take them only for stratum-arm folds, which nest within strata.
     """
@@ -480,8 +481,12 @@ def scheme_inference(
             r2 = inference.rsquared_stratified(ifv, arms, strata, Xr, pi, fold_ids=fold_ids)
     limit_spec = None
     if design.rerandomized:
+        first, *rest = design.criterion
+        exact = not rest and first.distance.kind == "mahalanobis" and (
+            sorted(first.indices) == sorted(design.rerand_covariates)
+        )
         projection = None
-        if design.distance.kind == "general":
+        if not exact:
             c_hat = inference.if_imbalance_covariance(
                 ifv, arms, Xr, pi, strata=strata, fold_ids=fold_ids
             )
@@ -490,15 +495,9 @@ def scheme_inference(
             else:
                 _, var_i = imbalance_stratified(Xr, arms, strata)
             n_var_i = n_units * var_i
-            projection = (c_hat, n_var_i, design.distance.realize(n_var_i))
-        limit_spec = inference.LimitSpec(
-            V=v_for_ci,
-            R2=r2,
-            q=design.q,
-            t=design.threshold_t,
-            distance=design.distance,
-            projection=projection,
-        )
+            projection = (c_hat, n_var_i, balance_forms(design, n_var_i))
+        t = first.threshold if exact else design.threshold_t
+        limit_spec = inference.LimitSpec(V=v_for_ci, R2=r2, q=design.q, t=t, projection=projection)
 
     ci_normal = inference.normal_interval(result.delta_hat, v_simple, n_units, alpha)
     if limit_spec is None:

@@ -24,6 +24,7 @@ from rerand.errors import (
     SingularMatrixError,
     ValidationError,
 )
+from rerand.allocation import balance_forms
 
 
 class TestSimpleAssign:
@@ -369,7 +370,6 @@ class TestRerandomize:
             pi=0.5,
             scheme="rerandomized",
             rerand_covariates=(0, 1),
-            threshold_t=1.0,
             tiers=(Tier(indices=(0, 1), threshold=1.0),),
         )
         for seed in range(6):
@@ -395,6 +395,16 @@ class TestRerandomize:
             assert alloc.tier_distances[0] < 0.5
             assert alloc.tier_distances[1] < 2.0
 
+    def test_tiers_with_a_finite_threshold_are_rejected(self):
+        with pytest.raises(ValidationError, match="tiers"):
+            Design(
+                pi=0.5,
+                scheme="rerandomized",
+                rerand_covariates=(0, 1),
+                threshold_t=1.0,
+                tiers=(Tier(indices=(0,), threshold=0.5),),
+            )
+
     def test_general_distance_uses_variance_diagonal(self):
         frame = _gaussian_frame(100, 10)
         design = Design(
@@ -409,3 +419,53 @@ class TestRerandomize:
         assert alloc.accepted_distance == pytest.approx(
             balance_distance(alloc.imbalance, diag)
         )
+
+
+class TestBalanceForms:
+    def test_tier_free_design_is_one_form_over_all_of_xr(self):
+        scale = np.array([[4.0, 1.0], [1.0, 9.0]])
+        design = Design(
+            pi=0.5, scheme="rerandomized", rerand_covariates=(3, 1), threshold_t=2.0
+        )
+        ((positions, weight, threshold),) = balance_forms(design, scale)
+        assert positions.tolist() == [0, 1]
+        np.testing.assert_array_equal(weight, scale)
+        assert threshold == 2.0
+
+    def test_tiers_map_covariate_indices_to_xr_positions(self):
+        scale = np.array([[4.0, 1.0, 0.5], [1.0, 9.0, 2.0], [0.5, 2.0, 16.0]])
+        design = Design(
+            pi=0.5,
+            scheme="rerandomized",
+            rerand_covariates=(5, 2, 7),
+            tiers=(
+                Tier(indices=(7,), threshold=0.5),
+                Tier(indices=(2, 5), threshold=3.0, distance=DistanceSpec(kind="general")),
+            ),
+        )
+        forms = balance_forms(design, scale)
+        assert [positions.tolist() for positions, _, _ in forms] == [[2], [1, 0]]
+        np.testing.assert_array_equal(forms[0][1], [[16.0]])
+        np.testing.assert_array_equal(forms[1][1], [[9.0, 0.0], [0.0, 4.0]])
+        assert [threshold for _, _, threshold in forms] == [0.5, 3.0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_accepted_tier_distances_follow_the_forms(self, seed):
+        frame = _gaussian_frame(100, 13)
+        design = Design(
+            pi=0.5,
+            scheme="rerandomized",
+            rerand_covariates=(0, 1),
+            tiers=(
+                Tier(indices=(1,), threshold=5.0),
+                Tier(indices=(0, 1), threshold=0.2, distance=DistanceSpec(kind="general")),
+            ),
+        )
+        alloc = rerandomize(frame, design, seed)
+        forms = balance_forms(design, alloc.imbalance_variance)
+        expected = [
+            balance_distance(alloc.imbalance[positions], weight)
+            for positions, weight, _ in forms
+        ]
+        assert alloc.tier_distances == pytest.approx(expected, rel=1e-12)
+        assert all(d < t for d, (_, _, t) in zip(alloc.tier_distances, forms))

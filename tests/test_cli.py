@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +267,114 @@ class TestAnalyze:
         meta = json.loads((tmp_path / "alloc.csv.meta.json").read_text())
         assert meta["tier_distances"][0] < 1.0
         assert meta["tier_distances"][1] < 2.0
+
+
+SIM_LINES = (
+    "dgp.family = continuous_sec7\ndgp.n = 80\ndesign.scheme = rerandomized\n"
+    "design.rerand = x1,x2\nestimator = unadjusted\nreplicates = 2\nci_draws = 2000\n"
+    "truth.difference = 2.0, 0.0015\n"
+)
+
+
+class TestConfigKeys:
+    def test_design_tier_repeats_in_a_simulation_config(self, tmp_path):
+        from rerand.cli import sim_config_from_file
+
+        config = write(
+            tmp_path / "sim.cfg",
+            SIM_LINES + "design.tier = x1 : 0.05\ndesign.tier = x2 : 0.5 : general\n",
+        )
+        tiers = sim_config_from_file(config).design.tiers
+        assert [(tier.indices, tier.threshold) for tier in tiers] == [((0,), 0.05), ((1,), 0.5)]
+        assert tiers[1].distance.kind == "general"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("tier = x1 : 0.05", "sim.cfg:9: unknown key 'tier'"),
+            ("design.threshold = 0.05", "sim.cfg:9: unknown key 'design.threshold'"),
+            ("design.tier = x1 : 0.05\ndesign.t = 1.0", "thresholds from its tiers"),
+        ],
+    )
+    def test_simulation_config_errors(self, tmp_path, monkeypatch, capsys, line, message):
+        config = write(tmp_path / "sim.cfg", SIM_LINES + line + "\n")
+        replicates = []
+        monkeypatch.setattr("rerand.simlab._replicate", lambda *a: replicates.append(a))
+        outcome = run_command(["simulate", "--config", config, "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 3
+        assert message in capsys.readouterr().err
+        assert replicates == []
+
+    @pytest.mark.parametrize("command", ["allocate", "analyze"])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("threshold = 0.05\n", "design.cfg:4: unknown key 'threshold'"),
+            ("tier = x1 : 0.5\nt = 1.0\n", "thresholds from its tiers"),
+        ],
+    )
+    def test_design_file_errors(
+        self, tmp_path, trial_csv, capsys, command, lines, message
+    ):
+        design = write(
+            tmp_path / "design.cfg", "pi = 0.5\nscheme = rerandomized\nrerand = x1,x2\n" + lines
+        )
+        options = {
+            "allocate": ["--seed", "1", "--out", str(tmp_path / "a.csv")],
+            "analyze": ["--estimator", "unadjusted"],
+        }[command]
+        outcome = run_command([command, "--data", trial_csv, "--design", design, *options])
+        assert outcome.exit_code == 3
+        assert message in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_is_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "sim.cfg"
+        config.write_bytes((SIM_LINES + "# caf\xe9\n").encode("latin-1"))
+        out = str(tmp_path / "r.json")
+        outcome = run_command(["simulate", "--config", str(config), "--out", out])
+        assert outcome.exit_code == 3
+        assert "sim.cfg: not UTF-8" in capsys.readouterr().err
+
+    def test_csv_that_is_not_utf8_is_a_data_error(self, tmp_path, design_cfg, capsys):
+        data = tmp_path / "units.csv"
+        data.write_bytes("stratum,x1,x2\ncaf\xe9,0.5,1.0\nbar,0.1,0.2\n".encode("latin-1"))
+        outcome = run_command(
+            ["allocate", "--design", design_cfg, "--data", str(data), "--seed", "1",
+             "--out", str(tmp_path / "a.csv")]
+        )
+        assert outcome.exit_code == 3
+        assert "units.csv: not UTF-8" in capsys.readouterr().err
+
+    def test_comment_starts_at_a_hash_after_whitespace(self):
+        from rerand.cli import _uncommented
+
+        assert _uncommented("label=a#1  # note\n") == "label=a#1  "
+        assert _uncommented("\t# whole line\n") == "\t"
+        assert _uncommented("t = 1.0\n") == "t = 1.0\n"
+
+    def test_readme_config_blocks_load(self, tmp_path, monkeypatch):
+        from rerand.cli import (
+            _DESIGN_KEYS,
+            _parse_kv_file,
+            design_from_config,
+            sim_config_from_file,
+        )
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = {
+            block.split("\n", 1)[0]: block
+            for block in re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        }
+        design = write(tmp_path / "design.cfg", blocks["# design.cfg"])
+        parsed = design_from_config(_parse_kv_file(design, _DESIGN_KEYS), ("x1", "x2"))
+        assert (parsed.scheme, parsed.distance.kind, parsed.stratified_statistic) == (
+            "stratified_rerandomized", "mahalanobis", "pooled"
+        )
+        monkeypatch.delenv("RERAND_WORKERS", raising=False)
+        config = sim_config_from_file(write(tmp_path / "sim.cfg", blocks["# sim.cfg"]))
+        assert (config.dgp.family, config.workers, config.truth) == (
+            "continuous_sec7", 2, {"difference": (2.0, 0.0015)}
+        )
 
 
 class TestUsage:

@@ -107,6 +107,12 @@ class TestLoadCsv:
         assert frame.covariate_names == ("x1",)
         np.testing.assert_array_equal(frame.observed, [1, 0])
 
+    def test_text_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("stratum,x1\ncaf\xe9,0.5\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
+            load_csv(path)
+
 
 class TestTrialFrame:
     def test_arrays_are_immutable(self, four_row_frame):
@@ -127,6 +133,22 @@ class TestTrialFrame:
             TrialFrame(
                 covariates=np.array([[np.inf]]), covariate_names=("x",)
             )
+
+    def test_groupings_carry_over_to_a_frame_with_new_columns(self):
+        frame = TrialFrame(
+            covariates=np.zeros((4, 1)),
+            covariate_names=("x",),
+            stratum=["b", "a", "b", "a"],
+            cluster=["c1", "c1", "c2", "c2"],
+        )
+        assert "stratum_groups" not in frame.with_columns(arm=[1, 0, 1, 0]).__dict__
+        strata, clusters = frame.stratum_groups, frame.cluster_groups
+        assigned = frame.with_columns(arm=[1, 0, 1, 0])
+        assert assigned.stratum_groups is strata
+        assert assigned.cluster_groups is clusters
+        relabeled = frame.with_columns(stratum=["a", "a", "b", "b"])
+        assert relabeled.cluster_groups is clusters
+        assert relabeled.stratum_groups.codes.tolist() == [0, 0, 1, 1]
 
 
 class TestValidateDesign:

@@ -12,7 +12,6 @@ from rerand import (
     LearnerSpec,
     TrialFrame,
     estimate_dml,
-    fit_learner,
     make_folds,
 )
 from rerand import dml
@@ -77,7 +76,7 @@ class TestLearners:
     def test_glm_identity_interpolates_three_points(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         y = np.array([1.0, 3.0, -2.0])
-        predict = fit_learner(LearnerSpec(kind="glm"), X, y)
+        predict = dml.fit_learners(LearnerSpec(kind="glm"), [X], [y])[0]
         design = np.column_stack([np.ones(3), X])
         oracle = np.linalg.solve(design, y)
         grid = np.array([[0.5, 0.5], [2.0, -1.0]])
@@ -88,23 +87,23 @@ class TestLearners:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(12, 2))
         y = rng.normal(size=12)
-        predict = fit_learner(LearnerSpec(kind="knn", k_neighbors=12), X, y)
+        predict = dml.fit_learners(LearnerSpec(kind="knn", k_neighbors=12), [X], [y])[0]
         np.testing.assert_allclose(predict(rng.normal(size=(5, 2))), y.mean(), atol=1e-12)
 
     def test_stump_ensemble_zero_trees_is_constant_mean(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(15, 2))
         y = rng.normal(size=15)
-        predict = fit_learner(CONSTANT, X, y)
+        predict = dml.fit_learners(CONSTANT, [X], [y])[0]
         np.testing.assert_allclose(predict(X), y.mean(), atol=1e-12)
 
     def test_stump_ensemble_learns_a_step_function(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(-1, 1, size=(400, 2))
         y = np.where(X[:, 0] > 0.2, 3.0, -1.0)
-        predict = fit_learner(
-            LearnerSpec(kind="stump_ensemble", trees=200, learning_rate=0.5), X, y
-        )
+        predict = dml.fit_learners(
+            LearnerSpec(kind="stump_ensemble", trees=200, learning_rate=0.5), [X], [y]
+        )[0]
         grid = np.array([[-0.5, 0.0], [0.6, 0.0]])
         np.testing.assert_allclose(predict(grid), [-1.0, 3.0], atol=0.05)
 
@@ -112,16 +111,16 @@ class TestLearners:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(60, 1))
         r = (X[:, 0] > -2.5).astype(float)
-        predict = fit_learner(
-            LearnerSpec(kind="glm", link="logit", target="missingness"), X, r
-        )
+        predict = dml.fit_learners(
+            LearnerSpec(kind="glm", link="logit", target="missingness"), [X], [r]
+        )[0]
         preds = predict(np.linspace(-30, 30, 50)[:, None])
         assert preds.min() >= 0.01
         assert preds.max() <= 1.0
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
-            fit_learner(CONSTANT, np.empty((0, 2)), np.empty(0))
+            dml.fit_learners(CONSTANT, [np.empty((0, 2))], [np.empty(0)])[0]
 
 
 class TestEstimateDml:
@@ -859,12 +858,12 @@ class TestLearnerInputs:
     def test_target_length_must_match_rows(self, spec, rows):
         X = np.random.default_rng(52).normal(size=(6, 2))
         with pytest.raises(ValidationError, match="one value per training row"):
-            fit_learner(spec, X, np.arange(rows) % 2)
+            dml.fit_learners(spec, [X], [np.arange(rows) % 2])[0]
 
     def test_two_dimensional_target_rejected(self):
         X = np.random.default_rng(53).normal(size=(6, 2))
         with pytest.raises(ValidationError, match="one value per training row"):
-            fit_learner(LearnerSpec(kind="glm"), X, np.zeros((6, 1)))
+            dml.fit_learners(LearnerSpec(kind="glm"), [X], [np.zeros((6, 1))])[0]
 
     def test_missing_target_rejected(self):
         X = np.random.default_rng(54).normal(size=(6, 2))
@@ -873,7 +872,7 @@ class TestLearnerInputs:
 
     def test_one_dimensional_covariates_rejected_as_such(self):
         with pytest.raises(ValidationError, match="2-D"):
-            fit_learner(LearnerSpec(kind="glm"), np.zeros(5), np.zeros(5))
+            dml.fit_learners(LearnerSpec(kind="glm"), [np.zeros(5)], [np.zeros(5)])[0]
 
     @pytest.mark.parametrize("kind", ["glm", "knn", "stump_ensemble"])
     @pytest.mark.parametrize(
@@ -886,7 +885,7 @@ class TestLearnerInputs:
     )
     def test_non_finite_inputs_rejected_before_fitting(self, kind, X, y):
         with pytest.raises(ValidationError, match="finite"):
-            fit_learner(LearnerSpec(kind=kind), X, y)
+            dml.fit_learners(LearnerSpec(kind=kind), [X], [y])[0]
 
     @pytest.mark.parametrize("kind", ["glm", "knn", "stump_ensemble"])
     def test_feature_counts_must_agree(self, kind):
@@ -914,7 +913,7 @@ class TestKnnBlocks:
         Xe = rng.integers(0, 3, size=(23, 3)).astype(float)
         monkeypatch.setattr(dml, "_KNN_CHUNK", chunk)
         for k in (1, 5, 40, 60):
-            predict = fit_learner(LearnerSpec(kind="knn", k_neighbors=k), X, y)
+            predict = dml.fit_learners(LearnerSpec(kind="knn", k_neighbors=k), [X], [y])[0]
             assert np.array_equal(predict(Xe), _reference_knn_predict(X, y, k, Xe))
             assert predict(Xe[:0]).shape == (0,)
 
@@ -924,7 +923,7 @@ class TestKnnBlocks:
         rng = np.random.default_rng(34)
         X, y = rng.normal(size=(1000, 29)), rng.normal(size=1000)
         Xe = rng.normal(size=(500, 29))
-        predict = fit_learner(LearnerSpec(kind="knn", k_neighbors=5), X, y)
+        predict = dml.fit_learners(LearnerSpec(kind="knn", k_neighbors=5), [X], [y])[0]
         tracemalloc.start()
         try:
             predict(Xe)

@@ -11,7 +11,6 @@ from scipy.special import ndtr
 from scipy.stats import chi2
 
 from rerand import (
-    DistanceSpec,
     LimitSpec,
     chi_square_cdf,
     confidence_interval,
@@ -527,8 +526,7 @@ class TestSampleLimit:
             R2=0.5,
             q=3,
             t=1e-7,
-            distance=DistanceSpec(kind="general"),
-            projection=(np.full(3, 0.4), eye, eye),
+            projection=(np.full(3, 0.4), eye, [(np.arange(3), eye, 1e-7)]),
         )
         with pytest.raises(NumericError, match="larger threshold"):
             sample_limit(spec, 1000, seed=7)
@@ -551,13 +549,13 @@ class TestSampleLimit:
         # batch; a chunk of 2^20 rows is 32 MiB
         q = 4
         eye = np.eye(q)
+        t = float(chi2.ppf(1e-3, q))
         spec = LimitSpec(
             V=1.0,
             R2=0.5,
             q=q,
-            t=float(chi2.ppf(1e-3, q)),
-            distance=DistanceSpec(kind="general"),
-            projection=(np.full(q, 0.3), eye, eye),
+            t=t,
+            projection=(np.full(q, 0.3), eye, [(np.arange(q), eye, t)]),
         )
         tracemalloc.start()
         try:
@@ -583,12 +581,44 @@ class TestSampleLimit:
             R2=r2_equiv,
             q=2,
             t=1.0,
-            distance=DistanceSpec(kind="general"),
-            projection=(c, v_i, v_i),
+            projection=(c, v_i, [(np.arange(2), v_i, 1.0)]),
         )
         draws = sample_limit(spec, 200_000, seed=9)
         target = 1.0 - (1.0 - v_qt(2, 1.0)) * r2_equiv
         assert abs(draws.var() - target) / target < 0.02
+
+    def test_two_form_projection_rejects_draws_violating_either_form(self):
+        accept = [(np.array([[2.0, 0.6], [0.6, 1.0]]), 1.0), (np.eye(2), 1.0)]
+        rows = inference._rejection_sample(np.random.default_rng(10), 2, 20_000, accept)
+        assert rows.shape == (20_000, 2)
+        for mat, threshold in accept:
+            assert np.all(np.einsum("ij,jk,ik->i", rows, mat, rows) < threshold)
+        # each form alone keeps draws that the other one rejects
+        for (mat, threshold), (other, other_threshold) in (accept, accept[::-1]):
+            alone = inference._rejection_sample(
+                np.random.default_rng(11), 2, 20_000, [(mat, threshold)]
+            )
+            assert np.any(np.einsum("ij,jk,ik->i", alone, other, alone) >= other_threshold)
+
+    def test_tier_forms_condition_the_imbalance_law(self):
+        # the projection term C' V_I^-1 u with u ~ N(0, V_I) kept when every
+        # tier holds on u's block: u_0^2 / 2 < 0.1 and u_1^2 / 1 < 0.5
+        v_i = np.array([[2.0, 0.5], [0.5, 1.0]])
+        c = np.array([0.6, -0.3])
+        forms = [
+            (np.array([0]), np.array([[2.0]]), 0.1),
+            (np.array([1]), np.array([[1.0]]), 0.5),
+            (np.array([0, 1]), v_i, math.inf),
+        ]
+        r2 = float(c @ np.linalg.solve(v_i, c))
+        spec = LimitSpec(V=1.0, R2=r2, q=2, t=math.inf, projection=(c, v_i, forms))
+        draws = sample_limit(spec, 200_000, seed=12)
+        u = np.random.default_rng(13).standard_normal((2_000_000, 2)) @ np.linalg.cholesky(v_i).T
+        u = u[(u[:, 0] ** 2 / 2.0 < 0.1) & (u[:, 1] ** 2 < 0.5)]
+        projected = u @ np.linalg.solve(v_i, c)
+        target = (1.0 - r2) + projected.var()
+        tol = 4 * math.hypot(_variance_se(draws), _variance_se(projected))
+        assert abs(draws.var() - target) <= tol
 
 
 def _variance_se(draws):

@@ -9,12 +9,13 @@ from rerand import (
     EstimandSpec,
     SimConfig,
     SimEstimator,
+    Tier,
     generate_trial,
     run_simulation,
     true_delta,
 )
 from rerand.errors import NumericError, ValidationError
-from rerand.simlab import report_csv_lines
+from rerand.simlab import apply_estimator, report_csv_lines, scheme_inference
 
 
 class TestGenerateTrial:
@@ -45,6 +46,11 @@ class TestGenerateTrial:
         frame = trial.reveal(arms)
         robs = np.where(arms == 1, trial.r[1], trial.r[0])
         np.testing.assert_array_equal(frame.observed, robs)
+
+    def test_reveal_reuses_the_allocation_frame_strata(self):
+        trial = generate_trial(DgpSpec("continuous_sec7", 40), seed=6)
+        groups = trial.allocation_frame.stratum_groups
+        assert trial.reveal(np.tile([1, 0], 20)).stratum_groups is groups
 
 
 class TestTrueDelta:
@@ -149,6 +155,42 @@ class TestSchemePlumbing:
         report = run_simulation(config)
         assert all(row.failures == 0 for row in report.rows)
         assert all(0.0 <= row.cp_true <= 1.0 for row in report.rows)
+
+    @pytest.mark.parametrize("scheme", ["rerandomized", "stratified_rerandomized"])
+    @pytest.mark.parametrize("kind", ["unadjusted", "ancova"])
+    def test_single_full_tier_interval_is_the_plain_one(self, scheme, kind):
+        # one Mahalanobis tier over all of X^r is the plain criterion, so it
+        # keeps the exact scalar-R^2 law and its draws
+        trial = generate_trial(DgpSpec("continuous_sec7", 200), seed=13)
+        frame = trial.reveal(np.tile([1, 0], 100))
+        est = SimEstimator(kind=kind)
+        common = dict(pi=0.5, scheme=scheme, rerand_covariates=(0, 1), block_size=2)
+        plain = Design(threshold_t=0.8, **common)
+        tiered = Design(tiers=(Tier(indices=(0, 1), threshold=0.8),), **common)
+        result = apply_estimator(est, frame, plain, 1, 0)
+        ci = [
+            scheme_inference(est, result, frame, design, 0.05, 2000, 17)["ci_true"]
+            for design in (plain, tiered)
+        ]
+        assert ci[0] == ci[1]
+
+    def test_tiered_interval_is_narrower_than_the_normal_one(self):
+        # x1 < 0.05 holds the imbalance of x1 near zero, so the tiered law is
+        # tighter than the one for the same design without tiers (t = inf)
+        trial = generate_trial(DgpSpec("continuous_sec7", 200), seed=14)
+        frame = trial.reveal(np.tile([1, 0], 100))
+        est = SimEstimator(kind="unadjusted")
+        common = dict(pi=0.5, scheme="rerandomized", rerand_covariates=(0, 1))
+        tiered = Design(tiers=(Tier(indices=(0,), threshold=0.05),), **common)
+        result = apply_estimator(est, frame, tiered, 1, 0)
+        widths = [
+            (ci.upper - ci.lower)
+            for ci in (
+                scheme_inference(est, result, frame, design, 0.05, 4000, 18)["ci_true"]
+                for design in (tiered, Design(**common))
+            )
+        ]
+        assert widths[0] < 0.95 * widths[1]
 
     def test_general_distance_under_stratified_rerandomization(self):
         config = small_config(
