@@ -350,8 +350,8 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--fold-mode", dest="fold_mode", default="plain", choices=["plain", "stratum-arm"])
     p_an.add_argument("--design", default=None, help="design config for scheme-aware inference")
     p_an.add_argument("--alpha", type=float, default=0.05)
-    p_an.add_argument("--draws", type=int, default=10_000)
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--draws", type=int, default=10_000, help="projection-form draws, >= 1000")
+    p_an.add_argument("--seed", type=int, default=0, help="seeds DML folds and the draws")
     p_an.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p_ci = sub.add_parser("ci", help="confidence interval from the limit law")
@@ -362,8 +362,8 @@ def _build_parser() -> _Parser:
     p_ci.add_argument("--t", required=True, type=float)
     p_ci.add_argument("--n", required=True, type=int)
     p_ci.add_argument("--alpha", type=float, default=0.05)
-    p_ci.add_argument("--draws", type=int, default=10_000)
-    p_ci.add_argument("--seed", type=int, default=0)
+    p_ci.add_argument("--draws", type=int, default=10_000, help="ignored by quadrature; >= 1000")
+    p_ci.add_argument("--seed", type=int, default=0, help="ignored by quadrature")
     p_ci.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="run a replicated experiment")
@@ -467,6 +467,7 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
             "estimand": est.estimand,
             "scheme": design.scheme,
             "n_units": len(result.if_values),
+            "interval": info["ci_true"].method,
         },
         "config_hash": digest,
     }
@@ -474,10 +475,7 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
 
 
 def _cmd_ci(args, outcome: CommandOutcome) -> None:
-    resolved = {
-        k: getattr(args, k)
-        for k in ("delta", "v", "r2", "q", "t", "n", "alpha", "draws", "seed")
-    }
+    resolved = {k: getattr(args, k) for k in ("delta", "v", "r2", "q", "t", "n", "alpha")}
     digest = canonical_digest(resolved)
     _log_record(outcome, "ci", resolved, digest)
     spec = LimitSpec(V=args.v, R2=args.r2, q=args.q, t=args.t)
@@ -486,7 +484,8 @@ def _cmd_ci(args, outcome: CommandOutcome) -> None:
         "lower": ci.lower,
         "upper": ci.upper,
         "v_qt": ci.v_qt,
-        "method": {"draws": ci.draws, "alpha": ci.alpha, "q": args.q, "t": args.t},
+        "method": {"draws": ci.draws, "alpha": ci.alpha, "q": args.q, "t": args.t,
+                   "interval": ci.method},
         "config_hash": digest,
     }
     _emit(payload, args.out, outcome)
@@ -543,10 +542,7 @@ def run_command(argv: list[str]) -> CommandOutcome:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         outcome.exit_code = EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        outcome.exit_code = EXIT_DATA
-    except DataError as exc:
+    except (FileNotFoundError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         outcome.exit_code = EXIT_DATA
     except NumericError as exc:
@@ -561,3 +557,7 @@ def run_command(argv: list[str]) -> CommandOutcome:
 def main() -> None:
     logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
     sys.exit(run_command(sys.argv[1:]).exit_code)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,7 +6,7 @@ r_{q,t} the first coordinate of a standard q-normal conditioned on squared
 norm < t. This module estimates (V, R^2) and their stratified counterparts
 from per-unit influence values, samples the limit law (exact sampler
 (Mahalanobis) / rejection (projection form, for general weights and tiers)),
-and turns the draws into Monte-Carlo confidence intervals.
+and inverts it into intervals (Mahalanobis: quadrature; projection: draws).
 
 All estimator-side functions are pure; samplers own a seeded generator, so
 independent computations may run concurrently with distinct seeds.
@@ -14,12 +14,14 @@ independent computations may run concurrently with distinct seeds.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv, gammaincinv, ndtri
+from scipy.special import erfinv, gammainc, gammaincinv, ndtr, ndtri
 
 from .allocation import (
     _as_matrix,
@@ -62,6 +64,7 @@ class CIResult:
     alpha: float
     draws: int
     v_qt: float
+    method: str  # "normal", "quadrature" or "monte_carlo"
 
 
 def v_qt(q: int, t: float) -> float:
@@ -325,25 +328,80 @@ def _accepted(draws: np.ndarray, accept: list) -> np.ndarray:
 def confidence_interval(
     delta_hat: float, spec: LimitSpec, n: int, alpha: float, m: int, seed: int
 ) -> CIResult:
-    """Monte-Carlo interval from the limit law's empirical quantiles.
+    """delta_hat plus the limit law's (alpha/2, 1-alpha/2) quantiles over sqrt(n).
 
-    The interval is delta_hat plus the (alpha/2, 1-alpha/2) type-7 quantiles
-    of the draws scaled by 1/sqrt(n); the limit law is symmetric about zero,
-    so this matches the inverted form in distribution.
+    Mahalanobis form: -/+ the 1-alpha/2 quantile by quadrature, which m and seed do
+    not change; exactly ``normal_interval`` when R2 = 0, P(chi^2_q < t) rounds to 1
+    (t = inf) or alpha is outside (0, 1). Projection form: type-7 quantiles of m draws.
     """
     if m < 1000:
         raise ValidationError("need at least 1000 draws")
     if n < 2:
         raise ValidationError("n must be at least 2")
-    draws = sample_limit(spec, m, seed) / math.sqrt(n)
-    lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return CIResult(
-        lower=float(delta_hat + lo),
-        upper=float(delta_hat + hi),
-        alpha=alpha,
-        draws=m,
-        v_qt=v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0,
-    )
+    vqt = v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0
+    if spec.projection is not None:
+        draws = sample_limit(spec, m, seed) / math.sqrt(n)
+        lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
+        return CIResult(float(delta_hat + lo), float(delta_hat + hi), alpha, m, vqt, "monte_carlo")
+    if spec.R2 == 0.0 or not 0.0 < alpha < 1.0 or chi_square_cdf(spec.q, spec.t) == 1.0:
+        return dataclasses.replace(normal_interval(delta_hat, spec.V, n, alpha), v_qt=vqt)
+    half = math.sqrt(spec.V / n) * _limit_quantile(1.0 - alpha / 2.0, spec, vqt)
+    return CIResult(delta_hat - half, delta_hat + half, alpha, 0, vqt, "quadrature")
+
+
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(48)  # nodes in each panel of _mixture_cdf
+
+
+def _limit_quantile(p: float, spec: LimitSpec, vqt: float) -> float:
+    """x with P(a z + b r_{q,t} < x) = p, for a = sqrt(1-R2) and b = sqrt(R2) > 0: Newton
+    from the normal quantile at the law's variance a^2 + b^2 v_{q,t}, kept by bisection
+    in [0, a z_p + b sqrt(t)]. At R2 = 1 and q = 1, r_{q,t} is a truncated normal."""
+    q, t, a, b = spec.q, spec.t, math.sqrt(1.0 - spec.R2), math.sqrt(spec.R2)
+    z = float(ndtri(p))
+    if a == 0.0 and q == 1:
+        return b * math.sqrt(2.0) * float(erfinv(chi_square_cdf(1, t) * (2.0 * p - 1.0)))
+    lo, hi = 0.0, a * z + b * math.sqrt(t)
+    x = min(z * math.sqrt(a * a + b * b * vqt), hi)
+    for _ in range(100):
+        cdf, density = _mixture_cdf(x, a, b, q, t)
+        lo, hi = (x, hi) if cdf < p else (lo, x)
+        step = (cdf - p) / density if density > 0.0 else math.inf
+        if abs(step) <= 1e-10 * x:  # the error after this step is below 1e-16 relative
+            return x - step
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    raise NumericError(f"limit-law quantile did not converge at {spec}")
+
+
+def _mixture_cdf(x: float, a: float, b: float, q: int, t: float) -> tuple[float, float]:
+    """F(x) = int Phi((x - b r)/a) f(r) dr and F'(x), f(r) ~ phi(r) P(chi^2_{q-1} < t - r^2).
+
+    In theta, r = sqrt(t) sin(theta) with |r| capped at 9 (phi(9)/phi(0) < 3e-18), the
+    integrand is smooth but for the kink at r* = x/b. Cuts at r* and r* -/+ 8 a/b leave
+    four smooth panels for one Gauss-Legendre rule; weights are normalized by their sum.
+    At a = 0, F is the CDF of b r_{q,t} and F' its density.
+    """
+    nodes, weights = _legendre_rule()
+    edge = math.sqrt(t)
+    top = math.asin(min(1.0, 9.0 / edge))
+    kink, width = x / b, 8.0 * a / b
+    cuts = np.array([-top, *(min(max(math.asin(min(max(r / edge, -1.0), 1.0)), -top), top)
+                             for r in (kink - width, kink, kink + width)), top])
+    half = np.diff(cuts)[:, None] / 2.0
+    theta = ((cuts[:-1, None] + cuts[1:, None]) / 2.0 + half * nodes).ravel()
+    cos = np.cos(theta)
+    r = edge * np.sin(theta)
+    mass = (half * weights).ravel() * cos * np.exp(-0.5 * r * r)
+    if q > 1:  # chi^2_0 is a point mass at zero
+        mass *= gammainc((q - 1) / 2.0, t * cos * cos / 2.0)
+    total = float(mass.sum())
+    if a == 0.0:  # then q > 1
+        density = math.exp(-0.5 * kink * kink) * gammainc((q - 1) / 2.0, max(t - kink**2, 0.0) / 2)
+        return float(mass[: 2 * nodes.size].sum()) / total, density / (b * edge * total)
+    u = (x - b * r) / a
+    density = float(mass @ np.exp(-0.5 * u * u)) / (total * a * math.sqrt(2.0 * math.pi))
+    return float(mass @ ndtr(u)) / total, density
 
 
 def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIResult:
@@ -351,13 +409,7 @@ def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIRe
     if vhat < 0:
         raise ValidationError("variance estimate must be nonnegative")
     half = 0.0 if alpha >= 1.0 else float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(vhat / n)
-    return CIResult(
-        lower=delta_hat - half,
-        upper=delta_hat + half,
-        alpha=alpha,
-        draws=0,
-        v_qt=1.0,
-    )
+    return CIResult(delta_hat - half, delta_hat + half, alpha, 0, 1.0, "normal")
 
 
 def _clamp_unit(raw: float, label: str) -> float:

@@ -270,6 +270,7 @@ class EstimatorReport:
     replicates_used: int
     failures: int
     diagnostic_warnings: int
+    interval_method: str | None  # CIResult.method of ci_true; distinct methods joined by "+"
 
 
 @dataclass(frozen=True)
@@ -455,8 +456,9 @@ def scheme_inference(
     ``ci_true`` uses the limit law matching the design's scheme (normal for
     non-rerandomized schemes, the truncated mixture otherwise, with the
     stratified variance and R^2 plug-ins under stratified schemes): its
-    scalar-R^2 form for one Mahalanobis criterion over all of X^r, else the
-    projection form over the criterion's forms at n V-hat(I). Cross-fitted
+    scalar-R^2 form for one Mahalanobis criterion over all of X^r (quadrature),
+    else the projection form over the criterion's forms at n V-hat(I) (Monte
+    Carlo, from ``ci_draws`` and ``ci_seed``). Cross-fitted
     (DML) estimates pass their folds to every plug-in; stratified plug-ins
     take them only for stratum-arm folds, which nest within strata.
     """
@@ -546,6 +548,7 @@ def _replicate_inference(
         "ase": info["ase"],
         "cover_normal": normal_ci.lower <= delta_star <= normal_ci.upper,
         "cover_true": true_ci.lower <= delta_star <= true_ci.upper,
+        "interval_method": true_ci.method,
     }
 
 
@@ -616,6 +619,7 @@ def run_simulation(config: SimConfig) -> SimReport:
                 replicates_used=len(good),
                 failures=failures,
                 diagnostic_warnings=int(sum(rec.get("warnings", 0) for rec in records)),
+                interval_method="+".join(sorted({r["interval_method"] for r in good})) or None,
             )
         )
         if per_replicate is not None:

@@ -85,6 +85,67 @@ class TestCi:
         assert payload["lower"] < 0 < payload["upper"]
 
 
+    def test_draws_and_seed_do_not_change_the_output(self, tmp_path):
+        outputs = []
+        for draws, seed in (("1000", "7"), ("50000", "8")):
+            out = tmp_path / f"ci_{seed}.json"
+            outcome = run_command(
+                [
+                    "ci", "--delta", "0.1", "--v", "1", "--r2", "0.5", "--q", "2",
+                    "--t", "1", "--n", "100", "--draws", draws, "--seed", seed,
+                    "--out", str(out),
+                ]
+            )
+            assert outcome.exit_code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0])
+        assert payload["method"]["interval"] == "quadrature"
+        assert payload["method"]["draws"] == 0
+
+
+class TestModuleEntryPoints:
+    """``python -m rerand`` and ``python -m rerand.cli`` run the CLI."""
+
+    @staticmethod
+    def run(args, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", *args], env=env, cwd=cwd, capture_output=True, text=True,
+            timeout=120,
+        )
+
+    def test_package_runs_allocate(self, tmp_path, unassigned_csv, design_cfg):
+        out = tmp_path / "alloc.csv"
+        proc = self.run(
+            ["rerand", "allocate", "--design", design_cfg, "--data", unassigned_csv,
+             "--seed", "1", "--out", str(out)],
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        ref = tmp_path / "ref.csv"
+        run_command(
+            ["allocate", "--design", design_cfg, "--data", unassigned_csv,
+             "--seed", "1", "--out", str(ref)]
+        )
+        assert out.read_bytes() == ref.read_bytes()
+        assert (tmp_path / "alloc.csv.meta.json").exists()
+
+    def test_cli_module_prints_version(self, tmp_path):
+        from rerand import __version__
+
+        proc = self.run(["rerand.cli", "--version"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"rerand {__version__}"
+
+    def test_import_does_not_run_the_cli(self):
+        import rerand
+
+        assert "rerand.__main__" not in sys.modules
+        assert not hasattr(rerand, "__main__")
+
+
 class TestAllocate:
     def test_repeated_runs_are_byte_identical(self, tmp_path, unassigned_csv, design_cfg):
         out1 = tmp_path / "a.csv"
@@ -164,6 +225,7 @@ class TestAnalyze:
         )
         assert payload["delta_hat"] == pytest.approx(expected.delta_hat, abs=1e-12)
         assert payload["method"]["scheme"] == "simple"
+        assert payload["method"]["interval"] == "normal"
 
     def test_design_aware_analysis_reports_r2(self, trial_csv, design_cfg, capsys):
         outcome = run_command(
@@ -176,6 +238,7 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out)
         assert 0.0 <= payload["R2_hat"] <= 1.0
         assert payload["ci"]["lower"] < payload["delta_hat"] < payload["ci"]["upper"]
+        assert payload["method"]["interval"] == "quadrature"
 
     def test_dml_estimator_runs(self, trial_csv, capsys):
         outcome = run_command(

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import ndtr
@@ -420,6 +420,7 @@ class TestKernelOracle:
         q=st.integers(1, 3),
         pi=st.sampled_from([0.5, 0.4]),
     )
+    @example(seed=4294967294, n_strata=14, n_folds=2, q=1, pi=0.4)  # C-hat cancels near zero
     @settings(max_examples=40, deadline=None)
     def test_entry_points_match_reference(
         self, stratified, crossfit, seed, n_strata, n_folds, q, pi
@@ -451,13 +452,25 @@ class TestKernelOracle:
                 assert variance_stratified(ifv, arms, strata, pi) == pytest.approx(
                     _reference_variance_stratified(ifv, arms, strata, pi), rel=rtol
                 )
+                # C-hat is a sum of terms that may cancel near zero, so it also gets
+                # an absolute term at 1e-12 of the summed terms' scale; R^2 = C' M C / V
+                # inherits it to first order as 2 |M C|_1 c_atol / V
+                c_ref = _reference_if_imbalance_covariance_stratified(ifv, arms, strata, Xr, pi)
+                weighted = (arms - pi) / (pi * (1.0 - pi)) * ifv
+                c_atol = rtol * np.abs(weighted).sum() * np.abs(Xr).max() / ifv.size
                 np.testing.assert_allclose(
                     if_imbalance_covariance(ifv, arms, Xr, pi, strata=strata),
-                    _reference_if_imbalance_covariance_stratified(ifv, arms, strata, Xr, pi),
+                    c_ref,
                     rtol=rtol,
+                    atol=c_atol,
                 )
+                _, var_i = _reference_imbalance_stratified(Xr, arms, strata)
+                m_c = np.linalg.solve(ifv.size * var_i, c_ref)
+                v_ref = _reference_variance_stratified(ifv, arms, strata, pi)
                 assert rsquared_stratified(ifv, arms, strata, Xr, pi) == pytest.approx(
-                    _reference_rsquared_stratified(ifv, arms, strata, Xr, pi), rel=rtol
+                    _reference_rsquared_stratified(ifv, arms, strata, Xr, pi),
+                    rel=rtol,
+                    abs=2.0 * np.abs(m_c).sum() * c_atol / v_ref,
                 )
             else:
                 got = variance_stratified(ifv, arms, strata, pi, fold_ids=folds)
@@ -630,20 +643,28 @@ def _limit_cdf_oracle(x, q, t, r2):
     """CDF of sqrt(1-R2) z + sqrt(R2) r_{q,t} by 1-D quadrature of the mixture.
 
     r_{q,t} has density proportional to phi(r) P(chi^2_{q-1} < t - r^2) on
-    |r| < sqrt(t), with chi^2_0 a point mass at zero.
+    |r| < sqrt(t), with chi^2_0 a point mass at zero. The tolerance is
+    relative only, as the density can be tiny (q = 10, t = 0.01). ``quad``
+    gets the kink x / sqrt(R2) of the normal CDF and the points 40 normal sds
+    to either side of it, which it needs near R2 = 1.
     """
     edge = math.sqrt(t)
+    tol = dict(epsabs=0.0, epsrel=1e-12, limit=200)
 
     def density(r):
         radial = 1.0 if q == 1 else chi_square_cdf(q - 1, max(t - r * r, 0.0))
         return math.exp(-0.5 * r * r) * radial
 
-    norm = integrate.quad(density, -edge, edge)[0]
+    norm = integrate.quad(density, -edge, edge, **tol)[0]
+    if r2 == 0.0:
+        return float(ndtr(x))
     if r2 == 1.0:
-        return integrate.quad(density, -edge, min(max(x, -edge), edge))[0] / norm
+        return integrate.quad(density, -edge, min(max(x, -edge), edge), **tol)[0] / norm
     sd, slope = math.sqrt(1.0 - r2), math.sqrt(r2)
-    mixed = integrate.quad(lambda r: ndtr((x - slope * r) / sd) * density(r), -edge, edge)
-    return mixed[0] / norm
+    kink, width = x / slope, 40.0 * sd / slope
+    points = [p for p in (kink - width, kink, kink + width) if -edge < p < edge] or None
+    integrand = lambda r: ndtr((x - slope * r) / sd) * density(r)  # noqa: E731
+    return integrate.quad(integrand, -edge, edge, points=points, **tol)[0] / norm
 
 
 class TestExactSamplerOracle:
@@ -700,6 +721,60 @@ class TestConfidenceInterval:
         spec = LimitSpec(V=1.0, R2=0.0, q=1, t=1.0)
         with pytest.raises(Exception, match="1000"):
             confidence_interval(0.0, spec, n=10, alpha=0.05, m=10, seed=0)
+
+
+class TestQuadratureInterval:
+    """The Mahalanobis interval solves F(x) = 1 - alpha/2 by quadrature."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 10])
+    def test_accuracy_grid_against_oracle(self, q):
+        for t in (0.01, 0.5, 1.0, 2.0, 10.0, 30.0, 1000.0):
+            for r2 in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0):
+                for alpha in (0.05, 0.01):
+                    ci = confidence_interval(0.0, LimitSpec(V=2.0, R2=r2, q=q, t=t), 2, alpha, 1000, 0)
+                    assert ci.lower == -ci.upper
+                    err = abs(_limit_cdf_oracle(ci.upper, q, t, r2) - (1.0 - alpha / 2.0))
+                    assert err <= (1e-9 if r2 <= 0.9999 else 1e-6), (t, r2, alpha, err)
+
+    @pytest.mark.parametrize("r2,t", [(0.0, 1.0), (0.7, math.inf), (0.7, 1000.0)])
+    def test_normal_cases_are_bit_identical_to_normal_interval(self, r2, t):
+        ci = confidence_interval(0.3, LimitSpec(V=2.0, R2=r2, q=2, t=t), 50, 0.05, 1000, 0)
+        ref = normal_interval(0.3, 2.0, 50, 0.05)
+        assert (ci.lower, ci.upper, ci.draws, ci.method) == (ref.lower, ref.upper, 0, "normal")
+        assert ci.v_qt == v_qt(2, t)
+
+    def test_tiny_threshold_works_and_underflow_raises(self):
+        ci = confidence_interval(0.0, LimitSpec(V=1.0, R2=0.5, q=3, t=1e-7), 100, 0.05, 1000, 0)
+        assert ci.method == "quadrature"
+        # the truncated part is about sqrt(R2 t) wide, so the interval is nearly
+        # the normal one at variance 1 - R2
+        assert ci.upper == pytest.approx(1.959964 * math.sqrt(0.5 / 100), rel=1e-4)
+        with pytest.raises(NumericError, match="underflows"):
+            confidence_interval(0.0, LimitSpec(V=1.0, R2=0.5, q=10, t=1e-300), 100, 0.05, 1000, 0)
+
+    @pytest.mark.parametrize(
+        "r2,q,t", [(0.5, 2, 1.0), (0.9, 1, 0.5), (0.8, 3, 2.0), (1.0, 5, 3.0), (0.6, 10, 2.5582)]
+    )
+    def test_agrees_with_sampler_quantiles(self, r2, q, t):
+        spec = LimitSpec(V=1.0, R2=r2, q=q, t=t)
+        ci = confidence_interval(0.0, spec, 2, 0.05, 1000, 0)
+        m = 200_000
+        draws = sample_limit(spec, m, seed=40 + q) / math.sqrt(2)
+        se = math.sqrt(0.025 * 0.975 / m)
+        assert abs(np.mean(draws < ci.upper) - 0.975) <= 4 * se
+        assert abs(np.mean(draws < ci.lower) - 0.025) <= 4 * se
+
+    def test_does_not_depend_on_draws_or_seed(self):
+        spec = LimitSpec(V=1.5, R2=0.6, q=2, t=1.0)
+        first = confidence_interval(0.2, spec, 80, 0.05, 1000, 0)
+        assert first == confidence_interval(0.2, spec, 80, 0.05, 1_000_000, 12345)
+        assert (first.draws, first.method) == (0, "quadrature")
+
+    def test_projection_form_stays_monte_carlo(self):
+        forms = [(np.arange(2), np.eye(2), 1.0)]
+        spec = LimitSpec(V=1.0, R2=0.5, q=2, t=1.0, projection=(np.ones(2) * 0.5, np.eye(2), forms))
+        ci = confidence_interval(0.0, spec, 100, 0.05, 2000, 3)
+        assert (ci.draws, ci.method) == (2000, "monte_carlo")
 
 
 class TestNormalInterval:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,19 @@ class TestSimConfig:
 
 
 class TestRunSimulation:
+    @pytest.mark.parametrize(
+        "design,method",
+        [
+            (Design(pi=0.5, scheme="rerandomized", rerand_covariates=(0, 1), threshold_t=1.0),
+             "quadrature"),
+            (Design(pi=0.5, scheme="simple"), "normal"),
+        ],
+    )
+    def test_rows_report_their_interval_method(self, design, method):
+        report = run_simulation(small_config(design=design, replicates=3))
+        assert {row.interval_method for row in report.rows} == {method}
+        assert all(row["interval_method"] == method for row in report.to_dict()["estimators"])
+
     def test_single_replicate_reports_no_ese(self):
         report = run_simulation(small_config(replicates=1))
         assert report.rows[0].ese is None
@@ -155,6 +170,7 @@ class TestSchemePlumbing:
         report = run_simulation(config)
         assert all(row.failures == 0 for row in report.rows)
         assert all(0.0 <= row.cp_true <= 1.0 for row in report.rows)
+        assert {row.interval_method for row in report.rows} == {"monte_carlo"}
 
     @pytest.mark.parametrize("scheme", ["rerandomized", "stratified_rerandomized"])
     @pytest.mark.parametrize("kind", ["unadjusted", "ancova"])
