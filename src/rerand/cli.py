@@ -362,7 +362,7 @@ def _build_parser() -> _Parser:
     p_ci.add_argument("--t", required=True, type=float)
     p_ci.add_argument("--n", required=True, type=int)
     p_ci.add_argument("--alpha", type=float, default=0.05)
-    p_ci.add_argument("--draws", type=int, default=10_000, help="ignored by quadrature; >= 1000")
+    p_ci.add_argument("--draws", type=int, default=10_000, help="ignored by quadrature")
     p_ci.add_argument("--seed", type=int, default=0, help="ignored by quadrature")
     p_ci.add_argument("--out", default=None)
 

@@ -386,23 +386,68 @@ class EstimateResult:
     details: dict = field(default_factory=dict)
 
 
-def _numeric_column(
-    cells: tuple[str, ...], name: str, blank_is_nan: bool = False
-) -> np.ndarray:
-    """One column parsed by Python ``float``; the first bad cell raises :class:`ParseError`."""
-    if blank_is_nan:
-        cells = tuple(cell if cell.strip() else "nan" for cell in cells)
+def _blank_is_nan(cell: str) -> float:
+    """An outcome cell: blank means missing (NaN), anything else goes to ``float``."""
+    return float(cell) if cell.strip() else math.nan
+
+
+def _record_lines(handle, count: list[int]):
+    """``handle``'s lines, counted in ``count[0]``. A blank line (numpy skips it, csv
+    reads an empty row) or one over ``csv.field_size_limit()`` raises ValueError."""
+    limit = csv.field_size_limit()
+    for count[0], line in enumerate(handle, start=1):
+        if len(line) > limit or line in ("\n", "\r\n", "\r"):
+            raise ValueError("text for the cell-by-cell parse")
+        yield line
+
+
+def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict] | None:
+    """The rows from ``start`` in one ``np.loadtxt`` pass: labels str, all else float64,
+    the outcome through ``_blank_is_nan`` if a pass without it fails. None if numpy or
+    ``_record_lines`` rejects the text or a record spans lines (where a field could pass
+    csv's size limit unseen)."""
+    dtype = [(f"f{j}", object if name in ("stratum", "cluster") else float)
+             for j, name in enumerate(header)]
+    outcome = {header.index("outcome"): _blank_is_nan} if "outcome" in header else None
+    for converters in (None, outcome) if outcome else (None,):
+        handle.seek(start)
+        lines = [0]
+        try:
+            table = np.loadtxt(_record_lines(handle, lines), dtype=dtype, delimiter=",",
+                               comments=None, quotechar='"', converters=converters, ndmin=1)
+        except ValueError:
+            continue
+        if len(table) != lines[0]:
+            return None
+        return len(table), {name: table[f"f{j}"] for j, name in enumerate(header)}
+    return None
+
+
+def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict]:
+    """The rows of csv ``reader`` parsed cell by cell by ``float``: the columns, or the
+    first error in the order rows, outcome, observed, arm, covariates."""
+    rows: list[list[str]] = []
     try:
-        return np.array(list(map(float, cells)), dtype=float)
-    except ValueError:
-        for row, cell in enumerate(cells, start=1):
+        for cells in reader:
+            rows.append(cells)
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise ParseError(f"row {len(rows) + 1}: {exc}") from None
+    for i, cells in enumerate(rows, start=1):
+        if len(cells) != len(header):
+            raise ParseError(f"row {i} has {len(cells)} cells, expected {len(header)}")
+    columns = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
+    numeric = [name for name in ("outcome", "observed", "arm") if name in columns]
+    for name in numeric + [name for name in header if name not in RESERVED_COLUMNS]:
+        parse = _blank_is_nan if name == "outcome" else float
+        values = np.empty(len(rows))
+        for i, cell in enumerate(columns[name]):
             try:
-                float(cell)
+                values[i] = parse(cell)
             except ValueError:
-                raise ParseError(
-                    f"malformed numeric cell '{cell}' at row {row}, column '{name}'"
-                ) from None
-        raise
+                message = f"malformed numeric cell '{cell}' at row {i + 1}, column '{name}'"
+                raise ParseError(message) from None
+        columns[name] = values
+    return len(rows), columns
 
 
 def load_csv(path) -> TrialFrame:
@@ -410,52 +455,50 @@ def load_csv(path) -> TrialFrame:
 
     The header row is required. Columns named ``outcome``, ``observed``,
     ``arm``, ``stratum``, ``cluster`` (all optional) play their reserved
-    roles; every other column is a covariate. Numeric cells are read by Python
-    ``float``. Empty outcome cells mean missing (observed = 0); when an
-    explicit ``observed`` column is also present the two encodings must agree.
-    The frame checks that ``arm`` and ``observed`` hold 0 or 1. Text that is
-    not UTF-8 raises :class:`DataError`.
+    roles; every other column is a covariate. Numbers are parsed by numpy's C
+    reader in one pass; text it rejects or would read otherwise than ``csv`` (``1_000``,
+    a blank line) is parsed again by ``float`` cell by cell, which gives the frame or
+    names the first bad cell. Empty outcome cells mean missing; an explicit ``observed``
+    column must agree. Text that is not UTF-8 raises :class:`DataError`, a field over
+    ``csv.field_size_limit()`` :class:`ParseError`.
     """
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            data_rows = list(reader)
+        with open(path, newline="", encoding="utf-8-sig") as file:
+            handle = io.StringIO(file.read(), newline="")  # one copy, lines split as csv does
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    reader = csv.reader(handle)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(f"header row: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file")
+    duplicates = [name for i, name in enumerate(header) if name in header[:i]]
+    if duplicates:
+        raise DataError(f"duplicate column name '{duplicates[0]}'")
 
-    seen: set[str] = set()
-    for name in header:
-        if name in seen:
-            raise DataError(f"duplicate column name '{name}'")
-        seen.add(name)
-    for i, cells in enumerate(data_rows, start=1):
-        if len(cells) != len(header):
-            raise ParseError(f"row {i} has {len(cells)} cells, expected {len(header)}")
-
-    columns = dict(zip(header, zip(*data_rows) if data_rows else [()] * len(header)))
-    numeric = {
-        name: _numeric_column(columns[name], name, blank_is_nan=name == "outcome")
-        for name in ("outcome", "observed", "arm")
-        if name in columns
-    }
-    covariate_names = tuple(name for name in header if name not in RESERVED_COLUMNS)
-    covariates = np.empty((len(data_rows), len(covariate_names)))
-    for j, name in enumerate(covariate_names):
-        covariates[:, j] = _numeric_column(columns[name], name)
+    start = handle.tell()  # no rows go cell by cell: numpy would warn of no data
+    parsed = _c_columns(handle, start, header) if header and handle.read(1) else None
+    if parsed is None:
+        handle.seek(start)
+        parsed = _cell_by_cell(reader, header)
+    n, columns = parsed
     for role in ("stratum", "cluster"):
-        for i, cell in enumerate(columns.get(role, ()), start=1):
-            if not cell.strip():
-                raise ValidationError(f"empty {role} label at row {i}")
-
+        cells = columns.get(role, ())
+        if not all(map(str.strip, set(cells))):
+            row = next(i for i, cell in enumerate(cells, start=1) if not cell.strip())
+            raise ValidationError(f"empty {role} label at row {row}")
+    covariate_names = tuple(name for name in header if name not in RESERVED_COLUMNS)
+    covariates = np.empty((n, len(covariate_names)))
+    for j, name in enumerate(covariate_names):
+        covariates[:, j] = columns[name]
     return TrialFrame(
         covariates=covariates,
         covariate_names=covariate_names,
-        outcome=numeric.get("outcome"),
-        observed=numeric.get("observed"),
-        arm=numeric.get("arm"),
+        outcome=columns.get("outcome"),
+        observed=columns.get("observed"),
+        arm=columns.get("arm"),
         stratum=columns.get("stratum"),
         cluster=columns.get("cluster"),
     )

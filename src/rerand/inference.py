@@ -332,14 +332,14 @@ def confidence_interval(
 
     Mahalanobis form: -/+ the 1-alpha/2 quantile by quadrature, which m and seed do
     not change; exactly ``normal_interval`` when R2 = 0, P(chi^2_q < t) rounds to 1
-    (t = inf) or alpha is outside (0, 1). Projection form: type-7 quantiles of m draws.
+    (t = inf) or alpha is outside (0, 1). Projection form: type-7 quantiles of m >= 1000 draws.
     """
-    if m < 1000:
-        raise ValidationError("need at least 1000 draws")
     if n < 2:
         raise ValidationError("n must be at least 2")
     vqt = v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0
     if spec.projection is not None:
+        if m < 1000:
+            raise ValidationError("need at least 1000 draws")
         draws = sample_limit(spec, m, seed) / math.sqrt(n)
         lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
         return CIResult(float(delta_hat + lo), float(delta_hat + hi), alpha, m, vqt, "monte_carlo")

@@ -180,9 +180,10 @@ def _check_full_rank(Z: np.ndarray) -> None:
 
 
 def _ols(Z: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    _check_full_rank(Z)
     w = np.sqrt(weights)
-    beta, *_ = np.linalg.lstsq(Z * w[:, None], y * w, rcond=None)
+    beta, _, rank, _ = np.linalg.lstsq(Z * w[:, None], y * w, rcond=None)
+    if rank < Z.shape[1]:  # lstsq's rank cutoff is matrix_rank's, for Z sqrt(w)
+        raise SingularMatrixError("design matrix is rank deficient")
     return beta
 
 

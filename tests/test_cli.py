@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -102,6 +103,16 @@ class TestCi:
         payload = json.loads(outputs[0])
         assert payload["method"]["interval"] == "quadrature"
         assert payload["method"]["draws"] == 0
+
+    def test_few_draws_are_accepted_and_unused(self, tmp_path):
+        outputs = []
+        for draws in ("5", "1000"):
+            out = tmp_path / f"ci_{draws}.json"
+            argv = ["ci", "--delta", "0.1", "--v", "1", "--r2", "0.5", "--q", "2", "--t", "1",
+                    "--n", "100", "--draws", draws, "--out", str(out)]
+            assert run_command(argv).exit_code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestModuleEntryPoints:
@@ -407,6 +418,17 @@ class TestConfigKeys:
         )
         assert outcome.exit_code == 3
         assert "units.csv: not UTF-8" in capsys.readouterr().err
+
+    def test_oversized_csv_cell_is_a_data_error(self, tmp_path, design_cfg, capsys):
+        data = tmp_path / "units.csv"
+        label = "b" * (csv.field_size_limit() + 1)
+        data.write_text(f"stratum,x1,x2\na,0.5,1.0\n{label},0.1,0.2\n")
+        outcome = run_command(
+            ["allocate", "--design", design_cfg, "--data", str(data), "--seed", "1",
+             "--out", str(tmp_path / "a.csv")]
+        )
+        assert outcome.exit_code == 3
+        assert "row 2: field larger than field limit" in capsys.readouterr().err
 
     def test_comment_starts_at_a_hash_after_whitespace(self):
         from rerand.cli import _uncommented

@@ -2,8 +2,10 @@ import codecs
 import csv
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from typing import Callable, Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from rerand import (
     validate_design,
     write_csv,
 )
+from rerand import data_model
 from rerand.data_model import _WRITE_BLOCK_ROWS, RESERVED_COLUMNS
 from rerand.errors import DataError, ParseError, ValidationError
 
@@ -112,6 +115,49 @@ class TestLoadCsv:
         path.write_bytes("stratum,x1\ncaf\xe9,0.5\n".encode("latin-1"))
         with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
             load_csv(path)
+
+    @pytest.mark.parametrize("kind", ["long_label", "long_number", "two_line_label"])
+    def test_field_over_csv_limit_names_its_row(self, tmp_path, kind):
+        limit = csv.field_size_limit()
+        half = "a" * (limit // 2 + 1)
+        row = {
+            "long_label": f"0,{'a' * (limit + 1)},1",
+            "long_number": f"0,a,{'0' * (limit + 1)}",  # float reads it as 0.0
+            "two_line_label": f'0,"{half}\n{half}",1',  # each line is under the limit
+        }[kind]
+        path = tmp_path / "trial.csv"
+        path.write_text(f"arm,stratum,x1\n1,a,0\n{row}\n")
+        with pytest.raises(ParseError, match="^row 2: field larger than field limit"):
+            load_csv(path)
+        assert csv.field_size_limit() == limit
+
+    def test_field_at_csv_limit_loads(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        label = "a" * csv.field_size_limit()
+        path.write_text(f"arm,stratum,x1\n1,{label},0\n0,b,{'0' * len(label)}\n")
+        frame = load_csv(path)
+        assert frame.stratum.tolist() == [label, "b"]
+        assert frame.covariates.tolist() == [[0.0], [0.0]]
+
+    def test_header_name_over_csv_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_text("arm," + "x" * (csv.field_size_limit() + 1) + "\n1,0\n")
+        with pytest.raises(ParseError, match="^header row: field larger than field limit"):
+            load_csv(path)
+
+    def test_writer_output_takes_the_c_reader(self, tmp_path, monkeypatch):
+        frame = TrialFrame(
+            covariates=np.array([[0.5, -1e-300], [2.0, 3.0], [-0.0, 1e16]]),
+            covariate_names=("x,1", 'say "x"'),
+            outcome=np.array([1.5, np.nan, -2.0]),
+            arm=np.array([1, 0, 1]),
+            stratum=["a,b", 'say "hi"', "a,b"],
+            cluster=["c1", "c2", "#3"],
+        )
+        path = tmp_path / "trial.csv"
+        write_csv(frame, path)
+        monkeypatch.setattr(data_model, "_cell_by_cell", lambda *args: pytest.fail("cell by cell"))
+        assert_same_frame(load_csv(path), _reference_load_csv(path))
 
 
 class TestTrialFrame:
@@ -220,6 +266,12 @@ VALID_CSV = {
     "no_covariates": "outcome,arm\n1,0\n2,1\n",
     "explicit_observed": "outcome,observed,arm,x1\n1.5,1,1,0\n,0,0,1\n2.5,1.0,1,2\n",
     "arm_as_float": "outcome,arm,x1\n1,1.0,0\n2,0.0,1\n",
+    "crlf_line_ends": "outcome,arm,stratum,x1\r\n1.5,1,a,0.5\r\n,0,b,0.25\r\n",
+    "bare_cr_line_ends": "outcome,arm,stratum,x1\r1.5,1,a,0.5\r,0,b,0.25\r",
+    "quoted_newline_in_header": 'outcome,arm,"x\n1","y\r\n2"\n1,1,0.5,1\n2,0,0.25,2\n',
+    "hash_in_label": "arm,stratum,x1\n1,#a,0.5\n0,b # c,0.25\n",
+    "quoted_numeric_cells": 'outcome,arm,x1\n"1.5",1,"0.5"\n"",0,-1\n2," 1 "," 3"\n',
+    "header_only_no_final_newline": "outcome,arm,stratum,x1",
 }
 
 # Malformed CSV texts: both readers raise the same class, naming the same row
@@ -236,7 +288,38 @@ MALFORMED_CSV = {
     "observed_two": "outcome,observed,arm,x1\n1,1,1,0\n2,2,0,1\n",
     "empty_stratum": "arm,stratum,x1\n1,a,0\n0, ,1\n",
     "empty_cluster": "arm,cluster,x1\n1,c1,0\n0,,1\n",
+    "blank_line_mid_file": "outcome,arm,x1\n1,1,0\n\n2,0,1\n",
+    "blank_line_at_end": "outcome,arm,x1\n1,1,0\n2,0,1\n\n",
+    "blank_crlf_line_after_header": "outcome,arm,x1\r\n\r\n1,1,0\r\n",
+    "ragged_row_after_multiline_label": 'arm,stratum,x1\n1,"a\nb",0\n0,c,1,2\n',
 }
+
+
+_TEXT_ALPHABET = "0123456789.eE+-_ ,\"\n\r#a\u00e9"
+# 0 and 1 twice, so that arm and observed columns often hold valid values
+_CELLS = st.sampled_from(
+    ["0", "1", "0", "1", "1.0", "-0.0", "1e3", " 2 ", "1_0", "", '"1"', '""', "a"]
+)
+_NAMES = st.lists(
+    st.sampled_from(RESERVED_COLUMNS + ("x1", "x2")), min_size=1, max_size=4, unique=True
+)
+
+
+@st.composite
+def _csv_texts(draw) -> str:
+    """Text over ``_TEXT_ALPHABET``: arbitrary, or a header of column names over rows
+    of cells (some arbitrary), most with the header's width, split by any line end."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(alphabet=_TEXT_ALPHABET, max_size=40))
+    names = draw(_NAMES)
+    cells = st.one_of(_CELLS, _CELLS, _CELLS, st.text(alphabet=_TEXT_ALPHABET, max_size=3))
+    width = st.sampled_from([len(names)] * 8 + [len(names) - 1, len(names) + 1])
+    row = width.flatmap(lambda k: st.lists(cells, min_size=k, max_size=k))
+    rows = draw(st.lists(row, max_size=4))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    lines = [",".join(cells) + draw(ends) for cells in [names, *rows]]
+    tail = draw(st.sampled_from(["", "", "", "\n"]))  # "\n" after a line end: a blank line
+    return "".join(lines) + tail
 
 
 def _large_frame() -> TrialFrame:
@@ -321,6 +404,21 @@ def _error_site(exc: Exception) -> tuple:
     )
 
 
+def _load_strict(load, path: Path) -> TrialFrame:
+    """``load(path)`` with every warning an error, so that none (such as numpy's
+    "input contained no data") escapes the loader."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load(path)
+
+
+def _load_or_error(load, path: Path) -> TrialFrame | DataError:
+    try:
+        return _load_strict(load, path)
+    except DataError as exc:
+        return exc
+
+
 def _write_bytes(writer, frame: TrialFrame, path: Path) -> bytes:
     writer(frame, path)
     return path.read_bytes()
@@ -331,11 +429,11 @@ class TestCsvMatchesRowWiseOracle:
     def test_valid_panel(self, name, tmp_path):
         path = tmp_path / "in.csv"
         path.write_text(VALID_CSV[name], encoding="utf-8", newline="")
-        frame = load_csv(path)
+        frame = _load_strict(load_csv, path)
         assert_same_frame(frame, _reference_load_csv(path))
         written = _write_bytes(write_csv, frame, tmp_path / "new.csv")
         assert written == _write_bytes(_reference_write_csv, frame, tmp_path / "old.csv")
-        reloaded = load_csv(tmp_path / "new.csv")
+        reloaded = _load_strict(load_csv, tmp_path / "new.csv")
         assert _write_bytes(write_csv, reloaded, tmp_path / "again.csv") == written
 
     @pytest.mark.parametrize("name", sorted(WRITER_FRAMES))
@@ -351,8 +449,31 @@ class TestCsvMatchesRowWiseOracle:
         with pytest.raises(DataError) as expected:
             _reference_load_csv(path)
         with pytest.raises(DataError) as actual:
-            load_csv(path)
+            _load_strict(load_csv, path)
         assert _error_site(actual.value) == _error_site(expected.value)
+
+    @given(text=_csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_matches_oracle(self, text):
+        """The loader gives the frame or the error (class and message) of its
+        cell-by-cell parse alone, and the row-wise oracle's frame. On text with
+        faults of several kinds the oracle may name another one: it checks
+        observed and arm for {0,1} before it parses the covariates, the loader
+        after."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "in.csv")
+            path.write_text(text, encoding="utf-8", newline="")
+            loaded = _load_or_error(load_csv, path)
+            with mock.patch.object(data_model, "_c_columns", return_value=None):
+                cell_by_cell = _load_or_error(load_csv, path)
+            expected = _load_or_error(_reference_load_csv, path)
+        assert isinstance(loaded, TrialFrame) == isinstance(cell_by_cell, TrialFrame)
+        assert isinstance(loaded, TrialFrame) == isinstance(expected, TrialFrame)
+        if isinstance(loaded, TrialFrame):
+            assert_same_frame(loaded, cell_by_cell)
+            assert_same_frame(loaded, expected)
+        else:
+            assert (type(loaded), str(loaded)) == (type(cell_by_cell), str(cell_by_cell))
 
     def test_numeric_labels_stay_strings(self, tmp_path):
         path = tmp_path / "in.csv"

@@ -718,9 +718,18 @@ class TestConfidenceInterval:
         assert mc.upper == pytest.approx(ref.upper, abs=2e-3)
 
     def test_requires_enough_draws(self):
-        spec = LimitSpec(V=1.0, R2=0.0, q=1, t=1.0)
-        with pytest.raises(Exception, match="1000"):
-            confidence_interval(0.0, spec, n=10, alpha=0.05, m=10, seed=0)
+        forms = [(np.arange(2), np.eye(2), 1.0)]
+        spec = LimitSpec(V=1.0, R2=0.5, q=2, t=1.0, projection=(np.ones(2) * 0.5, np.eye(2), forms))
+        with pytest.raises(ValidationError, match="1000"):
+            confidence_interval(0.0, spec, n=10, alpha=0.05, m=999, seed=0)
+
+    @pytest.mark.parametrize("r2, method", [(0.5, "quadrature"), (0.0, "normal")])
+    def test_quadrature_and_normal_accept_any_draws(self, r2, method):
+        spec = LimitSpec(V=1.0, R2=r2, q=2, t=1.0)
+        reference = confidence_interval(0.1, spec, 50, 0.05, 10_000, 0)
+        for m in (0, 1, 5, 999):
+            ci = confidence_interval(0.1, spec, 50, 0.05, m, 7)
+            assert ci == reference and ci.method == method
 
 
 class TestQuadratureInterval:

@@ -282,6 +282,24 @@ class TestDrwls:
         with pytest.raises(ConvergenceError):
             estimate_drwls(frame, ("x",), ("x",), "identity", False, DIFF)
 
+    def test_rank_of_observed_rows_is_checked(self):
+        # x2 varies only where the outcome is missing: the full design has full
+        # rank, the weighted rows the outcome regression solves do not
+        rng = np.random.default_rng(0)
+        n = 40
+        x1 = rng.normal(size=n)
+        arms = np.arange(n) % 2
+        robs = np.arange(n) % 4 < 3
+        frame = TrialFrame(
+            covariates=np.column_stack([x1, np.where(robs, 0.0, rng.normal(size=n))]),
+            covariate_names=("x1", "x2"),
+            outcome=np.where(robs, x1 + arms + rng.normal(size=n), np.nan),
+            arm=arms,
+        )
+        assert np.linalg.matrix_rank(np.column_stack([np.ones(n), arms, frame.covariates])) == 4
+        with pytest.raises(SingularMatrixError, match="design matrix is rank deficient"):
+            estimate_drwls(frame, ("x1", "x2"), ("x1",), "identity", False, DIFF)
+
 
 def _cluster_frame(seed, m=8, tau=1.0, sigma=0.8, effect=1.5):
     rng = np.random.default_rng(seed)
