@@ -105,16 +105,7 @@ def imbalance_simple(
 
     Returns (I, Vhat) with Vhat = (N1*N0)^-1 * sum_i (x_i - xbar)(x_i - xbar)^T.
     """
-    Xr = _as_matrix(Xr)
-    arms = np.asarray(arms)
-    n1 = int(arms.sum())
-    n0 = arms.size - n1
-    if n1 == 0 or n0 == 0:
-        raise ValidationError("both arms must be non-empty")
-    centered = Xr - Xr.mean(axis=0)
-    vhat = centered.T @ centered / (n1 * n0)
-    imb = Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
-    return imb, vhat
+    return _imbalance(Xr, arms, None)
 
 
 def imbalance_stratified(
@@ -125,16 +116,30 @@ def imbalance_stratified(
     The variance estimator centers at stratum means:
     Vhat = n/(N1*N0) * [ n^-1 sum_i x_i x_i^T - sum_s phat_s xbar_s xbar_s^T ].
     """
+    return _imbalance(Xr, arms, factorize(strata))
+
+
+def _imbalance(Xr: np.ndarray, arms: np.ndarray, strata: Grouping | None):
     Xr = _as_matrix(Xr)
     arms = np.asarray(arms)
-    n = arms.size
-    n1 = int(arms.sum())
-    n0 = n - n1
-    if n1 == 0 or n0 == 0:
-        raise ValidationError("both arms must be non-empty")
+    n1n0 = arm_product(arms)
     imb = Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
-    centered = factorize(strata).centered(Xr)
-    return imb, centered.T @ centered / (n1 * n0)
+    return imb, centered_scatter(Xr, strata)[1] / n1n0
+
+
+def centered_scatter(Xr: np.ndarray, strata: Grouping | None) -> tuple[np.ndarray, np.ndarray]:
+    """X^r centered at its overall mean, or at its ``strata`` means, and its scatter
+    matrix; V-hat(I) of an assignment is scatter / ``arm_product(arms)``."""
+    centered = Xr - Xr.mean(axis=0) if strata is None else strata.centered(Xr)
+    return centered, centered.T @ centered
+
+
+def arm_product(arms: np.ndarray) -> int:
+    """N1 N0 of a 0/1 assignment; raises ValidationError when an arm is empty."""
+    n1 = int(arms.sum())
+    if n1 == 0 or n1 == arms.size:
+        raise ValidationError("both arms must be non-empty")
+    return n1 * (arms.size - n1)
 
 
 def imbalance_stratified_dagger(
@@ -232,17 +237,14 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
         return Allocation(propose(), 1, None, np.zeros(0), np.zeros((0, 0)))
     Xr = frame.covariates[:, list(design.rerand_covariates)]
     strata = frame.stratum_groups if design.stratified else None
-    centered = Xr - Xr.mean(axis=0) if strata is None else strata.centered(Xr)
-    scatter = centered.T @ centered  # Var(I) of a proposal is scatter / (N1 N0)
+    _, scatter = centered_scatter(Xr, strata)
     dagger = strata is not None and design.stratified_statistic == "stratum_weighted"
 
     def statistic(arms: np.ndarray) -> tuple[np.ndarray, int]:
-        n1 = int(arms.sum())
-        if n1 == 0 or n1 == n:
-            raise ValidationError("both arms must be non-empty")
+        n1n0 = arm_product(arms)
         if dagger:
-            return _stratum_dagger(Xr, arms, strata), n1 * (n - n1)
-        return Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0), n1 * (n - n1)
+            return _stratum_dagger(Xr, arms, strata), n1n0
+        return Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0), n1n0
 
     if not design.rerandomized or all(math.isinf(tier.threshold) for tier in design.criterion):
         arms = propose()

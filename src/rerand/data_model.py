@@ -280,8 +280,8 @@ class Design:
             raise ValidationError("pi must lie in (0, 1)")
         if self.scheme not in SCHEMES:
             raise ValidationError(f"unknown scheme '{self.scheme}'")
-        if self.threshold_t <= 0:
-            raise ValidationError("threshold_t must be positive")
+        if not all(tier.threshold > 0 for tier in self.criterion):  # NaN fails too
+            raise ValidationError("balance thresholds must be positive")
         if self.tiers and not math.isinf(self.threshold_t):
             raise ValidationError("a tiered design takes its thresholds from its tiers, not t")
         if self.max_attempts < 1:
@@ -333,8 +333,6 @@ def validate_design(design: Design, frame: TrialFrame) -> Design:
     for tier in design.tiers:
         if not set(tier.indices) <= set(design.rerand_covariates):
             raise ValidationError("tier indices must be a subset of rerand_covariates")
-        if tier.threshold <= 0:
-            raise ValidationError("tier thresholds must be positive")
     return design
 
 

@@ -25,12 +25,12 @@ from scipy.special import erfinv, gammainc, gammaincinv, ndtr, ndtri
 
 from .allocation import (
     _as_matrix,
+    arm_product,
     balance_distance,
+    centered_scatter,
     chi_square_cdf,
-    imbalance_simple,
-    imbalance_stratified,
 )
-from .data_model import factorize
+from .data_model import Grouping, factorize
 from .errors import DiagnosticWarning, NumericError, ValidationError
 
 
@@ -55,6 +55,8 @@ class LimitSpec:
             raise ValidationError("V must be nonnegative")
         if not 0.0 <= self.R2 <= 1.0:
             raise ValidationError("R2 must lie in [0, 1]")
+        if math.isnan(self.t):
+            raise ValidationError("t must be a number, not NaN")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,7 @@ def if_imbalance_covariance(
     With ``strata`` X^r is centered at its stratum means; with ``fold_ids``
     the mean is fold-averaged within each stratum.
     """
+    strata = None if strata is None else factorize(strata)
     return _sandwich(if_values, arms, pi, Xr, strata, fold_ids)[2]
 
 
@@ -114,7 +117,7 @@ def rsquared_simple(
     Computes C-hat' {n Vhat(I)}^-1 C-hat / V-hat, clamped to [0, 1] with a
     diagnostic warning when the raw value falls outside.
     """
-    return _rsquared(if_values, arms, Xr, pi, None, fold_ids)
+    return scheme_plugins(if_values, arms, pi, Xr, None, fold_ids)[1]
 
 
 def variance_stratified(
@@ -129,8 +132,7 @@ def variance_stratified(
     Returns V-hat - pi(1-pi) * sum_s phat_s dhat_s^2, floored at zero with a
     diagnostic warning when the subtraction goes negative in small samples.
     """
-    vhat, between, _ = _sandwich(if_values, arms, pi, strata=strata, fold_ids=fold_ids)
-    return _floor_stratified(vhat - pi * (1.0 - pi) * between)
+    return scheme_plugins(if_values, arms, pi, None, factorize(strata), fold_ids)[0]
 
 
 def rsquared_stratified(
@@ -142,38 +144,58 @@ def rsquared_stratified(
     fold_ids: np.ndarray | None = None,
 ) -> float:
     """Stratified R^2: C-hat' {n Vhat(I-tilde)}^-1 C-hat / V-tilde-hat."""
-    return _rsquared(if_values, arms, Xr, pi, strata, fold_ids)
+    return scheme_plugins(if_values, arms, pi, Xr, factorize(strata), fold_ids)[1]
 
 
-def _rsquared(if_values, arms, Xr, pi, strata, fold_ids) -> float:
-    vhat, between, c_hat = _sandwich(if_values, arms, pi, Xr, strata, fold_ids)
-    if strata is None:
-        label = "R^2"
-        if vhat == 0.0:
-            raise NumericError("V-hat is zero: R^2 undefined")
-        _, var_i = imbalance_simple(Xr, arms)
-    else:
-        label = "stratified R^2"
-        vhat = _floor_stratified(vhat - pi * (1.0 - pi) * between)
-        if vhat == 0.0:
-            raise NumericError("stratified variance estimate is zero: R^2 undefined")
-        _, var_i = imbalance_stratified(Xr, arms, strata)
-    raw = balance_distance(c_hat, len(if_values) * var_i) / vhat
-    return _clamp_unit(raw, label)
+def scheme_plugins(
+    if_values: np.ndarray,
+    arms: np.ndarray,
+    pi: float,
+    Xr: np.ndarray | None = None,
+    strata: Grouping | None = None,
+    fold_ids: np.ndarray | None = None,
+) -> tuple[float, float | None, np.ndarray | None, np.ndarray | None]:
+    """(V, R^2, C-hat, n V-hat(I)) of one scheme from one sandwich pass.
+
+    Without ``strata`` V is V-hat. With them it is V-tilde-hat = V-hat -
+    pi(1-pi) sum_s phat_s dhat_s^2, floored at zero with a diagnostic warning,
+    and X^r is centered at its stratum means. Given ``Xr``, R^2 = C-hat'
+    {n V-hat(I)}^-1 C-hat / V, clamped to [0, 1] with a diagnostic warning; a
+    zero V raises :class:`NumericError`. Without ``Xr`` the last three are None.
+    """
+    vhat, between, c_hat, n_var_i = _sandwich(if_values, arms, pi, Xr, strata, fold_ids)
+    if strata is not None:
+        vhat -= pi * (1.0 - pi) * between
+        if vhat < 0.0:
+            warnings.warn(
+                f"stratified variance estimate {vhat:.3e} floored at 0",
+                DiagnosticWarning,
+                stacklevel=2,
+            )
+            vhat = 0.0
+    if Xr is None:
+        return vhat, None, None, None
+    if vhat == 0.0:
+        what = "V-hat" if strata is None else "stratified variance estimate"
+        raise NumericError(f"{what} is zero: R^2 undefined")
+    label = "R^2" if strata is None else "stratified R^2"
+    r2 = _clamp_unit(balance_distance(c_hat, n_var_i) / vhat, label)
+    return vhat, r2, c_hat, n_var_i
 
 
 def _sandwich(if_values, arms=None, pi=None, Xr=None, strata=None, fold_ids=None):
-    """The one sandwich kernel: returns (V, B, C) as weighted sums over units.
+    """The one sandwich kernel: returns (V, B, C, n V-hat(I)) as sums over units.
 
     Unit i in stratum s and fold k carries omega_i = phat_s / (K_s n_{s,k}),
     where K_s counts the folds present in s; without folds omega_i = 1/n.
     V = sum omega IF^2; B = sum_s phat_s dhat_s^2 with dhat_s =
     sum_{i in s} omega w IF / phat_s and w = (A-pi)/(pi(1-pi)); C =
     sum omega w IF (X^r - xbar_s), which equals sum omega w IF X^r -
-    sum_s phat_s dhat_s xbar_s. Without strata every unit is in one stratum.
-    B needs ``strata`` and C needs ``Xr``; each is None otherwise. Strata are
-    visited in sorted order, so sums do not depend on the hash seed; without
-    strata and folds V and C keep their plain mean forms.
+    sum_s phat_s dhat_s xbar_s; n V-hat(I) uses the same centered X^r. Without
+    ``strata`` (a Grouping) every unit is in one stratum. B needs ``strata``, C
+    and n V-hat(I) need ``Xr``; each is None otherwise. Sums run in label
+    order, so they do not depend on the hash seed; without strata and folds V
+    and C keep their plain mean forms.
     """
     if_values = np.asarray(if_values, dtype=float)
     n = if_values.size
@@ -182,8 +204,7 @@ def _sandwich(if_values, arms=None, pi=None, Xr=None, strata=None, fold_ids=None
     if strata is None:
         codes, counts = np.zeros(n, dtype=np.intp), np.array([n])
     else:
-        groups = factorize(strata)
-        codes, counts = groups.codes, groups.counts
+        codes, counts = strata.codes, strata.counts
     phat = counts / n
     if fold_ids is None:
         omega = 1.0 / n
@@ -197,34 +218,21 @@ def _sandwich(if_values, arms=None, pi=None, Xr=None, strata=None, fold_ids=None
         omega = phat[codes] / (k_s[codes] * cell_n[cells])
         vhat = float(np.sum(omega * if_values**2))
     if arms is None:
-        return vhat, None, None
-    w = (np.asarray(arms) - pi) / (pi * (1.0 - pi))
+        return vhat, None, None, None
+    arms = np.asarray(arms)
+    w = (arms - pi) / (pi * (1.0 - pi))
     weighted = w * if_values
     between = None
     if strata is not None:
         d_s = np.bincount(codes, omega * weighted) / phat
         between = float(np.sum(phat * d_s**2))
     if Xr is None:
-        return vhat, between, None
-    Xr = _as_matrix(Xr)
-    if strata is None:
-        centered = Xr - Xr.mean(axis=0)
-    else:
-        centered = groups.centered(Xr)
+        return vhat, between, None, None
+    centered, scatter = centered_scatter(_as_matrix(Xr), strata)
+    n_var_i = n * (scatter / arm_product(arms))
     if fold_ids is None:
-        return vhat, between, weighted @ centered / n
-    return vhat, between, (omega * weighted) @ centered
-
-
-def _floor_stratified(value: float) -> float:
-    if value < 0.0:
-        warnings.warn(
-            f"stratified variance estimate {value:.3e} floored at 0",
-            DiagnosticWarning,
-            stacklevel=3,
-        )
-        return 0.0
-    return float(value)
+        return vhat, between, weighted @ centered / n, n_var_i
+    return vhat, between, (omega * weighted) @ centered, n_var_i
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from scipy.special import expit
 from . import dml as dml_mod
 from . import inference, mestimators
 from ._seeds import derive_seed
-from .allocation import balance_forms, imbalance_simple, imbalance_stratified, rerandomize
-from .data_model import Design, EstimandSpec, TrialFrame
+from .allocation import balance_forms, rerandomize
+from .data_model import Design, EstimandSpec, TrialFrame, factorize
 from .errors import DiagnosticWarning, NumericError, RerandError, ValidationError
 
 ESTIMATOR_KINDS = ("unadjusted", "ancova", "glm2", "drwls", "mixed", "dml")
@@ -395,20 +395,21 @@ def apply_estimator(
 
 
 def _analysis_units(est: SimEstimator, frame: TrialFrame, design: Design):
-    """Arms, stratum codes (stratified designs only) and X^r per analysis unit.
+    """Arms, the stratum grouping (stratified designs only) and X^r per analysis unit.
 
     Mixed-model units are clusters in label order, with their units' mean X^r
     and the arm and stratum those units must share (the estimator checks arms).
     """
     Xr = frame.covariates[:, list(design.rerand_covariates)]
-    strata = frame.stratum_groups.codes if design.stratified else None
+    strata = frame.stratum_groups if design.stratified else None
     if est.kind != "mixed":
         return frame.arm, strata, Xr
     clusters = frame.cluster_groups
     arms = frame.arm[clusters.first_rows]
     Xr = clusters.sums(Xr) / clusters.counts[:, None]
     if strata is not None:
-        strata = clusters.common_values(strata, "cluster '{}' spans more than one stratum")
+        message = "cluster '{}' spans more than one stratum"
+        strata = factorize(clusters.common_values(strata.codes, message))
     return arms, strata, Xr
 
 
@@ -427,10 +428,20 @@ def _replicate(config: SimConfig, truth: dict, r: int) -> dict:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", DiagnosticWarning)
                 result = apply_estimator(est, frame, design, rep_seed, idx)
+                info = scheme_inference(
+                    est, result, frame, design, config.alpha, config.ci_draws,
+                    derive_seed(rep_seed, "ci", idx),
+                )
+                delta_star = truth[est.estimand]["delta_star"]
+                normal_ci, true_ci = info["ci_normal"], info["ci_true"]
                 record.update(
-                    _replicate_inference(
-                        est, result, frame, design, config, rep_seed, idx, truth
-                    )
+                    delta=result.delta_hat,
+                    v_hat=info["v_hat"],
+                    r2_hat=info["r2_hat"],
+                    ase=info["ase"],
+                    cover_normal=normal_ci.lower <= delta_star <= normal_ci.upper,
+                    cover_true=true_ci.lower <= delta_star <= true_ci.upper,
+                    interval_method=true_ci.method,
                 )
                 record["warnings"] = sum(
                     1 for w in caught if issubclass(w.category, DiagnosticWarning)
@@ -458,29 +469,21 @@ def scheme_inference(
     stratified variance and R^2 plug-ins under stratified schemes): its
     scalar-R^2 form for one Mahalanobis criterion over all of X^r (quadrature),
     else the projection form over the criterion's forms at n V-hat(I) (Monte
-    Carlo, from ``ci_draws`` and ``ci_seed``). Cross-fitted
-    (DML) estimates pass their folds to every plug-in; stratified plug-ins
-    take them only for stratum-arm folds, which nest within strata.
+    Carlo, from ``ci_draws`` and ``ci_seed``). It makes two sandwich passes,
+    ``variance_simple`` and ``scheme_plugins``; cross-fitted (DML) estimates
+    pass their folds to both, the stratified one only stratum-arm folds.
     """
     arms, strata, Xr = _analysis_units(est, frame, design)
     ifv = result.if_values
     n_units = len(ifv)
-    pi = design.pi
     fold_ids = result.details["fold_plan"].assignment if est.kind == "dml" else None
     v_simple = inference.variance_simple(ifv, fold_ids=fold_ids)
-    if strata is None:
-        v_for_ci = v_simple
-    else:
-        if est.fold_mode != "stratum_arm":
-            fold_ids = None
-        v_for_ci = inference.variance_stratified(ifv, arms, strata, pi, fold_ids=fold_ids)
+    if strata is not None and est.fold_mode != "stratum_arm":
+        fold_ids = None
+    v_scheme, r2, c_hat, n_var_i = inference.scheme_plugins(
+        ifv, arms, design.pi, Xr if design.q else None, strata, fold_ids
+    )
 
-    r2 = None
-    if design.q >= 1:
-        if strata is None:
-            r2 = inference.rsquared_simple(ifv, arms, Xr, pi, fold_ids=fold_ids)
-        else:
-            r2 = inference.rsquared_stratified(ifv, arms, strata, Xr, pi, fold_ids=fold_ids)
     limit_spec = None
     if design.rerandomized:
         first, *rest = design.criterion
@@ -489,66 +492,25 @@ def scheme_inference(
         )
         projection = None
         if not exact:
-            c_hat = inference.if_imbalance_covariance(
-                ifv, arms, Xr, pi, strata=strata, fold_ids=fold_ids
-            )
-            if strata is None:
-                _, var_i = imbalance_simple(Xr, arms)
-            else:
-                _, var_i = imbalance_stratified(Xr, arms, strata)
-            n_var_i = n_units * var_i
             projection = (c_hat, n_var_i, balance_forms(design, n_var_i))
         t = first.threshold if exact else design.threshold_t
-        limit_spec = inference.LimitSpec(V=v_for_ci, R2=r2, q=design.q, t=t, projection=projection)
+        limit_spec = inference.LimitSpec(V=v_scheme, R2=r2, q=design.q, t=t, projection=projection)
 
     ci_normal = inference.normal_interval(result.delta_hat, v_simple, n_units, alpha)
     if limit_spec is None:
-        ci_true = inference.normal_interval(result.delta_hat, v_for_ci, n_units, alpha)
+        ci_true = inference.normal_interval(result.delta_hat, v_scheme, n_units, alpha)
     else:
         ci_true = inference.confidence_interval(
             result.delta_hat, limit_spec, n_units, alpha, ci_draws, ci_seed
         )
     return {
         "v_hat": v_simple,
-        "v_scheme": v_for_ci,
+        "v_scheme": v_scheme,
         "r2_hat": r2,
         "ase": math.sqrt(v_simple / n_units),
         "ci_normal": ci_normal,
         "ci_true": ci_true,
         "n_units": n_units,
-    }
-
-
-def _replicate_inference(
-    est: SimEstimator,
-    result,
-    frame: TrialFrame,
-    design: Design,
-    config: SimConfig,
-    rep_seed: int,
-    index: int,
-    truth: dict,
-) -> dict:
-    info = scheme_inference(
-        est,
-        result,
-        frame,
-        design,
-        config.alpha,
-        config.ci_draws,
-        derive_seed(rep_seed, "ci", index),
-    )
-    delta_star = truth[est.estimand]["delta_star"]
-    normal_ci = info["ci_normal"]
-    true_ci = info["ci_true"]
-    return {
-        "delta": result.delta_hat,
-        "v_hat": info["v_hat"],
-        "r2_hat": info["r2_hat"],
-        "ase": info["ase"],
-        "cover_normal": normal_ci.lower <= delta_star <= normal_ci.upper,
-        "cover_true": true_ci.lower <= delta_star <= true_ci.upper,
-        "interval_method": true_ci.method,
     }
 
 
@@ -568,11 +530,8 @@ def run_simulation(config: SimConfig) -> SimReport:
     truth: dict = {}
     for contrast in sorted(contrasts):
         if config.truth and contrast in config.truth:
-            entry = config.truth[contrast]
-            truth[contrast] = {
-                "delta_star": float(entry[0] if not isinstance(entry, dict) else entry["delta_star"]),
-                "mcse": float(entry[1] if not isinstance(entry, dict) else entry["mcse"]),
-            }
+            delta_star, mcse = config.truth[contrast]
+            truth[contrast] = {"delta_star": float(delta_star), "mcse": float(mcse)}
         else:
             est = true_delta(
                 config.dgp,

@@ -74,6 +74,13 @@ class TestCi:
         )
         assert outcome.exit_code == 4
 
+    def test_nan_threshold_is_a_data_error(self, capsys):
+        outcome = run_command(
+            ["ci", "--delta", "0", "--v", "1", "--r2", "0.5", "--q", "2", "--t", "nan", "--n", "100"]
+        )
+        assert outcome.exit_code == 3
+        assert "t must be a number, not NaN" in capsys.readouterr().err
+
     def test_tiny_acceptance_succeeds(self, capsys):
         outcome = run_command(
             [
@@ -368,6 +375,8 @@ class TestConfigKeys:
             ("tier = x1 : 0.05", "sim.cfg:9: unknown key 'tier'"),
             ("design.threshold = 0.05", "sim.cfg:9: unknown key 'design.threshold'"),
             ("design.tier = x1 : 0.05\ndesign.t = 1.0", "thresholds from its tiers"),
+            ("design.t = nan", "balance thresholds must be positive"),
+            ("design.tier = x1 : nan", "balance thresholds must be positive"),
         ],
     )
     def test_simulation_config_errors(self, tmp_path, monkeypatch, capsys, line, message):
@@ -385,6 +394,8 @@ class TestConfigKeys:
         [
             ("threshold = 0.05\n", "design.cfg:4: unknown key 'threshold'"),
             ("tier = x1 : 0.5\nt = 1.0\n", "thresholds from its tiers"),
+            ("t = nan\n", "balance thresholds must be positive"),
+            ("tier = x1 : 0.5\ntier = x2 : nan\n", "balance thresholds must be positive"),
         ],
     )
     def test_design_file_errors(

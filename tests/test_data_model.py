@@ -1,5 +1,6 @@
 import codecs
 import csv
+import math
 import re
 import tempfile
 import warnings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from rerand import (
     Design,
     EstimandSpec,
+    Tier,
     TrialFrame,
     load_csv,
     validate_design,
@@ -228,6 +230,14 @@ class TestValidateDesign:
         design = Design(pi=0.5, scheme="rerandomized", threshold_t=1.0)
         with pytest.raises(ValidationError, match="X\\^r"):
             validate_design(design, self.frame())
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+    def test_nonpositive_or_nan_thresholds_are_rejected(self, threshold):
+        common = dict(pi=0.5, scheme="rerandomized", rerand_covariates=(0, 1))
+        with pytest.raises(ValidationError, match="balance thresholds must be positive"):
+            Design(threshold_t=threshold, **common)
+        with pytest.raises(ValidationError, match="balance thresholds must be positive"):
+            Design(tiers=(Tier((0,), 1.0), Tier((1,), threshold)), **common)
 
 
 class TestEstimandSpec:

@@ -485,6 +485,12 @@ class TestKernelOracle:
                 )
 
 
+class TestLimitSpec:
+    def test_nan_threshold_is_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            LimitSpec(V=1.0, R2=0.5, q=2, t=math.nan)
+
+
 class TestSampleLimit:
     def test_zero_rsquared_is_exactly_scaled_normal(self):
         spec = LimitSpec(V=4.0, R2=0.0, q=2, t=1.0)

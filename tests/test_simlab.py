@@ -1,8 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import rerand.allocation
+import rerand.data_model
+import rerand.inference
+import rerand.simlab
 from rerand import (
     DistanceSpec,
     CustomDgp,
@@ -12,6 +17,7 @@ from rerand import (
     SimConfig,
     SimEstimator,
     Tier,
+    TrialFrame,
     generate_trial,
     run_simulation,
     true_delta,
@@ -308,3 +314,168 @@ class TestSchemeLevelInvariants:
         report = run_simulation(config)
         r2 = {row.label: row.mean_r2_hat for row in report.rows}
         assert r2["Unadjusted"] >= 5 * r2["ANCOVA"]
+
+
+# ---------------------------------------------------------------------------
+# scheme_inference is its public plug-ins, composed one by one.
+
+
+def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
+    """v_hat, v_scheme, r2_hat and ci_true built from the public plug-ins, with
+    the strata as labels and one plug-in call per quantity."""
+    from rerand import (
+        LimitSpec,
+        confidence_interval,
+        imbalance_simple,
+        imbalance_stratified,
+        rsquared_simple,
+        rsquared_stratified,
+        variance_simple,
+        variance_stratified,
+    )
+    from rerand.allocation import balance_forms
+    from rerand.inference import if_imbalance_covariance
+
+    arms, Xr = frame.arm, frame.covariates[:, list(design.rerand_covariates)]
+    strata = frame.stratum if design.stratified else None
+    if est.kind == "mixed":
+        clusters = frame.cluster_groups
+        arms = arms[clusters.first_rows]
+        Xr = clusters.sums(Xr) / clusters.counts[:, None]
+        strata = None if strata is None else strata[clusters.first_rows]
+    ifv, pi = result.if_values, design.pi
+    n = len(ifv)
+    folds = result.details["fold_plan"].assignment if est.kind == "dml" else None
+    v_hat = variance_simple(ifv, fold_ids=folds)
+    if strata is None:
+        v_scheme = v_hat
+        r2 = rsquared_simple(ifv, arms, Xr, pi, fold_ids=folds)
+        var_i = imbalance_simple(Xr, arms)[1]
+    else:
+        folds = folds if est.fold_mode == "stratum_arm" else None
+        v_scheme = variance_stratified(ifv, arms, strata, pi, fold_ids=folds)
+        r2 = rsquared_stratified(ifv, arms, strata, Xr, pi, fold_ids=folds)
+        var_i = imbalance_stratified(Xr, arms, strata)[1]
+    first, *rest = design.criterion
+    exact = not rest and first.distance.kind == "mahalanobis" and (
+        sorted(first.indices) == sorted(design.rerand_covariates)
+    )
+    projection = None
+    if not exact:
+        c_hat = if_imbalance_covariance(ifv, arms, Xr, pi, strata=strata, fold_ids=folds)
+        projection = (c_hat, n * var_i, balance_forms(design, n * var_i))
+    t = first.threshold if exact else design.threshold_t
+    spec = LimitSpec(V=v_scheme, R2=r2, q=design.q, t=t, projection=projection)
+    ci = confidence_interval(result.delta_hat, spec, n, alpha, draws, seed)
+    return v_hat, v_scheme, r2, ci.lower, ci.upper
+
+
+def _criterion(kind: str) -> dict:
+    if kind == "tiers":
+        general = DistanceSpec(kind="general")
+        return dict(tiers=(Tier((0,), 0.5), Tier((1,), 1.0, general)))
+    return dict(threshold_t=1.5, distance=DistanceSpec(kind=kind))
+
+
+_SCHEME_ESTIMATORS = {
+    "unadjusted": SimEstimator(kind="unadjusted"),
+    "ancova": SimEstimator(kind="ancova"),
+    "dml_plain": SimEstimator(kind="dml", folds=4, fold_mode="plain"),
+    "dml_stratum_arm": SimEstimator(kind="dml", folds=2, fold_mode="stratum_arm"),
+}
+
+
+def _scheme_trial():
+    from rerand import LearnerSpec
+
+    trial = generate_trial(DgpSpec("continuous_sec7", 240), seed=31)
+    frame = trial.reveal(np.tile([1, 0], 120))
+    learner = LearnerSpec(kind="stump_ensemble", trees=15, learning_rate=0.1)
+    estimators = {
+        name: dataclasses.replace(est, outcome_learner=learner) if est.kind == "dml" else est
+        for name, est in _SCHEME_ESTIMATORS.items()
+    }
+    return frame, estimators
+
+
+class TestSchemeInferenceEqualsItsParts:
+    @pytest.mark.parametrize("estimator", list(_SCHEME_ESTIMATORS))
+    @pytest.mark.parametrize("criterion", ["mahalanobis", "general", "tiers"])
+    @pytest.mark.parametrize("scheme", ["rerandomized", "stratified_rerandomized"])
+    def test_bit_for_bit(self, scheme, criterion, estimator):
+        frame, estimators = _scheme_trial()
+        est = estimators[estimator]
+        design = Design(pi=0.5, scheme=scheme, rerand_covariates=(0, 1), **_criterion(criterion))
+        result = apply_estimator(est, frame, design, 3, 0)
+        info = scheme_inference(est, result, frame, design, 0.05, 2000, 17)
+        got = (
+            info["v_hat"], info["v_scheme"], info["r2_hat"],
+            info["ci_true"].lower, info["ci_true"].upper,
+        )
+        assert got == _composed_from_plugins(est, result, frame, design, 0.05, 2000, 17)
+
+    @pytest.mark.parametrize("criterion", ["mahalanobis", "general", "tiers"])
+    def test_mixed_model_with_clusters_under_a_stratified_design(self, criterion):
+        rng = np.random.default_rng(8)
+        cluster = np.repeat(np.arange(40), 6)
+        arms = (cluster // 4) % 2
+        x = rng.normal(size=(240, 2))
+        frame = TrialFrame(
+            covariates=x, covariate_names=("x1", "x2"),
+            outcome=1.0 + arms + x[:, 0] + rng.normal(size=40)[cluster] + rng.normal(size=240),
+            arm=arms, stratum=np.where(cluster % 4 < 2, "a", "b"),
+            cluster=[f"c{c}" for c in cluster],
+        )
+        design = Design(
+            pi=0.5, scheme="stratified_rerandomized", rerand_covariates=(0, 1),
+            **_criterion(criterion),
+        )
+        est = SimEstimator(kind="mixed", covariates=("x1", "x2"))
+        result = apply_estimator(est, frame, design, 3, 0)
+        info = scheme_inference(est, result, frame, design, 0.05, 2000, 17)
+        got = (
+            info["v_hat"], info["v_scheme"], info["r2_hat"],
+            info["ci_true"].lower, info["ci_true"].upper,
+        )
+        assert got == _composed_from_plugins(est, result, frame, design, 0.05, 2000, 17)
+
+    @pytest.mark.parametrize("estimator", list(_SCHEME_ESTIMATORS))
+    @pytest.mark.parametrize("criterion", ["mahalanobis", "general"])
+    def test_two_kernel_passes_and_no_stratum_factorization(
+        self, monkeypatch, criterion, estimator
+    ):
+        frame, estimators = _scheme_trial()
+        est = estimators[estimator]
+        design = Design(
+            pi=0.5, scheme="stratified_rerandomized", rerand_covariates=(0, 1),
+            **_criterion(criterion),
+        )
+        result = apply_estimator(est, frame, design, 3, 0)
+        assert frame.stratum_groups is not None  # cached on the frame
+
+        factorized, passes = [], []
+        original_factorize = rerand.data_model.factorize
+        original_sandwich = rerand.inference._sandwich
+
+        def counting_factorize(values):
+            factorized.append(np.asarray(values))
+            return original_factorize(values)
+
+        def counting_sandwich(*args, **kwargs):
+            passes.append(args)
+            return original_sandwich(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("imbalance_* called by scheme_inference")
+
+        for module in (rerand.data_model, rerand.allocation, rerand.inference, rerand.simlab):
+            if getattr(module, "factorize", None) is original_factorize:
+                monkeypatch.setattr(module, "factorize", counting_factorize)
+        monkeypatch.setattr(rerand.inference, "_sandwich", counting_sandwich)
+        monkeypatch.setattr(rerand.allocation, "imbalance_simple", forbidden)
+        monkeypatch.setattr(rerand.allocation, "imbalance_stratified", forbidden)
+
+        scheme_inference(est, result, frame, design, 0.05, 2000, 17)
+        assert len(passes) <= 2
+        folds = result.details["fold_plan"].assignment if est.kind == "dml" else None
+        assert all(folds is not None and np.array_equal(v, folds) for v in factorized)
