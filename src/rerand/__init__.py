@@ -6,12 +6,7 @@ from .allocation import (
     Allocation,
     balance_distance,
     chi_square_cdf,
-    imbalance_simple,
-    imbalance_stratified,
-    imbalance_stratified_dagger,
-    permuted_block_assign,
     rerandomize,
-    simple_assign,
 )
 from .data_model import (
     Design,
@@ -30,12 +25,10 @@ from .inference import (
     LimitSpec,
     confidence_interval,
     normal_interval,
-    rsquared_simple,
-    rsquared_stratified,
     sample_limit,
+    scheme_plugins,
     v_qt,
     variance_simple,
-    variance_stratified,
 )
 from .mestimators import (
     PsiSpec,

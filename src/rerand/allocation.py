@@ -1,9 +1,10 @@
-"""Treatment allocation engines and covariate-balance machinery.
+"""Treatment allocation and covariate-balance machinery.
 
-Implements independent-coin-flip assignment, stratified permuted-block
-assignment, the (stratified) imbalance statistics with their variance
-estimators, weighted balance distances, and the rejection loop that redraws
-assignments until the balance criterion is met.
+``rerandomize`` is the one assignment entry: it draws independent coin flips
+or stratified permuted blocks under a ``Design`` and, for rerandomized
+schemes, redraws until the balance criterion is met. Alongside it are
+``Allocation``, ``chi_square_cdf``, ``balance_distance``, ``balance_forms``
+and the V-hat(I) parts ``centered_scatter`` and ``arm_product``.
 
 Everything here is a pure function of (inputs, seed): callers may run many
 allocations concurrently with distinct seeds.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .data_model import Design, Grouping, TrialFrame, factorize, group_sums, validate_design
+from .data_model import Design, Grouping, TrialFrame, group_sums, validate_design
 from .errors import NonTerminationError, SingularMatrixError, ValidationError
 
 
@@ -27,15 +28,14 @@ class Allocation:
 
     ``accepted_distance`` is present only when a finite-threshold balance
     criterion was actually checked; tiered designs record per-tier distances
-    instead. ``imbalance`` and ``imbalance_variance`` refer to the accepted
-    draw's statistic (I, or its stratified counterpart).
+    instead. ``imbalance`` is the accepted draw's statistic (I, or its
+    stratified counterpart).
     """
 
     arms: np.ndarray
     attempts: int
     accepted_distance: float | None
     imbalance: np.ndarray
-    imbalance_variance: np.ndarray
     tier_distances: tuple[float, ...] | None = None
 
 
@@ -50,43 +50,17 @@ def chi_square_cdf(q: int, t: float) -> float:
     return float(gammainc(q / 2.0, t / 2.0))
 
 
-def simple_assign(n: int, pi: float, seed: int) -> np.ndarray:
-    """Assign treatment by n independent Bernoulli(pi) coin flips."""
-    if n < 1:
-        raise ValidationError("n must be at least 1")
-    if not 0.0 <= pi <= 1.0:
-        raise ValidationError("pi must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    return _simple_draw(rng, n, pi)
-
-
-def _simple_draw(rng: np.random.Generator, n: int, pi: float) -> np.ndarray:
-    return (rng.random(n) < pi).astype(np.int8)
-
-
-def permuted_block_assign(
-    strata: np.ndarray, pi: float, k: int, seed: int
+def _permuted_block_draw(
+    rng: np.random.Generator, strata: Grouping, pi: float, k: int
 ) -> np.ndarray:
-    """Stratified permuted-block assignment.
+    """Stratified permuted-block assignment, for a design ``validate_design`` passed.
 
     Within each stratum, consecutive units are assigned from size-k blocks
     containing exactly pi*k ones in uniformly random order; a fresh block is
     sampled whenever the previous one is exhausted, and the final partial
     block uses only the prefix it needs.
     """
-    rng = np.random.default_rng(seed)
-    return _permuted_block_draw(rng, factorize(strata), pi, k)
-
-
-def _permuted_block_draw(
-    rng: np.random.Generator, strata: Grouping, pi: float, k: int
-) -> np.ndarray:
-    if k < 2:
-        raise ValidationError("block size must be at least 2")
-    ones = pi * k
-    if abs(ones - round(ones)) > 1e-9:
-        raise ValidationError(f"pi*k not integer: pi={pi}, k={k}")
-    ones = int(round(ones))
+    ones = int(round(pi * k))
     base = np.zeros(k, dtype=np.int8)
     base[:ones] = 1
 
@@ -96,35 +70,6 @@ def _permuted_block_draw(
         blocks = rng.permuted(np.tile(base, (-(-idx.size // k), 1)), axis=1)
         arms[idx] = blocks.ravel()[: idx.size]
     return arms
-
-
-def imbalance_simple(
-    Xr: np.ndarray, arms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Treated-minus-control mean of X^r and its variance estimator.
-
-    Returns (I, Vhat) with Vhat = (N1*N0)^-1 * sum_i (x_i - xbar)(x_i - xbar)^T.
-    """
-    return _imbalance(Xr, arms, None)
-
-
-def imbalance_stratified(
-    Xr: np.ndarray, arms: np.ndarray, strata: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Overall imbalance statistic and its variance under stratified assignment.
-
-    The variance estimator centers at stratum means:
-    Vhat = n/(N1*N0) * [ n^-1 sum_i x_i x_i^T - sum_s phat_s xbar_s xbar_s^T ].
-    """
-    return _imbalance(Xr, arms, factorize(strata))
-
-
-def _imbalance(Xr: np.ndarray, arms: np.ndarray, strata: Grouping | None):
-    Xr = _as_matrix(Xr)
-    arms = np.asarray(arms)
-    n1n0 = arm_product(arms)
-    imb = Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
-    return imb, centered_scatter(Xr, strata)[1] / n1n0
 
 
 def centered_scatter(Xr: np.ndarray, strata: Grouping | None) -> tuple[np.ndarray, np.ndarray]:
@@ -140,13 +85,6 @@ def arm_product(arms: np.ndarray) -> int:
     if n1 == 0 or n1 == arms.size:
         raise ValidationError("both arms must be non-empty")
     return n1 * (arms.size - n1)
-
-
-def imbalance_stratified_dagger(
-    Xr: np.ndarray, arms: np.ndarray, strata: np.ndarray
-) -> np.ndarray:
-    """Stratum-weighted imbalance: sum_s phat_s (treated - control mean in s)."""
-    return _stratum_dagger(_as_matrix(Xr), np.asarray(arms), factorize(strata))
 
 
 def _stratum_dagger(Xr: np.ndarray, arms: np.ndarray, strata: Grouping) -> np.ndarray:
@@ -194,13 +132,6 @@ def _describe_singular(weight: np.ndarray) -> str:
     return "imbalance variance is numerically singular: collinear covariate block"
 
 
-def _as_matrix(Xr: np.ndarray) -> np.ndarray:
-    Xr = np.asarray(Xr, dtype=float)
-    if Xr.ndim == 1:
-        Xr = Xr[:, None]
-    return Xr
-
-
 def balance_forms(design: Design, scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """The balance criterion as one (X^r positions, weight, threshold) form per
     tier of ``design.criterion``, the weight realized on the tier's block of
@@ -231,10 +162,10 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
     def propose() -> np.ndarray:
         if design.stratified:
             return _permuted_block_draw(rng, frame.stratum_groups, design.pi, design.block_size)
-        return _simple_draw(rng, n, design.pi)
+        return (rng.random(n) < design.pi).astype(np.int8)
 
     if design.q < 1:
-        return Allocation(propose(), 1, None, np.zeros(0), np.zeros((0, 0)))
+        return Allocation(propose(), 1, None, np.zeros(0))
     Xr = frame.covariates[:, list(design.rerand_covariates)]
     strata = frame.stratum_groups if design.stratified else None
     _, scatter = centered_scatter(Xr, strata)
@@ -248,8 +179,7 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
 
     if not design.rerandomized or all(math.isinf(tier.threshold) for tier in design.criterion):
         arms = propose()
-        imb, n1n0 = statistic(arms)
-        return Allocation(arms, 1, None, imb, scatter / n1n0)
+        return Allocation(arms, 1, None, statistic(arms)[0])
 
     forms = balance_forms(design, scatter)
     for attempt in range(1, design.max_attempts + 1):
@@ -267,7 +197,7 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
             tiered = bool(design.tiers)
             accepted = None if tiered else dists[0]
             tier_dists = tuple(dists) if tiered else None
-            return Allocation(arms, attempt, accepted, imb, scatter / n1n0, tier_dists)
+            return Allocation(arms, attempt, accepted, imb, tier_dists)
     raise NonTerminationError(
         f"no proposal satisfied the balance criterion within "
         f"{design.max_attempts} attempts; consider a larger threshold t"

@@ -14,6 +14,7 @@ import difflib
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ from .data_model import (
     write_csv,
 )
 from .dml import LearnerSpec
-from .errors import DataError, NumericError, RerandError
+from .errors import DataError, NumericError, RerandError, ValidationError
 from .inference import LimitSpec, confidence_interval
 from .simlab import (
     DGP_COVARIATES,
@@ -478,6 +479,8 @@ def _cmd_ci(args, outcome: CommandOutcome) -> None:
     resolved = {k: getattr(args, k) for k in ("delta", "v", "r2", "q", "t", "n", "alpha")}
     digest = canonical_digest(resolved)
     _log_record(outcome, "ci", resolved, digest)
+    if math.isnan(args.delta):
+        raise ValidationError("delta must be a number, not NaN")
     spec = LimitSpec(V=args.v, R2=args.r2, q=args.q, t=args.t)
     ci = confidence_interval(args.delta, spec, args.n, args.alpha, args.draws, args.seed)
     payload = {

@@ -3,10 +3,13 @@
 Estimator asymptotics under constrained randomization take the form
 sqrt(V) * (sqrt(1-R^2) z + sqrt(R^2) r_{q,t}) with z standard normal and
 r_{q,t} the first coordinate of a standard q-normal conditioned on squared
-norm < t. This module estimates (V, R^2) and their stratified counterparts
-from per-unit influence values, samples the limit law (exact sampler
-(Mahalanobis) / rejection (projection form, for general weights and tiers)),
-and inverts it into intervals (Mahalanobis: quadrature; projection: draws).
+norm < t. This module estimates V with ``variance_simple`` and (V, R^2, C-hat,
+n V-hat(I)) of a scheme, stratified or not, with ``scheme_plugins``, both
+from per-unit influence values; ``sample_limit`` samples the ``LimitSpec``
+law (exact sampler (Mahalanobis) / rejection (projection form, for general
+weights and tiers)), and ``confidence_interval`` inverts it into a
+``CIResult`` (Mahalanobis: quadrature; projection: draws), with
+``normal_interval`` and ``v_qt`` beside it.
 
 All estimator-side functions are pure; samplers own a seeded generator, so
 independent computations may run concurrently with distinct seeds.
@@ -24,7 +27,6 @@ import numpy as np
 from scipy.special import erfinv, gammainc, gammaincinv, ndtr, ndtri
 
 from .allocation import (
-    _as_matrix,
     arm_product,
     balance_distance,
     centered_scatter,
@@ -51,7 +53,7 @@ class LimitSpec:
     projection: tuple[np.ndarray, np.ndarray, list] | None = None
 
     def __post_init__(self) -> None:
-        if self.V < 0:
+        if not self.V >= 0:  # NaN fails too
             raise ValidationError("V must be nonnegative")
         if not 0.0 <= self.R2 <= 1.0:
             raise ValidationError("R2 must lie in [0, 1]")
@@ -86,65 +88,6 @@ def variance_simple(if_values: np.ndarray, fold_ids: np.ndarray | None = None) -
     fold and then averaged over folds.
     """
     return _sandwich(if_values, fold_ids=fold_ids)[0]
-
-
-def if_imbalance_covariance(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    Xr: np.ndarray,
-    pi: float,
-    strata: np.ndarray | None = None,
-    fold_ids: np.ndarray | None = None,
-) -> np.ndarray:
-    """C-hat: mean of (A-pi)/(pi(1-pi)) * IF * (X^r - mean X^r) over units.
-
-    With ``strata`` X^r is centered at its stratum means; with ``fold_ids``
-    the mean is fold-averaged within each stratum.
-    """
-    strata = None if strata is None else factorize(strata)
-    return _sandwich(if_values, arms, pi, Xr, strata, fold_ids)[2]
-
-
-def rsquared_simple(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    Xr: np.ndarray,
-    pi: float,
-    fold_ids: np.ndarray | None = None,
-) -> float:
-    """Fraction of the sandwich variance explained by X^r.
-
-    Computes C-hat' {n Vhat(I)}^-1 C-hat / V-hat, clamped to [0, 1] with a
-    diagnostic warning when the raw value falls outside.
-    """
-    return scheme_plugins(if_values, arms, pi, Xr, None, fold_ids)[1]
-
-
-def variance_stratified(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    strata: np.ndarray,
-    pi: float,
-    fold_ids: np.ndarray | None = None,
-) -> float:
-    """Stratified-scheme variance: V-hat minus the between-stratum component.
-
-    Returns V-hat - pi(1-pi) * sum_s phat_s dhat_s^2, floored at zero with a
-    diagnostic warning when the subtraction goes negative in small samples.
-    """
-    return scheme_plugins(if_values, arms, pi, None, factorize(strata), fold_ids)[0]
-
-
-def rsquared_stratified(
-    if_values: np.ndarray,
-    arms: np.ndarray,
-    strata: np.ndarray,
-    Xr: np.ndarray,
-    pi: float,
-    fold_ids: np.ndarray | None = None,
-) -> float:
-    """Stratified R^2: C-hat' {n Vhat(I-tilde)}^-1 C-hat / V-tilde-hat."""
-    return scheme_plugins(if_values, arms, pi, Xr, factorize(strata), fold_ids)[1]
 
 
 def scheme_plugins(
@@ -233,6 +176,13 @@ def _sandwich(if_values, arms=None, pi=None, Xr=None, strata=None, fold_ids=None
     if fold_ids is None:
         return vhat, between, weighted @ centered / n, n_var_i
     return vhat, between, (omega * weighted) @ centered, n_var_i
+
+
+def _as_matrix(Xr: np.ndarray) -> np.ndarray:
+    Xr = np.asarray(Xr, dtype=float)
+    if Xr.ndim == 1:
+        Xr = Xr[:, None]
+    return Xr
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +294,8 @@ def confidence_interval(
     """
     if n < 2:
         raise ValidationError("n must be at least 2")
+    if math.isnan(alpha):
+        raise ValidationError("alpha must be a number, not NaN")
     vqt = v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0
     if spec.projection is not None:
         if m < 1000:
@@ -416,6 +368,8 @@ def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIRe
     """Normal-approximation interval delta_hat +/- z_{1-alpha/2} sqrt(vhat/n)."""
     if vhat < 0:
         raise ValidationError("variance estimate must be nonnegative")
+    if math.isnan(alpha):
+        raise ValidationError("alpha must be a number, not NaN")
     half = 0.0 if alpha >= 1.0 else float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(vhat / n)
     return CIResult(delta_hat - half, delta_hat + half, alpha, 0, 1.0, "normal")
 

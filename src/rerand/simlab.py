@@ -252,6 +252,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValidationError("replicates must be at least 1")
+        if math.isnan(self.alpha):
+            raise ValidationError("alpha must be a number, not NaN")
         if not self.estimators:
             raise ValidationError("at least one estimator is required")
         if any(est.kind == "mixed" for est in self.estimators):

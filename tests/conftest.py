@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rerand import TrialFrame
+from rerand import Design, TrialFrame, rerandomize
 
 
 @pytest.fixture
@@ -29,6 +29,13 @@ def random_frame(seed: int, n: int = 120, beta=(1.0, -1.0), effect: float = 2.0)
         outcome=y,
         arm=arms,
     )
+
+
+def block_arms(strata, pi: float, k: int, seed: int) -> np.ndarray:
+    """Arms of ``rerandomize`` under the stratified design with blocks of size k:
+    permuted blocks within each stratum, and no balance criterion."""
+    frame = TrialFrame(covariates=np.empty((len(strata), 0)), covariate_names=(), stratum=strata)
+    return rerandomize(frame, Design(pi=pi, scheme="stratified", block_size=k), seed).arms
 
 
 def fd_jacobian(evaluate):

@@ -30,13 +30,13 @@ from rerand import (
     estimate_drwls,
     estimate_unadjusted,
     generate_trial,
-    imbalance_simple,
-    rsquared_simple,
     run_simulation,
     sample_limit,
+    scheme_plugins,
     v_qt,
     variance_simple,
 )
+from rerand.allocation import arm_product, centered_scatter
 
 MASTER_SEED = 20240801
 # ground truth fixtures, frozen from 1e7-draw complete-data oracles:
@@ -97,7 +97,8 @@ def test_criterion_1_acceptance_rate_reproduction():
     accepted = 0
     for _ in range(5000):
         arms = (rng.random(400) < 0.5).astype(int)
-        imb, vhat = imbalance_simple(xr, arms)
+        imb = xr[arms == 1].mean(axis=0) - xr[arms == 0].mean(axis=0)
+        vhat = centered_scatter(xr, None)[1] / arm_product(arms)
         accepted += balance_distance(imb, vhat) < 1.0
     rate = accepted / 5000
     elapsed = time.monotonic() - start
@@ -304,9 +305,9 @@ def test_criterion_8_oracle_equivalences(four_row_frame):
     # (ii) unadjusted V-hat and R-squared hand fixtures
     res_u = estimate_unadjusted(four_row_frame, diff)
     v_hat = variance_simple(res_u.if_values)
-    r2 = rsquared_simple(
-        res_u.if_values, four_row_frame.arm, np.array([1.0, 2.0, 3.0, 4.0]), 0.5
-    )
+    r2 = scheme_plugins(
+        res_u.if_values, four_row_frame.arm, 0.5, np.array([1.0, 2.0, 3.0, 4.0])
+    )[1]
     ok_unadj = abs(v_hat - 2.5) <= 1e-10 and abs(r2 - 0.18) <= 1e-10
 
     # (iii) DR-WLS with all outcomes observed equals ANCOVA g-computation

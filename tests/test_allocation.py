@@ -12,51 +12,69 @@ from rerand import (
     TrialFrame,
     balance_distance,
     chi_square_cdf,
-    imbalance_simple,
-    imbalance_stratified,
-    imbalance_stratified_dagger,
-    permuted_block_assign,
     rerandomize,
-    simple_assign,
 )
 from rerand.errors import (
     NonTerminationError,
     SingularMatrixError,
     ValidationError,
 )
-from rerand.allocation import balance_forms
+from rerand.allocation import _stratum_dagger, arm_product, balance_forms, centered_scatter
+from rerand.data_model import factorize
+
+from conftest import block_arms
+
+
+def _coin_arms(n, pi, seed):
+    """Arms of ``rerandomize`` under the simple design: n independent coin flips."""
+    frame = TrialFrame(covariates=np.empty((n, 0)), covariate_names=())
+    return rerandomize(frame, Design(pi=pi, scheme="simple"), seed).arms
+
+
+def _matrix(xr):
+    return np.asarray(xr, dtype=float).reshape(len(xr), -1)
+
+
+def _imbalance(xr, arms, strata=None):
+    """I, the treated-minus-control mean of X^r, and its V-hat(I): the scatter of
+    X^r centered at its overall or ``strata`` means, over N1 N0."""
+    xr = _matrix(xr)
+    var_i = centered_scatter(xr, None if strata is None else factorize(strata))[1]
+    var_i = var_i / arm_product(arms)
+    return xr[arms == 1].mean(axis=0) - xr[arms == 0].mean(axis=0), var_i
+
+
+def _dagger(xr, arms, strata):
+    return _stratum_dagger(_matrix(xr), arms, factorize(strata))
 
 
 class TestSimpleAssign:
-    def test_degenerate_probability_one(self):
-        assert simple_assign(5, 1.0, seed=3).tolist() == [1, 1, 1, 1, 1]
-
     def test_sample_mean_matches_binomial(self):
-        arms = simple_assign(100_000, 0.3, seed=11)
+        arms = _coin_arms(100_000, 0.3, seed=11)
         assert abs(arms.mean() - 0.3) < 0.01  # binomial CI oracle: 7 sigma
 
     def test_deterministic_given_seed(self):
-        a = simple_assign(50, 0.4, seed=9)
-        b = simple_assign(50, 0.4, seed=9)
+        a = _coin_arms(50, 0.4, seed=9)
+        b = _coin_arms(50, 0.4, seed=9)
         np.testing.assert_array_equal(a, b)
 
 
 class TestPermutedBlocks:
     def test_exact_balance_within_complete_blocks(self):
         strata = np.array(["a"] * 4 + ["b"] * 4, dtype=object)
-        arms = permuted_block_assign(strata, 0.5, 2, seed=1)
+        arms = block_arms(strata, 0.5, 2, seed=1)
         assert arms[:4].sum() == 2
         assert arms[4:].sum() == 2
 
     def test_quarter_pi_block_four(self):
-        arms = permuted_block_assign(np.array(["a"] * 4, dtype=object), 0.25, 4, seed=2)
+        arms = block_arms(np.array(["a"] * 4, dtype=object), 0.25, 4, seed=2)
         assert arms.sum() == 1
 
     def test_partial_block_outcomes(self):
         # enumeration oracle: 5 units at pi=0.5, k=2 give 2 full blocks (2
         # treated) plus a one-unit prefix of a fresh block (0 or 1 treated)
         counts = {
-            int(permuted_block_assign(np.array(["a"] * 5, dtype=object), 0.5, 2, s).sum())
+            int(block_arms(np.array(["a"] * 5, dtype=object), 0.5, 2, s).sum())
             for s in range(60)
         }
         assert counts == {2, 3}
@@ -64,7 +82,7 @@ class TestPermutedBlocks:
     def test_prefix_imbalance_bounded_by_block_size(self):
         strata = np.array(["a"] * 13 + ["b"] * 7, dtype=object)
         for seed in range(25):
-            arms = permuted_block_assign(strata, 0.5, 4, seed)
+            arms = block_arms(strata, 0.5, 4, seed)
             for label in ("a", "b"):
                 sub = arms[strata == label]
                 prefix = np.cumsum(sub)
@@ -73,23 +91,23 @@ class TestPermutedBlocks:
 
     def test_non_integer_pi_k_rejected(self):
         with pytest.raises(ValidationError, match="not integer"):
-            permuted_block_assign(np.array(["a"] * 4, dtype=object), 0.3, 2, 0)
+            block_arms(np.array(["a"] * 4, dtype=object), 0.3, 2, 0)
 
 
 class TestImbalance:
     def test_hand_arithmetic(self):
-        imb, vhat = imbalance_simple(np.array([1.0, 2, 3, 4]), np.array([1, 1, 0, 0]))
+        imb, vhat = _imbalance(np.array([1.0, 2, 3, 4]), np.array([1, 1, 0, 0]))
         assert imb == pytest.approx([-2.0])
         np.testing.assert_allclose(vhat, [[1.25]], atol=1e-12)
 
     def test_constant_column_is_flagged_singular(self):
-        imb, vhat = imbalance_simple(np.ones(6), np.array([1, 1, 1, 0, 0, 0]))
+        imb, vhat = _imbalance(np.ones(6), np.array([1, 1, 1, 0, 0, 0]))
         with pytest.raises(SingularMatrixError, match="zero variance"):
             balance_distance(imb, vhat)
 
     def test_single_arm_rejected(self):
         with pytest.raises(ValidationError, match="both arms"):
-            imbalance_simple(np.arange(4.0), np.ones(4, dtype=int))
+            _imbalance(np.arange(4.0), np.ones(4, dtype=int))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -97,8 +115,8 @@ class TestImbalance:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(10, 2))
         arms = np.array([1, 1, 1, 0, 0, 0, 1, 0, 1, 0])
-        i1, v1 = imbalance_simple(x, arms)
-        i2, v2 = imbalance_simple(x, 1 - arms)
+        i1, v1 = _imbalance(x, arms)
+        i2, v2 = _imbalance(x, 1 - arms)
         np.testing.assert_allclose(i1, -i2, atol=1e-12)
         np.testing.assert_allclose(v1, v2, atol=1e-15)
 
@@ -107,7 +125,7 @@ class TestImbalance:
         xr = np.array([1.0, 3.0, 2.0, 6.0])
         arms = np.array([1, 0, 0, 1])
         strata = np.array(["s1", "s1", "s2", "s2"], dtype=object)
-        imb, vhat = imbalance_stratified(xr, arms, strata)
+        imb, vhat = _imbalance(xr, arms, strata)
         assert imb == pytest.approx([1.0])
         np.testing.assert_allclose(vhat, [[2.5]], atol=1e-12)
 
@@ -116,8 +134,8 @@ class TestImbalance:
         xr = rng.normal(size=(12, 2))
         arms = np.array([1, 0] * 6)
         strata = np.array(["only"] * 12, dtype=object)
-        i_s, v_s = imbalance_simple(xr, arms)
-        i_t, v_t = imbalance_stratified(xr, arms, strata)
+        i_s, v_s = _imbalance(xr, arms)
+        i_t, v_t = _imbalance(xr, arms, strata)
         np.testing.assert_allclose(i_s, i_t, atol=1e-14)
         # with a single stratum the two variance displays coincide exactly
         np.testing.assert_allclose(v_s, v_t, atol=1e-14)
@@ -126,7 +144,7 @@ class TestImbalance:
         xr = np.array([1.0, 1.0, 5.0, 5.0])
         arms = np.array([1, 0, 1, 0])
         strata = np.array(["a", "a", "b", "b"], dtype=object)
-        _, vhat = imbalance_stratified(xr, arms, strata)
+        _, vhat = _imbalance(xr, arms, strata)
         np.testing.assert_allclose(vhat, [[0.0]], atol=1e-12)
 
     def test_dagger_hand_arithmetic(self):
@@ -134,23 +152,23 @@ class TestImbalance:
         arms = np.array([1, 0, 0, 1])
         strata = np.array(["s1", "s1", "s2", "s2"], dtype=object)
         # 0.5*(1-3) + 0.5*(6-2) = 1
-        assert imbalance_stratified_dagger(xr, arms, strata) == pytest.approx([1.0])
+        assert _dagger(xr, arms, strata) == pytest.approx([1.0])
 
     def test_dagger_single_stratum_is_mean_difference(self):
         xr = np.array([2.0, 4.0, 1.0, 3.0])
         arms = np.array([1, 1, 0, 0])
         strata = np.array(["s"] * 4, dtype=object)
-        assert imbalance_stratified_dagger(xr, arms, strata) == pytest.approx([1.0])
+        assert _dagger(xr, arms, strata) == pytest.approx([1.0])
 
     def test_dagger_zero_under_exact_balance(self):
         xr = np.array([1.0, 1.0, 4.0, 4.0])
         arms = np.array([1, 0, 1, 0])
         strata = np.array(["a", "a", "b", "b"], dtype=object)
-        assert imbalance_stratified_dagger(xr, arms, strata) == pytest.approx([0.0])
+        assert _dagger(xr, arms, strata) == pytest.approx([0.0])
 
     def test_dagger_requires_both_arms_per_stratum(self):
         with pytest.raises(ValidationError, match="lacks one arm"):
-            imbalance_stratified_dagger(
+            _dagger(
                 np.arange(4.0),
                 np.array([1, 1, 1, 0]),
                 np.array(["a", "a", "b", "b"], dtype=object),
@@ -168,7 +186,7 @@ class TestImbalance:
         perm = rng.permutation(n)
         strata, arms = strata[perm], arms[perm]
         xr = rng.normal(1.0, 1.0, size=(n, q))
-        _, vhat = imbalance_stratified(xr, arms, strata)
+        _, vhat = _imbalance(xr, arms, strata)
         # float64 rounding of the stratum-centered scatter leaves entries near
         # zero off by up to ~8 eps * max|V-hat| (largest seen in 84,000 draws)
         np.testing.assert_allclose(
@@ -182,18 +200,18 @@ class TestImbalance:
         )
         if both_arms:
             np.testing.assert_allclose(
-                imbalance_stratified_dagger(xr, arms, strata),
+                _dagger(xr, arms, strata),
                 _reference_dagger(xr, arms, strata),
                 rtol=1e-12,
                 atol=1e-14,
             )
         else:
             with pytest.raises(ValidationError, match="lacks one arm"):
-                imbalance_stratified_dagger(xr, arms, strata)
+                _dagger(xr, arms, strata)
 
 
 def _reference_imbalance_variance_stratified(Xr, arms, strata):
-    """The stratum loop that ``imbalance_stratified`` replaced (its V-hat).
+    """The stratum loop that the stratum-centered V-hat(I) replaced.
 
     Its n^-1 X'X - sum_s phat_s xbar_s xbar_s' form cancels, so an entry near
     zero would carry float64 rounding of the matrix scale; the loop therefore
@@ -212,7 +230,7 @@ def _reference_imbalance_variance_stratified(Xr, arms, strata):
 
 
 def _reference_dagger(Xr, arms, strata):
-    """The stratum loop that ``imbalance_stratified_dagger`` replaced."""
+    """The stratum loop that ``_stratum_dagger`` replaced."""
     n = arms.size
     total = np.zeros(Xr.shape[1])
     for label in sorted(set(strata.tolist())):
@@ -361,6 +379,24 @@ class TestRerandomize:
         alloc = rerandomize(frame, design, seed=7)
         assert alloc.accepted_distance < 1.0
 
+    @pytest.mark.parametrize("statistic", ["pooled", "stratum_weighted"])
+    def test_imbalance_is_the_statistic_of_the_accepted_arms(self, statistic):
+        frame = _gaussian_frame(120, 12, strata=True)
+        design = Design(
+            pi=0.5,
+            scheme="stratified_rerandomized",
+            rerand_covariates=(0, 1),
+            threshold_t=1.0,
+            block_size=2,
+            stratified_statistic=statistic,
+        )
+        alloc = rerandomize(frame, design, seed=3)
+        if statistic == "pooled":
+            expected = _imbalance(frame.covariates, alloc.arms)[0]
+        else:
+            expected = _dagger(frame.covariates, alloc.arms, frame.stratum)
+        np.testing.assert_array_equal(alloc.imbalance, expected)
+
     def test_single_full_tier_matches_plain_criterion(self):
         frame = _gaussian_frame(100, 8)
         plain = Design(
@@ -415,7 +451,8 @@ class TestRerandomize:
             distance=DistanceSpec(kind="general"),
         )
         alloc = rerandomize(frame, design, seed=11)
-        diag = np.diag(np.diag(alloc.imbalance_variance))
+        var_i = centered_scatter(frame.covariates, None)[1] / arm_product(alloc.arms)
+        diag = np.diag(np.diag(var_i))
         assert alloc.accepted_distance == pytest.approx(
             balance_distance(alloc.imbalance, diag)
         )
@@ -462,7 +499,9 @@ class TestBalanceForms:
             ),
         )
         alloc = rerandomize(frame, design, seed)
-        forms = balance_forms(design, alloc.imbalance_variance)
+        forms = balance_forms(
+            design, centered_scatter(frame.covariates, None)[1] / arm_product(alloc.arms)
+        )
         expected = [
             balance_distance(alloc.imbalance[positions], weight)
             for positions, weight, _ in forms

@@ -81,6 +81,21 @@ class TestCi:
         assert outcome.exit_code == 3
         assert "t must be a number, not NaN" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--v", "V must be nonnegative"), ("--delta", "delta must be a number, not NaN"),
+         ("--alpha", "alpha must be a number, not NaN")],
+        ids=["v", "delta", "alpha"],
+    )
+    def test_nan_input_is_a_data_error(self, capsys, flag, message):
+        argv = {"--delta": "0", "--v": "1", "--r2": "0.5", "--q": "2", "--t": "1",
+                "--n": "100", "--alpha": "0.05", flag: "nan"}
+        outcome = run_command(["ci", *(item for pair in argv.items() for item in pair)])
+        assert outcome.exit_code == 3
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_tiny_acceptance_succeeds(self, capsys):
         outcome = run_command(
             [
@@ -244,6 +259,15 @@ class TestAnalyze:
         assert payload["delta_hat"] == pytest.approx(expected.delta_hat, abs=1e-12)
         assert payload["method"]["scheme"] == "simple"
         assert payload["method"]["interval"] == "normal"
+
+    def test_nan_alpha_is_a_data_error(self, trial_csv, capsys):
+        outcome = run_command(
+            ["analyze", "--estimator", "ancova", "--data", trial_csv, "--alpha", "nan"]
+        )
+        assert outcome.exit_code == 3
+        captured = capsys.readouterr()
+        assert "alpha must be a number, not NaN" in captured.err
+        assert captured.out == ""
 
     def test_design_aware_analysis_reports_r2(self, trial_csv, design_cfg, capsys):
         outcome = run_command(
@@ -471,6 +495,12 @@ class TestConfigKeys:
         assert (config.dgp.family, config.workers, config.truth) == (
             "continuous_sec7", 2, {"difference": (2.0, 0.0015)}
         )
+
+    def test_readme_library_quick_start_runs(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library quick start", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+        exec(compile(code, "README.md", "exec"), {})
 
 
 class TestUsage:

@@ -23,8 +23,7 @@ from rerand import (
     TrialFrame,
     estimate_mixed_ancova,
     make_folds,
-    permuted_block_assign,
-    variance_stratified,
+    scheme_plugins,
 )
 from rerand.allocation import _permuted_block_draw
 from rerand.data_model import factorize
@@ -40,7 +39,7 @@ from rerand.mestimators import (
 )
 from rerand.simlab import SimEstimator, apply_estimator, scheme_inference
 
-from conftest import fd_jacobian
+from conftest import block_arms, fd_jacobian
 
 DIFF = EstimandSpec("difference")
 RATIO = EstimandSpec("ratio")
@@ -159,16 +158,14 @@ class TestPermutedBlockOracle:
             np.testing.assert_array_equal(got[0], expected[0])
             np.testing.assert_array_equal(got[1], expected[1])
             assert rng.integers(2**62) == expected_rng.integers(2**62)
-            np.testing.assert_array_equal(
-                permuted_block_assign(strata, pi, k, seed), expected[0]
-            )
+            np.testing.assert_array_equal(block_arms(strata, pi, k, seed), expected[0])
 
     def test_many_blocks_in_one_stratum(self):
         strata = np.array(["only"] * 10_000, dtype=object)
         for k in (2, 4, 6, 10):
             pi = 0.5 if k != 10 else 0.3
             expected = _reference_permuted_block_draw(np.random.default_rng(3), strata, pi, k)
-            np.testing.assert_array_equal(permuted_block_assign(strata, pi, k, 3), expected)
+            np.testing.assert_array_equal(block_arms(strata, pi, k, 3), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def _reference_stratum_dummies(frame):
 def _panel_frame(strata, seed=0):
     rng = np.random.default_rng(seed)
     n = strata.size
-    arms = permuted_block_assign(strata, 0.5, 2, seed)
+    arms = block_arms(strata, 0.5, 2, seed)
     return TrialFrame(
         covariates=rng.normal(size=(n, 1)),
         covariate_names=("x1",),
@@ -484,9 +481,9 @@ class TestMixedAnalysisUnits:
         index = np.array(sorted(range(40), key=lambda c: f"c{c}"))
         cluster_arms = index % 2
         cluster_strata = np.where(index % 4 < 2, "a", "b").astype(object)
-        assert info["v_scheme"] == variance_stratified(
-            result.if_values, cluster_arms, cluster_strata, 0.5
-        )
+        assert info["v_scheme"] == scheme_plugins(
+            result.if_values, cluster_arms, 0.5, None, factorize(cluster_strata)
+        )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +510,7 @@ def test_stratified_ancova_factorizes_object_labels_once(monkeypatch, distance):
     rng = np.random.default_rng(5)
     strata = np.array([f"site-{v}" for v in rng.integers(0, 20, 2_000)], dtype=object)
     x = rng.normal(size=(2_000, 2))
-    arms = permuted_block_assign(strata, 0.5, 2, seed=4)
+    arms = block_arms(strata, 0.5, 2, seed=4)
     frame = TrialFrame(
         covariates=x, covariate_names=("x1", "x2"),
         outcome=1.0 + arms + x @ [1.0, -1.0] + rng.normal(size=2_000),

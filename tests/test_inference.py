@@ -15,22 +15,21 @@ from rerand import (
     chi_square_cdf,
     confidence_interval,
     normal_interval,
-    rsquared_simple,
-    rsquared_stratified,
     sample_limit,
+    scheme_plugins,
     v_qt,
     variance_simple,
-    variance_stratified,
 )
 from rerand import inference
-from rerand.allocation import _as_matrix, balance_distance, imbalance_simple
+from rerand.allocation import arm_product, balance_distance, centered_scatter
+from rerand.data_model import factorize
 from rerand.errors import (
     DiagnosticWarning,
     NumericError,
     SingularMatrixError,
     ValidationError,
 )
-from rerand.inference import _clamp_unit, if_imbalance_covariance
+from rerand.inference import _as_matrix, _clamp_unit
 
 IF_FIXTURE = np.array([-2.0, 2.0, 1.0, -1.0])
 ARMS_FIXTURE = np.array([1, 1, 0, 0])
@@ -54,27 +53,27 @@ class TestRsquaredSimple:
     def test_hand_arithmetic(self):
         # C-hat = 1.5, n Vhat(I) = 5, V-hat = 2.5 -> 0.18
         xr = np.array([1.0, 2.0, 3.0, 4.0])
-        c_hat = if_imbalance_covariance(IF_FIXTURE, ARMS_FIXTURE, xr, 0.5)
+        _, r2, c_hat, _ = scheme_plugins(IF_FIXTURE, ARMS_FIXTURE, 0.5, xr)
         assert c_hat == pytest.approx([1.5])
-        assert rsquared_simple(IF_FIXTURE, ARMS_FIXTURE, xr, 0.5) == pytest.approx(0.18)
+        assert r2 == pytest.approx(0.18)
 
     def test_orthogonal_if_gives_zero(self):
         # IF constant within arms makes the weighted covariance vanish
         ifv = np.array([1.0, 1.0, -1.0, -1.0])
         xr = np.array([1.0, -1.0, 1.0, -1.0])
-        assert rsquared_simple(ifv, ARMS_FIXTURE, xr, 0.5) == pytest.approx(0.0)
+        assert scheme_plugins(ifv, ARMS_FIXTURE, 0.5, xr)[1] == pytest.approx(0.0)
 
     def test_constant_xr_is_singular(self):
         with pytest.raises(SingularMatrixError):
-            rsquared_simple(IF_FIXTURE, ARMS_FIXTURE, np.ones(4), 0.5)
+            scheme_plugins(IF_FIXTURE, ARMS_FIXTURE, 0.5, np.ones(4))
 
     def test_invariant_to_adding_constants_to_xr(self):
         rng = np.random.default_rng(0)
         ifv = rng.normal(size=30)
         arms = np.array([1, 0] * 15)
         xr = rng.normal(size=(30, 2))
-        base = rsquared_simple(ifv, arms, xr, 0.5)
-        shifted = rsquared_simple(ifv, arms, xr + [17.0, -4.0], 0.5)
+        base = scheme_plugins(ifv, arms, 0.5, xr)[1]
+        shifted = scheme_plugins(ifv, arms, 0.5, xr + [17.0, -4.0])[1]
         assert shifted == pytest.approx(base, abs=1e-10)
 
     def test_clamp_to_unit_interval_warns(self):
@@ -84,19 +83,20 @@ class TestRsquaredSimple:
         ifv -= ifv.mean()
         xr = rng.normal(size=8)
         with pytest.warns(DiagnosticWarning, match="clamped"):
-            value = rsquared_simple(ifv, arms, xr, 0.2)
+            value = scheme_plugins(ifv, arms, 0.2, xr)[1]
         assert value == 1.0
 
 
 class TestVarianceStratified:
     def test_zero_if_values(self):
         strata = np.array(["a", "a", "b", "b"], dtype=object)
-        assert variance_stratified(np.zeros(4), ARMS_FIXTURE, strata, 0.5) == 0.0
+        assert scheme_plugins(np.zeros(4), ARMS_FIXTURE, 0.5, None, factorize(strata))[0] == 0.0
 
     def test_single_stratum_hand_arithmetic(self):
         strata = np.array(["s"] * 4, dtype=object)
         # d-hat = (2(-2) + 2(2) - 2(1) - 2(-1)) / 4 = 0, so V-tilde = V-hat
-        assert variance_stratified(IF_FIXTURE, ARMS_FIXTURE, strata, 0.5) == pytest.approx(2.5)
+        v_t = scheme_plugins(IF_FIXTURE, ARMS_FIXTURE, 0.5, None, factorize(strata))[0]
+        assert v_t == pytest.approx(2.5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -106,7 +106,7 @@ class TestVarianceStratified:
         ifv = rng.normal(size=n)
         arms = np.array([1, 0] * (n // 2))
         strata = np.array(["a", "b", "c"] * (n // 3), dtype=object)
-        v_t = variance_stratified(ifv, arms, strata, 0.5)
+        v_t = scheme_plugins(ifv, arms, 0.5, None, factorize(strata))[0]
         assert v_t <= variance_simple(ifv) + 1e-12
 
 
@@ -115,7 +115,8 @@ class TestRsquaredStratified:
         ifv = np.array([1.0, -1.0, 1.0, -1.0])
         xr = np.array([1.0, 2.0, 1.0, 2.0])
         strata = np.array(["s"] * 4, dtype=object)
-        assert rsquared_stratified(ifv, ARMS_FIXTURE, strata, xr, 0.5) == pytest.approx(0.0)
+        r2 = scheme_plugins(ifv, ARMS_FIXTURE, 0.5, xr, factorize(strata))[1]
+        assert r2 == pytest.approx(0.0)
 
     def test_single_stratum_matches_simple_up_to_variance_scalar(self):
         # with one stratum C-hat and n Vhat(I) coincide, so the two R^2
@@ -124,10 +125,10 @@ class TestRsquaredStratified:
         arms = np.array([1, 1, 1, 0, 0, 0])
         xr = np.array([1.0, 2.0, 3.0, 4.0, 0.5, 2.0])
         strata = np.array(["s"] * 6, dtype=object)
-        r2_simple = rsquared_simple(ifv, arms, xr, 0.5)
-        r2_strat = rsquared_stratified(ifv, arms, strata, xr, 0.5)
+        r2_simple = scheme_plugins(ifv, arms, 0.5, xr)[1]
+        r2_strat = scheme_plugins(ifv, arms, 0.5, xr, factorize(strata))[1]
         v_simple = variance_simple(ifv)
-        v_strat = variance_stratified(ifv, arms, strata, 0.5)
+        v_strat = scheme_plugins(ifv, arms, 0.5, None, factorize(strata))[0]
         assert r2_strat * v_strat == pytest.approx(r2_simple * v_simple, abs=1e-12)
 
     def test_within_stratum_constant_xr_is_singular(self):
@@ -135,7 +136,7 @@ class TestRsquaredStratified:
         arms = np.array([1, 0, 1, 0])
         strata = np.array(["a", "a", "b", "b"], dtype=object)
         with pytest.raises(SingularMatrixError):
-            rsquared_stratified(np.array([1.0, -1, 3, -1]), arms, strata, xr, 0.5)
+            scheme_plugins(np.array([1.0, -1, 3, -1]), arms, 0.5, xr, factorize(strata))
 
 
 class TestCrossfitVariants:
@@ -147,8 +148,8 @@ class TestCrossfitVariants:
         xr = rng.normal(size=(n, 2))
         folds = np.tile(np.arange(4), n // 4)
         assert variance_simple(ifv, fold_ids=folds) == pytest.approx(variance_simple(ifv))
-        assert rsquared_simple(ifv, arms, xr, 0.5, fold_ids=folds) == pytest.approx(
-            rsquared_simple(ifv, arms, xr, 0.5)
+        assert scheme_plugins(ifv, arms, 0.5, xr, fold_ids=folds)[1] == pytest.approx(
+            scheme_plugins(ifv, arms, 0.5, xr)[1]
         )
 
     def test_stratified_crossfit_matches_plain_with_equal_cells(self):
@@ -159,10 +160,11 @@ class TestCrossfitVariants:
         strata = np.repeat(["a", "b"], n // 2).astype(object)
         xr = rng.normal(size=(n, 1))
         folds = np.tile(np.arange(4), n // 4)
-        v_cf = variance_stratified(ifv, arms, strata, 0.5, fold_ids=folds)
-        assert v_cf == pytest.approx(variance_stratified(ifv, arms, strata, 0.5))
-        r_cf = rsquared_stratified(ifv, arms, strata, xr, 0.5, fold_ids=folds)
-        assert r_cf == pytest.approx(rsquared_stratified(ifv, arms, strata, xr, 0.5))
+        groups = factorize(strata)
+        v_cf = scheme_plugins(ifv, arms, 0.5, None, groups, folds)[0]
+        assert v_cf == pytest.approx(scheme_plugins(ifv, arms, 0.5, None, groups)[0])
+        r_cf = scheme_plugins(ifv, arms, 0.5, xr, groups, folds)[1]
+        assert r_cf == pytest.approx(scheme_plugins(ifv, arms, 0.5, xr, groups)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +194,7 @@ def _reference_rsquared_simple(if_values, arms, Xr, pi):
         raise NumericError("V-hat is zero: R^2 undefined")
     Xr = _as_matrix(Xr)
     c_hat = _reference_if_imbalance_covariance(if_values, arms, Xr, pi)
-    _, var_i = imbalance_simple(Xr, arms)
+    var_i = centered_scatter(Xr, None)[1] / arm_product(arms)
     n = len(if_values)
     raw = balance_distance(c_hat, n * var_i) / vhat
     return _clamp_unit(raw, "R^2")
@@ -304,7 +306,7 @@ def _reference_rsquared_crossfit(if_values, arms, Xr, pi, fold_ids):
             for j in range(Xr.shape[1])
         ]
     ).mean(axis=1)
-    _, var_i = imbalance_simple(Xr, arms)
+    var_i = centered_scatter(Xr, None)[1] / arm_product(arms)
     raw = balance_distance(c_hat, len(if_values) * var_i) / vhat
     return _clamp_unit(raw, "R^2")
 
@@ -429,56 +431,51 @@ class TestKernelOracle:
             seed, n_strata if stratified else 0, n_folds if crossfit else 0, q, pi
         )
         rtol = 1e-12
+        groups = None if strata is None else factorize(strata)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DiagnosticWarning)
             if strata is None and folds is None:
                 # the plain path keeps its exact expressions
                 assert variance_simple(ifv) == _reference_variance_simple(ifv)
+                _, r2, c_hat, _ = scheme_plugins(ifv, arms, pi, Xr)
                 np.testing.assert_array_equal(
-                    if_imbalance_covariance(ifv, arms, Xr, pi),
-                    _reference_if_imbalance_covariance(ifv, arms, Xr, pi),
+                    c_hat, _reference_if_imbalance_covariance(ifv, arms, Xr, pi)
                 )
-                assert rsquared_simple(ifv, arms, Xr, pi) == _reference_rsquared_simple(
-                    ifv, arms, Xr, pi
-                )
+                assert r2 == _reference_rsquared_simple(ifv, arms, Xr, pi)
             elif strata is None:
                 assert variance_simple(ifv, fold_ids=folds) == pytest.approx(
                     _reference_variance_crossfit(ifv, folds), rel=rtol
                 )
-                assert rsquared_simple(ifv, arms, Xr, pi, fold_ids=folds) == pytest.approx(
+                assert scheme_plugins(ifv, arms, pi, Xr, None, folds)[1] == pytest.approx(
                     _reference_rsquared_crossfit(ifv, arms, Xr, pi, folds), rel=rtol
                 )
             elif folds is None:
-                assert variance_stratified(ifv, arms, strata, pi) == pytest.approx(
+                assert scheme_plugins(ifv, arms, pi, None, groups)[0] == pytest.approx(
                     _reference_variance_stratified(ifv, arms, strata, pi), rel=rtol
                 )
                 # C-hat is a sum of terms that may cancel near zero, so it also gets
                 # an absolute term at 1e-12 of the summed terms' scale; R^2 = C' M C / V
                 # inherits it to first order as 2 |M C|_1 c_atol / V
+                _, r2, c_hat, _ = scheme_plugins(ifv, arms, pi, Xr, groups)
                 c_ref = _reference_if_imbalance_covariance_stratified(ifv, arms, strata, Xr, pi)
                 weighted = (arms - pi) / (pi * (1.0 - pi)) * ifv
                 c_atol = rtol * np.abs(weighted).sum() * np.abs(Xr).max() / ifv.size
-                np.testing.assert_allclose(
-                    if_imbalance_covariance(ifv, arms, Xr, pi, strata=strata),
-                    c_ref,
-                    rtol=rtol,
-                    atol=c_atol,
-                )
+                np.testing.assert_allclose(c_hat, c_ref, rtol=rtol, atol=c_atol)
                 _, var_i = _reference_imbalance_stratified(Xr, arms, strata)
                 m_c = np.linalg.solve(ifv.size * var_i, c_ref)
                 v_ref = _reference_variance_stratified(ifv, arms, strata, pi)
-                assert rsquared_stratified(ifv, arms, strata, Xr, pi) == pytest.approx(
+                assert r2 == pytest.approx(
                     _reference_rsquared_stratified(ifv, arms, strata, Xr, pi),
                     rel=rtol,
                     abs=2.0 * np.abs(m_c).sum() * c_atol / v_ref,
                 )
             else:
-                got = variance_stratified(ifv, arms, strata, pi, fold_ids=folds)
+                got = scheme_plugins(ifv, arms, pi, None, groups, folds)[0]
                 assert got == pytest.approx(
                     _reference_variance_crossfit_stratified(ifv, arms, strata, pi, folds),
                     rel=rtol,
                 )
-                got = rsquared_stratified(ifv, arms, strata, Xr, pi, fold_ids=folds)
+                got = scheme_plugins(ifv, arms, pi, Xr, groups, folds)[1]
                 assert got == pytest.approx(
                     _reference_rsquared_crossfit_stratified(ifv, arms, strata, Xr, pi, folds),
                     rel=rtol,
@@ -489,6 +486,10 @@ class TestLimitSpec:
     def test_nan_threshold_is_rejected(self):
         with pytest.raises(ValidationError, match="NaN"):
             LimitSpec(V=1.0, R2=0.5, q=2, t=math.nan)
+
+    def test_nan_variance_is_rejected(self):
+        with pytest.raises(ValidationError, match="V must be nonnegative"):
+            LimitSpec(V=math.nan, R2=0.5, q=2, t=1.0)
 
 
 class TestSampleLimit:
@@ -698,6 +699,16 @@ class TestExactSamplerOracle:
 
 
 class TestConfidenceInterval:
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_nan_alpha_is_rejected(self, projection):
+        forms = [(np.array([0]), np.eye(1), 1.0)]
+        spec = LimitSpec(
+            V=1.0, R2=0.5, q=1, t=1.0,
+            projection=(np.array([0.5]), np.eye(1), forms) if projection else None,
+        )
+        with pytest.raises(ValidationError, match="alpha must be a number, not NaN"):
+            confidence_interval(0.0, spec, n=100, alpha=math.nan, m=1000, seed=1)
+
     def test_normal_case_quantile_oracle(self):
         spec = LimitSpec(V=1.0, R2=0.0, q=2, t=1.0)
         ci = confidence_interval(0.0, spec, n=100, alpha=0.05, m=1_000_000, seed=10)
@@ -805,3 +816,7 @@ class TestNormalInterval:
     def test_alpha_one_collapses_to_estimate(self):
         ci = normal_interval(2.0, 4.0, 100, 1.0)
         assert ci.lower == ci.upper == 2.0
+
+    def test_nan_alpha_is_rejected(self):
+        with pytest.raises(ValidationError, match="alpha must be a number, not NaN"):
+            normal_interval(2.0, 4.0, 100, math.nan)

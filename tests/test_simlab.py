@@ -112,6 +112,10 @@ class TestSimConfig:
         with pytest.raises(ValidationError, match="mixed"):
             small_config(estimators=(SimEstimator(kind="mixed"),))
 
+    def test_nan_alpha_rejected_before_any_replicate(self):
+        with pytest.raises(ValidationError, match="alpha must be a number, not NaN"):
+            small_config(alpha=math.nan)
+
 
 class TestRunSimulation:
     @pytest.mark.parametrize(
@@ -322,19 +326,10 @@ class TestSchemeLevelInvariants:
 
 def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
     """v_hat, v_scheme, r2_hat and ci_true built from the public plug-ins, with
-    the strata as labels and one plug-in call per quantity."""
-    from rerand import (
-        LimitSpec,
-        confidence_interval,
-        imbalance_simple,
-        imbalance_stratified,
-        rsquared_simple,
-        rsquared_stratified,
-        variance_simple,
-        variance_stratified,
-    )
-    from rerand.allocation import balance_forms
-    from rerand.inference import if_imbalance_covariance
+    the strata grouped from their labels and one plug-in call per quantity."""
+    from rerand import LimitSpec, confidence_interval, scheme_plugins, variance_simple
+    from rerand.allocation import arm_product, balance_forms, centered_scatter
+    from rerand.data_model import factorize
 
     arms, Xr = frame.arm, frame.covariates[:, list(design.rerand_covariates)]
     strata = frame.stratum if design.stratified else None
@@ -349,20 +344,19 @@ def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
     v_hat = variance_simple(ifv, fold_ids=folds)
     if strata is None:
         v_scheme = v_hat
-        r2 = rsquared_simple(ifv, arms, Xr, pi, fold_ids=folds)
-        var_i = imbalance_simple(Xr, arms)[1]
     else:
+        strata = factorize(strata)
         folds = folds if est.fold_mode == "stratum_arm" else None
-        v_scheme = variance_stratified(ifv, arms, strata, pi, fold_ids=folds)
-        r2 = rsquared_stratified(ifv, arms, strata, Xr, pi, fold_ids=folds)
-        var_i = imbalance_stratified(Xr, arms, strata)[1]
+        v_scheme = scheme_plugins(ifv, arms, pi, None, strata, folds)[0]
+    r2 = scheme_plugins(ifv, arms, pi, Xr, strata, folds)[1]
+    var_i = centered_scatter(Xr, strata)[1] / arm_product(arms)
     first, *rest = design.criterion
     exact = not rest and first.distance.kind == "mahalanobis" and (
         sorted(first.indices) == sorted(design.rerand_covariates)
     )
     projection = None
     if not exact:
-        c_hat = if_imbalance_covariance(ifv, arms, Xr, pi, strata=strata, fold_ids=folds)
+        c_hat = scheme_plugins(ifv, arms, pi, Xr, strata, folds)[2]
         projection = (c_hat, n * var_i, balance_forms(design, n * var_i))
     t = first.threshold if exact else design.threshold_t
     spec = LimitSpec(V=v_scheme, R2=r2, q=design.q, t=t, projection=projection)
@@ -465,15 +459,10 @@ class TestSchemeInferenceEqualsItsParts:
             passes.append(args)
             return original_sandwich(*args, **kwargs)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("imbalance_* called by scheme_inference")
-
         for module in (rerand.data_model, rerand.allocation, rerand.inference, rerand.simlab):
             if getattr(module, "factorize", None) is original_factorize:
                 monkeypatch.setattr(module, "factorize", counting_factorize)
         monkeypatch.setattr(rerand.inference, "_sandwich", counting_sandwich)
-        monkeypatch.setattr(rerand.allocation, "imbalance_simple", forbidden)
-        monkeypatch.setattr(rerand.allocation, "imbalance_stratified", forbidden)
 
         scheme_inference(est, result, frame, design, 0.05, 2000, 17)
         assert len(passes) <= 2
