@@ -10,7 +10,6 @@ from .allocation import (
 )
 from .data_model import (
     Design,
-    DistanceSpec,
     EstimandSpec,
     EstimateResult,
     Tier,
@@ -19,7 +18,7 @@ from .data_model import (
     validate_design,
     write_csv,
 )
-from .dml import FoldPlan, LearnerSpec, estimate_dml, make_folds
+from .dml import LearnerSpec, estimate_dml, make_folds
 from .inference import (
     CIResult,
     LimitSpec,
@@ -31,7 +30,6 @@ from .inference import (
     variance_simple,
 )
 from .mestimators import (
-    PsiSpec,
     estimate_ancova,
     estimate_drwls,
     estimate_gcomp_logistic,

@@ -135,13 +135,16 @@ def _describe_singular(weight: np.ndarray) -> str:
 def balance_forms(design: Design, scale: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """The balance criterion as one (X^r positions, weight, threshold) form per
     tier of ``design.criterion``, the weight realized on the tier's block of
-    ``scale``, a q x q multiple c Var(I). An imbalance I passes the criterion
-    when I[positions]' (weight / c)^-1 I[positions] < threshold for every form.
+    ``scale``, a q x q multiple c Var(I): the block itself (Mahalanobis) or its
+    diagonal (``general``). An imbalance I passes the criterion when
+    I[positions]' (weight / c)^-1 I[positions] < threshold for every form.
     """
     forms = []
     for tier in design.criterion:
         positions = np.array([design.rerand_covariates.index(j) for j in tier.indices], np.intp)
-        weight = tier.distance.realize(scale[np.ix_(positions, positions)])
+        weight = scale[np.ix_(positions, positions)]
+        if tier.distance == "general":
+            weight = np.diag(np.diag(weight))
         forms.append((positions, weight, tier.threshold))
     return forms
 

@@ -20,14 +20,7 @@ import sys
 from dataclasses import dataclass, field
 
 from . import __version__
-from .data_model import (
-    Design,
-    DistanceSpec,
-    Tier,
-    load_csv,
-    validate_design,
-    write_csv,
-)
+from .data_model import Design, Tier, load_csv, validate_design, write_csv
 from .dml import LearnerSpec
 from .errors import DataError, NumericError, RerandError, ValidationError
 from .inference import LimitSpec, confidence_interval
@@ -60,7 +53,6 @@ EXIT_NUMERIC = 4
 @dataclass
 class CommandOutcome:
     exit_code: int
-    files: list[str] = field(default_factory=list)
     log_records: list[dict] = field(default_factory=list)
 
 
@@ -188,19 +180,16 @@ def design_from_config(cfg: dict, names: tuple[str, ...]) -> Design:
     """A design from config keys; column tokens are indices or covariate ``names``."""
     rerand = cfg.get("rerand", "")
     indices = _resolve_columns(rerand, names) if rerand else ()
-    distance = DistanceSpec(kind=cfg.get("distance", "mahalanobis"))
     tiers = []
     for spec in cfg.get("tier", []):
         parts = [p.strip() for p in spec.split(":")]
         if len(parts) < 2:
             raise DataError(f"tier spec '{spec}' needs 'columns : threshold'")
-        tier_idx = _resolve_columns(parts[0], names)
-        kind = parts[2] if len(parts) > 2 else "mahalanobis"
         tiers.append(
             Tier(
-                indices=tier_idx,
+                indices=_resolve_columns(parts[0], names),
                 threshold=_parse_float(parts[1], f"tier '{spec}'"),
-                distance=DistanceSpec(kind=kind),
+                distance=parts[2] if len(parts) > 2 else "mahalanobis",
             )
         )
     return Design(
@@ -208,7 +197,7 @@ def design_from_config(cfg: dict, names: tuple[str, ...]) -> Design:
         scheme=cfg.get("scheme", "simple"),
         rerand_covariates=indices,
         threshold_t=_parse_float(cfg.get("t", "inf"), "t"),
-        distance=distance,
+        distance=cfg.get("distance", "mahalanobis"),
         tiers=tuple(tiers),
         block_size=_parse_int(cfg.get("block_size", "2"), "block_size"),
         max_attempts=_parse_int(cfg.get("max_attempts", "1000000"), "max_attempts"),
@@ -374,27 +363,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: dict, out_path: str | None, outcome: CommandOutcome) -> None:
+def _emit(payload: dict, out_path: str | None) -> None:
     text = canonical_json(payload, indent=2)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        outcome.files.append(out_path)
     else:
         sys.stdout.write(text)
 
 
 def _cmd_allocate(args, outcome: CommandOutcome) -> None:
-    frame = load_csv(args.data)
+    data_hash = hashlib.sha256()
+    frame = load_csv(args.data, data_hash)
     design = design_from_config(_parse_kv_file(args.design, _DESIGN_KEYS), frame.covariate_names)
     validate_design(design, frame)
     resolved = {"design": dataclasses.asdict(design), "seed": args.seed}
-    resolved["data_sha256"] = _file_sha256(args.data)
+    resolved["data_sha256"] = data_hash.hexdigest()
     digest = canonical_digest(resolved)
     _log_record(outcome, "allocate", resolved, digest, data=args.data)
     alloc = rerandomize(frame, design, args.seed)
     write_csv(frame.with_columns(arm=alloc.arms), args.out)
-    outcome.files.append(args.out)
     meta = {
         "attempts": alloc.attempts,
         "accepted_distance": alloc.accepted_distance,
@@ -404,11 +392,12 @@ def _cmd_allocate(args, outcome: CommandOutcome) -> None:
         "config_hash": digest,
         "design": dataclasses.asdict(design),
     }
-    _emit(meta, args.out + ".meta.json", outcome)
+    _emit(meta, args.out + ".meta.json")
 
 
 def _cmd_analyze(args, outcome: CommandOutcome) -> None:
-    frame = load_csv(args.data)
+    data_hash = hashlib.sha256()
+    frame = load_csv(args.data, data_hash)
     frame.require_arms()
     covs = args.covariates
     if covs is None:
@@ -444,7 +433,7 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         "alpha": args.alpha,
         "draws": args.draws,
         "seed": args.seed,
-        "data_sha256": _file_sha256(args.data),
+        "data_sha256": data_hash.hexdigest(),
     }
     digest = canonical_digest(resolved)
     _log_record(outcome, "analyze", resolved, digest, data=args.data)
@@ -472,7 +461,7 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         },
         "config_hash": digest,
     }
-    _emit(payload, args.out, outcome)
+    _emit(payload, args.out)
 
 
 def _cmd_ci(args, outcome: CommandOutcome) -> None:
@@ -491,7 +480,7 @@ def _cmd_ci(args, outcome: CommandOutcome) -> None:
                    "interval": ci.method},
         "config_hash": digest,
     }
-    _emit(payload, args.out, outcome)
+    _emit(payload, args.out)
 
 
 def _cmd_simulate(args, outcome: CommandOutcome) -> None:
@@ -503,16 +492,9 @@ def _cmd_simulate(args, outcome: CommandOutcome) -> None:
     log.info("simulate finished in %.1fs", report.elapsed_seconds)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(report.to_json())
-    outcome.files.append(args.out)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write("\n".join(report_csv_lines(report)) + "\n")
-        outcome.files.append(args.csv)
-
-
-def _file_sha256(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _log_record(

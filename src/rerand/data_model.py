@@ -22,6 +22,10 @@ RESERVED_COLUMNS = ("outcome", "observed", "arm", "stratum", "cluster")
 
 SCHEMES = ("simple", "stratified", "rerandomized", "stratified_rerandomized")
 
+# Balance-distance rules: Mahalanobis, or ``general``, whose weight is the
+# diagonal of the componentwise sample variances of the imbalance statistic.
+DISTANCES = ("mahalanobis", "general")
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.array(arr, copy=True)
@@ -225,34 +229,13 @@ class TrialFrame:
 
 
 @dataclass(frozen=True)
-class DistanceSpec:
-    """Balance-distance rule: Mahalanobis, or a general weight-matrix rule.
-
-    ``general`` ships one concrete weight rule: the diagonal matrix collecting
-    the componentwise sample variances of the imbalance statistic.
-    """
-
-    kind: str = "mahalanobis"
-    weight: str = "variance_diagonal"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("mahalanobis", "general"):
-            raise ValidationError(f"unknown distance kind '{self.kind}'")
-        if self.kind == "general" and self.weight != "variance_diagonal":
-            raise ValidationError(f"unknown weight rule '{self.weight}'")
-
-    def realize(self, vhat: np.ndarray) -> np.ndarray:
-        """Weight matrix to invert in the balance criterion, given a (q, q) V̂ar(I)."""
-        return vhat if self.kind == "mahalanobis" else np.diag(np.diag(vhat))
-
-
-@dataclass(frozen=True)
 class Tier:
-    """One tier of the balance criterion: covariate indices, threshold, rule."""
+    """One tier of the balance criterion: covariate indices, threshold, and
+    distance rule (one of ``DISTANCES``)."""
 
     indices: tuple[int, ...]
     threshold: float
-    distance: DistanceSpec = DistanceSpec()
+    distance: str = "mahalanobis"
 
 
 @dataclass(frozen=True)
@@ -261,21 +244,26 @@ class Design:
 
     ``rerand_covariates`` indexes into the frame's covariate columns and
     defines X^r (dimension q); the balance criterion is ``tiers`` or, without
-    them, ``threshold_t`` and ``distance``. ``block_size`` only matters for
-    stratified schemes and must satisfy pi * block_size integral.
+    them, ``threshold_t`` and ``distance`` (one of ``DISTANCES``); a tiered
+    design takes neither a finite ``threshold_t`` nor a ``general`` distance.
+    ``block_size`` only matters for stratified schemes and must satisfy
+    pi * block_size integral.
     """
 
     pi: float
     scheme: str
     rerand_covariates: tuple[int, ...] = ()
     threshold_t: float = math.inf
-    distance: DistanceSpec = DistanceSpec()
+    distance: str = "mahalanobis"
     tiers: tuple[Tier, ...] = ()
     block_size: int = 2
     max_attempts: int = 1_000_000
     stratified_statistic: str = "pooled"
 
     def __post_init__(self) -> None:
+        for distance in (self.distance, *(tier.distance for tier in self.tiers)):
+            if distance not in DISTANCES:
+                raise ValidationError(f"unknown distance kind '{distance}'")
         if not 0.0 < self.pi < 1.0:
             raise ValidationError("pi must lie in (0, 1)")
         if self.scheme not in SCHEMES:
@@ -284,6 +272,10 @@ class Design:
             raise ValidationError("balance thresholds must be positive")
         if self.tiers and not math.isinf(self.threshold_t):
             raise ValidationError("a tiered design takes its thresholds from its tiers, not t")
+        if self.tiers and self.distance != "mahalanobis":
+            raise ValidationError(
+                "a tiered design takes its distances from its tiers, not distance"
+            )
         if self.max_attempts < 1:
             raise ValidationError("max_attempts must be at least 1")
         if self.stratified_statistic not in ("pooled", "stratum_weighted"):
@@ -423,7 +415,8 @@ def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict] | None
 
 def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict]:
     """The rows of csv ``reader`` parsed cell by cell by ``float``: the columns, or the
-    first error in the order rows, outcome, observed, arm, covariates."""
+    first error in the order rows, outcome, observed and arm (each cell parsed, then
+    held to {0,1}), covariates."""
     rows: list[list[str]] = []
     try:
         for cells in reader:
@@ -442,13 +435,32 @@ def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict]:
             try:
                 values[i] = parse(cell)
             except ValueError:
-                message = f"malformed numeric cell '{cell}' at row {i + 1}, column '{name}'"
-                raise ParseError(message) from None
+                break
+        else:
+            i = len(rows)  # every cell parsed
+        if name in ("observed", "arm"):
+            _zero_one(values[:i], name)  # a value outside {0,1} above row i comes first
+        if i < len(rows):
+            message = f"malformed numeric cell '{cell}' at row {i + 1}, column '{name}'"
+            raise ParseError(message)
         columns[name] = values
     return len(rows), columns
 
 
-def load_csv(path) -> TrialFrame:
+def _read_text(path, hasher) -> str:
+    """The text of the UTF-8 file at ``path``, less a leading byte-order mark, from one
+    read; ``hasher`` (if given) is updated with the file's bytes."""
+    with open(path, "rb") as file:
+        data = file.read()
+    if hasher is not None:
+        hasher.update(data)
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def load_csv(path, hasher=None) -> TrialFrame:
     """Load a trial CSV into a :class:`TrialFrame`.
 
     The header row is required. Columns named ``outcome``, ``observed``,
@@ -457,14 +469,13 @@ def load_csv(path) -> TrialFrame:
     reader in one pass; text it rejects or would read otherwise than ``csv`` (``1_000``,
     a blank line) is parsed again by ``float`` cell by cell, which gives the frame or
     names the first bad cell. Empty outcome cells mean missing; an explicit ``observed``
-    column must agree. Text that is not UTF-8 raises :class:`DataError`, a field over
-    ``csv.field_size_limit()`` :class:`ParseError`.
+    column must agree. The first fault is the one a row-by-row reader meets: outcome,
+    observed and arm cells (with their {0,1} rule), covariates, then blank stratum and
+    cluster labels. Text that is not UTF-8 raises :class:`DataError`, a field over
+    ``csv.field_size_limit()`` :class:`ParseError`. A ``hasher`` (such as
+    ``hashlib.sha256()``) is updated with the bytes of the file as read.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as file:
-            handle = io.StringIO(file.read(), newline="")  # one copy, lines split as csv does
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    handle = io.StringIO(_read_text(path, hasher), newline="")  # lines split as csv does
     reader = csv.reader(handle)
     try:
         header = next(reader, None)
@@ -482,6 +493,9 @@ def load_csv(path) -> TrialFrame:
         handle.seek(start)
         parsed = _cell_by_cell(reader, header)
     n, columns = parsed
+    for name in ("observed", "arm"):  # {0,1} before blank labels, as rows are read
+        if name in columns:
+            _zero_one(columns[name], name)
     for role in ("stratum", "cluster"):
         cells = columns.get(role, ())
         if not all(map(str.strip, set(cells))):

@@ -52,20 +52,6 @@ FOLD_MODES = ("plain", "stratum_arm")
 
 
 @dataclass(frozen=True)
-class FoldPlan:
-    """Unit-to-fold assignment.
-
-    In plain mode fold sizes differ by at most one overall; in stratum_arm
-    mode the assignment index is the fold within the unit's (arm, stratum)
-    cell, and cell-fold sizes differ by at most one within every cell.
-    """
-
-    mode: str
-    K: int
-    assignment: np.ndarray
-
-
-@dataclass(frozen=True)
 class LearnerSpec:
     """A nuisance learner recipe: glm, knn, or a stump ensemble."""
 
@@ -74,15 +60,12 @@ class LearnerSpec:
     k_neighbors: int = 5
     trees: int = 200
     learning_rate: float = 0.1
-    target: str = "outcome"
 
     def __post_init__(self) -> None:
         if self.kind not in ("glm", "knn", "stump_ensemble"):
             raise ValidationError(f"unknown learner kind '{self.kind}'")
         if self.link not in ("identity", "logit"):
             raise ValidationError(f"unknown link '{self.link}'")
-        if self.target not in ("outcome", "missingness"):
-            raise ValidationError(f"unknown learner target '{self.target}'")
         for name, low in (("trees", 0), ("k_neighbors", 1)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < low:
@@ -92,11 +75,13 @@ class LearnerSpec:
             raise ValidationError(f"learning_rate must be finite and > 0, got {rate!r}")
 
 
-def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> FoldPlan:
-    """Randomly partition units into K folds of near-equal size.
+def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> np.ndarray:
+    """Randomly partition units into K folds: each unit's fold index in 0..K-1.
 
-    stratum_arm mode partitions every (arm, stratum) cell separately and
-    requires each cell to hold at least K units.
+    In plain mode fold sizes differ by at most one overall. stratum_arm mode
+    partitions every (arm, stratum) cell separately, so cell-fold sizes differ
+    by at most one within every cell, and requires each cell to hold at least
+    K units.
     """
     if K < 2:
         raise ValidationError("K must be at least 2")
@@ -108,7 +93,7 @@ def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> FoldPlan:
     if mode == "plain":
         perm = rng.permutation(n)
         assignment[perm] = np.arange(n) % K
-        return FoldPlan("plain", K, assignment)
+        return assignment
 
     arms = frame.require_arms()
     strata = frame.stratum_groups
@@ -124,7 +109,7 @@ def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> FoldPlan:
                 )
             perm = rng.permutation(cell.size)
             assignment[cell[perm]] = np.arange(cell.size) % K
-    return FoldPlan("stratum_arm", K, assignment)
+    return assignment
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +125,8 @@ def fit_learners(spec: LearnerSpec, Xs, ys) -> list:
     """Train one learner per training set (Xs[i], ys[i]) and return the
     prediction maps over covariates, in order.
 
-    Missingness learners return probabilities clipped to [0.01, 1]. k-NN fits
-    run one after another. Stump ensembles and GLMs are fitted in batches of
+    GLMs and stump ensembles with the logit link fit the log-loss and predict
+    probabilities. k-NN fits run one after another. Stump ensembles and GLMs are fitted in batches of
     consecutive sets whose padded cells stay within ``_BATCH_CELLS``; stump
     ensembles share one boosting loop per batch (``_fit_stumps``) and GLMs one
     IRLS loop (``_fit_glms``). Map i equals the map of (Xs[i], ys[i]) fitted
@@ -159,7 +144,7 @@ def fit_learners(spec: LearnerSpec, Xs, ys) -> list:
         raise ValidationError("every training target must have one value per training row")
     if not all(np.isfinite(X).all() and np.isfinite(y).all() for X, y in zip(Xs, ys)):
         raise ValidationError("training covariates and targets must be finite")
-    binary_loss = spec.target == "missingness" or spec.link == "logit"
+    binary_loss = spec.link == "logit"
     if spec.kind == "knn":
         predicts = [_fit_knn(X, y, spec.k_neighbors) for X, y in zip(Xs, ys)]
     else:
@@ -171,8 +156,6 @@ def fit_learners(spec: LearnerSpec, Xs, ys) -> list:
                 predicts += _fit_stumps(
                     Xs[group], ys[group], spec.trees, spec.learning_rate, binary_loss
                 )
-    if spec.target == "missingness":
-        return [_clip_propensity(predict) for predict in predicts]
     return predicts
 
 
@@ -187,10 +170,6 @@ def _batches(shapes: list) -> list:
             groups.append(slice(start, i))
             start, rows = i, n
     return groups + [slice(start, len(shapes))] if shapes else []
-
-
-def _clip_propensity(predict):
-    return lambda Xe: np.clip(predict(Xe), PROPENSITY_FLOOR, 1.0)
 
 
 def _fit_glms(Xs: list, ys: list, logistic: bool) -> list:
@@ -432,14 +411,18 @@ def estimate_dml(
     estimand: EstimandSpec,
     seed: int,
     pi: float,
-    fold_plan: FoldPlan | None = None,
+    fold_plan: np.ndarray | None = None,
 ) -> EstimateResult:
     """Cross-fitted AIPW estimate of the arm means and their contrast.
 
     ``pi`` is the design assignment probability and enters the weighting
     denominators directly. With no missing outcomes ``missingness_learner``
-    may be None, in which case kappa-hat is identically one. Outcome learners
-    see only observed-outcome rows of their training folds.
+    may be None, in which case kappa-hat is identically one; otherwise it is
+    fitted with the logit link, and kappa-hat is clipped below at 0.01, with
+    the units clipped in their own arm counted in ``details["clip_count"]``.
+    Outcome learners see only observed-outcome rows of their training folds.
+    ``fold_plan`` replaces the folds of ``make_folds``; ``details["fold_plan"]``
+    holds the folds used.
     """
     arms = frame.require_arms()
     frame.require_outcomes()
@@ -453,17 +436,15 @@ def estimate_dml(
             "outcomes are missing but no missingness learner was given"
         )
 
-    plan = fold_plan or make_folds(frame, K, mode, derive_seed(seed, "folds"))
+    if fold_plan is None:
+        fold_plan = make_folds(frame, K, mode, derive_seed(seed, "folds"))
     feature_names = list(frame.covariate_names)
     if frame.stratum is not None and frame.stratum_groups.labels.size > 1:
         feature_names.append("stratum")
     features = expand_model_columns(frame, feature_names)
 
-    outcome_learner = dataclasses.replace(outcome_learner, target="outcome")
     if missingness_learner is not None:
-        missingness_learner = dataclasses.replace(
-            missingness_learner, target="missingness"
-        )
+        missingness_learner = dataclasses.replace(missingness_learner, link="logit")
 
     eta = np.full((frame.n_units, 2), np.nan)
     kappa = np.ones((frame.n_units, 2))
@@ -480,11 +461,11 @@ def estimate_dml(
     evals, out_sets, kap_sets = [], [], []
     for cell_mask, cell_desc in cell_masks:
         for k in range(K):
-            eval_mask = cell_mask & (plan.assignment == k)
+            eval_mask = cell_mask & (fold_plan == k)
             if not eval_mask.any():
                 continue
             for a in (0, 1):
-                train_mask = cell_mask & (plan.assignment != k) & (arms == a)
+                train_mask = cell_mask & (fold_plan != k) & (arms == a)
                 assert not (train_mask & eval_mask).any()  # held-out discipline
                 out_train = train_mask & (robs == 1.0)
                 if any_missing and not train_mask.any():
@@ -535,7 +516,7 @@ def estimate_dml(
         if_values=eif,
         solver_diag=SolverDiag(iterations=0, residual_norm=float(abs(eif.mean()))),
         details={
-            "fold_plan": plan,
+            "fold_plan": fold_plan,
             "clip_count": clip_count,
             "eta_hat": eta,
             "kappa_hat": kappa,

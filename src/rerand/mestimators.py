@@ -1,11 +1,13 @@
 """Estimating-equation solver with sandwich machinery and concrete estimators.
 
 Every estimator here is the root of a stacked system sum_i psi(O_i; theta) = 0
-whose first coordinate is the treatment effect. Per-unit influence values are
-the first entry of -B_hat^{-1} psi(O_i; theta_hat) with B_hat the averaged
-Jacobian, so they sum to zero by construction and their mean square is the
-sandwich variance. Every stack supplies B_hat in closed form (Stefanski & Boos
-2002); nothing is differentiated numerically.
+whose first coordinate is the treatment effect. Each supplies two closures of
+theta alone over its own units: ``evaluate`` gives the (n, dim) per-unit psi
+values and ``jacobian`` the averaged Jacobian B_hat of the mean estimating
+function, in closed form (Stefanski & Boos 2002); nothing is differentiated
+numerically. Per-unit influence values are the first entry of
+-B_hat^{-1} psi(O_i; theta_hat), so they sum to zero by construction and their
+mean square is the sandwich variance.
 
 Stage-wise fits (OLS, IRLS, the mixed model's likelihood profiled over
 lambda = tau^2 / sigma^2) provide warm starts; a damped Newton pass then drives
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,35 +44,26 @@ _MAX_HALVINGS = 30
 _ETA_SATURATION = 36.0  # |linear predictor| beyond which expit saturates
 
 
-@dataclass
-class PsiSpec:
-    """A stacked estimating-function specification.
-
-    ``evaluate(frame, theta)`` returns the (n, dim) matrix of per-unit psi
-    values and ``jacobian(frame, theta)`` the averaged (dim, dim) Jacobian of
-    the mean estimating function, d/dtheta n^-1 sum_i psi(O_i; theta).
-    """
-
-    dim: int
-    evaluate: Callable[[TrialFrame, np.ndarray], np.ndarray]
-    theta0: np.ndarray
-    jacobian: Callable[[TrialFrame, np.ndarray], np.ndarray]
-
-
 def solve_estimating_equations(
-    spec: PsiSpec, frame: TrialFrame
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
+    theta0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, SolverDiag]:
-    """Solve sum_i psi(O_i; theta) = 0 by damped Newton with step halving.
+    """Solve sum_i psi(O_i; theta) = 0 by damped Newton with step halving,
+    from ``theta0``.
 
-    Returns (theta_hat, the (n, dim) influence matrix -psi B_hat^-T at
-    theta_hat, diagnostics). The returned residual satisfies
-    ||n^-1 sum psi||_inf <= 1e-10; every failure raises.
+    ``evaluate(theta)`` returns the (n, dim) matrix of per-unit psi values and
+    ``jacobian(theta)`` the averaged (dim, dim) Jacobian of the mean
+    estimating function, d/dtheta n^-1 sum_i psi(O_i; theta). Returns
+    (theta_hat, the (n, dim) influence matrix -psi B_hat^-T at theta_hat,
+    diagnostics). The returned residual satisfies ||n^-1 sum psi||_inf <=
+    1e-10; every failure raises.
     """
-    theta = np.array(spec.theta0, dtype=float)
-    if theta.shape != (spec.dim,) or not np.all(np.isfinite(theta)):
-        raise ValidationError("theta0 must be a finite vector of length dim")
+    theta = np.array(theta0, dtype=float)
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+        raise ValidationError("theta0 must be a finite vector")
 
-    psi = spec.evaluate(frame, theta)
+    psi = evaluate(theta)
     residual = float(np.abs(psi.mean(axis=0)).max())
     iterations = 0
     while residual > _RESIDUAL_TOL:
@@ -81,7 +73,7 @@ def solve_estimating_equations(
                 f"(residual {residual:.2e})"
             )
         iterations += 1
-        B = spec.jacobian(frame, theta)
+        B = jacobian(theta)
         try:
             step = -np.linalg.solve(B, psi.mean(axis=0))
         except np.linalg.LinAlgError:
@@ -92,20 +84,20 @@ def solve_estimating_equations(
         lam = 1.0
         for _ in range(_MAX_HALVINGS):
             candidate = theta + lam * step
-            cand_psi = spec.evaluate(frame, candidate)
+            cand_psi = evaluate(candidate)
             cand_res = float(np.abs(cand_psi.mean(axis=0)).max())
             if math.isfinite(cand_res) and cand_res < residual:
                 break
             lam *= 0.5
         else:
             candidate = theta + lam * step
-            cand_psi = spec.evaluate(frame, candidate)
+            cand_psi = evaluate(candidate)
             cand_res = float(np.abs(cand_psi.mean(axis=0)).max())
         theta, psi, residual = candidate, cand_psi, cand_res
         if not np.all(np.isfinite(theta)) or np.abs(theta).max() > 1e10:
             raise ConvergenceError("parameter estimates diverged")
 
-    B = spec.jacobian(frame, theta)
+    B = jacobian(theta)
     try:
         if_matrix = -np.linalg.solve(B, psi.T).T
         final_step = np.linalg.solve(B, psi.mean(axis=0))
@@ -251,21 +243,21 @@ def estimate_unadjusted(frame: TrialFrame, estimand: EstimandSpec) -> EstimateRe
         raise ValidationError("both arms need at least one observed outcome")
     mu1 = float((robs * a * y0).sum() / treated)
     mu0 = float((robs * (1.0 - a) * y0).sum() / control)
+    n = frame.n_units
 
-    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+    def evaluate(theta: np.ndarray) -> np.ndarray:
         delta, m1, m0 = theta
         return np.column_stack(
             [
-                np.full(fr.n_units, estimand.value(m1, m0) - delta),
+                np.full(n, estimand.value(m1, m0) - delta),
                 robs * a * (y0 - m1),
                 robs * (1.0 - a) * (y0 - m0),
             ]
         )
 
-    def jacobian(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+    def jacobian(theta: np.ndarray) -> np.ndarray:
         _, m1, m0 = theta
         f1, f0 = estimand.gradient(m1, m0)
-        n = fr.n_units
         return np.array(
             [
                 [-1.0, f1, f0],
@@ -275,9 +267,7 @@ def estimate_unadjusted(frame: TrialFrame, estimand: EstimandSpec) -> EstimateRe
         )
 
     theta0 = np.array([estimand.value(mu1, mu0), mu1, mu0])
-    spec = PsiSpec(dim=3, evaluate=evaluate, theta0=theta0, jacobian=jacobian)
-    theta, if_matrix, diag = solve_estimating_equations(spec, frame)
-    return _result_from_parts(theta, if_matrix, diag)
+    return _result_from_parts(*solve_estimating_equations(evaluate, jacobian, theta0))
 
 
 def _gcomp(
@@ -331,14 +321,14 @@ def _gcomp(
     else:
         beta0 = _logistic_ml(Z[obs], y[obs], weights[obs])
 
-    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+    def evaluate(theta: np.ndarray) -> np.ndarray:
         delta, m1, m0 = theta[:3]
         beta, alpha = theta[3 : 3 + p], theta[3 + p :]
         prop = propensity(alpha)
         w = robs / np.clip(prop, PROPENSITY_FLOOR, 1.0)
         return np.column_stack(
             [
-                np.full(fr.n_units, estimand.value(m1, m0) - delta),
+                np.full(n, estimand.value(m1, m0) - delta),
                 ginv(Z1 @ beta) - m1,
                 ginv(Z0 @ beta) - m0,
                 (w * (y - ginv(Z @ beta)))[:, None] * Z,
@@ -346,7 +336,7 @@ def _gcomp(
             ]
         )
 
-    def jacobian(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+    def jacobian(theta: np.ndarray) -> np.ndarray:
         _, m1, m0 = theta[:3]
         beta, alpha = theta[3 : 3 + p], theta[3 + p :]
         prop = propensity(alpha)
@@ -368,8 +358,7 @@ def _gcomp(
     mu1 = float(np.mean(ginv(Z1 @ beta0)))
     mu0 = float(np.mean(ginv(Z0 @ beta0)))
     theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0, alpha0])
-    spec = PsiSpec(dim=theta0.size, evaluate=evaluate, theta0=theta0, jacobian=jacobian)
-    result = _result_from_parts(*solve_estimating_equations(spec, frame))
+    result = _result_from_parts(*solve_estimating_equations(evaluate, jacobian, theta0))
     if missing_covs is not None:
         result.details["propensity_clip_count"] = clipped
     return result
@@ -559,7 +548,7 @@ def estimate_mixed_ancova(
         vr = resid / s2 - (t2 * r_sum / (s2 * d))[clusters.codes]  # V^-1 r
         return beta, s2, t2, r_sum, d, vr
 
-    def evaluate(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+    def evaluate(theta: np.ndarray) -> np.ndarray:
         delta, m1, m0 = theta[:3]
         beta, s2, t2, r_sum, d, vr = parts(theta)
         columns = [
@@ -573,7 +562,7 @@ def estimate_mixed_ancova(
             columns.append(-N / d + (r_sum / d) ** 2)
         return np.column_stack(columns)
 
-    def jacobian(fr: TrialFrame, theta: np.ndarray) -> np.ndarray:
+    def jacobian(theta: np.ndarray) -> np.ndarray:
         _, m1, m0 = theta[:3]
         beta, s2, t2, r_sum, d, vr = parts(theta)
         u = vr / s2 - (t2 * r_sum / (s2 * d**2))[clusters.codes]  # V^-2 r
@@ -605,8 +594,7 @@ def estimate_mixed_ancova(
     head = [estimand.value(mu1, mu0), mu1, mu0]
     tail = [sigma2] if boundary else [sigma2, lam * sigma2]
     theta0 = np.concatenate([head, beta_init, tail])
-    spec = PsiSpec(dim=len(theta0), evaluate=evaluate, theta0=theta0, jacobian=jacobian)
-    theta, if_matrix, diag = solve_estimating_equations(spec, frame)
+    theta, if_matrix, diag = solve_estimating_equations(evaluate, jacobian, theta0)
     result = _result_from_parts(theta, if_matrix, diag)
     result.details.update(
         {

@@ -478,7 +478,7 @@ def scheme_inference(
     arms, strata, Xr = _analysis_units(est, frame, design)
     ifv = result.if_values
     n_units = len(ifv)
-    fold_ids = result.details["fold_plan"].assignment if est.kind == "dml" else None
+    fold_ids = result.details["fold_plan"] if est.kind == "dml" else None
     v_simple = inference.variance_simple(ifv, fold_ids=fold_ids)
     if strata is not None and est.fold_mode != "stratum_arm":
         fold_ids = None
@@ -489,7 +489,7 @@ def scheme_inference(
     limit_spec = None
     if design.rerandomized:
         first, *rest = design.criterion
-        exact = not rest and first.distance.kind == "mahalanobis" and (
+        exact = not rest and first.distance == "mahalanobis" and (
             sorted(first.indices) == sorted(design.rerand_covariates)
         )
         projection = None

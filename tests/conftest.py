@@ -40,9 +40,9 @@ def block_arms(strata, pi: float, k: int, seed: int) -> np.ndarray:
 
 def fd_jacobian(evaluate):
     """Central finite differences (step max(1e-6, 1e-6 |theta_j|)) of the mean
-    of ``evaluate``: the oracle for every analytic ``PsiSpec.jacobian``."""
+    of ``evaluate``: the oracle for every analytic ``jacobian`` closure."""
 
-    def jacobian(frame, theta):
+    def jacobian(theta):
         theta = np.asarray(theta, dtype=float)
         jac = np.empty((theta.size, theta.size))
         for j in range(theta.size):
@@ -52,7 +52,7 @@ def fd_jacobian(evaluate):
             minus = theta.copy()
             minus[j] -= h
             jac[:, j] = (
-                evaluate(frame, plus).mean(axis=0) - evaluate(frame, minus).mean(axis=0)
+                evaluate(plus).mean(axis=0) - evaluate(minus).mean(axis=0)
             ) / (2.0 * h)
         return jac
 

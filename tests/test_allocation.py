@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rerand import (
     Design,
-    DistanceSpec,
     Tier,
     TrialFrame,
     balance_distance,
@@ -448,7 +447,7 @@ class TestRerandomize:
             scheme="rerandomized",
             rerand_covariates=(0, 1),
             threshold_t=1.0,
-            distance=DistanceSpec(kind="general"),
+            distance="general",
         )
         alloc = rerandomize(frame, design, seed=11)
         var_i = centered_scatter(frame.covariates, None)[1] / arm_product(alloc.arms)
@@ -477,7 +476,7 @@ class TestBalanceForms:
             rerand_covariates=(5, 2, 7),
             tiers=(
                 Tier(indices=(7,), threshold=0.5),
-                Tier(indices=(2, 5), threshold=3.0, distance=DistanceSpec(kind="general")),
+                Tier(indices=(2, 5), threshold=3.0, distance="general"),
             ),
         )
         forms = balance_forms(design, scale)
@@ -495,7 +494,7 @@ class TestBalanceForms:
             rerand_covariates=(0, 1),
             tiers=(
                 Tier(indices=(1,), threshold=5.0),
-                Tier(indices=(0, 1), threshold=0.2, distance=DistanceSpec(kind="general")),
+                Tier(indices=(0, 1), threshold=0.2, distance="general"),
             ),
         )
         alloc = rerandomize(frame, design, seed)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -218,6 +219,8 @@ class TestAllocate:
                 assert outcome.exit_code == 0
                 record = outcome.log_records[0]
                 assert record["data"] == path and "data" not in record["config"]
+                sha256 = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                assert record["config"]["data_sha256"] == sha256
                 digests.append(record["config_hash"])
             assert digests[0] == digests[1] != digests[2]
 
@@ -259,6 +262,13 @@ class TestAnalyze:
         assert payload["delta_hat"] == pytest.approx(expected.delta_hat, abs=1e-12)
         assert payload["method"]["scheme"] == "simple"
         assert payload["method"]["interval"] == "normal"
+
+    def test_first_fault_row_is_named(self, tmp_path, capsys):
+        # row 1 holds an observed value outside {0,1}, row 2 a blank one
+        data = write(tmp_path / "trial.csv", "outcome,observed,arm\n0,1e3,1\n0,,0\n")
+        outcome = run_command(["analyze", "--data", data, "--estimator", "unadjusted"])
+        assert outcome.exit_code == 3
+        assert "observed value not in {0,1} at row 1" in capsys.readouterr().err
 
     def test_nan_alpha_is_a_data_error(self, trial_csv, capsys):
         outcome = run_command(
@@ -391,7 +401,7 @@ class TestConfigKeys:
         )
         tiers = sim_config_from_file(config).design.tiers
         assert [(tier.indices, tier.threshold) for tier in tiers] == [((0,), 0.05), ((1,), 0.5)]
-        assert tiers[1].distance.kind == "general"
+        assert tiers[1].distance == "general"
 
     @pytest.mark.parametrize(
         "line, message",
@@ -399,6 +409,7 @@ class TestConfigKeys:
             ("tier = x1 : 0.05", "sim.cfg:9: unknown key 'tier'"),
             ("design.threshold = 0.05", "sim.cfg:9: unknown key 'design.threshold'"),
             ("design.tier = x1 : 0.05\ndesign.t = 1.0", "thresholds from its tiers"),
+            ("design.tier = x1 : 0.05\ndesign.distance = general", "distances from its tiers"),
             ("design.t = nan", "balance thresholds must be positive"),
             ("design.tier = x1 : nan", "balance thresholds must be positive"),
         ],
@@ -418,6 +429,9 @@ class TestConfigKeys:
         [
             ("threshold = 0.05\n", "design.cfg:4: unknown key 'threshold'"),
             ("tier = x1 : 0.5\nt = 1.0\n", "thresholds from its tiers"),
+            ("tier = x1 : 0.5\ndistance = general\n", "distances from its tiers"),
+            ("t = 1.0\ndistance = euclid\n", "unknown distance kind 'euclid'"),
+            ("tier = x1 : 0.5\ntier = x2 : 1.0 : euclid\n", "unknown distance kind 'euclid'"),
             ("t = nan\n", "balance thresholds must be positive"),
             ("tier = x1 : 0.5\ntier = x2 : nan\n", "balance thresholds must be positive"),
         ],
@@ -487,7 +501,7 @@ class TestConfigKeys:
         }
         design = write(tmp_path / "design.cfg", blocks["# design.cfg"])
         parsed = design_from_config(_parse_kv_file(design, _DESIGN_KEYS), ("x1", "x2"))
-        assert (parsed.scheme, parsed.distance.kind, parsed.stratified_statistic) == (
+        assert (parsed.scheme, parsed.distance, parsed.stratified_statistic) == (
             "stratified_rerandomized", "mahalanobis", "pooled"
         )
         monkeypatch.delenv("RERAND_WORKERS", raising=False)

@@ -302,6 +302,11 @@ MALFORMED_CSV = {
     "blank_line_at_end": "outcome,arm,x1\n1,1,0\n2,0,1\n\n",
     "blank_crlf_line_after_header": "outcome,arm,x1\r\n\r\n1,1,0\r\n",
     "ragged_row_after_multiline_label": 'arm,stratum,x1\n1,"a\nb",0\n0,c,1,2\n',
+    "observed_outside_zero_one_above_a_bad_cell": "outcome,observed\n0,1e3\n0,\n",
+    "arm_outside_zero_one_above_a_bad_cell": "arm,x1\n1,0\n-1,0\nx,0\n",
+    "observed_outside_zero_one_before_a_bad_arm": "outcome,observed,arm\n1,2,1\n1,1,x\n",
+    "empty_label_above_a_bad_covariate": "arm,stratum,x1\n1,,0\n0,a,abc\n",
+    "empty_label_above_an_arm_outside_zero_one": "arm,stratum,x1\n1,,0\n2,a,1\n",
 }
 
 
@@ -466,10 +471,8 @@ class TestCsvMatchesRowWiseOracle:
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_text_matches_oracle(self, text):
         """The loader gives the frame or the error (class and message) of its
-        cell-by-cell parse alone, and the row-wise oracle's frame. On text with
-        faults of several kinds the oracle may name another one: it checks
-        observed and arm for {0,1} before it parses the covariates, the loader
-        after."""
+        cell-by-cell parse alone, and the row-wise oracle's frame or the class,
+        row and (for a ParseError) column of its error."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "in.csv")
             path.write_text(text, encoding="utf-8", newline="")
@@ -484,6 +487,7 @@ class TestCsvMatchesRowWiseOracle:
             assert_same_frame(loaded, expected)
         else:
             assert (type(loaded), str(loaded)) == (type(cell_by_cell), str(cell_by_cell))
+            assert _error_site(loaded) == _error_site(expected)
 
     def test_numeric_labels_stay_strings(self, tmp_path):
         path = tmp_path / "in.csv"

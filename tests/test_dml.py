@@ -15,7 +15,7 @@ from rerand import (
     make_folds,
 )
 from rerand import dml
-from rerand.dml import FoldPlan
+from rerand._seeds import derive_seed
 from rerand.errors import ValidationError
 
 DIFF = EstimandSpec("difference")
@@ -41,7 +41,7 @@ class TestMakeFolds:
     def test_even_split(self):
         frame = balanced_frame(0, n=10)
         plan = make_folds(frame, 2, "plain", seed=1)
-        sizes = np.bincount(plan.assignment)
+        sizes = np.bincount(plan)
         assert sorted(sizes.tolist()) == [5, 5]
 
     def test_remainder_rule(self):
@@ -49,7 +49,7 @@ class TestMakeFolds:
             covariates=np.zeros((11, 1)), covariate_names=("x",)
         )
         plan = make_folds(frame, 2, "plain", seed=2)
-        assert sorted(np.bincount(plan.assignment).tolist()) == [5, 6]
+        assert sorted(np.bincount(plan).tolist()) == [5, 6]
 
     def test_stratum_arm_cells_contribute_evenly(self):
         frame = balanced_frame(3, n=32, strata=2)  # cells of 8 units each
@@ -57,7 +57,7 @@ class TestMakeFolds:
         for label in ("s0", "s1"):
             for a in (0, 1):
                 cell = (frame.stratum == label) & (frame.arm == a)
-                counts = np.bincount(plan.assignment[cell], minlength=4)
+                counts = np.bincount(plan[cell], minlength=4)
                 assert counts.tolist() == [2, 2, 2, 2]
 
     def test_small_cell_rejected(self):
@@ -69,7 +69,7 @@ class TestMakeFolds:
         frame = balanced_frame(5, n=24)
         a = make_folds(frame, 3, "plain", seed=6)
         b = make_folds(frame, 3, "plain", seed=6)
-        np.testing.assert_array_equal(a.assignment, b.assignment)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestLearners:
@@ -106,17 +106,6 @@ class TestLearners:
         )[0]
         grid = np.array([[-0.5, 0.0], [0.6, 0.0]])
         np.testing.assert_allclose(predict(grid), [-1.0, 3.0], atol=0.05)
-
-    def test_missingness_predictions_are_clipped_probabilities(self):
-        rng = np.random.default_rng(10)
-        X = rng.normal(size=(60, 1))
-        r = (X[:, 0] > -2.5).astype(float)
-        predict = dml.fit_learners(
-            LearnerSpec(kind="glm", link="logit", target="missingness"), [X], [r]
-        )[0]
-        preds = predict(np.linspace(-30, 30, 50)[:, None])
-        assert preds.min() >= 0.01
-        assert preds.max() <= 1.0
 
     def test_empty_training_set_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
@@ -165,7 +154,7 @@ class TestEstimateDml:
     def test_fold_relabeling_leaves_estimate_unchanged(self):
         frame = balanced_frame(13, n=40)
         plan = make_folds(frame, 4, "plain", seed=5)
-        relabeled = FoldPlan("plain", 4, (plan.assignment + 1) % 4)
+        relabeled = (plan + 1) % 4
         res_a = estimate_dml(
             frame, LearnerSpec(kind="glm"), None, 4, "plain", DIFF, 6, 0.5, fold_plan=plan
         )
@@ -201,13 +190,37 @@ class TestEstimateDml:
             frame, LearnerSpec(kind="glm"), None, 4, "stratum_arm", DIFF, seed=8, pi=0.5
         )
         plan = res.details["fold_plan"]
-        assert plan.mode == "stratum_arm"
+        expected = make_folds(frame, 4, "stratum_arm", derive_seed(8, "folds"))
+        np.testing.assert_array_equal(plan, expected)
         # every unit's nuisance was produced by a model excluding its own fold
         for label in ("s0", "s1"):
             for a in (0, 1):
                 cell = (frame.stratum == label) & (frame.arm == a)
-                counts = np.bincount(plan.assignment[cell], minlength=4)
+                counts = np.bincount(plan[cell], minlength=4)
                 assert counts.max() - counts.min() <= 1
+
+    def test_missingness_predictions_are_clipped_probabilities(self):
+        # observed only where x1 > -0.5: the logistic missingness fits separate
+        # and predict far below 0.01 left of the step
+        frame = balanced_frame(10, n=60)
+        y = np.where(frame.column("x1") > -0.5, frame.outcome, np.nan)
+        frame = frame.with_columns(outcome=y, observed=None)
+        res = estimate_dml(
+            frame, LearnerSpec(kind="glm"), LearnerSpec(kind="glm"), 3, "plain", DIFF,
+            seed=9, pi=0.5,
+        )
+        assert res.details["kappa_hat"].min() >= 0.01
+        # each unit's raw own-arm kappa-hat, from a logit GLM fitted alone to
+        # the other folds' units of that arm
+        plan, raw = res.details["fold_plan"], np.empty(frame.n_units)
+        logit = LearnerSpec(kind="glm", link="logit")
+        for k in range(3):
+            for a in (0, 1):
+                train, held = (plan != k) & (frame.arm == a), (plan == k) & (frame.arm == a)
+                fit = dml.fit_learners(logit, [frame.covariates[train]], [frame.observed[train]])
+                raw[held] = fit[0](frame.covariates[held])
+        assert (raw < 0.01).any() and np.abs(raw - 0.01).min() > 1e-6
+        assert res.details["clip_count"] == (raw <= 0.01).sum()
 
     def test_missing_outcomes_require_a_missingness_learner(self):
         frame = balanced_frame(16, n=40)
@@ -787,7 +800,7 @@ class TestBatchGroups:
         Xe = rng.normal(size=(15, 3))
         for spec in (
             LearnerSpec(kind="stump_ensemble", trees=40),
-            LearnerSpec(kind="stump_ensemble", trees=40, target="missingness"),
+            LearnerSpec(kind="stump_ensemble", trees=40, link="logit"),
         ):
             ys = [(rng.random(n) < 0.6).astype(float) for n in sizes]
             whole = dml.fit_learners(spec, Xs, ys)
@@ -976,8 +989,7 @@ class TestEstimateDmlValidation:
 
     def test_arm_without_training_rows(self, monkeypatch):
         frame = self._frame(lambda arms, strata: np.arange(arms.size) != 3)
-        plan = make_folds(frame, 4, "stratum_arm", seed=21)
-        assignment = plan.assignment.copy()
+        assignment = make_folds(frame, 4, "stratum_arm", seed=21)
         # all arm-1 units of stratum s1 in fold 2: fold 2 has no arm-1 training rows
         assignment[(frame.arm == 1) & (frame.stratum == "s1")] = 2
         calls = self._count_fits(monkeypatch)
@@ -986,7 +998,7 @@ class TestEstimateDmlValidation:
         ):
             estimate_dml(
                 frame, CONSTANT, LearnerSpec(kind="glm", link="logit"), 4, "stratum_arm",
-                DIFF, seed=22, pi=0.5, fold_plan=FoldPlan("stratum_arm", 4, assignment),
+                DIFF, seed=22, pi=0.5, fold_plan=assignment,
             )
         assert calls == []
 

@@ -18,7 +18,6 @@ import rerand.mestimators
 import rerand.simlab
 from rerand import (
     Design,
-    DistanceSpec,
     EstimandSpec,
     TrialFrame,
     estimate_mixed_ancova,
@@ -29,7 +28,6 @@ from rerand.allocation import _permuted_block_draw
 from rerand.data_model import factorize
 from rerand.errors import ValidationError
 from rerand.mestimators import (
-    PsiSpec,
     _ArmDesign,
     _check_full_rank,
     _ols,
@@ -222,8 +220,7 @@ class TestFoldAndDummyOracles:
                 make_folds(frame, K, "stratum_arm", seed=11)
             assert str(caught.value) == str(exc)
             return
-        plan = make_folds(frame, K, "stratum_arm", seed=11)
-        np.testing.assert_array_equal(plan.assignment, expected)
+        np.testing.assert_array_equal(make_folds(frame, K, "stratum_arm", seed=11), expected)
 
     @pytest.mark.parametrize("name,strata", PANEL, ids=PANEL_IDS)
     def test_stratum_dummies_match_the_level_loop(self, name, strata):
@@ -355,11 +352,9 @@ def _reference_mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary
     head = [estimand.value(mu1, mu0), mu1, mu0]
     tail = [sigma2] if boundary else [sigma2, tau2]
     theta0 = np.concatenate([head, beta_init, tail])
-    evaluate = lambda fr, th: cluster_psi(th)
-    spec = PsiSpec(
-        dim=len(theta0), evaluate=evaluate, theta0=theta0, jacobian=fd_jacobian(evaluate)
+    theta, if_matrix, diag = solve_estimating_equations(
+        cluster_psi, fd_jacobian(cluster_psi), theta0
     )
-    theta, if_matrix, diag = solve_estimating_equations(spec, frame)
     if not boundary and theta[4 + p] < 0:
         return _reference_mixed_stack(frame, design, data, estimand, float(theta[3 + p]), 0.0, True)
     result = _result_from_parts(theta, if_matrix, diag)
@@ -519,7 +514,7 @@ def test_stratified_ancova_factorizes_object_labels_once(monkeypatch, distance):
     kinds.clear()
     design = Design(
         pi=0.5, scheme="stratified_rerandomized", rerand_covariates=(0, 1),
-        threshold_t=1.0, distance=DistanceSpec(kind=distance),
+        threshold_t=1.0, distance=distance,
     )
     est = SimEstimator(kind="ancova", covariates=("x1", "x2", "stratum"))
     result = apply_estimator(est, frame, design, 1, 0)

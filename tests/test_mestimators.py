@@ -6,7 +6,6 @@ import pytest
 import rerand.mestimators
 from rerand import (
     EstimandSpec,
-    PsiSpec,
     TrialFrame,
     estimate_ancova,
     estimate_drwls,
@@ -35,25 +34,22 @@ class TestSolver:
         y = np.array([1.0, 2.0, 2.5, 5.0])
         oracle = np.linalg.solve(X.T @ X, X.T @ y)
 
-        def evaluate(frame, theta):
+        def evaluate(theta):
             return (y - X @ theta)[:, None] * X
 
-        spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.zeros(2), jacobian=fd_jacobian(evaluate))
-        frame = TrialFrame(covariates=X, covariate_names=("a", "b"))
-        theta, _, diag = solve_estimating_equations(spec, frame)
+        theta, _, diag = solve_estimating_equations(evaluate, fd_jacobian(evaluate), np.zeros(2))
         np.testing.assert_allclose(theta, oracle, atol=1e-8)
         assert diag.residual_norm <= 1e-10
 
     def test_residual_postcondition_holds(self):
-        frame = random_frame(1)
+        y = random_frame(1).outcome
 
-        def evaluate(fr, theta):
-            return np.column_stack([fr.outcome - theta[0], fr.outcome**2 - theta[1]])
+        def evaluate(theta):
+            return np.column_stack([y - theta[0], y**2 - theta[1]])
 
-        spec = PsiSpec(
-            dim=2, evaluate=evaluate, theta0=np.array([0.0, 1.0]), jacobian=fd_jacobian(evaluate)
+        _, _, diag = solve_estimating_equations(
+            evaluate, fd_jacobian(evaluate), np.array([0.0, 1.0])
         )
-        _, _, diag = solve_estimating_equations(spec, frame)
         assert diag.residual_norm <= 1e-10
 
     def test_separated_logistic_does_not_converge(self):
@@ -61,14 +57,12 @@ class TestSolver:
         X = np.array([[1.0, -1.0], [1.0, 1.0]])
         y = np.array([0.0, 1.0])
 
-        def evaluate(frame, theta):
+        def evaluate(theta):
             p = 1.0 / (1.0 + np.exp(-X @ theta))
             return (y - p)[:, None] * X
 
-        spec = PsiSpec(dim=2, evaluate=evaluate, theta0=np.zeros(2), jacobian=fd_jacobian(evaluate))
-        frame = TrialFrame(covariates=X, covariate_names=("a", "b"))
         with pytest.raises(ConvergenceError):
-            solve_estimating_equations(spec, frame)
+            solve_estimating_equations(evaluate, fd_jacobian(evaluate), np.zeros(2))
 
 
 class TestUnadjusted:
@@ -463,9 +457,9 @@ class TestAnalyticJacobians:
         solved = []
         solve = rerand.mestimators.solve_estimating_equations
 
-        def spy(spec, frame):
-            theta, if_matrix, diag = solve(spec, frame)
-            solved.append((spec, frame, theta))
+        def spy(evaluate, jacobian, theta0):
+            theta, if_matrix, diag = solve(evaluate, jacobian, theta0)
+            solved.append((evaluate, jacobian, theta))
             return theta, if_matrix, diag
 
         monkeypatch.setattr(rerand.mestimators, "solve_estimating_equations", spy)
@@ -475,10 +469,10 @@ class TestAnalyticJacobians:
             assert result.details["propensity_clip_count"] > 0
         elif tag:
             assert (result.details["tau2"] == 0.0) == (tag == "boundary")
-        (spec, frame, theta_hat), = solved
+        (evaluate, jacobian, theta_hat), = solved
         rng = np.random.default_rng(0)
         u = rng.uniform(-1.0, 1.0, size=(2, theta_hat.size))
         for theta in (theta_hat, theta_hat * (1.0 + 0.1 * u[0]) + 0.01 * u[1]):
-            B = spec.jacobian(frame, theta)
-            oracle = fd_jacobian(spec.evaluate)(frame, theta)
+            B = jacobian(theta)
+            oracle = fd_jacobian(evaluate)(theta)
             np.testing.assert_allclose(B, oracle, rtol=0, atol=1e-7 * np.abs(B).max())

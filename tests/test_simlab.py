@@ -9,7 +9,6 @@ import rerand.data_model
 import rerand.inference
 import rerand.simlab
 from rerand import (
-    DistanceSpec,
     CustomDgp,
     Design,
     DgpSpec,
@@ -173,7 +172,7 @@ class TestSchemePlumbing:
                 scheme="rerandomized",
                 rerand_covariates=(0, 1),
                 threshold_t=1.0,
-                distance=DistanceSpec(kind="general"),
+                distance="general",
             ),
             replicates=20,
         )
@@ -226,7 +225,7 @@ class TestSchemePlumbing:
                 rerand_covariates=(0, 1),
                 threshold_t=1.0,
                 block_size=2,
-                distance=DistanceSpec(kind="general"),
+                distance="general",
             ),
             replicates=20,
         )
@@ -340,7 +339,7 @@ def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
         strata = None if strata is None else strata[clusters.first_rows]
     ifv, pi = result.if_values, design.pi
     n = len(ifv)
-    folds = result.details["fold_plan"].assignment if est.kind == "dml" else None
+    folds = result.details["fold_plan"] if est.kind == "dml" else None
     v_hat = variance_simple(ifv, fold_ids=folds)
     if strata is None:
         v_scheme = v_hat
@@ -351,7 +350,7 @@ def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
     r2 = scheme_plugins(ifv, arms, pi, Xr, strata, folds)[1]
     var_i = centered_scatter(Xr, strata)[1] / arm_product(arms)
     first, *rest = design.criterion
-    exact = not rest and first.distance.kind == "mahalanobis" and (
+    exact = not rest and first.distance == "mahalanobis" and (
         sorted(first.indices) == sorted(design.rerand_covariates)
     )
     projection = None
@@ -366,9 +365,8 @@ def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
 
 def _criterion(kind: str) -> dict:
     if kind == "tiers":
-        general = DistanceSpec(kind="general")
-        return dict(tiers=(Tier((0,), 0.5), Tier((1,), 1.0, general)))
-    return dict(threshold_t=1.5, distance=DistanceSpec(kind=kind))
+        return dict(tiers=(Tier((0,), 0.5), Tier((1,), 1.0, "general")))
+    return dict(threshold_t=1.5, distance=kind)
 
 
 _SCHEME_ESTIMATORS = {
@@ -466,5 +464,5 @@ class TestSchemeInferenceEqualsItsParts:
 
         scheme_inference(est, result, frame, design, 0.05, 2000, 17)
         assert len(passes) <= 2
-        folds = result.details["fold_plan"].assignment if est.kind == "dml" else None
+        folds = result.details["fold_plan"] if est.kind == "dml" else None
         assert all(folds is not None and np.array_equal(v, folds) for v in factorized)
