@@ -183,8 +183,8 @@ def design_from_config(cfg: dict, names: tuple[str, ...]) -> Design:
     tiers = []
     for spec in cfg.get("tier", []):
         parts = [p.strip() for p in spec.split(":")]
-        if len(parts) < 2:
-            raise DataError(f"tier spec '{spec}' needs 'columns : threshold'")
+        if not 2 <= len(parts) <= 3:
+            raise DataError(f"tier spec '{spec}' needs 'columns : threshold [: distance]'")
         tiers.append(
             Tier(
                 indices=_resolve_columns(parts[0], names),

@@ -8,6 +8,7 @@ across workers. CSV ingestion follows the reserved column names documented in
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -447,17 +448,21 @@ def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict]:
     return len(rows), columns
 
 
-def _read_text(path, hasher) -> str:
-    """The text of the UTF-8 file at ``path``, less a leading byte-order mark, from one
-    read; ``hasher`` (if given) is updated with the file's bytes."""
+def _open_text(path, hasher) -> io.TextIOWrapper:
+    """The UTF-8 file at ``path`` from one read, less a leading byte-order mark, lines
+    decoded as they are read; ``hasher`` (if given) is updated with the file's bytes."""
     with open(path, "rb") as file:
         data = file.read()
     if hasher is not None:
         hasher.update(data)
-    try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    pos, step = 0, 1 << 16  # checked a step at a time: no copy of the whole text
+    while pos < len(data):
+        try:
+            pos += codecs.utf_8_decode(data[pos : pos + step], "strict", pos + step >= len(data))[1]
+        except UnicodeDecodeError as exc:
+            message = f"{path}: not UTF-8 text ({exc.reason} at byte {pos + exc.start})"
+            raise DataError(message) from None
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
 
 def load_csv(path, hasher=None) -> TrialFrame:
@@ -471,27 +476,28 @@ def load_csv(path, hasher=None) -> TrialFrame:
     names the first bad cell. Empty outcome cells mean missing; an explicit ``observed``
     column must agree. The first fault is the one a row-by-row reader meets: outcome,
     observed and arm cells (with their {0,1} rule), covariates, then blank stratum and
-    cluster labels. Text that is not UTF-8 raises :class:`DataError`, a field over
-    ``csv.field_size_limit()`` :class:`ParseError`. A ``hasher`` (such as
-    ``hashlib.sha256()``) is updated with the bytes of the file as read.
+    cluster labels. Text that is not UTF-8 raises :class:`DataError` (naming the bad
+    byte's offset in the file), a field over ``csv.field_size_limit()`` :class:`ParseError`.
+    A ``hasher`` (such as ``hashlib.sha256()``) is updated with the bytes of the file as
+    read. Memory: the file's bytes plus the parsed columns; no copy of the whole text.
     """
-    handle = io.StringIO(_read_text(path, hasher), newline="")  # lines split as csv does
-    reader = csv.reader(handle)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise ParseError(f"header row: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    duplicates = [name for i, name in enumerate(header) if name in header[:i]]
-    if duplicates:
-        raise DataError(f"duplicate column name '{duplicates[0]}'")
+    with _open_text(path, hasher) as handle:  # closing frees the bytes before the frame is built
+        reader = csv.reader(iter(handle.readline, ""))  # not next(handle), which stops tell()
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"header row: {exc}") from None
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        duplicates = [name for i, name in enumerate(header) if name in header[:i]]
+        if duplicates:
+            raise DataError(f"duplicate column name '{duplicates[0]}'")
 
-    start = handle.tell()  # no rows go cell by cell: numpy would warn of no data
-    parsed = _c_columns(handle, start, header) if header and handle.read(1) else None
-    if parsed is None:
-        handle.seek(start)
-        parsed = _cell_by_cell(reader, header)
+        start = handle.tell()  # no rows go cell by cell: numpy would warn of no data
+        parsed = _c_columns(handle, start, header) if header and handle.read(1) else None
+        if parsed is None:
+            handle.seek(start)
+            parsed = _cell_by_cell(reader, header)
     n, columns = parsed
     for name in ("observed", "arm"):  # {0,1} before blank labels, as rows are read
         if name in columns:

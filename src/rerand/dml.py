@@ -438,6 +438,8 @@ def estimate_dml(
 
     if fold_plan is None:
         fold_plan = make_folds(frame, K, mode, derive_seed(seed, "folds"))
+    elif np.shape(fold_plan) != (frame.n_units,) or not np.isin(fold_plan, range(K)).all():
+        raise ValidationError(f"fold_plan needs one fold in 0..{K - 1} per unit")
     feature_names = list(frame.covariate_names)
     if frame.stratum is not None and frame.stratum_groups.labels.size > 1:
         feature_names.append("stratum")

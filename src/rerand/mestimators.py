@@ -7,7 +7,8 @@ values and ``jacobian`` the averaged Jacobian B_hat of the mean estimating
 function, in closed form (Stefanski & Boos 2002); nothing is differentiated
 numerically. Per-unit influence values are the first entry of
 -B_hat^{-1} psi(O_i; theta_hat), so they sum to zero by construction and their
-mean square is the sandwich variance.
+mean square is the sandwich variance. Only that entry is formed: psi times the
+first column of B_hat^{-T}, one n-vector in place of an (n, dim) matrix.
 
 Stage-wise fits (OLS, IRLS, the mixed model's likelihood profiled over
 lambda = tau^2 / sigma^2) provide warm starts; a damped Newton pass then drives
@@ -55,9 +56,9 @@ def solve_estimating_equations(
     ``evaluate(theta)`` returns the (n, dim) matrix of per-unit psi values and
     ``jacobian(theta)`` the averaged (dim, dim) Jacobian of the mean
     estimating function, d/dtheta n^-1 sum_i psi(O_i; theta). Returns
-    (theta_hat, the (n, dim) influence matrix -psi B_hat^-T at theta_hat,
-    diagnostics). The returned residual satisfies ||n^-1 sum psi||_inf <=
-    1e-10; every failure raises.
+    (theta_hat, the length-n influence values of Delta = theta[0], which are
+    -psi B_hat^-T e_0 at theta_hat, diagnostics). The returned residual
+    satisfies ||n^-1 sum psi||_inf <= 1e-10; every failure raises.
     """
     theta = np.array(theta0, dtype=float)
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
@@ -99,7 +100,7 @@ def solve_estimating_equations(
 
     B = jacobian(theta)
     try:
-        if_matrix = -np.linalg.solve(B, psi.T).T
+        if_values = -(psi @ np.linalg.solve(B.T, np.eye(theta.size)[0]))
         final_step = np.linalg.solve(B, psi.mean(axis=0))
     except np.linalg.LinAlgError:
         raise SingularMatrixError("averaged Jacobian B-hat is singular") from None
@@ -113,7 +114,7 @@ def solve_estimating_equations(
             "residual vanishes but the Newton correction does not: the "
             "estimating equations have no finite root (separation?)"
         )
-    return theta, if_matrix, SolverDiag(iterations=iterations, residual_norm=residual)
+    return theta, if_values, SolverDiag(iterations=iterations, residual_norm=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +158,11 @@ class _ArmDesign:
         return 2 + self.X.shape[1] + self.X_int.shape[1]
 
     def matrix(self, arms: np.ndarray) -> np.ndarray:
-        arms = np.asarray(arms, dtype=float)
-        return np.column_stack(
-            [np.ones(self.n), arms, self.X, arms[:, None] * self.X_int]
-        )
+        arms, k = np.asarray(arms, dtype=float), 2 + self.X.shape[1]
+        Z = np.empty((self.n, self.width))  # filled in place: no per-column copies
+        Z[:, 0], Z[:, 1], Z[:, 2:k] = 1.0, arms, self.X
+        np.multiply(arms[:, None], self.X_int, out=Z[:, k:])
+        return Z
 
     def matrix_at(self, a: int) -> np.ndarray:
         return self.matrix(np.full(self.n, float(a)))
@@ -289,13 +291,16 @@ def _gcomp(
     design = _ArmDesign(frame, covariates, interactions)
     arms = frame.require_arms()
     Z = design.matrix(arms)
-    Z1 = design.matrix_at(1)
-    Z0 = design.matrix_at(0)
     p = design.width
     robs = frame.observed.astype(float)
     y = np.where(robs == 1.0, np.nan_to_num(frame.outcome), 0.0)
     ginv = (lambda x: x) if link == "identity" else expit
     dginv = (lambda x: np.ones_like(x)) if link == "identity" else (lambda x: expit(x) * (1 - expit(x)))
+
+    def arm_slope(Za: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Mean of dginv(Z_a beta) Z_a, where Z_a sets every unit to arm a and lives for
+        this call only. Under the identity link dginv is 1, and Z_a * 1 is Z_a bit for bit."""
+        return (Za if link == "identity" else dginv(Za @ beta)[:, None] * Za).mean(axis=0)
 
     if missing_covs is None:
         Zm = np.empty((n, 0))
@@ -329,8 +334,8 @@ def _gcomp(
         return np.column_stack(
             [
                 np.full(n, estimand.value(m1, m0) - delta),
-                ginv(Z1 @ beta) - m1,
-                ginv(Z0 @ beta) - m0,
+                ginv(design.matrix_at(1) @ beta) - m1,  # one arm's design at a time
+                ginv(design.matrix_at(0) @ beta) - m0,
                 (w * (y - ginv(Z @ beta)))[:, None] * Z,
                 (robs - prop)[:, None] * Zm,
             ]
@@ -347,16 +352,16 @@ def _gcomp(
         B = np.zeros((theta.size, theta.size))
         B[0, :3] = [-1.0, f1, f0]
         B[1, 1] = -1.0
-        B[1, 3 : 3 + p] = (dginv(Z1 @ beta)[:, None] * Z1).mean(axis=0)
+        B[1, 3 : 3 + p] = arm_slope(design.matrix_at(1), beta)
         B[2, 2] = -1.0
-        B[2, 3 : 3 + p] = (dginv(Z0 @ beta)[:, None] * Z0).mean(axis=0)
+        B[2, 3 : 3 + p] = arm_slope(design.matrix_at(0), beta)
         B[3 : 3 + p, 3 : 3 + p] = -(Z.T @ (Z * (w * dginv(Z @ beta))[:, None])) / n
         B[3 : 3 + p, 3 + p :] = Z.T @ (Zm * (dw * (y - ginv(Z @ beta)))[:, None]) / n
         B[3 + p :, 3 + p :] = -(Zm.T @ (Zm * (prop * (1.0 - prop))[:, None])) / n
         return B
 
-    mu1 = float(np.mean(ginv(Z1 @ beta0)))
-    mu0 = float(np.mean(ginv(Z0 @ beta0)))
+    mu1 = float(np.mean(ginv(design.matrix_at(1) @ beta0)))
+    mu0 = float(np.mean(ginv(design.matrix_at(0) @ beta0)))
     theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0, alpha0])
     result = _result_from_parts(*solve_estimating_equations(evaluate, jacobian, theta0))
     if missing_covs is not None:
@@ -431,14 +436,14 @@ def _require_complete(frame: TrialFrame) -> None:
 
 
 def _result_from_parts(
-    theta: np.ndarray, if_matrix: np.ndarray, diag: SolverDiag
+    theta: np.ndarray, if_values: np.ndarray, diag: SolverDiag
 ) -> EstimateResult:
     """Result of a (Delta, mu1, mu0, ...) stack."""
     return EstimateResult(
         delta_hat=float(theta[0]),
         mu_hat=(float(theta[1]), float(theta[2])),
         theta_hat=theta,
-        if_values=if_matrix[:, 0].copy(),
+        if_values=if_values,
         solver_diag=diag,
         details={},
     )
@@ -594,8 +599,8 @@ def estimate_mixed_ancova(
     head = [estimand.value(mu1, mu0), mu1, mu0]
     tail = [sigma2] if boundary else [sigma2, lam * sigma2]
     theta0 = np.concatenate([head, beta_init, tail])
-    theta, if_matrix, diag = solve_estimating_equations(evaluate, jacobian, theta0)
-    result = _result_from_parts(theta, if_matrix, diag)
+    theta, if_values, diag = solve_estimating_equations(evaluate, jacobian, theta0)
+    result = _result_from_parts(theta, if_values, diag)
     result.details.update(
         {
             "sigma2": float(theta[3 + p]),

@@ -412,6 +412,7 @@ class TestConfigKeys:
             ("design.tier = x1 : 0.05\ndesign.distance = general", "distances from its tiers"),
             ("design.t = nan", "balance thresholds must be positive"),
             ("design.tier = x1 : nan", "balance thresholds must be positive"),
+            ("design.tier = x1 : 0.5 : general : junk", "tier spec 'x1 : 0.5 : general : junk'"),
         ],
     )
     def test_simulation_config_errors(self, tmp_path, monkeypatch, capsys, line, message):
@@ -434,6 +435,7 @@ class TestConfigKeys:
             ("tier = x1 : 0.5\ntier = x2 : 1.0 : euclid\n", "unknown distance kind 'euclid'"),
             ("t = nan\n", "balance thresholds must be positive"),
             ("tier = x1 : 0.5\ntier = x2 : nan\n", "balance thresholds must be positive"),
+            ("tier = x1 : 0.5 : general : junk\n", "tier spec 'x1 : 0.5 : general : junk'"),
         ],
     )
     def test_design_file_errors(

@@ -1,8 +1,10 @@
 import codecs
 import csv
+import hashlib
 import math
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from typing import Callable, Mapping
@@ -117,6 +119,42 @@ class TestLoadCsv:
         path.write_bytes("stratum,x1\ncaf\xe9,0.5\n".encode("latin-1"))
         with pytest.raises(DataError, match="latin1.csv: not UTF-8"):
             load_csv(path)
+
+    @pytest.mark.parametrize("bom", [b"", codecs.BOM_UTF8])
+    def test_offset_of_bytes_that_are_not_utf8_counts_from_the_start(self, tmp_path, bom):
+        # the fault sits past the first 64 KiB of the file, behind a two-byte
+        # character that spans bytes 65535-65536, with and without a BOM
+        head = bom + b"stratum,x1\n" + b"a,0.5\n" * 10_000
+        head += b"a" * (65535 - len(head)) + "\u00e9,0.5\n".encode()
+        path = tmp_path / "late.csv"
+        path.write_bytes(head)
+        assert load_csv(path).n_units == 10_001
+        path.write_bytes(head + b"caf\xe9,0.5\n")
+        with pytest.raises(DataError, match=f"invalid continuation byte at byte {len(head) + 3}\\)"):
+            load_csv(path)
+
+    def test_peak_memory_is_bounded_by_the_file_size(self, tmp_path):
+        # 10,000 rows x 13 columns of ASCII: the file's bytes and the parsed columns,
+        # where a 4-byte-per-character copy of the text peaked at about 5.6 times the file
+        rng = np.random.default_rng(60)
+        n, names = 10_000, [f"x{j}" for j in range(10)]
+        path = tmp_path / "large.csv"
+        write_csv(
+            TrialFrame(
+                covariates=rng.normal(size=(n, 10)), covariate_names=tuple(names),
+                outcome=rng.normal(size=n), arm=np.arange(n) % 2,
+                stratum=np.array([f"s{k}" for k in rng.integers(0, 20, size=n)]),
+            ),
+            path,
+        )
+        load_csv(path)  # first-call imports and caches stay out of the count
+        tracemalloc.start()
+        try:
+            load_csv(path, hashlib.sha256())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
 
     @pytest.mark.parametrize("kind", ["long_label", "long_number", "two_line_label"])
     def test_field_over_csv_limit_names_its_row(self, tmp_path, kind):

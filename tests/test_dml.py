@@ -163,6 +163,24 @@ class TestEstimateDml:
         )
         assert res_a.delta_hat == res_b.delta_hat
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda plan: plan[:-1],  # one unit short
+            lambda plan: np.append(plan, 0),  # one unit over
+            lambda plan: np.where(np.arange(plan.size) == 0, 7, plan),  # fold K or more
+            lambda plan: np.where(np.arange(plan.size) == 0, -1, plan),  # negative fold
+        ],
+        ids=["short", "long", "fold_too_large", "negative_fold"],
+    )
+    def test_fold_plan_that_does_not_fit_is_rejected(self, damage):
+        frame = balanced_frame(13, n=40)
+        plan = damage(make_folds(frame, 4, "plain", seed=5))
+        with pytest.raises(ValidationError, match=r"fold_plan needs one fold in 0\.\.3 per unit"):
+            estimate_dml(
+                frame, LearnerSpec(kind="glm"), None, 4, "plain", DIFF, 6, 0.5, fold_plan=plan
+            )
+
     def test_stratum_arm_trains_within_cells_only(self):
         # outcome is a deterministic function of (arm, stratum); a constant
         # learner trained within each cell must reproduce it exactly

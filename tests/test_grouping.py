@@ -352,12 +352,12 @@ def _reference_mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary
     head = [estimand.value(mu1, mu0), mu1, mu0]
     tail = [sigma2] if boundary else [sigma2, tau2]
     theta0 = np.concatenate([head, beta_init, tail])
-    theta, if_matrix, diag = solve_estimating_equations(
+    theta, if_values, diag = solve_estimating_equations(
         cluster_psi, fd_jacobian(cluster_psi), theta0
     )
     if not boundary and theta[4 + p] < 0:
         return _reference_mixed_stack(frame, design, data, estimand, float(theta[3 + p]), 0.0, True)
-    result = _result_from_parts(theta, if_matrix, diag)
+    result = _result_from_parts(theta, if_values, diag)
     result.details.update(
         {"sigma2": float(theta[3 + p]), "tau2": 0.0 if boundary else float(theta[4 + p])}
     )

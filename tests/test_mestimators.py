@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,6 +164,26 @@ class TestAncova:
         res = estimate_ancova(frame, ("x1", "x2"), False, RATIO)
         mu1, mu0 = res.mu_hat
         assert res.delta_hat == pytest.approx(mu1 / mu0, abs=1e-10)
+
+    def test_peak_memory_is_bounded_by_the_design(self):
+        # n=10,000, 12 covariates with interactions: p = 26 model columns. Holding
+        # both per-arm designs and the full (n, dim) influence matrix peaked at
+        # about 7.4 n p 8 bytes.
+        rng = np.random.default_rng(61)
+        n, k = 10_000, 12
+        x = rng.normal(size=(n, k))
+        arms = np.arange(n) % 2
+        frame = TrialFrame(
+            covariates=x, covariate_names=tuple(f"x{j}" for j in range(k)),
+            outcome=x.sum(axis=1) + arms + rng.normal(size=n), arm=arms,
+        )
+        tracemalloc.start()
+        try:
+            estimate_ancova(frame, frame.covariate_names, True, DIFF)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * (2 + 2 * k) * 8
 
 
 def _binary_frame(seed, n=60):
@@ -436,6 +457,7 @@ STACKS = {
     "unadjusted_difference": lambda: estimate_unadjusted(random_frame(30), DIFF),
     "unadjusted_ratio": lambda: estimate_unadjusted(random_frame(31, effect=3.0), RATIO),
     "ancova_interactions": lambda: estimate_ancova(random_frame(32), ("x1", "x2"), True, DIFF),
+    "ancova_main_effects": lambda: estimate_ancova(random_frame(38), ("x1", "x2"), False, DIFF),
     "glm2": lambda: estimate_gcomp_logistic(_binary_frame(33, n=120), ("x",), True, RATIO),
     "drwls_identity": lambda: _drwls("identity", DIFF, seed=34),
     "drwls_logit": lambda: _drwls("logit", RATIO, seed=35),
@@ -458,9 +480,9 @@ class TestAnalyticJacobians:
         solve = rerand.mestimators.solve_estimating_equations
 
         def spy(evaluate, jacobian, theta0):
-            theta, if_matrix, diag = solve(evaluate, jacobian, theta0)
+            theta, if_values, diag = solve(evaluate, jacobian, theta0)
             solved.append((evaluate, jacobian, theta))
-            return theta, if_matrix, diag
+            return theta, if_values, diag
 
         monkeypatch.setattr(rerand.mestimators, "solve_estimating_equations", spy)
         result = STACKS[name]()
@@ -476,3 +498,31 @@ class TestAnalyticJacobians:
             B = jacobian(theta)
             oracle = fd_jacobian(evaluate)(theta)
             np.testing.assert_allclose(B, oracle, rtol=0, atol=1e-7 * np.abs(B).max())
+
+
+def _reference_influence_matrix(evaluate, jacobian, theta):
+    """The retired full solve: every unit's -B_hat^-1 psi(O_i; theta), an (n, dim) matrix."""
+    return -np.linalg.solve(jacobian(theta), evaluate(theta).T).T
+
+
+class TestInfluenceOracle:
+    """The solver forms only Delta's influence values; they are column 0 of the
+    full influence matrix, for every production stack."""
+
+    @pytest.mark.parametrize("name", list(STACKS))
+    def test_delta_column_of_the_full_solve(self, name, monkeypatch):
+        solved = []
+        solve = rerand.mestimators.solve_estimating_equations
+
+        def spy(evaluate, jacobian, theta0):
+            theta, if_values, diag = solve(evaluate, jacobian, theta0)
+            solved.append(_reference_influence_matrix(evaluate, jacobian, theta)[:, 0])
+            return theta, if_values, diag
+
+        monkeypatch.setattr(rerand.mestimators, "solve_estimating_equations", spy)
+        result = STACKS[name]()
+        (oracle,) = solved
+        assert result.if_values.shape == oracle.shape
+        np.testing.assert_allclose(
+            result.if_values, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max()
+        )
