@@ -34,11 +34,19 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _zero_one(values, name: str) -> np.ndarray:
-    """``values`` as int8 0/1; the first other value raises, naming its row."""
+def _zero_one_fault(values, name: str) -> tuple | None:
+    """(row index, ``name``, error) of the first value outside {0,1}, or None."""
     bad = np.flatnonzero(~np.isin(values, (0, 1)))
     if bad.size:
-        raise ValidationError(f"{name} value not in {{0,1}} at row {bad[0] + 1}")
+        return bad[0], name, ValidationError(f"{name} value not in {{0,1}} at row {bad[0] + 1}")
+    return None
+
+
+def _zero_one(values, name: str) -> np.ndarray:
+    """``values`` as int8 0/1; the first other value raises, naming its row."""
+    fault = _zero_one_fault(values, name)
+    if fault:
+        raise fault[2]
     return np.asarray(values).astype(np.int8)
 
 
@@ -392,11 +400,12 @@ def _record_lines(handle, count: list[int]):
         yield line
 
 
-def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict] | None:
+def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict, list] | None:
     """The rows from ``start`` in one ``np.loadtxt`` pass: labels str, all else float64,
-    the outcome through ``_blank_is_nan`` if a pass without it fails. None if numpy or
-    ``_record_lines`` rejects the text or a record spans lines (where a field could pass
-    csv's size limit unseen)."""
+    the outcome through ``_blank_is_nan`` if a pass without it fails, as
+    ``_cell_by_cell`` returns them (with no faults). None if numpy or ``_record_lines``
+    rejects the text or a record spans lines (where a field could pass csv's size limit
+    unseen)."""
     dtype = [(f"f{j}", object if name in ("stratum", "cluster") else float)
              for j, name in enumerate(header)]
     outcome = {header.index("outcome"): _blank_is_nan} if "outcome" in header else None
@@ -410,14 +419,15 @@ def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict] | None
             continue
         if len(table) != lines[0]:
             return None
-        return len(table), {name: table[f"f{j}"] for j, name in enumerate(header)}
+        return len(table), {name: table[f"f{j}"] for j, name in enumerate(header)}, []
     return None
 
 
-def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict]:
-    """The rows of csv ``reader`` parsed cell by cell by ``float``: the columns, or the
-    first error in the order rows, outcome, observed and arm (each cell parsed, then
-    held to {0,1}), covariates."""
+def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict, list]:
+    """The rows of csv ``reader`` parsed cell by cell by ``float``: the row count, the
+    columns, and a (row index, column, ParseError) fault for each numeric column with a
+    bad cell, whose values then stop above it. A bad row width or an oversized field
+    raises at once."""
     rows: list[list[str]] = []
     try:
         for cells in reader:
@@ -428,24 +438,20 @@ def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict]:
         if len(cells) != len(header):
             raise ParseError(f"row {i} has {len(cells)} cells, expected {len(header)}")
     columns = dict(zip(header, zip(*rows) if rows else [()] * len(header)))
-    numeric = [name for name in ("outcome", "observed", "arm") if name in columns]
-    for name in numeric + [name for name in header if name not in RESERVED_COLUMNS]:
+    faults = []
+    for name in [name for name in header if name not in ("stratum", "cluster")]:
         parse = _blank_is_nan if name == "outcome" else float
         values = np.empty(len(rows))
         for i, cell in enumerate(columns[name]):
             try:
                 values[i] = parse(cell)
             except ValueError:
+                message = f"malformed numeric cell '{cell}' at row {i + 1}, column '{name}'"
+                faults.append((i, name, ParseError(message)))
+                values = values[:i]
                 break
-        else:
-            i = len(rows)  # every cell parsed
-        if name in ("observed", "arm"):
-            _zero_one(values[:i], name)  # a value outside {0,1} above row i comes first
-        if i < len(rows):
-            message = f"malformed numeric cell '{cell}' at row {i + 1}, column '{name}'"
-            raise ParseError(message)
         columns[name] = values
-    return len(rows), columns
+    return len(rows), columns, faults
 
 
 def _open_text(path, hasher) -> io.TextIOWrapper:
@@ -474,12 +480,16 @@ def load_csv(path, hasher=None) -> TrialFrame:
     reader in one pass; text it rejects or would read otherwise than ``csv`` (``1_000``,
     a blank line) is parsed again by ``float`` cell by cell, which gives the frame or
     names the first bad cell. Empty outcome cells mean missing; an explicit ``observed``
-    column must agree. The first fault is the one a row-by-row reader meets: outcome,
-    observed and arm cells (with their {0,1} rule), covariates, then blank stratum and
-    cluster labels. Text that is not UTF-8 raises :class:`DataError` (naming the bad
-    byte's offset in the file), a field over ``csv.field_size_limit()`` :class:`ParseError`.
-    A ``hasher`` (such as ``hashlib.sha256()``) is updated with the bytes of the file as
-    read. Memory: the file's bytes plus the parsed columns; no copy of the whole text.
+    column must agree. A row of the wrong width or an oversized field is named first.
+    Of the cell faults (a malformed number, an observed or arm value outside {0,1}, a
+    blank stratum or cluster label) the earliest row's is named, and within a row the
+    outcome, observed and arm cells come first, then covariates, then labels. The
+    frame's own checks (an observed cell that disagrees with its outcome, a non-finite
+    value) come after every cell fault. Text that is not UTF-8 raises
+    :class:`DataError` (naming the bad byte's offset in the file), a field over
+    ``csv.field_size_limit()`` :class:`ParseError`. A ``hasher`` (such as
+    ``hashlib.sha256()``) is updated with the bytes of the file as read. Memory: the
+    file's bytes plus the parsed columns; no copy of the whole text.
     """
     with _open_text(path, hasher) as handle:  # closing frees the bytes before the frame is built
         reader = csv.reader(iter(handle.readline, ""))  # not next(handle), which stops tell()
@@ -498,16 +508,20 @@ def load_csv(path, hasher=None) -> TrialFrame:
         if parsed is None:
             handle.seek(start)
             parsed = _cell_by_cell(reader, header)
-    n, columns = parsed
-    for name in ("observed", "arm"):  # {0,1} before blank labels, as rows are read
-        if name in columns:
-            _zero_one(columns[name], name)
+    n, columns, faults = parsed
+    for name in ("observed", "arm"):  # parsed values stop above a bad cell
+        fault = name in columns and _zero_one_fault(columns[name], name)
+        if fault:
+            faults.append(fault)
     for role in ("stratum", "cluster"):
         cells = columns.get(role, ())
         if not all(map(str.strip, set(cells))):
-            row = next(i for i, cell in enumerate(cells, start=1) if not cell.strip())
-            raise ValidationError(f"empty {role} label at row {row}")
+            row = next(i for i, cell in enumerate(cells) if not cell.strip())
+            faults.append((row, role, ValidationError(f"empty {role} label at row {row + 1}")))
     covariate_names = tuple(name for name in header if name not in RESERVED_COLUMNS)
+    if faults:
+        order = ("outcome", "observed", "arm") + covariate_names + ("stratum", "cluster")
+        raise min(faults, key=lambda fault: (fault[0], order.index(fault[1])))[2]
     covariates = np.empty((n, len(covariate_names)))
     for j, name in enumerate(covariate_names):
         covariates[:, j] = columns[name]

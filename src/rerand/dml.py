@@ -46,7 +46,7 @@ from scipy.special import expit
 from ._seeds import derive_seed
 from .data_model import EstimandSpec, EstimateResult, SolverDiag, TrialFrame
 from .errors import ValidationError
-from .mestimators import PROPENSITY_FLOOR, expand_model_columns
+from .mestimators import PROPENSITY_FLOOR, contrast, expand_model_columns
 
 FOLD_MODES = ("plain", "stratum_arm")
 
@@ -497,30 +497,16 @@ def estimate_dml(
         clip_count = int((used <= PROPENSITY_FLOOR).sum())
         kappa = np.clip(kappa, PROPENSITY_FLOOR, 1.0)
 
-    a_f = arms.astype(float)
-    brackets = np.empty((frame.n_units, 2))
-    for a in (0, 1):
-        ind = a_f if a == 1 else 1.0 - a_f
-        pi_a = pi if a == 1 else 1.0 - pi
-        brackets[:, a] = (
-            ind / pi_a * robs / kappa[:, a] * (y0 - eta[:, a]) + eta[:, a]
-        )
-    mu1 = float(brackets[:, 1].mean())
-    mu0 = float(brackets[:, 0].mean())
-    delta = estimand.value(mu1, mu0)
-    f1, f0 = estimand.gradient(mu1, mu0)
-    eif = f1 * (brackets[:, 1] - mu1) + f0 * (brackets[:, 0] - mu0)
-
-    return EstimateResult(
-        delta_hat=float(delta),
-        mu_hat=(mu1, mu0),
-        theta_hat=np.array([delta, mu1, mu0]),
-        if_values=eif,
-        solver_diag=SolverDiag(iterations=0, residual_norm=float(abs(eif.mean()))),
-        details={
-            "fold_plan": fold_plan,
-            "clip_count": clip_count,
-            "eta_hat": eta,
-            "kappa_hat": kappa,
-        },
+    # row 0 holds mu1's per-unit plug-in, row 1 mu0's
+    brackets = np.empty((2, frame.n_units))
+    for row, a, pi_a in ((0, 1, pi), (1, 0, 1.0 - pi)):
+        ind = (arms == a).astype(float)
+        brackets[row] = ind / pi_a * robs / kappa[:, a] * (y0 - eta[:, a]) + eta[:, a]
+    mu = brackets.mean(axis=1)
+    if_mu = (brackets - mu[:, None]).T
+    diag = SolverDiag(iterations=0, residual_norm=float(np.abs(if_mu.mean(axis=0)).max()))
+    result = contrast(estimand, mu, if_mu, diag)
+    result.details.update(
+        {"fold_plan": fold_plan, "clip_count": clip_count, "eta_hat": eta, "kappa_hat": kappa}
     )
+    return result

@@ -1,14 +1,18 @@
 """Estimating-equation solver with sandwich machinery and concrete estimators.
 
 Every estimator here is the root of a stacked system sum_i psi(O_i; theta) = 0
-whose first coordinate is the treatment effect. Each supplies two closures of
-theta alone over its own units: ``evaluate`` gives the (n, dim) per-unit psi
-values and ``jacobian`` the averaged Jacobian B_hat of the mean estimating
-function, in closed form (Stefanski & Boos 2002); nothing is differentiated
-numerically. Per-unit influence values are the first entry of
--B_hat^{-1} psi(O_i; theta_hat), so they sum to zero by construction and their
-mean square is the sandwich variance. Only that entry is formed: psi times the
-first column of B_hat^{-T}, one n-vector in place of an (n, dim) matrix.
+whose first two coordinates are the arm means (mu1, mu0), followed by its
+nuisances. Each supplies two closures of theta alone over its own units:
+``evaluate`` gives the (n, dim) per-unit psi values and ``jacobian`` the
+averaged Jacobian B_hat of the mean estimating function, in closed form
+(Stefanski & Boos 2002); nothing is differentiated numerically. The solver
+returns the arm means' per-unit influence values, the first two entries of
+-B_hat^{-1} psi(O_i; theta_hat): psi times the first two columns of
+B_hat^{-T}, an (n, 2) matrix in place of an (n, dim) one. One contrast step
+(``contrast``), which the cross-fitted estimator in ``dml`` shares, then
+reaches Delta = f(mu1, mu0) by the delta method: Delta-hat = f(mu1-hat,
+mu0-hat) and influence values IF_mu grad f, which sum to zero by construction
+and whose mean square is the sandwich variance.
 
 Stage-wise fits (OLS, IRLS, the mixed model's likelihood profiled over
 lambda = tau^2 / sigma^2) provide warm starts; a damped Newton pass then drives
@@ -56,9 +60,10 @@ def solve_estimating_equations(
     ``evaluate(theta)`` returns the (n, dim) matrix of per-unit psi values and
     ``jacobian(theta)`` the averaged (dim, dim) Jacobian of the mean
     estimating function, d/dtheta n^-1 sum_i psi(O_i; theta). Returns
-    (theta_hat, the length-n influence values of Delta = theta[0], which are
-    -psi B_hat^-T e_0 at theta_hat, diagnostics). The returned residual
-    satisfies ||n^-1 sum psi||_inf <= 1e-10; every failure raises.
+    (theta_hat, the (n, 2) influence values of the arm means theta[0] and
+    theta[1], which are -psi B_hat^-T [e_0 e_1] at theta_hat, diagnostics). The
+    returned residual satisfies ||n^-1 sum psi||_inf <= 1e-10; every failure
+    raises.
     """
     theta = np.array(theta0, dtype=float)
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
@@ -100,7 +105,7 @@ def solve_estimating_equations(
 
     B = jacobian(theta)
     try:
-        if_values = -(psi @ np.linalg.solve(B.T, np.eye(theta.size)[0]))
+        if_mu = -(psi @ np.linalg.solve(B.T, np.eye(theta.size)[:, :2]))
         final_step = np.linalg.solve(B, psi.mean(axis=0))
     except np.linalg.LinAlgError:
         raise SingularMatrixError("averaged Jacobian B-hat is singular") from None
@@ -114,7 +119,23 @@ def solve_estimating_equations(
             "residual vanishes but the Newton correction does not: the "
             "estimating equations have no finite root (separation?)"
         )
-    return theta, if_values, SolverDiag(iterations=iterations, residual_norm=residual)
+    return theta, if_mu, SolverDiag(iterations=iterations, residual_norm=residual)
+
+
+def contrast(estimand: EstimandSpec, theta, if_mu, diag: SolverDiag) -> EstimateResult:
+    """Result of a (mu1, mu0, ...) stack with arm-mean influence values ``if_mu``:
+    Delta-hat = f(mu1-hat, mu0-hat), its influence values IF_mu grad f (the delta
+    method) and theta_hat = (Delta-hat, mu1-hat, mu0-hat, ...)."""
+    mu1, mu0 = float(theta[0]), float(theta[1])
+    delta = float(estimand.value(mu1, mu0))
+    f1, f0 = estimand.gradient(mu1, mu0)
+    return EstimateResult(
+        delta_hat=delta,
+        mu_hat=(mu1, mu0),
+        theta_hat=np.concatenate([[delta], theta]),
+        if_values=f1 * if_mu[:, 0] + f0 * if_mu[:, 1],
+        solver_diag=diag,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +164,13 @@ def expand_model_columns(frame: TrialFrame, names: Sequence[str]) -> np.ndarray:
 
 
 class _ArmDesign:
-    """Design matrix [1, A, X, A*(X - mean X)] and its g-comp variants."""
+    """Design matrix [1, A, X, A*(X - mean X)], and what g-computation needs of
+    Z_a, the design with every unit set to arm a, taken from those blocks
+    without forming Z_a."""
 
     def __init__(self, frame: TrialFrame, covariates: Sequence[str], interactions: bool):
         self.X = expand_model_columns(frame, covariates)
-        if interactions:
-            self.X_int = self.X - self.X.mean(axis=0)
-        else:
-            self.X_int = np.empty((frame.n_units, 0))
+        self.X_int = self.X - self.X.mean(axis=0) if interactions else self.X[:, :0]
         self.n = frame.n_units
 
     @property
@@ -164,8 +184,21 @@ class _ArmDesign:
         np.multiply(arms[:, None], self.X_int, out=Z[:, k:])
         return Z
 
-    def matrix_at(self, a: int) -> np.ndarray:
-        return self.matrix(np.full(self.n, float(a)))
+    def predict_at(self, a: int, beta: np.ndarray) -> np.ndarray:
+        """Z_a beta."""
+        k = 2 + self.X.shape[1]
+        eta = self.X @ beta[2:k] + (beta[0] + a * beta[1])
+        if a:
+            eta += self.X_int @ beta[k:]
+        return eta
+
+    def column_sums_at(self, a: int, weights: np.ndarray | None = None) -> np.ndarray:
+        """Column sums of Z_a, each unit's row weighted by ``weights`` if given."""
+        if weights is None:
+            total, x_sum, int_sum = float(self.n), self.X.sum(axis=0), self.X_int.sum(axis=0)
+        else:
+            total, x_sum, int_sum = weights.sum(), weights @ self.X, weights @ self.X_int
+        return np.concatenate([[total, a * total], x_sum, a * int_sum])
 
 
 def _check_full_rank(Z: np.ndarray) -> None:
@@ -243,33 +276,17 @@ def estimate_unadjusted(frame: TrialFrame, estimand: EstimandSpec) -> EstimateRe
     control = (robs * (1.0 - a)).sum()
     if treated == 0 or control == 0:
         raise ValidationError("both arms need at least one observed outcome")
-    mu1 = float((robs * a * y0).sum() / treated)
-    mu0 = float((robs * (1.0 - a) * y0).sum() / control)
     n = frame.n_units
 
     def evaluate(theta: np.ndarray) -> np.ndarray:
-        delta, m1, m0 = theta
-        return np.column_stack(
-            [
-                np.full(n, estimand.value(m1, m0) - delta),
-                robs * a * (y0 - m1),
-                robs * (1.0 - a) * (y0 - m0),
-            ]
-        )
+        m1, m0 = theta
+        return np.column_stack([robs * a * (y0 - m1), robs * (1.0 - a) * (y0 - m0)])
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
-        _, m1, m0 = theta
-        f1, f0 = estimand.gradient(m1, m0)
-        return np.array(
-            [
-                [-1.0, f1, f0],
-                [0.0, -treated / n, 0.0],
-                [0.0, 0.0, -control / n],
-            ]
-        )
+        return np.diag([-treated / n, -control / n])
 
-    theta0 = np.array([estimand.value(mu1, mu0), mu1, mu0])
-    return _result_from_parts(*solve_estimating_equations(evaluate, jacobian, theta0))
+    theta0 = np.array([(robs * a * y0).sum() / treated, (robs * (1.0 - a) * y0).sum() / control])
+    return contrast(estimand, *solve_estimating_equations(evaluate, jacobian, theta0))
 
 
 def _gcomp(
@@ -281,11 +298,12 @@ def _gcomp(
     missing_covs: Sequence[str] | None = None,
 ) -> EstimateResult:
     """G-computation: an OLS (identity link) or logistic maximum-likelihood
-    start, then Newton on the (Delta, mu1, mu0, beta, alpha) stack.
+    start, then Newton on the (mu1, mu0, beta, alpha) stack.
 
     With ``missing_covs`` a logistic missingness model prop = expit(Zm alpha)
     joins the stack and the outcome rows are weighted by w = R / max(prop,
-    PROPENSITY_FLOOR). Without it alpha is empty and prop = w = 1.
+    PROPENSITY_FLOOR). Without it alpha is empty and prop = w = 1. Under the
+    identity link the inverse link's slope is 1, so it is never computed.
     """
     n = frame.n_units
     design = _ArmDesign(frame, covariates, interactions)
@@ -294,13 +312,9 @@ def _gcomp(
     p = design.width
     robs = frame.observed.astype(float)
     y = np.where(robs == 1.0, np.nan_to_num(frame.outcome), 0.0)
-    ginv = (lambda x: x) if link == "identity" else expit
-    dginv = (lambda x: np.ones_like(x)) if link == "identity" else (lambda x: expit(x) * (1 - expit(x)))
-
-    def arm_slope(Za: np.ndarray, beta: np.ndarray) -> np.ndarray:
-        """Mean of dginv(Z_a beta) Z_a, where Z_a sets every unit to arm a and lives for
-        this call only. Under the identity link dginv is 1, and Z_a * 1 is Z_a bit for bit."""
-        return (Za if link == "identity" else dginv(Za @ beta)[:, None] * Za).mean(axis=0)
+    logistic = link != "identity"
+    ginv = expit if logistic else (lambda x: x)
+    dginv = lambda eta: expit(eta) * (1.0 - expit(eta))  # the logit link's slope
 
     if missing_covs is None:
         Zm = np.empty((n, 0))
@@ -321,49 +335,42 @@ def _gcomp(
         )
     weights = robs / np.clip(prop0, PROPENSITY_FLOOR, 1.0)
     obs = robs == 1.0
-    if link == "identity":
-        beta0 = _ols(Z, y, weights)
-    else:
-        beta0 = _logistic_ml(Z[obs], y[obs], weights[obs])
+    beta0 = _logistic_ml(Z[obs], y[obs], weights[obs]) if logistic else _ols(Z, y, weights)
 
     def evaluate(theta: np.ndarray) -> np.ndarray:
-        delta, m1, m0 = theta[:3]
-        beta, alpha = theta[3 : 3 + p], theta[3 + p :]
+        m1, m0 = theta[:2]
+        beta, alpha = theta[2 : 2 + p], theta[2 + p :]
         prop = propensity(alpha)
         w = robs / np.clip(prop, PROPENSITY_FLOOR, 1.0)
         return np.column_stack(
             [
-                np.full(n, estimand.value(m1, m0) - delta),
-                ginv(design.matrix_at(1) @ beta) - m1,  # one arm's design at a time
-                ginv(design.matrix_at(0) @ beta) - m0,
+                ginv(design.predict_at(1, beta)) - m1,
+                ginv(design.predict_at(0, beta)) - m0,
                 (w * (y - ginv(Z @ beta)))[:, None] * Z,
                 (robs - prop)[:, None] * Zm,
             ]
         )
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
-        _, m1, m0 = theta[:3]
-        beta, alpha = theta[3 : 3 + p], theta[3 + p :]
+        beta, alpha = theta[2 : 2 + p], theta[2 + p :]
         prop = propensity(alpha)
         w = robs / np.clip(prop, PROPENSITY_FLOOR, 1.0)
         # dw/d(Zm alpha) is -w (1 - prop), and 0 where the floor clips prop
         dw = np.where(prop < PROPENSITY_FLOOR, 0.0, -w * (1.0 - prop))
-        f1, f0 = estimand.gradient(m1, m0)
         B = np.zeros((theta.size, theta.size))
-        B[0, :3] = [-1.0, f1, f0]
-        B[1, 1] = -1.0
-        B[1, 3 : 3 + p] = arm_slope(design.matrix_at(1), beta)
-        B[2, 2] = -1.0
-        B[2, 3 : 3 + p] = arm_slope(design.matrix_at(0), beta)
-        B[3 : 3 + p, 3 : 3 + p] = -(Z.T @ (Z * (w * dginv(Z @ beta))[:, None])) / n
-        B[3 : 3 + p, 3 + p :] = Z.T @ (Zm * (dw * (y - ginv(Z @ beta)))[:, None]) / n
-        B[3 + p :, 3 + p :] = -(Zm.T @ (Zm * (prop * (1.0 - prop))[:, None])) / n
+        B[0, 0] = B[1, 1] = -1.0
+        for row, a in ((0, 1), (1, 0)):
+            slope = dginv(design.predict_at(a, beta)) if logistic else None
+            B[row, 2 : 2 + p] = design.column_sums_at(a, slope) / n
+        fitted_w = w * dginv(Z @ beta) if logistic else w
+        B[2 : 2 + p, 2 : 2 + p] = -(Z.T @ (Z * fitted_w[:, None])) / n
+        B[2 : 2 + p, 2 + p :] = Z.T @ (Zm * (dw * (y - ginv(Z @ beta)))[:, None]) / n
+        B[2 + p :, 2 + p :] = -(Zm.T @ (Zm * (prop * (1.0 - prop))[:, None])) / n
         return B
 
-    mu1 = float(np.mean(ginv(design.matrix_at(1) @ beta0)))
-    mu0 = float(np.mean(ginv(design.matrix_at(0) @ beta0)))
-    theta0 = np.concatenate([[estimand.value(mu1, mu0), mu1, mu0], beta0, alpha0])
-    result = _result_from_parts(*solve_estimating_equations(evaluate, jacobian, theta0))
+    arm_means = [np.mean(ginv(design.predict_at(a, beta0))) for a in (1, 0)]
+    theta0 = np.concatenate([arm_means, beta0, alpha0])
+    result = contrast(estimand, *solve_estimating_equations(evaluate, jacobian, theta0))
     if missing_covs is not None:
         result.details["propensity_clip_count"] = clipped
     return result
@@ -410,7 +417,7 @@ def estimate_drwls(
 
     Three stages: a logistic missingness model, an inverse-propensity-weighted
     outcome regression on observed rows, then g-computation. The influence
-    values come from the joint five-block stack, so the sandwich reflects all
+    values come from the joint stack, so the sandwich reflects all
     fitted nuisances. Fitted propensities are clipped below at 0.01 with a
     recorded diagnostic. With no missing outcomes the missingness stage is
     dropped and the estimator reduces to plain g-computation.
@@ -419,11 +426,8 @@ def estimate_drwls(
         raise ValidationError(f"unknown link '{link}'")
     frame.require_arms()
     frame.require_outcomes()
-    if frame.observed.min() == 1:
-        result = _gcomp(frame, outcome_covs, interactions, estimand, link)
-        result.details["missingness_model"] = "none (no missing outcomes)"
-        return result
-    return _gcomp(frame, outcome_covs, interactions, estimand, link, missing_covs)
+    missing = None if frame.observed.min() == 1 else missing_covs
+    return _gcomp(frame, outcome_covs, interactions, estimand, link, missing)
 
 
 def _require_complete(frame: TrialFrame) -> None:
@@ -433,20 +437,6 @@ def _require_complete(frame: TrialFrame) -> None:
             "estimator requires complete outcomes; use the doubly-robust "
             "estimator for missing data"
         )
-
-
-def _result_from_parts(
-    theta: np.ndarray, if_values: np.ndarray, diag: SolverDiag
-) -> EstimateResult:
-    """Result of a (Delta, mu1, mu0, ...) stack."""
-    return EstimateResult(
-        delta_hat=float(theta[0]),
-        mu_hat=(float(theta[1]), float(theta[2])),
-        theta_hat=theta,
-        if_values=if_values,
-        solver_diag=diag,
-        details={},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +456,6 @@ class _ClusterData:
             raise ValidationError("need at least two clusters per arm")
         self.y = frame.outcome
         self.Z = design.matrix(arms)
-        self.Z1 = design.matrix_at(1)
-        self.Z0 = design.matrix_at(0)
         # per-cluster summaries used by the closed-form V inverse
         self.z_sum = self.clusters.sums(self.Z)
         self.y_sum = self.clusters.sums(self.y)
@@ -540,13 +528,15 @@ def estimate_mixed_ancova(
     p = design.width
     clusters = data.clusters
     N = clusters.counts
-    z1_mean = (clusters.sums(data.Z1) / N[:, None]).mean(axis=0)
-    z0_mean = (clusters.sums(data.Z0) / N[:, None]).mean(axis=0)
+    # each unit weighs 1 / (its cluster's size * the number of clusters) in the
+    # arm means: the mean over clusters of cluster means
+    share = (1.0 / (N * N.size))[clusters.codes]
+    z1_mean, z0_mean = (design.column_sums_at(a, share) for a in (1, 0))
 
     def parts(theta):
-        beta = theta[3 : 3 + p]
-        s2 = theta[3 + p]
-        t2 = 0.0 if boundary else theta[4 + p]
+        beta = theta[2 : 2 + p]
+        s2 = theta[2 + p]
+        t2 = 0.0 if boundary else theta[3 + p]
         resid = data.y - data.Z @ beta
         r_sum = clusters.sums(resid)
         d = s2 + N * t2
@@ -554,12 +544,11 @@ def estimate_mixed_ancova(
         return beta, s2, t2, r_sum, d, vr
 
     def evaluate(theta: np.ndarray) -> np.ndarray:
-        delta, m1, m0 = theta[:3]
+        m1, m0 = theta[:2]
         beta, s2, t2, r_sum, d, vr = parts(theta)
         columns = [
-            np.full(N.size, estimand.value(m1, m0) - delta),
-            m1 - clusters.sums(data.Z1 @ beta) / N,
-            m0 - clusters.sums(data.Z0 @ beta) / N,
+            m1 - clusters.sums(design.predict_at(1, beta)) / N,
+            m0 - clusters.sums(design.predict_at(0, beta)) / N,
             clusters.sums(data.Z * vr[:, None]),
             -(N / s2 - t2 * N / (s2 * d)) + clusters.sums(vr * vr),
         ]
@@ -568,7 +557,6 @@ def estimate_mixed_ancova(
         return np.column_stack(columns)
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
-        _, m1, m0 = theta[:3]
         beta, s2, t2, r_sum, d, vr = parts(theta)
         u = vr / s2 - (t2 * r_sum / (s2 * d**2))[clusters.codes]  # V^-2 r
         zs = data.z_sum
@@ -583,28 +571,21 @@ def estimate_mixed_ancova(
         H[p, p] = ((N - 1) / s2**2 + 1.0 / d**2).sum() - 2.0 * (vr @ u)
         H[p, p + 1] = H[p + 1, p] = (N / d**2 - 2.0 * r_sum**2 / d**3).sum()
         H[p + 1, p + 1] = (N**2 / d**2 - 2.0 * N * r_sum**2 / d**3).sum()
-        f1, f0 = estimand.gradient(m1, m0)
         B = np.zeros((theta.size, theta.size))
-        B[0, :3] = [-1.0, f1, f0]
-        B[1, 1] = B[2, 2] = 1.0
-        B[1, 3 : 3 + p] = -z1_mean
-        B[2, 3 : 3 + p] = -z0_mean
-        B[3:, 3:] = H[: theta.size - 3, : theta.size - 3] / N.size
+        B[0, 0] = B[1, 1] = 1.0
+        B[0, 2 : 2 + p] = -z1_mean
+        B[1, 2 : 2 + p] = -z0_mean
+        B[2:, 2:] = H[: theta.size - 2, : theta.size - 2] / N.size
         return B
 
     beta_init = data.gls_beta(lam)
     sigma2 = data.profile(lam)[1]
-    mu1 = float(np.mean(clusters.sums(data.Z1 @ beta_init) / N))
-    mu0 = float(np.mean(clusters.sums(data.Z0 @ beta_init) / N))
-    head = [estimand.value(mu1, mu0), mu1, mu0]
+    arm_means = [np.mean(clusters.sums(design.predict_at(a, beta_init)) / N) for a in (1, 0)]
     tail = [sigma2] if boundary else [sigma2, lam * sigma2]
-    theta0 = np.concatenate([head, beta_init, tail])
-    theta, if_values, diag = solve_estimating_equations(evaluate, jacobian, theta0)
-    result = _result_from_parts(theta, if_values, diag)
+    theta0 = np.concatenate([arm_means, beta_init, tail])
+    theta, if_mu, diag = solve_estimating_equations(evaluate, jacobian, theta0)
+    result = contrast(estimand, theta, if_mu, diag)
     result.details.update(
-        {
-            "sigma2": float(theta[3 + p]),
-            "tau2": 0.0 if boundary else float(theta[4 + p]),
-        }
+        sigma2=float(theta[2 + p]), tau2=0.0 if boundary else float(theta[3 + p])
     )
     return result

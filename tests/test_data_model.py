@@ -64,6 +64,25 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="row 2.*x1"):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("outcome,arm,x\n1,0,abc\nxyz,1,2\n", ParseError,
+             "malformed numeric cell 'abc' at row 1, column 'x'"),
+            ("outcome,arm,x\n1,5,2\nxyz,1,2\n", ValidationError, "arm value not in {0,1} at row 1"),
+            ("outcome,arm,stratum,x\n1,0,,2\n1,7,a,2\n", ValidationError,
+             "empty stratum label at row 1"),
+        ],
+        ids=["bad_covariate_above_bad_outcome", "bad_arm_above_bad_outcome",
+             "empty_label_above_bad_arm"],
+    )
+    def test_first_fault_is_the_earliest_rows(self, tmp_path, text, error, message):
+        path = tmp_path / "trial.csv"
+        path.write_text(text)
+        with pytest.raises(error) as raised:
+            load_csv(path)
+        assert str(raised.value) == message
+
     def test_round_trip_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(5)
         frame = TrialFrame(
@@ -587,8 +606,10 @@ def _frames(draw) -> TrialFrame:
 
 # ---------------------------------------------------------------------------
 # Oracles: the row-wise CSV reader and writer that the column-wise ones
-# replaced, kept verbatim. The column-wise code must give the same bytes, the
-# same frames and, on malformed input, the same exception class, row and column.
+# replaced, kept verbatim, except that the reader checks its cells one row at a
+# time, so that the earliest row's fault is the one it names. The column-wise
+# code must give the same bytes, the same frames and, on malformed input, the
+# same exception class, row and column.
 
 
 def _reference_parse_float(text: str, row: int, col: str) -> float:
@@ -651,50 +672,35 @@ def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialF
         return None
 
     outcome_cells = reserved("outcome")
-    outcome = None
-    if outcome_cells is not None:
-        outcome = np.array(
-            [
-                np.nan if cell.strip() == "" else _reference_parse_float(cell, i + 1, "outcome")
-                for i, cell in enumerate(outcome_cells)
-            ]
-        )
-
     observed_cells = reserved("observed")
-    observed = None
-    if observed_cells is not None:
-        observed = np.empty(n, dtype=np.int8)
-        for i, cell in enumerate(observed_cells):
-            value = _reference_parse_float(cell, i + 1, "observed")
-            if value not in (0.0, 1.0):
-                raise ValidationError(
-                    f"observed value {cell} not in {{0,1}} at row {i + 1}"
-                )
-            observed[i] = int(value)
-
     arm_cells = reserved("arm")
-    arm = None
-    if arm_cells is not None:
-        arm = np.empty(n, dtype=np.int8)
-        for i, cell in enumerate(arm_cells):
-            value = _reference_parse_float(cell, i + 1, "arm")
-            if value not in (0.0, 1.0):
-                raise ValidationError(f"arm value {cell} not in {{0,1}} at row {i + 1}")
-            arm[i] = int(value)
+    outcome = None if outcome_cells is None else np.empty(n)
+    observed = None if observed_cells is None else np.empty(n, dtype=np.int8)
+    arm = None if arm_cells is None else np.empty(n, dtype=np.int8)
+    covariates = np.empty((n, len(covariate_names)))
+    # row by row; within a row outcome, observed, arm, covariates, then labels
+    for i in range(n):
+        if outcome_cells is not None:
+            cell = outcome_cells[i]
+            outcome[i] = (
+                np.nan if cell.strip() == "" else _reference_parse_float(cell, i + 1, "outcome")
+            )
+        for role, cells, values in (("observed", observed_cells, observed), ("arm", arm_cells, arm)):
+            if cells is not None:
+                value = _reference_parse_float(cells[i], i + 1, role)
+                if value not in (0.0, 1.0):
+                    raise ValidationError(f"{role} value {cells[i]} not in {{0,1}} at row {i + 1}")
+                values[i] = int(value)
+        for j, name in enumerate(covariate_names):
+            covariates[i, j] = _reference_parse_float(columns[name][i], i + 1, name)
+        for role in ("stratum", "cluster"):
+            cells = reserved(role)
+            if cells is not None and cells[i].strip() == "":
+                raise ValidationError(f"empty {role} label at row {i + 1}")
 
     def labels(role: str) -> np.ndarray | None:
         cells = reserved(role)
-        if cells is None:
-            return None
-        for i, cell in enumerate(cells):
-            if cell.strip() == "":
-                raise ValidationError(f"empty {role} label at row {i + 1}")
-        return np.array(cells, dtype=object)
-
-    covariates = np.empty((n, len(covariate_names)))
-    for j, name in enumerate(covariate_names):
-        for i, cell in enumerate(columns[name]):
-            covariates[i, j] = _reference_parse_float(cell, i + 1, name)
+        return None if cells is None else np.array(cells, dtype=object)
 
     return TrialFrame(
         covariates=covariates,

@@ -19,6 +19,7 @@ import rerand.simlab
 from rerand import (
     Design,
     EstimandSpec,
+    EstimateResult,
     TrialFrame,
     estimate_mixed_ancova,
     make_folds,
@@ -31,7 +32,6 @@ from rerand.mestimators import (
     _ArmDesign,
     _check_full_rank,
     _ols,
-    _result_from_parts,
     expand_model_columns,
     solve_estimating_equations,
 )
@@ -248,8 +248,8 @@ class _ReferenceClusterData:
             self.arms[c] = cluster_arms.pop()
         self.y = frame.outcome
         self.Z = design.matrix(arms)
-        self.Z1 = design.matrix_at(1)
-        self.Z0 = design.matrix_at(0)
+        self.Z1 = design.matrix(np.full(frame.n_units, 1.0))
+        self.Z0 = design.matrix(np.full(frame.n_units, 0.0))
         self.z_sum = np.vstack([self.Z[idx].sum(axis=0) for idx in self.members])
         self.y_sum = np.array([self.y[idx].sum() for idx in self.members])
         self.ZtZ = self.Z.T @ self.Z
@@ -352,16 +352,19 @@ def _reference_mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary
     head = [estimand.value(mu1, mu0), mu1, mu0]
     tail = [sigma2] if boundary else [sigma2, tau2]
     theta0 = np.concatenate([head, beta_init, tail])
-    theta, if_values, diag = solve_estimating_equations(
+    theta, if_head, diag = solve_estimating_equations(
         cluster_psi, fd_jacobian(cluster_psi), theta0
     )
     if not boundary and theta[4 + p] < 0:
         return _reference_mixed_stack(frame, design, data, estimand, float(theta[3 + p]), 0.0, True)
-    result = _result_from_parts(theta, if_values, diag)
-    result.details.update(
-        {"sigma2": float(theta[3 + p]), "tau2": 0.0 if boundary else float(theta[4 + p])}
+    return EstimateResult(
+        delta_hat=float(theta[0]),
+        mu_hat=(float(theta[1]), float(theta[2])),
+        theta_hat=theta,
+        if_values=if_head[:, 0],  # the influence values of this stack's Delta row
+        solver_diag=diag,
+        details={"sigma2": float(theta[3 + p]), "tau2": 0.0 if boundary else float(theta[4 + p])},
     )
-    return result
 
 
 def _mixed_frame(seed, m, low, high, tau):

@@ -415,6 +415,28 @@ class TestMixedAncova:
         assert res.delta_hat == pytest.approx(mu1 / mu0, abs=1e-10)
         assert abs(res.if_values.mean()) < 1e-8
 
+    def test_peak_memory_is_bounded_by_the_design(self):
+        # n=10,000 in 200 clusters, 12 covariates with interactions: p = 26 model
+        # columns. Holding both per-arm designs beside the fitted one peaked at
+        # about 6.1 n p 8 bytes.
+        rng = np.random.default_rng(63)
+        n, k = 10_000, 12
+        x = rng.normal(size=(n, k))
+        cluster = np.arange(n) % 200
+        arms = cluster % 2
+        y = x.sum(axis=1) + arms + rng.normal(size=200)[cluster] + rng.normal(size=n)
+        frame = TrialFrame(
+            covariates=x, covariate_names=tuple(f"x{j}" for j in range(k)),
+            outcome=y, arm=arms, cluster=[f"c{c}" for c in cluster],
+        )
+        tracemalloc.start()
+        try:
+            estimate_mixed_ancova(frame, frame.covariate_names, True, DIFF)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * n * (2 + 2 * k) * 8
+
     def test_mixed_arm_cluster_rejected(self):
         frame = _cluster_frame(14)
         bad = TrialFrame(
@@ -452,20 +474,32 @@ def _drwls(link, estimand, **shape):
         return estimate_drwls(frame, ("x1", "x2"), ("x1", "x2"), link, True, estimand)
 
 
-# One call per production stack; the tag after ':' is checked on the result.
+# One (estimand, call) per production stack; the tag after ':' is checked on the result.
 STACKS = {
-    "unadjusted_difference": lambda: estimate_unadjusted(random_frame(30), DIFF),
-    "unadjusted_ratio": lambda: estimate_unadjusted(random_frame(31, effect=3.0), RATIO),
-    "ancova_interactions": lambda: estimate_ancova(random_frame(32), ("x1", "x2"), True, DIFF),
-    "ancova_main_effects": lambda: estimate_ancova(random_frame(38), ("x1", "x2"), False, DIFF),
-    "glm2": lambda: estimate_gcomp_logistic(_binary_frame(33, n=120), ("x",), True, RATIO),
-    "drwls_identity": lambda: _drwls("identity", DIFF, seed=34),
-    "drwls_logit": lambda: _drwls("logit", RATIO, seed=35),
-    "drwls_identity:clipped": lambda: _drwls("identity", DIFF, seed=36, intercept=-3.5, slope=5.0),
-    "drwls_logit:clipped": lambda: _drwls("logit", RATIO, seed=37, intercept=-3.5, slope=5.0),
-    "mixed:interior": lambda: estimate_mixed_ancova(_cluster_frame(12), ("x",), False, RATIO),
-    "mixed:boundary": lambda: estimate_mixed_ancova(
-        _cluster_frame(16, tau=0.0), ("x",), True, DIFF
+    "unadjusted_difference": (DIFF, lambda e: estimate_unadjusted(random_frame(30), e)),
+    "unadjusted_ratio": (RATIO, lambda e: estimate_unadjusted(random_frame(31, effect=3.0), e)),
+    "ancova_interactions": (
+        DIFF, lambda e: estimate_ancova(random_frame(32), ("x1", "x2"), True, e)
+    ),
+    "ancova_main_effects": (
+        DIFF, lambda e: estimate_ancova(random_frame(38), ("x1", "x2"), False, e)
+    ),
+    "glm2": (
+        RATIO, lambda e: estimate_gcomp_logistic(_binary_frame(33, n=120), ("x",), True, e)
+    ),
+    "drwls_identity": (DIFF, lambda e: _drwls("identity", e, seed=34)),
+    "drwls_logit": (RATIO, lambda e: _drwls("logit", e, seed=35)),
+    "drwls_identity:clipped": (
+        DIFF, lambda e: _drwls("identity", e, seed=36, intercept=-3.5, slope=5.0)
+    ),
+    "drwls_logit:clipped": (
+        RATIO, lambda e: _drwls("logit", e, seed=37, intercept=-3.5, slope=5.0)
+    ),
+    "mixed:interior": (
+        RATIO, lambda e: estimate_mixed_ancova(_cluster_frame(12), ("x",), False, e)
+    ),
+    "mixed:boundary": (
+        DIFF, lambda e: estimate_mixed_ancova(_cluster_frame(16, tau=0.0), ("x",), True, e)
     ),
 }
 
@@ -485,7 +519,8 @@ class TestAnalyticJacobians:
             return theta, if_values, diag
 
         monkeypatch.setattr(rerand.mestimators, "solve_estimating_equations", spy)
-        result = STACKS[name]()
+        estimand, run = STACKS[name]
+        result = run(estimand)
         tag = name.partition(":")[2]
         if tag == "clipped":
             assert result.details["propensity_clip_count"] > 0
@@ -506,21 +541,24 @@ def _reference_influence_matrix(evaluate, jacobian, theta):
 
 
 class TestInfluenceOracle:
-    """The solver forms only Delta's influence values; they are column 0 of the
-    full influence matrix, for every production stack."""
+    """The solver forms only the arm means' influence values, and the contrast
+    step maps them to Delta's: for every production stack they are columns 0
+    and 1 of the full influence matrix, times the estimand's gradient."""
 
     @pytest.mark.parametrize("name", list(STACKS))
     def test_delta_column_of_the_full_solve(self, name, monkeypatch):
         solved = []
         solve = rerand.mestimators.solve_estimating_equations
+        estimand, run = STACKS[name]
 
         def spy(evaluate, jacobian, theta0):
-            theta, if_values, diag = solve(evaluate, jacobian, theta0)
-            solved.append(_reference_influence_matrix(evaluate, jacobian, theta)[:, 0])
-            return theta, if_values, diag
+            theta, if_mu, diag = solve(evaluate, jacobian, theta0)
+            full = _reference_influence_matrix(evaluate, jacobian, theta)
+            solved.append(full[:, :2] @ estimand.gradient(theta[0], theta[1]))
+            return theta, if_mu, diag
 
         monkeypatch.setattr(rerand.mestimators, "solve_estimating_equations", spy)
-        result = STACKS[name]()
+        result = run(estimand)
         (oracle,) = solved
         assert result.if_values.shape == oracle.shape
         np.testing.assert_allclose(
