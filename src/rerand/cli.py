@@ -88,7 +88,7 @@ _SIM_KEYS = (
     "dgp.family", "dgp.n", "dgp.missingness",
     *(f"dgp.{f.name}" for f in dataclasses.fields(CustomDgp)),
     *(f"design.{key}" for key in _DESIGN_KEYS),
-    "estimator", "replicates", "master_seed", "alpha", "ci_draws", "workers",
+    "estimator", "replicates", "master_seed", "alpha", "workers", "ci_draws",  # ci_draws: ignored
     "truth.difference", "truth.ratio", "truth_draws", "keep_replicates",
 )
 _REPEATED_KEYS = ("tier", "design.tier", "estimator")
@@ -308,7 +308,6 @@ def sim_config_from_file(path: str) -> SimConfig:
         replicates=_parse_int(cfg.get("replicates", "1000"), "replicates"),
         master_seed=_parse_int(cfg.get("master_seed", "0"), "master_seed"),
         alpha=_parse_float(cfg.get("alpha", "0.05"), "alpha"),
-        ci_draws=_parse_int(cfg.get("ci_draws", "10000"), "ci_draws"),
         workers=workers,
         truth=truth,
         truth_draws=_parse_int(cfg.get("truth_draws", "10000000"), "truth_draws"),
@@ -340,8 +339,7 @@ def _build_parser() -> _Parser:
     p_an.add_argument("--fold-mode", dest="fold_mode", default="plain", choices=["plain", "stratum-arm"])
     p_an.add_argument("--design", default=None, help="design config for scheme-aware inference")
     p_an.add_argument("--alpha", type=float, default=0.05)
-    p_an.add_argument("--draws", type=int, default=10_000, help="projection-form draws, >= 1000")
-    p_an.add_argument("--seed", type=int, default=0, help="seeds DML folds and the draws")
+    p_an.add_argument("--seed", type=int, default=0, help="seeds DML folds")
     p_an.add_argument("--out", default=None, help="write JSON here instead of stdout")
 
     p_ci = sub.add_parser("ci", help="confidence interval from the limit law")
@@ -352,8 +350,7 @@ def _build_parser() -> _Parser:
     p_ci.add_argument("--t", required=True, type=float)
     p_ci.add_argument("--n", required=True, type=int)
     p_ci.add_argument("--alpha", type=float, default=0.05)
-    p_ci.add_argument("--draws", type=int, default=10_000, help="ignored by quadrature")
-    p_ci.add_argument("--seed", type=int, default=0, help="ignored by quadrature")
+    p_ci.add_argument("--seed", type=int, default=0, help="ignored: the interval is deterministic")
     p_ci.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="run a replicated experiment")
@@ -431,16 +428,13 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         "estimator": dataclasses.asdict(est),
         "design": dataclasses.asdict(design),
         "alpha": args.alpha,
-        "draws": args.draws,
         "seed": args.seed,
         "data_sha256": data_hash.hexdigest(),
     }
     digest = canonical_digest(resolved)
     _log_record(outcome, "analyze", resolved, digest, data=args.data)
     result = apply_estimator(est, frame, design, derive_seed(args.seed, "analyze"), 0)
-    info = scheme_inference(
-        est, result, frame, design, args.alpha, args.draws, derive_seed(args.seed, "ci")
-    )
+    info = scheme_inference(est, result, frame, design, args.alpha)
     payload = {
         "delta_hat": result.delta_hat,
         "V_hat": info["v_hat"],
@@ -471,13 +465,12 @@ def _cmd_ci(args, outcome: CommandOutcome) -> None:
     if math.isnan(args.delta):
         raise ValidationError("delta must be a number, not NaN")
     spec = LimitSpec(V=args.v, R2=args.r2, q=args.q, t=args.t)
-    ci = confidence_interval(args.delta, spec, args.n, args.alpha, args.draws, args.seed)
+    ci = confidence_interval(args.delta, spec, args.n, args.alpha)
     payload = {
         "lower": ci.lower,
         "upper": ci.upper,
         "v_qt": ci.v_qt,
-        "method": {"draws": ci.draws, "alpha": ci.alpha, "q": args.q, "t": args.t,
-                   "interval": ci.method},
+        "method": {"alpha": ci.alpha, "q": args.q, "t": args.t, "interval": ci.method},
         "config_hash": digest,
     }
     _emit(payload, args.out)

@@ -108,9 +108,10 @@ def group_sums(codes: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """Per-group sums of an (n,) array or (n, p) columns, each added in row order."""
     if values.ndim == 1:
         return np.bincount(codes, values, minlength=size)
-    p = values.shape[1]
-    flat = (codes[:, None] * p + np.arange(p)).ravel()
-    return np.bincount(flat, values.ravel(), minlength=size * p).reshape(size, p)
+    sums = np.empty((size, values.shape[1]))
+    for j, column in enumerate(values.T):  # one column at a time: no (n, p) index array
+        sums[:, j] = np.bincount(codes, column, minlength=size)
+    return sums
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,14 @@ sqrt(V) * (sqrt(1-R^2) z + sqrt(R^2) r_{q,t}) with z standard normal and
 r_{q,t} the first coordinate of a standard q-normal conditioned on squared
 norm < t. This module estimates V with ``variance_simple`` and (V, R^2, C-hat,
 n V-hat(I)) of a scheme, stratified or not, with ``scheme_plugins``, both
-from per-unit influence values; ``sample_limit`` samples the ``LimitSpec``
-law (exact sampler (Mahalanobis) / rejection (projection form, for general
-weights and tiers)), and ``confidence_interval`` inverts it into a
-``CIResult`` (Mahalanobis: quadrature; projection: draws), with
-``normal_interval`` and ``v_qt`` beside it.
+from per-unit influence values. ``confidence_interval`` inverts the
+``LimitSpec`` law into a ``CIResult`` by deterministic quadrature: 1-D for the
+Mahalanobis form, and Genz's separation of variables over a fixed point set
+for the projection form (general weights and tiers). ``sample_limit`` draws
+the Mahalanobis form; ``normal_interval`` and ``v_qt`` sit beside them.
 
-All estimator-side functions are pure; samplers own a seeded generator, so
-independent computations may run concurrently with distinct seeds.
+All functions are pure; the sampler owns a seeded generator, so independent
+computations may run concurrently with distinct seeds.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfinv, gammainc, gammaincinv, ndtr, ndtri
+from scipy.special import erfinv, gammainc, gammaincinv, ndtr, ndtri, owens_t
 
 from .allocation import (
     arm_product,
@@ -66,9 +66,8 @@ class CIResult:
     lower: float
     upper: float
     alpha: float
-    draws: int
     v_qt: float
-    method: str  # "normal", "quadrature" or "monte_carlo"
+    method: str  # "normal", "quadrature" or "projection_quadrature"
 
 
 def v_qt(q: int, t: float) -> float:
@@ -190,38 +189,18 @@ def _as_matrix(Xr: np.ndarray) -> np.ndarray:
 
 
 def sample_limit(spec: LimitSpec, m: int, seed: int) -> np.ndarray:
-    """Draw m samples of the limit law: exact sampler (Mahalanobis) / rejection (projection form).
-
-    Mahalanobis form: sqrt(V) (sqrt(1-R2) z + sqrt(R2) r_{q,t}), r_{q,t} from
-    ``_ball_coordinate``. Projection form: sqrt(V(1-R2)) z + C' V_I^{-1/2} d
-    with d a standard q-normal accepted when, for every form (P, W, a) with
-    finite a, (V_I^{1/2} d)[P]' W^{-1} (V_I^{1/2} d)[P] < a. Deterministic
-    given the seed.
-    """
+    """Draw m samples of the Mahalanobis-form law sqrt(V) (sqrt(1-R2) z + sqrt(R2) r_{q,t}),
+    r_{q,t} from ``_ball_coordinate``; deterministic given the seed. The projection form has
+    no sampler: ``confidence_interval`` integrates it."""
+    if spec.projection is not None:
+        raise ValidationError("sample_limit draws the Mahalanobis form only")
     if m < 1:
         raise ValidationError("m must be at least 1")
     rng = np.random.default_rng(seed)
-    normal_sd = math.sqrt(spec.V * (1.0 - spec.R2))
-
-    if spec.projection is not None:
-        c_vec, v_i, forms = spec.projection
-        root = _spd_sqrt(np.asarray(v_i, dtype=float))
-        accept = [
-            (root[:, positions] @ np.linalg.solve(weight, root[positions]), threshold)
-            for positions, weight, threshold in forms
-            if not math.isinf(threshold)
-        ]
-        proj = np.linalg.solve(root, np.asarray(c_vec, dtype=float))
-        trunc_scale = float(np.linalg.norm(proj))
-    else:
-        trunc_scale = math.sqrt(spec.V * spec.R2)
-
+    normal_sd, trunc_scale = math.sqrt(spec.V * (1.0 - spec.R2)), math.sqrt(spec.V * spec.R2)
     if trunc_scale == 0.0:
         return normal_sd * rng.standard_normal(m)
-    if spec.projection is not None:
-        truncated = _rejection_sample(rng, spec.q, m, accept) @ proj
-    else:
-        truncated = trunc_scale * _ball_coordinate(rng, spec.q, spec.t, m)
+    truncated = trunc_scale * _ball_coordinate(rng, spec.q, spec.t, m)
     return normal_sd * rng.standard_normal(m) + truncated
 
 
@@ -256,57 +235,34 @@ def _ball_coordinate(rng, q, t, m):
     return radius * z / np.sqrt(z * z + rng.chisquare(q - 1, m))
 
 
-def _rejection_sample(rng, q, m, accept):
-    """m standard q-normal rows d with d' A d < a for every (A, a) in ``accept``,
-    drawn in chunks of at most 2^20 rows so that memory stays bounded at any
-    acceptance rate."""
-    if not accept:
-        return rng.standard_normal((m, q))
+def confidence_interval(delta_hat: float, spec: LimitSpec, n: int, alpha: float) -> CIResult:
+    """delta_hat -/+ the limit law's 1-alpha/2 quantile over sqrt(n), by Newton on its CDF.
 
-    pilot = _accepted(rng.standard_normal((10_000, q)), accept)
-    rate = pilot.shape[0] / 10_000
-    if rate < 1e-4:
-        raise NumericError(
-            f"estimated acceptance probability {rate:.1e} below 1e-4; "
-            "consider a larger threshold t"
-        )
-    kept, count = [pilot], pilot.shape[0]
-    while count < m:
-        batch = min(1 << 20, max(10_000, int(1.5 * (m - count) / rate)))
-        kept.append(_accepted(rng.standard_normal((batch, q)), accept))
-        count += kept[-1].shape[0]
-    return np.concatenate(kept)[:m]
-
-
-def _accepted(draws: np.ndarray, accept: list) -> np.ndarray:
-    inside = [np.einsum("ij,jk,ik->i", draws, mat, draws) < t for mat, t in accept]
-    return draws[np.logical_and.reduce(inside)]
-
-
-def confidence_interval(
-    delta_hat: float, spec: LimitSpec, n: int, alpha: float, m: int, seed: int
-) -> CIResult:
-    """delta_hat plus the limit law's (alpha/2, 1-alpha/2) quantiles over sqrt(n).
-
-    Mahalanobis form: -/+ the 1-alpha/2 quantile by quadrature, which m and seed do
-    not change; exactly ``normal_interval`` when R2 = 0, P(chi^2_q < t) rounds to 1
-    (t = inf) or alpha is outside (0, 1). Projection form: type-7 quantiles of m >= 1000 draws.
+    Mahalanobis form: the CDF by 1-D quadrature ("quadrature"). Projection form: over the
+    weighted intervals of ``_projection_law`` ("projection_quadrature"), with the law's own
+    v_qt. Exactly ``normal_interval`` when R2 = 0 or alpha is outside (0, 1), and for
+    the Mahalanobis form when P(chi^2_q < t) rounds to 1 (t = inf).
     """
     if n < 2:
         raise ValidationError("n must be at least 2")
     if math.isnan(alpha):
         raise ValidationError("alpha must be a number, not NaN")
-    vqt = v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0
-    if spec.projection is not None:
-        if m < 1000:
-            raise ValidationError("need at least 1000 draws")
-        draws = sample_limit(spec, m, seed) / math.sqrt(n)
-        lo, hi = np.quantile(draws, [alpha / 2.0, 1.0 - alpha / 2.0])
-        return CIResult(float(delta_hat + lo), float(delta_hat + hi), alpha, m, vqt, "monte_carlo")
-    if spec.R2 == 0.0 or not 0.0 < alpha < 1.0 or chi_square_cdf(spec.q, spec.t) == 1.0:
+    if spec.projection is None:
+        vqt = v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0
+    else:
+        vqt, second, cdf = _projection_law(spec)
+    if spec.R2 == 0.0 or not 0.0 < alpha < 1.0 or (
+        spec.projection is None and chi_square_cdf(spec.q, spec.t) == 1.0
+    ):
         return dataclasses.replace(normal_interval(delta_hat, spec.V, n, alpha), v_qt=vqt)
-    half = math.sqrt(spec.V / n) * _limit_quantile(1.0 - alpha / 2.0, spec, vqt)
-    return CIResult(delta_hat - half, delta_hat + half, alpha, 0, vqt, "quadrature")
+    p = 1.0 - alpha / 2.0
+    if spec.projection is None:
+        half = math.sqrt(spec.V / n) * _limit_quantile(p, spec, vqt)
+        return CIResult(delta_hat - half, delta_hat + half, alpha, vqt, "quadrature")
+    # E[x^2] = second, so by Chebyshev the p-quantile is below sqrt(second / (1 - p))
+    start, hi = float(ndtri(p)) * math.sqrt(second), math.sqrt(second / (1.0 - p))
+    half = _newton_quantile(p, cdf, start, hi, spec) / math.sqrt(n)
+    return CIResult(delta_hat - half, delta_hat + half, alpha, vqt, "projection_quadrature")
 
 
 @functools.cache
@@ -316,18 +272,25 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
 
 def _limit_quantile(p: float, spec: LimitSpec, vqt: float) -> float:
     """x with P(a z + b r_{q,t} < x) = p, for a = sqrt(1-R2) and b = sqrt(R2) > 0: Newton
-    from the normal quantile at the law's variance a^2 + b^2 v_{q,t}, kept by bisection
-    in [0, a z_p + b sqrt(t)]. At R2 = 1 and q = 1, r_{q,t} is a truncated normal."""
+    from the normal quantile at the law's variance a^2 + b^2 v_{q,t}, kept in
+    [0, a z_p + b sqrt(t)]. At R2 = 1 and q = 1, r_{q,t} is a truncated normal."""
     q, t, a, b = spec.q, spec.t, math.sqrt(1.0 - spec.R2), math.sqrt(spec.R2)
     z = float(ndtri(p))
     if a == 0.0 and q == 1:
         return b * math.sqrt(2.0) * float(erfinv(chi_square_cdf(1, t) * (2.0 * p - 1.0)))
-    lo, hi = 0.0, a * z + b * math.sqrt(t)
-    x = min(z * math.sqrt(a * a + b * b * vqt), hi)
+    hi = a * z + b * math.sqrt(t)
+    start = min(z * math.sqrt(a * a + b * b * vqt), hi)
+    return _newton_quantile(p, lambda x: _mixture_cdf(x, a, b, q, t), start, hi, spec)
+
+
+def _newton_quantile(p: float, cdf, x: float, hi: float, spec: LimitSpec) -> float:
+    """The p-quantile in (0, hi] of a law whose ``cdf`` returns (F(x), F'(x)): Newton
+    from x, kept by bisection."""
+    lo = 0.0
     for _ in range(100):
-        cdf, density = _mixture_cdf(x, a, b, q, t)
-        lo, hi = (x, hi) if cdf < p else (lo, x)
-        step = (cdf - p) / density if density > 0.0 else math.inf
+        value, density = cdf(x)
+        lo, hi = (x, hi) if value < p else (lo, x)
+        step = (value - p) / density if density > 0.0 else math.inf
         if abs(step) <= 1e-10 * x:  # the error after this step is below 1e-16 relative
             return x - step
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
@@ -364,6 +327,99 @@ def _mixture_cdf(x: float, a: float, b: float, q: int, t: float) -> tuple[float,
     return float(mass @ ndtr(u)) / total, density
 
 
+@functools.cache
+def _halton_points(dim: int) -> np.ndarray:
+    """Points 1..N of the Halton sequence in [0, 1)^dim, its bases the first dim primes;
+    N is 1 at dim 0, 1,024 at dim 1, 4,096 at dims 2-4 and 16,384 above."""
+    count = (1, 1024, 4096, 4096, 4096)[dim] if dim < 5 else 16384
+    bases = [k for k in range(2, 8 * dim + 8) if all(k % f for f in range(2, math.isqrt(k) + 1))]
+    points = np.zeros((count, dim))
+    for j, base in enumerate(bases[:dim]):
+        index, scale = np.arange(1, count + 1), 1.0 / base
+        while index.any():
+            points[:, j] += scale * (index % base)
+            index, scale = index // base, scale / base
+    points.setflags(write=False)  # cached: every caller shares this array
+    return points
+
+
+def _projection_law(spec: LimitSpec):
+    """The projection-form law of x = sigma z + r s, s = u'd and r u = proj, as weighted
+    intervals of s.
+
+    d is written in a basis that ends in u, the rest ordered from the direction the forms
+    constrain most. Genz's separation of variables (Genz 1992) integrates those q - 1
+    coordinates over ``_halton_points``: each is drawn, and its normal mass taken, in the
+    range that every form's Schur complement on the coordinates so far allows (a superset of
+    the joint range when forms overlap). Given them, s runs over an exact interval (L, H), one
+    quadratic inequality per form. Returns v_qt = E[s^2 | accepted] = Var(proj'd | accepted)
+    / r^2, E[x^2], and the ``_projection_cdf`` of x over the intervals with mass, their
+    weights w normalized so that sum w (Phi(H) - Phi(L)) = 1.
+    """
+    c_vec, v_i, forms = spec.projection
+    root = _spd_sqrt(np.asarray(v_i, dtype=float))
+    proj = np.linalg.solve(root, np.asarray(c_vec, dtype=float))
+    q = proj.size
+    bounded = [(root[:, positions] @ np.linalg.solve(weight, root[positions]), threshold)
+               for positions, weight, threshold in forms if not math.isinf(threshold)]
+    u, perp = np.hsplit(np.linalg.qr(np.column_stack([proj, np.eye(q)]))[0], [1])
+    spread = sum((perp.T @ form @ perp / bound for form, bound in bounded), np.zeros((q - 1, q - 1)))
+    basis = np.column_stack([perp @ np.linalg.eigh(spread)[1][:, ::-1], u])
+    bounded = [(basis.T @ form @ basis, threshold) for form, threshold in bounded]
+    points = _halton_points(q - 1)
+    coords, weights = np.zeros((points.shape[0], q)), np.ones(points.shape[0])
+    for j in range(q):
+        head = coords[:, :j]
+        lower, upper = np.full(len(coords), -38.0), np.full(len(coords), 38.0)  # Phi(-38) ~ 3e-316
+        for form, threshold in bounded:
+            schur = form[: j + 1, : j + 1]
+            if j + 1 < q:
+                tail = form[: j + 1, j + 1 :]
+                schur = schur - tail @ np.linalg.pinv(form[j + 1 :, j + 1 :], 1e-10, True) @ tail.T
+            # the range of this coordinate s: a s^2 + 2 b s + c < 0
+            a, b = max(schur[j, j], 1e-300), head @ schur[:j, j]
+            c = np.sum((head @ schur[:j, :j]) * head, axis=1) - threshold
+            disc = b * b - a * c
+            far = -(b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))  # stable roots far/a, c/far
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ends = np.clip([far / a, c / far], -38.0, 38.0)
+            lower = np.maximum(lower, np.where(disc > 0.0, np.minimum(*ends), 38.0))
+            upper = np.minimum(upper, np.where(disc > 0.0, np.maximum(*ends), -38.0))
+        upper = np.maximum(upper, lower)
+        below = ndtr(lower)
+        mass = ndtr(upper) - below
+        if j < q - 1:
+            weights *= mass
+            coords[:, j] = np.clip(ndtri(below + points[:, j] * mass), lower, upper)
+    total = float(weights @ mass)
+    if not total > 0.0:
+        raise NumericError("acceptance probability of the balance criterion underflows")
+    moment = np.sign(upper) * gammainc(1.5, upper**2 / 2) - np.sign(lower) * gammainc(1.5, lower**2 / 2)
+    keep, r = weights * mass > 0.0, float(np.linalg.norm(proj))
+    vqt, sigma = float(weights @ moment) / (2 * total), math.sqrt(spec.V * (1.0 - spec.R2))
+    cdf = functools.partial(_projection_cdf, sigma=sigma, r=r, w=weights[keep] / total,
+                            lower=lower[keep], upper=upper[keep])
+    return vqt, sigma * sigma + r * r * vqt, cdf
+
+
+def _projection_cdf(x: float, sigma: float, r: float, w, lower, upper) -> tuple[float, float]:
+    """F(x) = sum w P(sigma z + r s <= x, L < s < H), z and s standard normal, and F'(x).
+
+    Each term is Phi2(h, H; rho) - Phi2(h, L; rho) at h = x / hypot(sigma, r) > 0, rho =
+    r / hypot(sigma, r) and c = sqrt(1 - rho^2), with Owen's (1956) Phi2(h, k; rho) = (Phi(h)
+    + Phi(k)) / 2 - T(h, (k - rho h) / (h c)) - T(k, (h - rho k) / (k c)) - [k < 0] / 2; sigma
+    = 0 is the limit c = 0."""
+    scale = math.hypot(sigma, r)
+    h, rho, c = x / scale, r / scale, sigma / scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = [owens_t(h, (k - rho * h) / (h * c)) + owens_t(k, (h - rho * k) / (k * c))
+                 + 0.5 * (k < 0) for k in (upper, lower)]
+        band = ndtr((upper - rho * h) / c) - ndtr((lower - rho * h) / c)
+    cdf = 0.5 * (ndtr(upper) - ndtr(lower)) - terms[0] + terms[1]
+    density = math.exp(-0.5 * h * h) / (scale * math.sqrt(2.0 * math.pi))
+    return float(w @ cdf), density * float(w @ band)
+
+
 def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIResult:
     """Normal-approximation interval delta_hat +/- z_{1-alpha/2} sqrt(vhat/n)."""
     if vhat < 0:
@@ -371,7 +427,7 @@ def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIRe
     if math.isnan(alpha):
         raise ValidationError("alpha must be a number, not NaN")
     half = 0.0 if alpha >= 1.0 else float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(vhat / n)
-    return CIResult(delta_hat - half, delta_hat + half, alpha, 0, 1.0, "normal")
+    return CIResult(delta_hat - half, delta_hat + half, alpha, 1.0, "normal")
 
 
 def _clamp_unit(raw: float, label: str) -> float:

@@ -243,7 +243,6 @@ class SimConfig:
     replicates: int
     master_seed: int
     alpha: float = 0.05
-    ci_draws: int = 10_000
     workers: int = 1
     truth: dict | None = None  # contrast -> (delta_star, mcse)
     truth_draws: int = 10_000_000
@@ -430,10 +429,7 @@ def _replicate(config: SimConfig, truth: dict, r: int) -> dict:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", DiagnosticWarning)
                 result = apply_estimator(est, frame, design, rep_seed, idx)
-                info = scheme_inference(
-                    est, result, frame, design, config.alpha, config.ci_draws,
-                    derive_seed(rep_seed, "ci", idx),
-                )
+                info = scheme_inference(est, result, frame, design, config.alpha)
                 delta_star = truth[est.estimand]["delta_star"]
                 normal_ci, true_ci = info["ci_normal"], info["ci_true"]
                 record.update(
@@ -454,24 +450,16 @@ def _replicate(config: SimConfig, truth: dict, r: int) -> dict:
     return out
 
 
-def scheme_inference(
-    est: SimEstimator,
-    result,
-    frame: TrialFrame,
-    design: Design,
-    alpha: float,
-    ci_draws: int,
-    ci_seed: int,
-) -> dict:
+def scheme_inference(est: SimEstimator, result, frame: TrialFrame, design: Design, alpha: float) -> dict:
     """Scheme-appropriate variance, R^2, and both interval types.
 
     ``v_hat``/``ase`` always use the simple-randomization sandwich formula;
     ``ci_true`` uses the limit law matching the design's scheme (normal for
     non-rerandomized schemes, the truncated mixture otherwise, with the
     stratified variance and R^2 plug-ins under stratified schemes): its
-    scalar-R^2 form for one Mahalanobis criterion over all of X^r (quadrature),
-    else the projection form over the criterion's forms at n V-hat(I) (Monte
-    Carlo, from ``ci_draws`` and ``ci_seed``). It makes two sandwich passes,
+    scalar-R^2 form for one Mahalanobis criterion over all of X^r, else the
+    projection form over the criterion's forms at n V-hat(I); both by
+    deterministic quadrature. It makes two sandwich passes,
     ``variance_simple`` and ``scheme_plugins``; cross-fitted (DML) estimates
     pass their folds to both, the stratified one only stratum-arm folds.
     """
@@ -502,9 +490,7 @@ def scheme_inference(
     if limit_spec is None:
         ci_true = inference.normal_interval(result.delta_hat, v_scheme, n_units, alpha)
     else:
-        ci_true = inference.confidence_interval(
-            result.delta_hat, limit_spec, n_units, alpha, ci_draws, ci_seed
-        )
+        ci_true = inference.confidence_interval(result.delta_hat, limit_spec, n_units, alpha)
     return {
         "v_hat": v_simple,
         "v_scheme": v_scheme,
@@ -607,28 +593,12 @@ def run_simulation(config: SimConfig) -> SimReport:
 
 
 def report_csv_lines(report: SimReport) -> list[str]:
-    """Plot-ready CSV mirror of the per-estimator metric table."""
-    header = (
-        "estimator,bias,ese,ase_star,cp_normal,cp_true,mean_r2_hat,"
-        "replicates_used,failures"
-    )
-    lines = [header]
-    for row in report.rows:
-        cells = [
-            row.label,
-            *(
-                "" if v is None else repr(float(v))
-                for v in (
-                    row.bias,
-                    row.ese,
-                    row.ase_star,
-                    row.cp_normal,
-                    row.cp_true,
-                    row.mean_r2_hat,
-                )
-            ),
-            str(row.replicates_used),
-            str(row.failures),
-        ]
-        lines.append(",".join(cells))
-    return lines
+    """Plot-ready CSV mirror of the per-estimator metric table: one column per
+    ``EstimatorReport`` field, floats as repr and None as an empty cell."""
+    names = [field.name for field in dataclasses.fields(EstimatorReport)]
+
+    def cell(value) -> str:
+        return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
+
+    rows = (",".join(cell(getattr(row, name)) for name in names) for row in report.rows)
+    return [",".join(names), *rows]

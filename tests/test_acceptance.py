@@ -54,7 +54,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-def _run(dgp, design, estimators, replicates, truth, keep=False, ci_draws=10_000):
+def _run(dgp, design, estimators, replicates, truth, keep=False):
     return run_simulation(
         SimConfig(
             dgp=dgp,
@@ -65,7 +65,6 @@ def _run(dgp, design, estimators, replicates, truth, keep=False, ci_draws=10_000
             truth=truth,
             workers=WORKERS,
             keep_replicates=keep,
-            ci_draws=ci_draws,
         )
     )
 
@@ -388,7 +387,6 @@ def test_criterion_10_determinism_across_worker_counts():
                 master_seed=MASTER_SEED,
                 truth=TRUTH_CONTINUOUS,
                 workers=workers,
-                ci_draws=2000,
             )
         ).to_json()
 

@@ -56,8 +56,7 @@ class TestCi:
         outcome = run_command(
             [
                 "ci", "--delta", "0", "--v", "1", "--r2", "0", "--q", "2",
-                "--t", "1", "--n", "100", "--alpha", "0.05",
-                "--draws", "1000000", "--seed", "7",
+                "--t", "1", "--n", "100", "--alpha", "0.05", "--seed", "7",
             ]
         )
         assert outcome.exit_code == 0
@@ -70,7 +69,7 @@ class TestCi:
         outcome = run_command(
             [
                 "ci", "--delta", "0", "--v", "1", "--r2", "0.5", "--q", "10",
-                "--t", "1e-300", "--n", "100", "--draws", "2000", "--seed", "1",
+                "--t", "1e-300", "--n", "100", "--seed", "1",
             ]
         )
         assert outcome.exit_code == 4
@@ -101,7 +100,7 @@ class TestCi:
         outcome = run_command(
             [
                 "ci", "--delta", "0", "--v", "1", "--r2", "0.5", "--q", "3",
-                "--t", "1e-7", "--n", "100", "--draws", "2000", "--seed", "1",
+                "--t", "1e-7", "--n", "100", "--seed", "1",
             ]
         )
         assert outcome.exit_code == 0
@@ -109,33 +108,30 @@ class TestCi:
         assert payload["lower"] < 0 < payload["upper"]
 
 
-    def test_draws_and_seed_do_not_change_the_output(self, tmp_path):
+    def test_seed_does_not_change_the_output(self, tmp_path):
         outputs = []
-        for draws, seed in (("1000", "7"), ("50000", "8")):
+        for seed in ("7", "8"):
             out = tmp_path / f"ci_{seed}.json"
             outcome = run_command(
                 [
                     "ci", "--delta", "0.1", "--v", "1", "--r2", "0.5", "--q", "2",
-                    "--t", "1", "--n", "100", "--draws", draws, "--seed", seed,
-                    "--out", str(out),
+                    "--t", "1", "--n", "100", "--seed", seed, "--out", str(out),
                 ]
             )
             assert outcome.exit_code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         payload = json.loads(outputs[0])
-        assert payload["method"]["interval"] == "quadrature"
-        assert payload["method"]["draws"] == 0
+        assert payload["method"] == {"alpha": 0.05, "interval": "quadrature", "q": 2, "t": 1.0}
 
-    def test_few_draws_are_accepted_and_unused(self, tmp_path):
-        outputs = []
-        for draws in ("5", "1000"):
-            out = tmp_path / f"ci_{draws}.json"
-            argv = ["ci", "--delta", "0.1", "--v", "1", "--r2", "0.5", "--q", "2", "--t", "1",
-                    "--n", "100", "--draws", draws, "--out", str(out)]
-            assert run_command(argv).exit_code == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+    @pytest.mark.parametrize("command", ["ci", "analyze"])
+    def test_draws_flag_is_a_usage_error(self, tmp_path, trial_csv, command):
+        argv = {
+            "ci": ["ci", "--delta", "0.1", "--v", "1", "--r2", "0.5", "--q", "2", "--t", "1",
+                   "--n", "100"],
+            "analyze": ["analyze", "--estimator", "unadjusted", "--data", trial_csv],
+        }[command]
+        assert run_command([*argv, "--draws", "1000"]).exit_code == 2
 
 
 class TestModuleEntryPoints:
@@ -283,7 +279,7 @@ class TestAnalyze:
         outcome = run_command(
             [
                 "analyze", "--estimator", "unadjusted", "--data", trial_csv,
-                "--design", design_cfg, "--draws", "2000",
+                "--design", design_cfg,
             ]
         )
         assert outcome.exit_code == 0
@@ -291,6 +287,24 @@ class TestAnalyze:
         assert 0.0 <= payload["R2_hat"] <= 1.0
         assert payload["ci"]["lower"] < payload["delta_hat"] < payload["ci"]["upper"]
         assert payload["method"]["interval"] == "quadrature"
+
+    def test_tiered_design_interval_does_not_depend_on_the_seed(self, tmp_path, trial_csv):
+        design = write(
+            tmp_path / "tiered.cfg",
+            "pi = 0.5\nscheme = rerandomized\nrerand = x1,x2\ntier = x1 : 0.1\n"
+            "tier = x2 : 0.5 : general\n",
+        )
+        cis = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"analyze_{seed}.json"
+            argv = ["analyze", "--estimator", "unadjusted", "--data", trial_csv,
+                    "--design", design, "--seed", seed, "--out", str(out)]
+            assert run_command(argv).exit_code == 0
+            payload = json.loads(out.read_text())
+            assert payload["method"]["interval"] == "projection_quadrature"
+            cis.append(payload["ci"])
+        assert cis[0] == cis[1]
+        assert 0.0 < cis[0]["v_qt"] < 1.0
 
     def test_dml_estimator_runs(self, trial_csv, capsys):
         outcome = run_command(
@@ -392,6 +406,13 @@ SIM_LINES = (
 
 
 class TestConfigKeys:
+    def test_ci_draws_is_recognized_and_ignored(self, tmp_path):
+        from rerand.cli import sim_config_from_file
+
+        plain = write(tmp_path / "plain.cfg", SIM_LINES.replace("ci_draws = 2000\n", ""))
+        lots = write(tmp_path / "lots.cfg", SIM_LINES.replace("ci_draws = 2000", "ci_draws = lots"))
+        assert sim_config_from_file(lots) == sim_config_from_file(plain)
+
     def test_design_tier_repeats_in_a_simulation_config(self, tmp_path):
         from rerand.cli import sim_config_from_file
 
@@ -568,7 +589,7 @@ class TestSimulate:
         report = json.loads(out.read_text())
         assert report["schema"] == 1
         assert {row["label"] for row in report["estimators"]} == {"Unadjusted", "ANCOVA"}
-        assert csv_out.read_text().startswith("estimator,")
+        assert csv_out.read_text().startswith("label,")
 
     def test_mixed_estimator_fails_at_config_time(self, tmp_path, monkeypatch):
         config = write(
@@ -589,7 +610,6 @@ class TestSimulate:
             ("estimator", "dml folds=five"),
             ("replicates", "abc"),
             ("master_seed", "1.5"),
-            ("ci_draws", "lots"),
             ("alpha", "5%"),
             ("workers", "two"),
             ("dgp.n", "4e2"),
@@ -699,7 +719,7 @@ class TestDeterminism:
             self.run(
                 tmp_path,
                 ["analyze", "--data", data, "--estimator", "ancova", "--design", design,
-                 "--draws", "2000", "--out", str(out)],
+                 "--out", str(out)],
                 hash_seed,
             )
             outputs.append(out.read_bytes())

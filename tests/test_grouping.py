@@ -461,20 +461,20 @@ class TestMixedAnalysisUnits:
         design = Design(pi=0.5, scheme="stratified")
         result = apply_estimator(self.EST, frame, design, 1, 0)
         with pytest.raises(ValidationError, match="cluster 'c0' spans more than one stratum"):
-            scheme_inference(self.EST, result, frame, design, 0.05, 1000, 2)
+            scheme_inference(self.EST, result, frame, design, 0.05)
 
     def test_spanning_is_irrelevant_without_a_stratified_design(self):
         frame = _stratified_cluster_frame(span=True)
         design = Design(pi=0.5, scheme="simple")
         result = apply_estimator(self.EST, frame, design, 1, 0)
-        info = scheme_inference(self.EST, result, frame, design, 0.05, 1000, 2)
+        info = scheme_inference(self.EST, result, frame, design, 0.05)
         assert info["n_units"] == 40
 
     def test_nested_clusters_take_their_stratum(self):
         frame = _stratified_cluster_frame(span=False)
         design = Design(pi=0.5, scheme="stratified")
         result = apply_estimator(self.EST, frame, design, 1, 0)
-        info = scheme_inference(self.EST, result, frame, design, 0.05, 1000, 2)
+        info = scheme_inference(self.EST, result, frame, design, 0.05)
         # clusters in label order: c0, c1, c10, c11, ..., c19, c2, c20, ...
         index = np.array(sorted(range(40), key=lambda c: f"c{c}"))
         cluster_arms = index % 2
@@ -521,5 +521,5 @@ def test_stratified_ancova_factorizes_object_labels_once(monkeypatch, distance):
     )
     est = SimEstimator(kind="ancova", covariates=("x1", "x2", "stratum"))
     result = apply_estimator(est, frame, design, 1, 0)
-    scheme_inference(est, result, frame, design, 0.05, 1000, 2)
+    scheme_inference(est, result, frame, design, 0.05)
     assert kinds.count("O") == 1

@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +20,6 @@ from rerand import (
     v_qt,
     variance_simple,
 )
-from rerand import inference
 from rerand.allocation import arm_product, balance_distance, centered_scatter
 from rerand.data_model import factorize
 from rerand.errors import (
@@ -539,106 +538,16 @@ class TestSampleLimit:
         target = 2.0 * (1.0 - 0.5) + 2.0 * 0.5 * v_qt(3, 1e-7)
         assert abs(draws.var() - target) <= 4 * _variance_se(draws)
 
-    def test_tiny_acceptance_general_form_raises(self):
-        eye = np.eye(3)
-        spec = LimitSpec(
-            V=1.0,
-            R2=0.5,
-            q=3,
-            t=1e-7,
-            projection=(np.full(3, 0.4), eye, [(np.arange(3), eye, 1e-7)]),
-        )
-        with pytest.raises(NumericError, match="larger threshold"):
-            sample_limit(spec, 1000, seed=7)
-
     def test_acceptance_underflow_raises(self):
         assert chi_square_cdf(10, 1e-300) == 0.0
         with pytest.raises(NumericError, match="underflows"):
             sample_limit(LimitSpec(V=1.0, R2=0.5, q=10, t=1e-300), 1000, seed=7)
 
-    def test_mahalanobis_form_never_rejects(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("rejection sampler called")
-
-        monkeypatch.setattr(inference, "_rejection_sample", fail)
-        for t in (1e-7, 1.0, math.inf):
-            sample_limit(LimitSpec(V=1.0, R2=0.5, q=4, t=t), 1000, seed=8)
-
-    def test_general_form_rejection_memory_is_bounded(self):
-        # 0.1% acceptance asks for ~4.5e6 rows of 4 normals (144 MiB) in one
-        # batch; a chunk of 2^20 rows is 32 MiB
-        q = 4
-        eye = np.eye(q)
-        t = float(chi2.ppf(1e-3, q))
-        spec = LimitSpec(
-            V=1.0,
-            R2=0.5,
-            q=q,
-            t=t,
-            projection=(np.full(q, 0.3), eye, [(np.arange(q), eye, t)]),
-        )
-        tracemalloc.start()
-        try:
-            draws = sample_limit(spec, 3000, seed=9)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert draws.shape == (3000,)
-        assert peak < 64 * 2**20
-
-    def test_general_projection_matches_mahalanobis_form(self):
-        # with Hbar = V_I the projected criterion is d'd < t and the extra
-        # component has variance C' V_I^-1 C * v_qt, matching the scalar form
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(2, 2))
-        v_i = a @ a.T + np.eye(2)
-        c = rng.normal(size=2)
-        r2_equiv = 0.4
-        scale = math.sqrt(r2_equiv / (c @ np.linalg.solve(v_i, c)))
-        c = c * scale  # now C' V_I^-1 C = R2 with V = 1
-        spec = LimitSpec(
-            V=1.0,
-            R2=r2_equiv,
-            q=2,
-            t=1.0,
-            projection=(c, v_i, [(np.arange(2), v_i, 1.0)]),
-        )
-        draws = sample_limit(spec, 200_000, seed=9)
-        target = 1.0 - (1.0 - v_qt(2, 1.0)) * r2_equiv
-        assert abs(draws.var() - target) / target < 0.02
-
-    def test_two_form_projection_rejects_draws_violating_either_form(self):
-        accept = [(np.array([[2.0, 0.6], [0.6, 1.0]]), 1.0), (np.eye(2), 1.0)]
-        rows = inference._rejection_sample(np.random.default_rng(10), 2, 20_000, accept)
-        assert rows.shape == (20_000, 2)
-        for mat, threshold in accept:
-            assert np.all(np.einsum("ij,jk,ik->i", rows, mat, rows) < threshold)
-        # each form alone keeps draws that the other one rejects
-        for (mat, threshold), (other, other_threshold) in (accept, accept[::-1]):
-            alone = inference._rejection_sample(
-                np.random.default_rng(11), 2, 20_000, [(mat, threshold)]
-            )
-            assert np.any(np.einsum("ij,jk,ik->i", alone, other, alone) >= other_threshold)
-
-    def test_tier_forms_condition_the_imbalance_law(self):
-        # the projection term C' V_I^-1 u with u ~ N(0, V_I) kept when every
-        # tier holds on u's block: u_0^2 / 2 < 0.1 and u_1^2 / 1 < 0.5
-        v_i = np.array([[2.0, 0.5], [0.5, 1.0]])
-        c = np.array([0.6, -0.3])
-        forms = [
-            (np.array([0]), np.array([[2.0]]), 0.1),
-            (np.array([1]), np.array([[1.0]]), 0.5),
-            (np.array([0, 1]), v_i, math.inf),
-        ]
-        r2 = float(c @ np.linalg.solve(v_i, c))
-        spec = LimitSpec(V=1.0, R2=r2, q=2, t=math.inf, projection=(c, v_i, forms))
-        draws = sample_limit(spec, 200_000, seed=12)
-        u = np.random.default_rng(13).standard_normal((2_000_000, 2)) @ np.linalg.cholesky(v_i).T
-        u = u[(u[:, 0] ** 2 / 2.0 < 0.1) & (u[:, 1] ** 2 < 0.5)]
-        projected = u @ np.linalg.solve(v_i, c)
-        target = (1.0 - r2) + projected.var()
-        tol = 4 * math.hypot(_variance_se(draws), _variance_se(projected))
-        assert abs(draws.var() - target) <= tol
+    def test_projection_spec_is_rejected(self):
+        forms = [(np.arange(2), np.eye(2), 1.0)]
+        spec = LimitSpec(V=1.0, R2=0.5, q=2, t=1.0, projection=(np.full(2, 0.5), np.eye(2), forms))
+        with pytest.raises(ValidationError, match="Mahalanobis form only"):
+            sample_limit(spec, 1000, seed=1)
 
 
 def _variance_se(draws):
@@ -707,17 +616,17 @@ class TestConfidenceInterval:
             projection=(np.array([0.5]), np.eye(1), forms) if projection else None,
         )
         with pytest.raises(ValidationError, match="alpha must be a number, not NaN"):
-            confidence_interval(0.0, spec, n=100, alpha=math.nan, m=1000, seed=1)
+            confidence_interval(0.0, spec, n=100, alpha=math.nan)
 
     def test_normal_case_quantile_oracle(self):
         spec = LimitSpec(V=1.0, R2=0.0, q=2, t=1.0)
-        ci = confidence_interval(0.0, spec, n=100, alpha=0.05, m=1_000_000, seed=10)
+        ci = confidence_interval(0.0, spec, n=100, alpha=0.05)
         assert ci.lower == pytest.approx(-0.196, abs=0.003)
         assert ci.upper == pytest.approx(0.196, abs=0.003)
 
     def test_full_rsquared_untruncated_is_still_normal(self):
         spec = LimitSpec(V=1.0, R2=1.0, q=2, t=math.inf)
-        ci = confidence_interval(0.0, spec, n=100, alpha=0.05, m=1_000_000, seed=11)
+        ci = confidence_interval(0.0, spec, n=100, alpha=0.05)
         assert ci.lower == pytest.approx(-0.196, abs=0.003)
         assert ci.upper == pytest.approx(0.196, abs=0.003)
         assert ci.v_qt == 1.0
@@ -729,25 +638,10 @@ class TestConfidenceInterval:
 
     def test_matches_normal_interval_when_r2_zero(self):
         spec = LimitSpec(V=2.0, R2=0.0, q=2, t=1.0)
-        mc = confidence_interval(0.3, spec, n=50, alpha=0.05, m=400_000, seed=12)
+        mc = confidence_interval(0.3, spec, n=50, alpha=0.05)
         ref = normal_interval(0.3, 2.0, 50, 0.05)
         assert mc.lower == pytest.approx(ref.lower, abs=2e-3)
         assert mc.upper == pytest.approx(ref.upper, abs=2e-3)
-
-    def test_requires_enough_draws(self):
-        forms = [(np.arange(2), np.eye(2), 1.0)]
-        spec = LimitSpec(V=1.0, R2=0.5, q=2, t=1.0, projection=(np.ones(2) * 0.5, np.eye(2), forms))
-        with pytest.raises(ValidationError, match="1000"):
-            confidence_interval(0.0, spec, n=10, alpha=0.05, m=999, seed=0)
-
-    @pytest.mark.parametrize("r2, method", [(0.5, "quadrature"), (0.0, "normal")])
-    def test_quadrature_and_normal_accept_any_draws(self, r2, method):
-        spec = LimitSpec(V=1.0, R2=r2, q=2, t=1.0)
-        reference = confidence_interval(0.1, spec, 50, 0.05, 10_000, 0)
-        for m in (0, 1, 5, 999):
-            ci = confidence_interval(0.1, spec, 50, 0.05, m, 7)
-            assert ci == reference and ci.method == method
-
 
 class TestQuadratureInterval:
     """The Mahalanobis interval solves F(x) = 1 - alpha/2 by quadrature."""
@@ -757,51 +651,192 @@ class TestQuadratureInterval:
         for t in (0.01, 0.5, 1.0, 2.0, 10.0, 30.0, 1000.0):
             for r2 in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6, 1.0):
                 for alpha in (0.05, 0.01):
-                    ci = confidence_interval(0.0, LimitSpec(V=2.0, R2=r2, q=q, t=t), 2, alpha, 1000, 0)
+                    ci = confidence_interval(0.0, LimitSpec(V=2.0, R2=r2, q=q, t=t), 2, alpha)
                     assert ci.lower == -ci.upper
                     err = abs(_limit_cdf_oracle(ci.upper, q, t, r2) - (1.0 - alpha / 2.0))
                     assert err <= (1e-9 if r2 <= 0.9999 else 1e-6), (t, r2, alpha, err)
 
     @pytest.mark.parametrize("r2,t", [(0.0, 1.0), (0.7, math.inf), (0.7, 1000.0)])
     def test_normal_cases_are_bit_identical_to_normal_interval(self, r2, t):
-        ci = confidence_interval(0.3, LimitSpec(V=2.0, R2=r2, q=2, t=t), 50, 0.05, 1000, 0)
+        ci = confidence_interval(0.3, LimitSpec(V=2.0, R2=r2, q=2, t=t), 50, 0.05)
         ref = normal_interval(0.3, 2.0, 50, 0.05)
-        assert (ci.lower, ci.upper, ci.draws, ci.method) == (ref.lower, ref.upper, 0, "normal")
+        assert (ci.lower, ci.upper, ci.method) == (ref.lower, ref.upper, "normal")
         assert ci.v_qt == v_qt(2, t)
 
     def test_tiny_threshold_works_and_underflow_raises(self):
-        ci = confidence_interval(0.0, LimitSpec(V=1.0, R2=0.5, q=3, t=1e-7), 100, 0.05, 1000, 0)
+        ci = confidence_interval(0.0, LimitSpec(V=1.0, R2=0.5, q=3, t=1e-7), 100, 0.05)
         assert ci.method == "quadrature"
         # the truncated part is about sqrt(R2 t) wide, so the interval is nearly
         # the normal one at variance 1 - R2
         assert ci.upper == pytest.approx(1.959964 * math.sqrt(0.5 / 100), rel=1e-4)
         with pytest.raises(NumericError, match="underflows"):
-            confidence_interval(0.0, LimitSpec(V=1.0, R2=0.5, q=10, t=1e-300), 100, 0.05, 1000, 0)
+            confidence_interval(0.0, LimitSpec(V=1.0, R2=0.5, q=10, t=1e-300), 100, 0.05)
 
     @pytest.mark.parametrize(
         "r2,q,t", [(0.5, 2, 1.0), (0.9, 1, 0.5), (0.8, 3, 2.0), (1.0, 5, 3.0), (0.6, 10, 2.5582)]
     )
     def test_agrees_with_sampler_quantiles(self, r2, q, t):
         spec = LimitSpec(V=1.0, R2=r2, q=q, t=t)
-        ci = confidence_interval(0.0, spec, 2, 0.05, 1000, 0)
+        ci = confidence_interval(0.0, spec, 2, 0.05)
         m = 200_000
         draws = sample_limit(spec, m, seed=40 + q) / math.sqrt(2)
         se = math.sqrt(0.025 * 0.975 / m)
         assert abs(np.mean(draws < ci.upper) - 0.975) <= 4 * se
         assert abs(np.mean(draws < ci.lower) - 0.025) <= 4 * se
 
-    def test_does_not_depend_on_draws_or_seed(self):
-        spec = LimitSpec(V=1.5, R2=0.6, q=2, t=1.0)
-        first = confidence_interval(0.2, spec, 80, 0.05, 1000, 0)
-        assert first == confidence_interval(0.2, spec, 80, 0.05, 1_000_000, 12345)
-        assert (first.draws, first.method) == (0, "quadrature")
+def _rejection_sample(rng, q, m, accept):
+    """m standard q-normal rows d with d' A d < a for every (A, a) in ``accept``, drawn
+    in chunks of 2^18 rows: the rejection oracle of the projection-form law."""
+    kept, count = [], 0
+    while count < m:
+        draws = rng.standard_normal((1 << 18, q))
+        inside = [np.sum((draws @ mat) * draws, axis=1) < t for mat, t in accept]
+        kept.append(draws[np.logical_and.reduce(inside)])
+        count += kept[-1].shape[0]
+    return np.concatenate(kept)[:m]
 
-    def test_projection_form_stays_monte_carlo(self):
-        forms = [(np.arange(2), np.eye(2), 1.0)]
-        spec = LimitSpec(V=1.0, R2=0.5, q=2, t=1.0, projection=(np.ones(2) * 0.5, np.eye(2), forms))
-        ci = confidence_interval(0.0, spec, 100, 0.05, 2000, 3)
-        assert (ci.draws, ci.method) == (2000, "monte_carlo")
 
+def _projection_spec(q, kind, acceptance, seed, r2=0.6):
+    """A projection-form spec on a random V_I with V = 1: one general (diagonal-weight)
+    form over all q coordinates at the chi^2_q quantile ``acceptance``, or a Mahalanobis
+    tier on the first coordinate and a general tier on the rest, each at its chi^2
+    quantile sqrt(acceptance)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(q, q))
+    v_i = a @ a.T / q + np.eye(q)
+    c = rng.normal(size=q)
+    c *= math.sqrt(r2 / (c @ np.linalg.solve(v_i, c)))
+    diag = np.diag(np.diag(v_i))
+    if kind == "general":
+        forms = [(np.arange(q), diag, float(chi2.ppf(acceptance, q)))]
+    else:
+        level = math.sqrt(acceptance)
+        forms = [
+            (np.array([0]), v_i[:1, :1], float(chi2.ppf(level, 1))),
+            (np.arange(1, q), diag[1:, 1:], float(chi2.ppf(level, q - 1))),
+        ]
+    return LimitSpec(V=1.0, R2=r2, q=q, t=math.inf, projection=(c, v_i, forms))
+
+
+def _oracle_draws(spec, m, seed):
+    """m draws of the projection-form law sqrt(V(1-R2)) z + C'V_I^-1/2 d by rejection,
+    and the draws of s = u'd for u = V_I^-1/2 C / |V_I^-1/2 C|."""
+    c, v_i, forms = spec.projection
+    vals, vecs = np.linalg.eigh(v_i)
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    accept = [(root[:, p] @ np.linalg.solve(w, root[p]), a) for p, w, a in forms if a < math.inf]
+    proj = np.linalg.solve(root, c)
+    s = _rejection_sample(np.random.default_rng(seed), spec.q, m, accept) @ proj
+    z = np.random.default_rng(seed + 1).standard_normal(m)
+    return math.sqrt(spec.V * (1.0 - spec.R2)) * z + s, s / np.linalg.norm(proj)
+
+
+class TestProjectionInterval:
+    """The projection-form interval (general weights, tiers) by Genz quadrature."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 10])
+    def test_mahalanobis_equivalent_spec_matches_quadrature(self, q):
+        # one form with weight V_I over all of X^r is the Mahalanobis criterion d'd < t
+        bound = {1: 1e-12, 2: 1e-4, 3: 1e-4}.get(q, 5e-3)
+        rng = np.random.default_rng(20 + q)
+        a = rng.normal(size=(q, q))
+        v_i = a @ a.T + np.eye(q)
+        c = rng.normal(size=q)
+        c *= math.sqrt(0.5 / (c @ np.linalg.solve(v_i, c)))
+        for t in (0.5, float(chi2.ppf(0.2, q)), float(chi2.ppf(0.01, q))):
+            projection = (c, v_i, [(np.arange(q), v_i, t)])
+            ci = confidence_interval(0.1, LimitSpec(1.0, 0.5, q, t, projection), 50, 0.05)
+            ref = confidence_interval(0.1, LimitSpec(1.0, 0.5, q, t), 50, 0.05)
+            assert ci.method == "projection_quadrature"
+            assert abs((ci.upper - 0.1) / (ref.upper - 0.1) - 1.0) <= bound, t
+            if q <= 5:
+                assert ci.v_qt == pytest.approx(v_qt(q, t), rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "q,kind,acceptance",
+        [(2, "general", 0.02), (2, "tiered", 0.2), (3, "general", 0.2), (3, "tiered", 0.02),
+         (5, "general", 0.05), (5, "tiered", 0.2), (10, "general", 0.2), (10, "tiered", 0.02)],
+    )
+    def test_matches_rejection_oracle(self, q, kind, acceptance):
+        spec = _projection_spec(q, kind, acceptance, seed=q)
+        ci = confidence_interval(0.0, spec, 2, 0.05)
+        m = 100_000
+        draws, s = _oracle_draws(spec, m, seed=30 + q)
+        draws /= math.sqrt(2)
+        se = math.sqrt(0.025 * 0.975 / m)
+        assert abs(np.mean(draws < ci.upper) - 0.975) <= 4 * se
+        assert abs(np.mean(draws < ci.lower) - 0.025) <= 4 * se
+        # at q = 10 the point set's error in v_qt reaches about 2% (the interval's
+        # stays within two of the oracle's standard errors)
+        tol = 4 * float(np.std(s**2)) / math.sqrt(m) + (0.025 * ci.v_qt if q == 10 else 0.0)
+        assert abs(ci.v_qt - float(np.mean(s**2))) <= tol
+
+    def test_full_rsquared_matches_rejection_oracle(self):
+        spec = dataclasses.replace(_projection_spec(2, "tiered", 0.2, seed=4, r2=1.0), V=1.0)
+        ci = confidence_interval(0.0, spec, 2, 0.05)
+        m = 50_000
+        draws = _oracle_draws(spec, m, seed=5)[0] / math.sqrt(2)
+        assert abs(np.mean(draws < ci.upper) - 0.975) <= 4 * math.sqrt(0.025 * 0.975 / m)
+
+    def test_tiny_general_acceptance_is_nearly_normal(self):
+        # the truncated part is about sqrt(t) wide, so the interval is the normal one
+        # at variance V(1 - R2)
+        eye = np.eye(3)
+        spec = LimitSpec(
+            V=1.0, R2=0.48, q=3, t=1e-7,
+            projection=(np.full(3, 0.4), eye, [(np.arange(3), eye, 1e-7)]),
+        )
+        ci = confidence_interval(0.2, spec, 100, 0.05)
+        ref = normal_interval(0.2, 1.0 - 0.48, 100, 0.05)
+        assert ci.upper - 0.2 == pytest.approx(ref.upper - 0.2, rel=1e-3)
+        assert ci.lower - 0.2 == pytest.approx(ref.lower - 0.2, rel=1e-3)
+
+    def test_underflow_raises(self):
+        eye = np.eye(10)
+        spec = LimitSpec(
+            V=1.0, R2=0.5, q=10, t=1e-300,
+            projection=(np.full(10, 0.2), eye, [(np.arange(10), eye, 1e-300)]),
+        )
+        with pytest.raises(NumericError, match="underflows"):
+            confidence_interval(0.0, spec, 100, 0.05)
+
+    def test_is_deterministic_and_symmetric(self):
+        spec = _projection_spec(3, "tiered", 0.2, seed=6)
+        ci = confidence_interval(0.3, spec, 80, 0.05)
+        assert ci == confidence_interval(0.3, spec, 80, 0.05)
+        assert ci.upper - 0.3 == pytest.approx(0.3 - ci.lower, rel=1e-15)
+
+    def test_two_form_projection_rejects_draws_violating_either_form(self):
+        accept = [(np.array([[2.0, 0.6], [0.6, 1.0]]), 1.0), (np.eye(2), 1.0)]
+        rows = _rejection_sample(np.random.default_rng(10), 2, 20_000, accept)
+        assert rows.shape == (20_000, 2)
+        for mat, threshold in accept:
+            assert np.all(np.einsum("ij,jk,ik->i", rows, mat, rows) < threshold)
+        # each form alone keeps draws that the other one rejects
+        for (mat, threshold), (other, other_threshold) in (accept, accept[::-1]):
+            alone = _rejection_sample(
+                np.random.default_rng(11), 2, 20_000, [(mat, threshold)]
+            )
+            assert np.any(np.einsum("ij,jk,ik->i", alone, other, alone) >= other_threshold)
+
+    def test_tier_forms_condition_the_imbalance_law(self):
+        # the projection term C' V_I^-1 u with u ~ N(0, V_I) kept when every
+        # tier holds on u's block: u_0^2 / 2 < 0.1 and u_1^2 / 1 < 0.5
+        v_i = np.array([[2.0, 0.5], [0.5, 1.0]])
+        c = np.array([0.6, -0.3])
+        forms = [
+            (np.array([0]), np.array([[2.0]]), 0.1),
+            (np.array([1]), np.array([[1.0]]), 0.5),
+            (np.array([0, 1]), v_i, math.inf),
+        ]
+        r2 = float(c @ np.linalg.solve(v_i, c))
+        spec = LimitSpec(V=1.0, R2=r2, q=2, t=math.inf, projection=(c, v_i, forms))
+        law_variance = (1.0 - r2) + r2 * confidence_interval(0.0, spec, 2, 0.05).v_qt
+        u = np.random.default_rng(13).standard_normal((2_000_000, 2)) @ np.linalg.cholesky(v_i).T
+        u = u[(u[:, 0] ** 2 / 2.0 < 0.1) & (u[:, 1] ** 2 < 0.5)]
+        projected = u @ np.linalg.solve(v_i, c)
+        target = (1.0 - r2) + projected.var()
+        assert abs(law_variance - target) <= 4 * _variance_se(projected)
 
 class TestNormalInterval:
     def test_hand_arithmetic(self):

@@ -22,7 +22,7 @@ from rerand import (
     true_delta,
 )
 from rerand.errors import NumericError, ValidationError
-from rerand.simlab import apply_estimator, report_csv_lines, scheme_inference
+from rerand.simlab import EstimatorReport, apply_estimator, report_csv_lines, scheme_inference
 
 
 class TestGenerateTrial:
@@ -99,7 +99,6 @@ def small_config(**overrides) -> SimConfig:
         ),
         replicates=12,
         master_seed=99,
-        ci_draws=2000,
         truth={"difference": (2.0, 0.0015)},
     )
     base.update(overrides)
@@ -156,7 +155,18 @@ class TestRunSimulation:
         report = run_simulation(small_config(replicates=4))
         lines = report_csv_lines(report)
         assert len(lines) == 3
-        assert lines[0].startswith("estimator,bias")
+        assert lines[0].startswith("label,bias")
+
+    def test_csv_columns_are_the_report_fields(self):
+        report = run_simulation(small_config(replicates=3))
+        header, *rows = report_csv_lines(report)
+        names = [field.name for field in dataclasses.fields(EstimatorReport)]
+        assert header.split(",") == names
+        for row, line in zip(report.rows, rows):
+            cells = dict(zip(names, line.split(",")))
+            assert cells["interval_method"] == row.interval_method == "quadrature"
+            assert int(cells["diagnostic_warnings"]) == row.diagnostic_warnings
+            assert float(cells["bias"]) == row.bias
 
     def test_canonical_json_hides_wall_clock(self):
         report = run_simulation(small_config(replicates=3))
@@ -179,13 +189,13 @@ class TestSchemePlumbing:
         report = run_simulation(config)
         assert all(row.failures == 0 for row in report.rows)
         assert all(0.0 <= row.cp_true <= 1.0 for row in report.rows)
-        assert {row.interval_method for row in report.rows} == {"monte_carlo"}
+        assert {row.interval_method for row in report.rows} == {"projection_quadrature"}
 
     @pytest.mark.parametrize("scheme", ["rerandomized", "stratified_rerandomized"])
     @pytest.mark.parametrize("kind", ["unadjusted", "ancova"])
     def test_single_full_tier_interval_is_the_plain_one(self, scheme, kind):
         # one Mahalanobis tier over all of X^r is the plain criterion, so it
-        # keeps the exact scalar-R^2 law and its draws
+        # keeps the exact scalar-R^2 law
         trial = generate_trial(DgpSpec("continuous_sec7", 200), seed=13)
         frame = trial.reveal(np.tile([1, 0], 100))
         est = SimEstimator(kind=kind)
@@ -194,7 +204,7 @@ class TestSchemePlumbing:
         tiered = Design(tiers=(Tier(indices=(0, 1), threshold=0.8),), **common)
         result = apply_estimator(est, frame, plain, 1, 0)
         ci = [
-            scheme_inference(est, result, frame, design, 0.05, 2000, 17)["ci_true"]
+            scheme_inference(est, result, frame, design, 0.05)["ci_true"]
             for design in (plain, tiered)
         ]
         assert ci[0] == ci[1]
@@ -211,7 +221,7 @@ class TestSchemePlumbing:
         widths = [
             (ci.upper - ci.lower)
             for ci in (
-                scheme_inference(est, result, frame, design, 0.05, 4000, 18)["ci_true"]
+                scheme_inference(est, result, frame, design, 0.05)["ci_true"]
                 for design in (tiered, Design(**common))
             )
         ]
@@ -323,7 +333,7 @@ class TestSchemeLevelInvariants:
 # scheme_inference is its public plug-ins, composed one by one.
 
 
-def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
+def _composed_from_plugins(est, result, frame, design, alpha):
     """v_hat, v_scheme, r2_hat and ci_true built from the public plug-ins, with
     the strata grouped from their labels and one plug-in call per quantity."""
     from rerand import LimitSpec, confidence_interval, scheme_plugins, variance_simple
@@ -359,7 +369,7 @@ def _composed_from_plugins(est, result, frame, design, alpha, draws, seed):
         projection = (c_hat, n * var_i, balance_forms(design, n * var_i))
     t = first.threshold if exact else design.threshold_t
     spec = LimitSpec(V=v_scheme, R2=r2, q=design.q, t=t, projection=projection)
-    ci = confidence_interval(result.delta_hat, spec, n, alpha, draws, seed)
+    ci = confidence_interval(result.delta_hat, spec, n, alpha)
     return v_hat, v_scheme, r2, ci.lower, ci.upper
 
 
@@ -399,12 +409,12 @@ class TestSchemeInferenceEqualsItsParts:
         est = estimators[estimator]
         design = Design(pi=0.5, scheme=scheme, rerand_covariates=(0, 1), **_criterion(criterion))
         result = apply_estimator(est, frame, design, 3, 0)
-        info = scheme_inference(est, result, frame, design, 0.05, 2000, 17)
+        info = scheme_inference(est, result, frame, design, 0.05)
         got = (
             info["v_hat"], info["v_scheme"], info["r2_hat"],
             info["ci_true"].lower, info["ci_true"].upper,
         )
-        assert got == _composed_from_plugins(est, result, frame, design, 0.05, 2000, 17)
+        assert got == _composed_from_plugins(est, result, frame, design, 0.05)
 
     @pytest.mark.parametrize("criterion", ["mahalanobis", "general", "tiers"])
     def test_mixed_model_with_clusters_under_a_stratified_design(self, criterion):
@@ -424,12 +434,12 @@ class TestSchemeInferenceEqualsItsParts:
         )
         est = SimEstimator(kind="mixed", covariates=("x1", "x2"))
         result = apply_estimator(est, frame, design, 3, 0)
-        info = scheme_inference(est, result, frame, design, 0.05, 2000, 17)
+        info = scheme_inference(est, result, frame, design, 0.05)
         got = (
             info["v_hat"], info["v_scheme"], info["r2_hat"],
             info["ci_true"].lower, info["ci_true"].upper,
         )
-        assert got == _composed_from_plugins(est, result, frame, design, 0.05, 2000, 17)
+        assert got == _composed_from_plugins(est, result, frame, design, 0.05)
 
     @pytest.mark.parametrize("estimator", list(_SCHEME_ESTIMATORS))
     @pytest.mark.parametrize("criterion", ["mahalanobis", "general"])
@@ -462,7 +472,7 @@ class TestSchemeInferenceEqualsItsParts:
                 monkeypatch.setattr(module, "factorize", counting_factorize)
         monkeypatch.setattr(rerand.inference, "_sandwich", counting_sandwich)
 
-        scheme_inference(est, result, frame, design, 0.05, 2000, 17)
+        scheme_inference(est, result, frame, design, 0.05)
         assert len(passes) <= 2
         folds = result.details["fold_plan"] if est.kind == "dml" else None
         assert all(folds is not None and np.array_equal(v, folds) for v in factorized)
