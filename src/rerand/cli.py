@@ -12,17 +12,16 @@ import argparse
 import dataclasses
 import difflib
 import hashlib
-import json
 import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import __version__
 from .data_model import Design, Tier, load_csv, validate_design, write_csv
 from .dml import LearnerSpec
-from .errors import DataError, NumericError, RerandError, ValidationError
+from .errors import DataError, NumericError, ValidationError
 from .inference import LimitSpec, confidence_interval
 from .simlab import (
     DGP_COVARIATES,
@@ -53,7 +52,6 @@ EXIT_NUMERIC = 4
 @dataclass
 class CommandOutcome:
     exit_code: int
-    log_records: list[dict] = field(default_factory=list)
 
 
 class _UsageError(Exception):
@@ -81,19 +79,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_DESIGN_KEYS = (
-    "pi", "scheme", "rerand", "t", "distance", "tier", "block_size", "max_attempts", "statistic",
-)
-_SIM_KEYS = (
-    "dgp.family", "dgp.n", "dgp.missingness",
-    *(f"dgp.{f.name}" for f in dataclasses.fields(CustomDgp)),
-    *(f"design.{key}" for key in _DESIGN_KEYS),
-    "estimator", "replicates", "master_seed", "alpha", "workers", "ci_draws",  # ci_draws: ignored
-    "truth.difference", "truth.ratio", "truth_draws", "keep_replicates",
-)
-_REPEATED_KEYS = ("tier", "design.tier", "estimator")
-
-
 def _parse_kv_file(path: str, keys: tuple[str, ...]) -> dict:
     """Parse a `key = value` config file over the known ``keys``.
 
@@ -118,11 +103,10 @@ def _parse_kv_file(path: str, keys: tuple[str, ...]) -> dict:
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in keys:
             raise DataError(f"{path}:{lineno}: unknown key '{key}'")
-        if key in _REPEATED_KEYS:
+        if key in ("tier", "design.tier", "estimator"):
             values.setdefault(key, []).append(value)
         else:
             values[key] = value
@@ -137,12 +121,19 @@ def _uncommented(line: str) -> str:
     return line
 
 
-def _parse_bool(text: str) -> bool:
+# Parsers: (text, name) -> value; ``name`` (the key) goes into the error message.
+
+
+def _text(text: str, name: str) -> str:
+    return text
+
+
+def _parse_bool(text: str, name: str) -> bool:
     if text.lower() in ("true", "yes", "1", "on"):
         return True
     if text.lower() in ("false", "no", "0", "off"):
         return False
-    raise DataError(f"expected a boolean, got '{text}'")
+    raise DataError(f"{name}: expected a boolean, got '{text}'")
 
 
 def _parse_int(text: str, name: str) -> int:
@@ -158,6 +149,24 @@ def _parse_float(text: str, name: str) -> float:
         return float(text)
     except ValueError:
         raise DataError(f"{name}: '{text}' must be a number") from None
+
+
+def _names(text: str, name: str) -> tuple[str, ...]:
+    return tuple(v for v in text.split(",") if v)
+
+
+def _record(cls, table: dict, values: dict, **fields):
+    """A ``cls`` from the keys of ``values`` that ``table`` maps to (field, parser).
+
+    A key's parser gives its field's value (a tuple of fields takes a tuple of
+    values); a field no key sets comes from ``fields``, else keeps the default
+    of ``cls``, whose own checks then run.
+    """
+    for key, (field, parse) in table.items():
+        if key in values:
+            value = parse(values[key], key)
+            fields.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
+    return cls(**fields)
 
 
 def _resolve_columns(tokens: str, names: tuple[str, ...]) -> tuple[int, ...]:
@@ -176,143 +185,140 @@ def _resolve_columns(tokens: str, names: tuple[str, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _tier(spec: str, names: tuple[str, ...]) -> Tier:
+    parts = [p.strip() for p in spec.split(":")]
+    if not 2 <= len(parts) <= 3:
+        raise DataError(f"tier spec '{spec}' needs 'columns : threshold [: distance]'")
+    columns, threshold, *distance = parts  # no distance: Tier's default
+    threshold = _parse_float(threshold, f"tier '{spec}'")
+    return Tier(_resolve_columns(columns, names), threshold, *distance)
+
+
+def _design_fields(names: tuple[str, ...]) -> dict:
+    """Design-file key -> (Design field, parser); columns are indices or covariate ``names``."""
+    return {
+        "pi": ("pi", _parse_float),
+        "scheme": ("scheme", _text),
+        "rerand": ("rerand_covariates", lambda text, key: _resolve_columns(text, names)),
+        "t": ("threshold_t", _parse_float),
+        "distance": ("distance", _text),
+        "tier": ("tiers", lambda specs, key: tuple(_tier(spec, names) for spec in specs)),
+        "block_size": ("block_size", _parse_int),
+        "max_attempts": ("max_attempts", _parse_int),
+        "statistic": ("stratified_statistic", _text),
+    }
+
+
+_DESIGN_KEYS = tuple(_design_fields(()))
+
+
 def design_from_config(cfg: dict, names: tuple[str, ...]) -> Design:
-    """A design from config keys; column tokens are indices or covariate ``names``."""
-    rerand = cfg.get("rerand", "")
-    indices = _resolve_columns(rerand, names) if rerand else ()
-    tiers = []
-    for spec in cfg.get("tier", []):
-        parts = [p.strip() for p in spec.split(":")]
-        if not 2 <= len(parts) <= 3:
-            raise DataError(f"tier spec '{spec}' needs 'columns : threshold [: distance]'")
-        tiers.append(
-            Tier(
-                indices=_resolve_columns(parts[0], names),
-                threshold=_parse_float(parts[1], f"tier '{spec}'"),
-                distance=parts[2] if len(parts) > 2 else "mahalanobis",
-            )
-        )
-    return Design(
-        pi=_parse_float(cfg.get("pi", "0.5"), "pi"),
-        scheme=cfg.get("scheme", "simple"),
-        rerand_covariates=indices,
-        threshold_t=_parse_float(cfg.get("t", "inf"), "t"),
-        distance=cfg.get("distance", "mahalanobis"),
-        tiers=tuple(tiers),
-        block_size=_parse_int(cfg.get("block_size", "2"), "block_size"),
-        max_attempts=_parse_int(cfg.get("max_attempts", "1000000"), "max_attempts"),
-        stratified_statistic=cfg.get("statistic", "pooled"),
-    )
+    """A design from design-file keys; column tokens are indices or covariate ``names``."""
+    return _record(Design, _design_fields(names), cfg)
+
+
+_LEARNERS = {  # token kind -> (LearnerSpec kind, its fields in token order)
+    "glm": ("glm", (("link", _text),)),
+    "knn": ("knn", (("k_neighbors", _parse_int),)),
+    "stump": ("stump_ensemble", (("trees", _parse_int), ("learning_rate", _parse_float))),
+}
 
 
 def _parse_learner(token: str) -> LearnerSpec | None:
+    """``kind[:value...]`` (or 'none'); values fill the kind's fields in order."""
     token = token.strip()
     if token in ("", "none"):
         return None
-    parts = token.split(":")
-    kind = parts[0]
+    kind, *values = token.split(":")
+    if kind not in _LEARNERS:
+        raise DataError(f"unknown learner token '{token}'")
+    spec_kind, fields = _LEARNERS[kind]
     name = f"learner '{token}'"
-    if kind == "glm":
-        return LearnerSpec(kind="glm", link=parts[1] if len(parts) > 1 else "identity")
-    if kind == "knn":
-        return LearnerSpec(
-            kind="knn", k_neighbors=_parse_int(parts[1], name) if len(parts) > 1 else 5
-        )
-    if kind == "stump":
-        return LearnerSpec(
-            kind="stump_ensemble",
-            trees=_parse_int(parts[1], name) if len(parts) > 1 else 200,
-            learning_rate=_parse_float(parts[2], name) if len(parts) > 2 else 0.1,
-        )
-    raise DataError(f"unknown learner token '{token}'")
+    parsed = {field: parse(value, name) for (field, parse), value in zip(fields, values)}
+    return LearnerSpec(kind=spec_kind, **parsed)
 
 
-def _estimator_from_tokens(spec: str) -> SimEstimator:
+_ESTIMATOR_FIELDS = {  # option -> (SimEstimator field, parser); also analyze's flags
+    "label": ("label", _text),
+    "estimand": ("estimand", _text),
+    "covariates": ("covariates", _names),
+    "missing_covariates": ("missing_covariates", _names),
+    "interactions": ("interactions", _parse_bool),
+    "link": ("link", _text),
+    "folds": ("folds", _parse_int),
+    "fold_mode": ("fold_mode", lambda text, key: text.replace("-", "_")),
+    "learners": (  # outcome,missingness
+        ("outcome_learner", "missingness_learner"),
+        lambda text, key: tuple(map(_parse_learner, text.split(",", 1))),
+    ),
+}
+
+
+def _estimator(kind: str, options: dict, **fields) -> SimEstimator:
+    """The ``kind`` estimator from ``options`` (option -> text); a field no option sets
+    comes from ``fields``, else keeps its default."""
+    for key in options:
+        if key not in _ESTIMATOR_FIELDS:
+            raise DataError(f"unknown estimator option '{key}'")
+    return _record(SimEstimator, _ESTIMATOR_FIELDS, options, kind=kind, **fields)
+
+
+def _estimator_line(spec: str) -> SimEstimator:
+    """An `estimator = kind key=value ...` line."""
     tokens = spec.split()
     if not tokens:
         raise DataError("empty estimator spec")
-    kind = tokens[0]
-    kwargs: dict = {"kind": kind}
     for token in tokens[1:]:
         if "=" not in token:
             raise DataError(f"estimator option '{token}' is not key=value")
-        key, _, value = token.partition("=")
-        if key == "covariates":
-            kwargs["covariates"] = tuple(v for v in value.split(",") if v)
-        elif key == "missing_covariates":
-            kwargs["missing_covariates"] = tuple(v for v in value.split(",") if v)
-        elif key == "interactions":
-            kwargs["interactions"] = _parse_bool(value)
-        elif key in ("estimand", "label", "link"):
-            kwargs[key] = value
-        elif key == "folds":
-            kwargs["folds"] = _parse_int(value, "estimator option folds")
-        elif key == "fold_mode":
-            kwargs["fold_mode"] = value.replace("-", "_")
-        elif key == "learners":
-            outcome, _, miss = value.partition(",")
-            kwargs["outcome_learner"] = _parse_learner(outcome)
-            kwargs["missingness_learner"] = _parse_learner(miss)
-        else:
-            raise DataError(f"unknown estimator option '{key}'")
-    return SimEstimator(**kwargs)
+    return _estimator(tokens[0], dict(token.split("=", 1) for token in tokens[1:]))
+
+
+_DGP_FIELDS = {
+    "dgp.family": ("family", _text),
+    "dgp.n": ("n", _parse_int),
+    "dgp.missingness": ("missingness", _parse_bool),
+}
+_CUSTOM_FIELDS = {
+    f"dgp.{f.name}": (f.name, _parse_bool if f.name == "binary" else _parse_float)
+    for f in dataclasses.fields(CustomDgp)
+}
+_SIM_FIELDS = {
+    "estimator": ("estimators", lambda specs, key: tuple(map(_estimator_line, specs))),
+    "replicates": ("replicates", _parse_int),
+    "master_seed": ("master_seed", _parse_int),
+    "alpha": ("alpha", _parse_float),
+    "workers": ("workers", _parse_int),
+    "truth_draws": ("truth_draws", _parse_int),
+    "keep_replicates": ("keep_replicates", _parse_bool),
+}
+_TRUTH_KEYS = ("truth.difference", "truth.ratio")
+_SIM_KEYS = (
+    *_DGP_FIELDS, *_CUSTOM_FIELDS, *(f"design.{key}" for key in _DESIGN_KEYS), *_SIM_FIELDS,
+    *_TRUTH_KEYS, "ci_draws",  # ci_draws: ignored
+)
+
+
+def _truth(text: str, name: str) -> tuple[float, float]:
+    parts = [p.strip() for p in text.split(",")]
+    if len(parts) != 2:
+        raise DataError(f"{name} must be 'delta_star, mcse'")
+    return _parse_float(parts[0], name), _parse_float(parts[1], name)
 
 
 def sim_config_from_file(path: str) -> SimConfig:
+    """A simulation config from a `simulate` file; RERAND_WORKERS overrides `workers`."""
     cfg = _parse_kv_file(path, _SIM_KEYS)
-
-    custom = None
-    custom_fields = {f.name for f in dataclasses.fields(CustomDgp)}
-    custom_kwargs = {}
-    for key, value in cfg.items():
-        if key.startswith("dgp.") and key[4:] in custom_fields:
-            name = key[4:]
-            custom_kwargs[name] = (
-                _parse_bool(value) if name == "binary" else _parse_float(value, key)
-            )
-    family = cfg.get("dgp.family", "continuous_sec7")
-    if family == "custom":
-        custom = CustomDgp(**custom_kwargs)
-    dgp = DgpSpec(
-        family=family,
-        n=_parse_int(cfg.get("dgp.n", "400"), "dgp.n"),
-        missingness=_parse_bool(cfg.get("dgp.missingness", "false")),
-        custom=custom,
-    )
-
+    if "RERAND_WORKERS" in os.environ:
+        cfg["workers"] = os.environ["RERAND_WORKERS"]
+    custom = _record(CustomDgp, _CUSTOM_FIELDS, cfg)  # its keys parse under any family
+    custom = custom if cfg.get("dgp.family") == "custom" else None
+    dgp = _record(DgpSpec, _DGP_FIELDS, cfg, custom=custom)
     design = design_from_config(
         {k[7:]: v for k, v in cfg.items() if k.startswith("design.")}, DGP_COVARIATES
     )
-
-    estimators = tuple(
-        _estimator_from_tokens(spec) for spec in cfg.get("estimator", [])
-    )
-    if not estimators:
-        raise DataError("config defines no estimators")
-
-    truth = None
-    for contrast in ("difference", "ratio"):
-        key = f"truth.{contrast}"
-        if key in cfg:
-            parts = [p.strip() for p in cfg[key].split(",")]
-            if len(parts) != 2:
-                raise DataError(f"{key} must be 'delta_star, mcse'")
-            truth = truth or {}
-            truth[contrast] = (_parse_float(parts[0], key), _parse_float(parts[1], key))
-
-    workers = _parse_int(os.environ.get("RERAND_WORKERS", cfg.get("workers", "1")), "workers")
-    return SimConfig(
-        dgp=dgp,
-        design=design,
-        estimators=estimators,
-        replicates=_parse_int(cfg.get("replicates", "1000"), "replicates"),
-        master_seed=_parse_int(cfg.get("master_seed", "0"), "master_seed"),
-        alpha=_parse_float(cfg.get("alpha", "0.05"), "alpha"),
-        workers=workers,
-        truth=truth,
-        truth_draws=_parse_int(cfg.get("truth_draws", "10000000"), "truth_draws"),
-        keep_replicates=_parse_bool(cfg.get("keep_replicates", "false")),
-    )
+    truth = {key[6:]: _truth(cfg[key], key) for key in _TRUTH_KEYS if key in cfg} or None
+    return _record(SimConfig, _SIM_FIELDS, cfg, dgp=dgp, design=design, estimators=(), truth=truth)
 
 
 def _build_parser() -> _Parser:
@@ -328,15 +334,18 @@ def _build_parser() -> _Parser:
 
     p_an = sub.add_parser("analyze", help="estimate a treatment effect")
     p_an.add_argument("--data", required=True)
+    # each estimator flag left unset keeps the SimEstimator field's default
     p_an.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
-    p_an.add_argument("--estimand", default="difference", choices=["difference", "ratio"])
-    p_an.add_argument("--covariates", default=None, help="comma list; 'stratum' expands dummies")
-    p_an.add_argument("--missing-covariates", dest="missing_covariates", default=None)
-    p_an.add_argument("--interactions", action="store_true")
-    p_an.add_argument("--link", default="identity", choices=["identity", "logit"])
-    p_an.add_argument("--learners", default="stump:200:0.1,glm:logit")
-    p_an.add_argument("--folds", type=int, default=5)
-    p_an.add_argument("--fold-mode", dest="fold_mode", default="plain", choices=["plain", "stratum-arm"])
+    p_an.add_argument("--estimand", help="difference or ratio")
+    p_an.add_argument(
+        "--covariates", help="comma list; 'stratum' expands dummies (default: every covariate)"
+    )
+    p_an.add_argument("--missing-covariates", dest="missing_covariates")
+    p_an.add_argument("--interactions", action="store_const", const="true")
+    p_an.add_argument("--link", help="identity or logit")
+    p_an.add_argument("--learners", default="stump:200:0.1,glm:logit")  # hashed as resolved
+    p_an.add_argument("--folds")
+    p_an.add_argument("--fold-mode", dest="fold_mode", help="plain or stratum-arm")
     p_an.add_argument("--design", default=None, help="design config for scheme-aware inference")
     p_an.add_argument("--alpha", type=float, default=0.05)
     p_an.add_argument("--seed", type=int, default=0, help="seeds DML folds")
@@ -369,15 +378,15 @@ def _emit(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_allocate(args, outcome: CommandOutcome) -> None:
+def _cmd_allocate(args) -> None:
     data_hash = hashlib.sha256()
     frame = load_csv(args.data, data_hash)
-    design = design_from_config(_parse_kv_file(args.design, _DESIGN_KEYS), frame.covariate_names)
-    validate_design(design, frame)
+    cfg = _parse_kv_file(args.design, _DESIGN_KEYS)
+    design = validate_design(design_from_config(cfg, frame.covariate_names), frame)
     resolved = {"design": dataclasses.asdict(design), "seed": args.seed}
     resolved["data_sha256"] = data_hash.hexdigest()
     digest = canonical_digest(resolved)
-    _log_record(outcome, "allocate", resolved, digest, data=args.data)
+    _log_record("allocate", resolved, digest, data=args.data)
     alloc = rerandomize(frame, design, args.seed)
     write_csv(frame.with_columns(arm=alloc.arms), args.out)
     meta = {
@@ -392,38 +401,15 @@ def _cmd_allocate(args, outcome: CommandOutcome) -> None:
     _emit(meta, args.out + ".meta.json")
 
 
-def _cmd_analyze(args, outcome: CommandOutcome) -> None:
+def _cmd_analyze(args) -> None:
     data_hash = hashlib.sha256()
     frame = load_csv(args.data, data_hash)
     frame.require_arms()
-    covs = args.covariates
-    if covs is None:
-        names = list(frame.covariate_names)
-        if frame.stratum is not None:
-            names.append("stratum")
-        covariates = tuple(names)
-    else:
-        covariates = tuple(v for v in covs.split(",") if v)
-    outcome_l, _, miss_l = args.learners.partition(",")
-    est = SimEstimator(
-        kind=args.estimator,
-        estimand=args.estimand,
-        covariates=covariates,
-        interactions=args.interactions,
-        link=args.link,
-        missing_covariates=tuple(v for v in (args.missing_covariates or "").split(",") if v)
-        or None,
-        outcome_learner=_parse_learner(outcome_l),
-        missingness_learner=_parse_learner(miss_l),
-        folds=args.folds,
-        fold_mode=args.fold_mode.replace("-", "_"),
-    )
-    if args.design:
-        cfg = _parse_kv_file(args.design, _DESIGN_KEYS)
-        design = design_from_config(cfg, frame.covariate_names)
-        validate_design(design, frame)
-    else:
-        design = Design(pi=0.5, scheme="simple")
+    options = {k: v for k, v in vars(args).items() if k in _ESTIMATOR_FIELDS and v is not None}
+    stratum = ("stratum",) if frame.stratum is not None else ()
+    est = _estimator(args.estimator, options, covariates=frame.covariate_names + stratum)
+    cfg = _parse_kv_file(args.design, _DESIGN_KEYS) if args.design else {}
+    design = validate_design(design_from_config(cfg, frame.covariate_names), frame)
     resolved = {
         "estimator": dataclasses.asdict(est),
         "design": dataclasses.asdict(design),
@@ -432,7 +418,7 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
         "data_sha256": data_hash.hexdigest(),
     }
     digest = canonical_digest(resolved)
-    _log_record(outcome, "analyze", resolved, digest, data=args.data)
+    _log_record("analyze", resolved, digest, data=args.data)
     result = apply_estimator(est, frame, design, derive_seed(args.seed, "analyze"), 0)
     info = scheme_inference(est, result, frame, design, args.alpha)
     payload = {
@@ -458,10 +444,10 @@ def _cmd_analyze(args, outcome: CommandOutcome) -> None:
     _emit(payload, args.out)
 
 
-def _cmd_ci(args, outcome: CommandOutcome) -> None:
+def _cmd_ci(args) -> None:
     resolved = {k: getattr(args, k) for k in ("delta", "v", "r2", "q", "t", "n", "alpha")}
     digest = canonical_digest(resolved)
-    _log_record(outcome, "ci", resolved, digest)
+    _log_record("ci", resolved, digest)
     if math.isnan(args.delta):
         raise ValidationError("delta must be a number, not NaN")
     spec = LimitSpec(V=args.v, R2=args.r2, q=args.q, t=args.t)
@@ -476,11 +462,11 @@ def _cmd_ci(args, outcome: CommandOutcome) -> None:
     _emit(payload, args.out)
 
 
-def _cmd_simulate(args, outcome: CommandOutcome) -> None:
+def _cmd_simulate(args) -> None:
     config = sim_config_from_file(args.config)
     resolved = dataclasses.asdict(config)
     digest = config_hash(config)
-    _log_record(outcome, "simulate", resolved, digest)
+    _log_record("simulate", resolved, digest)
     report = run_simulation(config)
     log.info("simulate finished in %.1fs", report.elapsed_seconds)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -490,16 +476,12 @@ def _cmd_simulate(args, outcome: CommandOutcome) -> None:
             handle.write("\n".join(report_csv_lines(report)) + "\n")
 
 
-def _log_record(
-    outcome: CommandOutcome, command: str, resolved: dict, digest: str, data: str | None = None
-) -> None:
+def _log_record(command: str, resolved: dict, digest: str, data: str | None = None) -> None:
     """Log the resolved config and its hash, and beside them the unhashed ``data`` path."""
     record = dict(command=command, config=resolved, config_hash=digest, version=__version__)
     if data is not None:
         record["data"] = data
-    text = canonical_json(record)
-    outcome.log_records.append(json.loads(text))
-    log.info("resolved config: %s", text)
+    log.info("resolved config: %s", canonical_json(record))
 
 
 def run_command(argv: list[str]) -> CommandOutcome:
@@ -514,7 +496,7 @@ def run_command(argv: list[str]) -> CommandOutcome:
             "ci": _cmd_ci,
             "simulate": _cmd_simulate,
         }[args.command]
-        handler(args, outcome)
+        handler(args)
     except SystemExit as exc:  # argparse --version / --help
         outcome.exit_code = int(exc.code or 0)
     except _UsageError as exc:
@@ -525,9 +507,6 @@ def run_command(argv: list[str]) -> CommandOutcome:
         outcome.exit_code = EXIT_DATA
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        outcome.exit_code = EXIT_NUMERIC
-    except RerandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         outcome.exit_code = EXIT_NUMERIC
     return outcome
 

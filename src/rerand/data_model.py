@@ -73,8 +73,8 @@ class Grouping:
     def first_rows(self) -> np.ndarray:
         return _readonly([rows[0] for rows in self.members])
 
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        return group_sums(self.codes, values, self.labels.size)
+    def sums(self, values: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        return group_sums(self.codes, values, self.labels.size, weights)
 
     def centered(self, values: np.ndarray) -> np.ndarray:
         """(n, p) values minus the mean of each unit's group."""
@@ -104,13 +104,17 @@ def factorize(values: np.ndarray) -> Grouping:
     return Grouping(_readonly(labels), _readonly(codes), _readonly(counts))
 
 
-def group_sums(codes: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """Per-group sums of an (n,) array or (n, p) columns, each added in row order."""
+def group_sums(
+    codes: np.ndarray, values: np.ndarray, size: int, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-group sums of an (n,) array or (n, p) columns, each added in row order; with
+    per-row ``weights``, of each column times them, formed one column at a time."""
     if values.ndim == 1:
-        return np.bincount(codes, values, minlength=size)
+        return np.bincount(codes, values if weights is None else values * weights, minlength=size)
     sums = np.empty((size, values.shape[1]))
     for j, column in enumerate(values.T):  # one column at a time: no (n, p) index array
-        sums[:, j] = np.bincount(codes, column, minlength=size)
+        weighted = column if weights is None else column * weights
+        sums[:, j] = np.bincount(codes, weighted, minlength=size)
     return sums
 
 
@@ -207,7 +211,7 @@ class TrialFrame:
         try:
             j = self.covariate_names.index(name)
         except ValueError:
-            raise KeyError(f"no covariate named '{name}'") from None
+            raise ValidationError(f"no covariate named '{name}'") from None
         return self.covariates[:, j]
 
     @cached_property
@@ -253,15 +257,17 @@ class Design:
     """Randomization scheme specification.
 
     ``rerand_covariates`` indexes into the frame's covariate columns and
-    defines X^r (dimension q); the balance criterion is ``tiers`` or, without
-    them, ``threshold_t`` and ``distance`` (one of ``DISTANCES``); a tiered
-    design takes neither a finite ``threshold_t`` nor a ``general`` distance.
-    ``block_size`` only matters for stratified schemes and must satisfy
-    pi * block_size integral.
+    defines X^r (dimension q), which a rerandomized scheme needs; the balance
+    criterion is ``tiers`` (over columns of X^r) or, without them,
+    ``threshold_t`` and ``distance`` (one of ``DISTANCES``); a tiered design
+    takes neither a finite ``threshold_t`` nor a ``general`` distance.
+    ``block_size`` only matters for stratified schemes, where it is at least 2
+    and pi * block_size is integral. Every check that needs no frame runs
+    here; :func:`validate_design` runs the rest.
     """
 
-    pi: float
-    scheme: str
+    pi: float = 0.5
+    scheme: str = "simple"
     rerand_covariates: tuple[int, ...] = ()
     threshold_t: float = math.inf
     distance: str = "mahalanobis"
@@ -296,6 +302,15 @@ class Design:
             self, "rerand_covariates", tuple(int(j) for j in self.rerand_covariates)
         )
         object.__setattr__(self, "tiers", tuple(self.tiers))
+        if self.rerandomized and not self.rerand_covariates:
+            raise ValidationError("rerandomized scheme requires at least one X^r column")
+        if self.stratified and self.block_size < 2:
+            raise ValidationError("block size must be at least 2")
+        if self.stratified and abs(math.remainder(self.pi * self.block_size, 1.0)) > 1e-9:
+            raise ValidationError(f"pi*k not integer: pi={self.pi}, k={self.block_size}")
+        for tier in self.tiers:
+            if not set(tier.indices) <= set(self.rerand_covariates):
+                raise ValidationError("tier indices must be a subset of rerand_covariates")
 
     @property
     def rerandomized(self) -> bool:
@@ -316,25 +331,13 @@ class Design:
 
 
 def validate_design(design: Design, frame: TrialFrame) -> Design:
-    """Check a design against a frame; returns the design unchanged if valid."""
-    if design.rerandomized and design.q < 1:
-        raise ValidationError("rerandomized scheme requires at least one X^r column")
+    """Check a design against a frame (its X^r columns exist, and strata if the scheme is
+    stratified); returns the design unchanged if valid."""
     for j in design.rerand_covariates:
         if not 0 <= j < frame.n_covariates:
             raise ValidationError(f"rerandomization covariate index {j} out of range")
-    if design.stratified:
-        if frame.stratum is None:
-            raise ValidationError(f"scheme '{design.scheme}' requires strata")
-        if design.block_size < 2:
-            raise ValidationError("block size must be at least 2")
-        pik = design.pi * design.block_size
-        if abs(pik - round(pik)) > 1e-9:
-            raise ValidationError(
-                f"pi*k not integer: pi={design.pi}, k={design.block_size}"
-            )
-    for tier in design.tiers:
-        if not set(tier.indices) <= set(design.rerand_covariates):
-            raise ValidationError("tier indices must be a subset of rerand_covariates")
+    if design.stratified and frame.stratum is None:
+        raise ValidationError(f"scheme '{design.scheme}' requires strata")
     return design
 
 

@@ -344,16 +344,19 @@ def _halton_points(dim: int) -> np.ndarray:
 
 
 def _projection_law(spec: LimitSpec):
-    """The projection-form law of x = sigma z + r s, s = u'd and r u = proj, as weighted
-    intervals of s.
+    """The projection-form law of x = sigma z + r s, s = u'd, as weighted intervals of s.
+
+    u = proj / |proj| is the direction of proj = V_I^{-1/2} C, and r = sqrt(V R2) and sigma
+    = sqrt(V (1 - R2)) split V by the plug-in R2, so a clamped R2 (|proj|^2 > V) keeps
+    sigma^2 + r^2 = V.
 
     d is written in a basis that ends in u, the rest ordered from the direction the forms
     constrain most. Genz's separation of variables (Genz 1992) integrates those q - 1
     coordinates over ``_halton_points``: each is drawn, and its normal mass taken, in the
     range that every form's Schur complement on the coordinates so far allows (a superset of
     the joint range when forms overlap). Given them, s runs over an exact interval (L, H), one
-    quadratic inequality per form. Returns v_qt = E[s^2 | accepted] = Var(proj'd | accepted)
-    / r^2, E[x^2], and the ``_projection_cdf`` of x over the intervals with mass, their
+    quadratic inequality per form. Returns v_qt = E[s^2 | accepted] = Var(u'd | accepted),
+    E[x^2], and the ``_projection_cdf`` of x over the intervals with mass, their
     weights w normalized so that sum w (Phi(H) - Phi(L)) = 1.
     """
     c_vec, v_i, forms = spec.projection
@@ -395,7 +398,7 @@ def _projection_law(spec: LimitSpec):
     if not total > 0.0:
         raise NumericError("acceptance probability of the balance criterion underflows")
     moment = np.sign(upper) * gammainc(1.5, upper**2 / 2) - np.sign(lower) * gammainc(1.5, lower**2 / 2)
-    keep, r = weights * mass > 0.0, float(np.linalg.norm(proj))
+    keep, r = weights * mass > 0.0, math.sqrt(spec.V * spec.R2)
     vqt, sigma = float(weights @ moment) / (2 * total), math.sqrt(spec.V * (1.0 - spec.R2))
     cdf = functools.partial(_projection_cdf, sigma=sigma, r=r, w=weights[keep] / total,
                             lower=lower[keep], upper=upper[keep])

@@ -549,7 +549,7 @@ def estimate_mixed_ancova(
         columns = [
             m1 - clusters.sums(design.predict_at(1, beta)) / N,
             m0 - clusters.sums(design.predict_at(0, beta)) / N,
-            clusters.sums(data.Z * vr[:, None]),
+            clusters.sums(data.Z, vr),
             -(N / s2 - t2 * N / (s2 * d)) + clusters.sums(vr * vr),
         ]
         if not boundary:

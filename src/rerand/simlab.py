@@ -77,8 +77,8 @@ _SEC7_BINARY = CustomDgp(
 
 @dataclass(frozen=True)
 class DgpSpec:
-    family: str
-    n: int
+    family: str = "continuous_sec7"
+    n: int = 400
     missingness: bool = False
     custom: CustomDgp | None = None
 
@@ -228,6 +228,13 @@ class SimEstimator:
     def __post_init__(self) -> None:
         if self.kind not in ESTIMATOR_KINDS:
             raise ValidationError(f"unknown estimator kind '{self.kind}'")
+        self.estimand_spec()  # raises on an unknown contrast
+        if self.link not in ("identity", "logit"):
+            raise ValidationError(f"unknown link '{self.link}'")
+        if self.folds < 2:
+            raise ValidationError("folds must be at least 2")
+        if self.fold_mode not in dml_mod.FOLD_MODES:
+            raise ValidationError(f"unknown fold mode '{self.fold_mode}'")
         if not self.label:
             object.__setattr__(self, "label", self.kind)
 
@@ -240,8 +247,8 @@ class SimConfig:
     dgp: DgpSpec
     design: Design
     estimators: tuple[SimEstimator, ...]
-    replicates: int
-    master_seed: int
+    replicates: int = 1000
+    master_seed: int = 0
     alpha: float = 0.05
     workers: int = 1
     truth: dict | None = None  # contrast -> (delta_star, mcse)
@@ -257,6 +264,15 @@ class SimConfig:
             raise ValidationError("at least one estimator is required")
         if any(est.kind == "mixed" for est in self.estimators):
             raise ValidationError("estimator 'mixed' needs clusters; the simulation DGPs have none")
+        for i, est in enumerate(self.estimators):
+            if est.label in [other.label for other in self.estimators[:i]]:
+                raise ValidationError(f"two estimators are labelled '{est.label}'")
+            for name in (*est.covariates, *(est.missing_covariates or ())):
+                if name not in (*DGP_COVARIATES, "stratum"):
+                    raise ValidationError(
+                        f"estimator '{est.label}': no covariate named '{name}' "
+                        "(the simulation DGPs have x1, x2 and stratum)"
+                    )
 
 
 @dataclass(frozen=True)
@@ -377,9 +393,7 @@ def apply_estimator(
         return mestimators.estimate_mixed_ancova(
             frame, est.covariates, est.interactions, estimand
         )
-    outcome_learner = est.outcome_learner or dml_mod.LearnerSpec(
-        kind="stump_ensemble", trees=200, learning_rate=0.1
-    )
+    outcome_learner = est.outcome_learner or dml_mod.LearnerSpec(kind="stump_ensemble")
     missingness_learner = est.missingness_learner
     if missingness_learner is None and frame.observed.min() == 0:
         missingness_learner = dml_mod.LearnerSpec(kind="glm", link="logit")

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import os
 import re
 import subprocess
@@ -195,7 +196,7 @@ class TestAllocate:
         assert "config_hash" in meta
 
     def test_config_hash_follows_data_bytes_not_path(
-        self, tmp_path, unassigned_csv, trial_csv, design_cfg
+        self, tmp_path, unassigned_csv, trial_csv, design_cfg, caplog
     ):
         commands = {
             unassigned_csv: ["allocate", "--design", design_cfg, "--seed", "1",
@@ -211,9 +212,11 @@ class TestAllocate:
             edited = write(tmp_path / "edited.csv", text[:-2] + "19"[text[-2] == "1"] + "\n")
             digests = []
             for path in (data, copy, edited):
-                outcome = run_command(argv + ["--data", path])
-                assert outcome.exit_code == 0
-                record = outcome.log_records[0]
+                caplog.clear()
+                with caplog.at_level(logging.INFO, logger="rerand"):
+                    assert run_command(argv + ["--data", path]).exit_code == 0
+                (message,) = [r.getMessage() for r in caplog.records if r.name == "rerand"]
+                record = json.loads(message.removeprefix("resolved config: "))
                 assert record["data"] == path and "data" not in record["config"]
                 sha256 = hashlib.sha256(Path(path).read_bytes()).hexdigest()
                 assert record["config"]["data_sha256"] == sha256
@@ -305,6 +308,20 @@ class TestAnalyze:
             cis.append(payload["ci"])
         assert cis[0] == cis[1]
         assert 0.0 < cis[0]["v_qt"] < 1.0
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--covariates", "x1,x9"], "no covariate named 'x9'"),
+            (["--folds", "1"], "folds must be at least 2"),
+            (["--link", "probit"], "unknown link 'probit'"),
+            (["--fold-mode", "bogus"], "unknown fold mode 'bogus'"),
+        ],
+    )
+    def test_bad_estimator_option_is_a_data_error(self, trial_csv, capsys, flags, message):
+        outcome = run_command(["analyze", "--estimator", "ancova", "--data", trial_csv, *flags])
+        assert outcome.exit_code == 3
+        assert message in capsys.readouterr().err
 
     def test_dml_estimator_runs(self, trial_csv, capsys):
         outcome = run_command(
@@ -434,6 +451,12 @@ class TestConfigKeys:
             ("design.t = nan", "balance thresholds must be positive"),
             ("design.tier = x1 : nan", "balance thresholds must be positive"),
             ("design.tier = x1 : 0.5 : general : junk", "tier spec 'x1 : 0.5 : general : junk'"),
+            ("estimator = dml folds=1", "folds must be at least 2"),
+            ("estimator = dml fold_mode=bogus", "unknown fold mode 'bogus'"),
+            ("estimator = drwls link=probit", "unknown link 'probit'"),
+            ("estimator = ancova covariates=x1,x3", "no covariate named 'x3'"),
+            ("estimator = ancova\nestimator = ancova", "two estimators are labelled 'ancova'"),
+            ("design.scheme = stratified_rerandomized\ndesign.block_size = 3", "pi*k not integer"),
         ],
     )
     def test_simulation_config_errors(self, tmp_path, monkeypatch, capsys, line, message):
@@ -590,6 +613,21 @@ class TestSimulate:
         assert report["schema"] == 1
         assert {row["label"] for row in report["estimators"]} == {"Unadjusted", "ANCOVA"}
         assert csv_out.read_text().startswith("label,")
+
+    def test_estimators_of_one_kind_report_their_own_rows(self, tmp_path):
+        lines = SIM_LINES.replace("estimator = unadjusted\n", "")
+        estimators = {
+            "A": "estimator = ancova label=A\n",
+            "B": "estimator = ancova covariates=x1 label=B\n",
+        }
+        rows = {}
+        for name, text in [*estimators.items(), ("AB", "".join(estimators.values()))]:
+            config = write(tmp_path / f"{name}.cfg", lines + text)
+            out = tmp_path / f"{name}.json"
+            assert run_command(["simulate", "--config", config, "--out", str(out)]).exit_code == 0
+            rows[name] = json.loads(out.read_text())["estimators"]
+        assert rows["AB"] == rows["A"] + rows["B"]
+        assert rows["A"][0]["bias"] != rows["B"][0]["bias"]
 
     def test_mixed_estimator_fails_at_config_time(self, tmp_path, monkeypatch):
         config = write(

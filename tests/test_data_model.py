@@ -269,9 +269,8 @@ class TestValidateDesign:
         assert validate_design(design, self.frame()) is design
 
     def test_non_integer_pi_k_rejected(self):
-        design = Design(pi=0.25, scheme="stratified", block_size=2)
         with pytest.raises(ValidationError, match="not integer"):
-            validate_design(design, self.frame())
+            Design(pi=0.25, scheme="stratified", block_size=2)
 
     def test_stratified_rerandomized_requires_strata(self):
         design = Design(
@@ -284,9 +283,8 @@ class TestValidateDesign:
             validate_design(design, self.frame(strata=False))
 
     def test_rerandomized_requires_covariates(self):
-        design = Design(pi=0.5, scheme="rerandomized", threshold_t=1.0)
         with pytest.raises(ValidationError, match="X\\^r"):
-            validate_design(design, self.frame())
+            Design(pi=0.5, scheme="rerandomized", threshold_t=1.0)
 
     @pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
     def test_nonpositive_or_nan_thresholds_are_rejected(self, threshold):

@@ -117,6 +117,15 @@ class TestFactorize:
                 arr[0] = arr[0]
         assert groups.first_rows.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("name,strata", PANEL, ids=PANEL_IDS)
+    def test_weighted_sums_equal_sums_of_the_products(self, name, strata):
+        rng = np.random.default_rng(8)
+        groups = factorize(strata)
+        values, weights = rng.normal(size=(strata.size, 3)), rng.normal(size=strata.size)
+        for x in (values, values[:, 0]):  # (n, p) and (n,)
+            products = x * (weights[:, None] if x.ndim == 2 else weights)
+            np.testing.assert_array_equal(groups.sums(x, weights), groups.sums(products))
+
     def test_common_values_names_the_first_mixed_group(self):
         groups = factorize(np.array(["b", "a", "c", "b", "c"], dtype=object))
         assert groups.common_values(np.array([1, 0, 1, 1, 1]), "{}").tolist() == [0, 1, 1]

@@ -752,6 +752,25 @@ class TestProjectionInterval:
             if q <= 5:
                 assert ci.v_qt == pytest.approx(v_qt(q, t), rel=1e-3)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 10])
+    def test_clamped_r2_sets_the_scale_of_the_truncated_part(self, q):
+        # C'V_I^-1 C / V = 1.3 is clamped to R2 = 1: the law is that of C scaled to R2 = 1,
+        # variance V, and at q <= 2 the scalar R2 = 1 law within the quadrature error above
+        rng = np.random.default_rng(40 + q)
+        a = rng.normal(size=(q, q))
+        v_i = a @ a.T + np.eye(q)
+        direction = rng.normal(size=q)
+        for t in (0.5, float(chi2.ppf(0.2, q))):
+            uppers = []
+            for raw in (1.0, 1.3):
+                c = direction * math.sqrt(raw / (direction @ np.linalg.solve(v_i, direction)))
+                spec = LimitSpec(1.0, 1.0, q, t, (c, v_i, [(np.arange(q), v_i, t)]))
+                uppers.append(confidence_interval(0.1, spec, 50, 0.05).upper)
+            assert uppers[1] == pytest.approx(uppers[0], rel=1e-9), t
+            if q <= 2:
+                ref = confidence_interval(0.1, LimitSpec(1.0, 1.0, q, t), 50, 0.05)
+                assert abs((uppers[1] - 0.1) / (ref.upper - 0.1) - 1.0) <= {1: 1e-12, 2: 1e-4}[q]
+
     @pytest.mark.parametrize(
         "q,kind,acceptance",
         [(2, "general", 0.02), (2, "tiered", 0.2), (3, "general", 0.2), (3, "tiered", 0.02),
