@@ -312,6 +312,12 @@ class Design:
             if not set(tier.indices) <= set(self.rerand_covariates):
                 raise ValidationError("tier indices must be a subset of rerand_covariates")
 
+    def check_columns(self, n_covariates: int) -> None:
+        """Raise unless each X^r index names one of ``n_covariates`` covariate columns."""
+        for j in self.rerand_covariates:
+            if not 0 <= j < n_covariates:
+                raise ValidationError(f"rerandomization covariate index {j} out of range")
+
     @property
     def rerandomized(self) -> bool:
         return self.scheme in ("rerandomized", "stratified_rerandomized")
@@ -333,9 +339,7 @@ class Design:
 def validate_design(design: Design, frame: TrialFrame) -> Design:
     """Check a design against a frame (its X^r columns exist, and strata if the scheme is
     stratified); returns the design unchanged if valid."""
-    for j in design.rerand_covariates:
-        if not 0 <= j < frame.n_covariates:
-            raise ValidationError(f"rerandomization covariate index {j} out of range")
+    design.check_columns(frame.n_covariates)
     if design.stratified and frame.stratum is None:
         raise ValidationError(f"scheme '{design.scheme}' requires strata")
     return design
@@ -540,7 +544,7 @@ def load_csv(path, hasher=None) -> TrialFrame:
     )
 
 
-_WRITE_BLOCK_ROWS = 4096  # rows per write, so the transient text stays bounded as n grows
+_WRITE_BLOCK_CELLS = 8192  # cells per write, so the transient text stays bounded in rows and columns
 
 
 def _number_fields(values: np.ndarray, rows: slice) -> list[str]:
@@ -570,7 +574,9 @@ def write_csv(frame: TrialFrame, path) -> None:
     """Write a frame in the canonical reserved-name CSV layout.
 
     Numbers are written at full round-trip precision and labels quoted by csv's
-    rules, with CRLF line ends, so write -> load -> write is byte-stable.
+    rules, with CRLF line ends, so write -> load -> write is byte-stable. Rows
+    are formatted in blocks of at most ``_WRITE_BLOCK_CELLS`` cells (at least
+    one row), so the text held at once does not grow with the rows or columns.
     """
     integers = lambda values: lambda rows: list(map(str, values[rows].tolist()))
     columns: list = []  # (name, row slice -> that slice's CSV fields)
@@ -587,8 +593,9 @@ def write_csv(frame: TrialFrame, path) -> None:
 
     with open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle).writerow([name for name, _ in columns])
-        for start in range(0, frame.n_units, _WRITE_BLOCK_ROWS):
-            rows = slice(start, min(start + _WRITE_BLOCK_ROWS, frame.n_units))
+        block_rows = max(1, _WRITE_BLOCK_CELLS // max(1, len(columns)))
+        for start in range(0, frame.n_units, block_rows):
+            rows = slice(start, min(start + block_rows, frame.n_units))
             fields = [column(rows) for _, column in columns]
             if len(fields) == 1:  # csv writes a row whose only field is empty as ""
                 fields[0] = [field or '""' for field in fields[0]]

@@ -401,12 +401,13 @@ def _projection_law(spec: LimitSpec):
     keep, r = weights * mass > 0.0, math.sqrt(spec.V * spec.R2)
     vqt, sigma = float(weights @ moment) / (2 * total), math.sqrt(spec.V * (1.0 - spec.R2))
     cdf = functools.partial(_projection_cdf, sigma=sigma, r=r, w=weights[keep] / total,
-                            lower=lower[keep], upper=upper[keep])
+                            lower=lower[keep], upper=upper[keep], mass=mass[keep])
     return vqt, sigma * sigma + r * r * vqt, cdf
 
 
-def _projection_cdf(x: float, sigma: float, r: float, w, lower, upper) -> tuple[float, float]:
-    """F(x) = sum w P(sigma z + r s <= x, L < s < H), z and s standard normal, and F'(x).
+def _projection_cdf(x: float, sigma: float, r: float, w, lower, upper, mass) -> tuple[float, float]:
+    """F(x) = sum w P(sigma z + r s <= x, L < s < H), z and s standard normal, and F'(x);
+    ``mass`` is each interval's Phi(H) - Phi(L), which does not depend on x.
 
     Each term is Phi2(h, H; rho) - Phi2(h, L; rho) at h = x / hypot(sigma, r) > 0, rho =
     r / hypot(sigma, r) and c = sqrt(1 - rho^2), with Owen's (1956) Phi2(h, k; rho) = (Phi(h)
@@ -418,7 +419,7 @@ def _projection_cdf(x: float, sigma: float, r: float, w, lower, upper) -> tuple[
         terms = [owens_t(h, (k - rho * h) / (h * c)) + owens_t(k, (h - rho * k) / (k * c))
                  + 0.5 * (k < 0) for k in (upper, lower)]
         band = ndtr((upper - rho * h) / c) - ndtr((lower - rho * h) / c)
-    cdf = 0.5 * (ndtr(upper) - ndtr(lower)) - terms[0] + terms[1]
+    cdf = 0.5 * mass - terms[0] + terms[1]
     density = math.exp(-0.5 * h * h) / (scale * math.sqrt(2.0 * math.pi))
     return float(w @ cdf), density * float(w @ band)
 

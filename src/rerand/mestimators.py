@@ -164,41 +164,57 @@ def expand_model_columns(frame: TrialFrame, names: Sequence[str]) -> np.ndarray:
 
 
 class _ArmDesign:
-    """Design matrix [1, A, X, A*(X - mean X)], and what g-computation needs of
-    Z_a, the design with every unit set to arm a, taken from those blocks
-    without forming Z_a."""
+    """Design matrix Z = [1, A, X, A*(X - mean X)], built once, and what
+    g-computation needs of Z_a, the design with every unit set to arm a, taken
+    from Z's X block without forming Z_a."""
 
     def __init__(self, frame: TrialFrame, covariates: Sequence[str], interactions: bool):
-        self.X = expand_model_columns(frame, covariates)
-        self.X_int = self.X - self.X.mean(axis=0) if interactions else self.X[:, :0]
-        self.n = frame.n_units
+        X = expand_model_columns(frame, covariates)
+        arms = frame.require_arms()
+        self.n, self.k = frame.n_units, 2 + X.shape[1]
+        X_int = X if interactions else X[:, :0]  # the columns that interact with A
+        self.x_mean = X_int.mean(axis=0)
+        self.Z = np.empty((self.n, self.k + X_int.shape[1]))
+        self.Z[:, 0], self.Z[:, 1], self.Z[:, 2 : self.k] = 1.0, arms, X
+        np.multiply(arms[:, None], X_int - self.x_mean, out=self.Z[:, self.k :])
+        self.X = self.Z[:, 2 : self.k]  # a view: Z holds the only copy of X
 
     @property
     def width(self) -> int:
-        return 2 + self.X.shape[1] + self.X_int.shape[1]
+        return self.Z.shape[1]
 
-    def matrix(self, arms: np.ndarray) -> np.ndarray:
-        arms, k = np.asarray(arms, dtype=float), 2 + self.X.shape[1]
-        Z = np.empty((self.n, self.width))  # filled in place: no per-column copies
-        Z[:, 0], Z[:, 1], Z[:, 2:k] = 1.0, arms, self.X
-        np.multiply(arms[:, None], self.X_int, out=Z[:, k:])
-        return Z
+    def _centered(self) -> np.ndarray:
+        """The interaction columns' X - mean X, formed on demand: Z holds them
+        only times A."""
+        return self.X[:, : self.x_mean.size] - self.x_mean
 
     def predict_at(self, a: int, beta: np.ndarray) -> np.ndarray:
         """Z_a beta."""
-        k = 2 + self.X.shape[1]
-        eta = self.X @ beta[2:k] + (beta[0] + a * beta[1])
+        eta = self.X @ beta[2 : self.k] + (beta[0] + a * beta[1])
         if a:
-            eta += self.X_int @ beta[k:]
+            eta += self._centered() @ beta[self.k :]
         return eta
 
     def column_sums_at(self, a: int, weights: np.ndarray | None = None) -> np.ndarray:
         """Column sums of Z_a, each unit's row weighted by ``weights`` if given."""
-        if weights is None:
-            total, x_sum, int_sum = float(self.n), self.X.sum(axis=0), self.X_int.sum(axis=0)
-        else:
-            total, x_sum, int_sum = weights.sum(), weights @ self.X, weights @ self.X_int
-        return np.concatenate([[total, a * total], x_sum, a * int_sum])
+        sums = (lambda M: M.sum(axis=0)) if weights is None else (lambda M: weights @ M)
+        total = float(self.n) if weights is None else weights.sum()
+        return np.concatenate([[total, a * total], sums(self.X), a * sums(self._centered())])
+
+
+_GRAM_BLOCK_ROWS = 1024  # rows per block of the weighted copy, which stays bounded as n grows
+
+
+def _weighted_gram(A: np.ndarray, v: np.ndarray, C: np.ndarray | None = None) -> np.ndarray:
+    """A' diag(v) C (C defaults to A), summed over fixed blocks of rows so that
+    the weighted copy of C is never larger than one block."""
+    C = A if C is None else C
+    total = None
+    for start in range(0, len(v), _GRAM_BLOCK_ROWS):
+        rows = slice(start, start + _GRAM_BLOCK_ROWS)
+        block = A[rows].T @ (C[rows] * v[rows, None])
+        total = block if total is None else total + block
+    return total
 
 
 def _check_full_rank(Z: np.ndarray) -> None:
@@ -206,9 +222,12 @@ def _check_full_rank(Z: np.ndarray) -> None:
         raise SingularMatrixError("design matrix is rank deficient")
 
 
-def _ols(Z: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    w = np.sqrt(weights)
-    beta, _, rank, _ = np.linalg.lstsq(Z * w[:, None], y * w, rcond=None)
+def _ols(Z: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Least squares, weighted if ``weights`` are given; unweighted, Z is not copied."""
+    if weights is not None:
+        w = np.sqrt(weights)
+        Z, y = Z * w[:, None], y * w
+    beta, _, rank, _ = np.linalg.lstsq(Z, y, rcond=None)
     if rank < Z.shape[1]:  # lstsq's rank cutoff is matrix_rank's, for Z sqrt(w)
         raise SingularMatrixError("design matrix is rank deficient")
     return beta
@@ -242,7 +261,7 @@ def _logistic_ml(
         score_norm = float(np.abs(score).max())
         if score_norm <= 1e-11:
             return beta
-        hess = Z.T @ (Z * (w * p * (1.0 - p))[:, None]) / len(y)
+        hess = _weighted_gram(Z, w * p * (1.0 - p)) / len(y)
         try:
             step = np.linalg.solve(hess, score)
         except np.linalg.LinAlgError:
@@ -307,9 +326,7 @@ def _gcomp(
     """
     n = frame.n_units
     design = _ArmDesign(frame, covariates, interactions)
-    arms = frame.require_arms()
-    Z = design.matrix(arms)
-    p = design.width
+    Z, p = design.Z, design.width
     robs = frame.observed.astype(float)
     y = np.where(robs == 1.0, np.nan_to_num(frame.outcome), 0.0)
     logistic = link != "identity"
@@ -321,7 +338,7 @@ def _gcomp(
         propensity = lambda alpha: np.ones(n)
         alpha0 = np.empty(0)
     else:
-        Zm = _ArmDesign(frame, missing_covs, interactions).matrix(arms)
+        Zm = _ArmDesign(frame, missing_covs, interactions).Z
         propensity = lambda alpha: expit(Zm @ alpha)
         alpha0 = _logistic_ml(Zm, robs)
     prop0 = propensity(alpha0)
@@ -335,21 +352,22 @@ def _gcomp(
         )
     weights = robs / np.clip(prop0, PROPENSITY_FLOOR, 1.0)
     obs = robs == 1.0
-    beta0 = _logistic_ml(Z[obs], y[obs], weights[obs]) if logistic else _ols(Z, y, weights)
+    if logistic:
+        beta0 = _logistic_ml(Z[obs], y[obs], weights[obs])
+    else:  # without a missingness model every weight is 1
+        beta0 = _ols(Z, y, None if missing_covs is None else weights)
 
     def evaluate(theta: np.ndarray) -> np.ndarray:
         m1, m0 = theta[:2]
         beta, alpha = theta[2 : 2 + p], theta[2 + p :]
         prop = propensity(alpha)
         w = robs / np.clip(prop, PROPENSITY_FLOOR, 1.0)
-        return np.column_stack(
-            [
-                ginv(design.predict_at(1, beta)) - m1,
-                ginv(design.predict_at(0, beta)) - m0,
-                (w * (y - ginv(Z @ beta)))[:, None] * Z,
-                (robs - prop)[:, None] * Zm,
-            ]
-        )
+        psi = np.empty((n, theta.size))  # filled in place: no weighted copy of Z
+        psi[:, 0] = ginv(design.predict_at(1, beta)) - m1
+        psi[:, 1] = ginv(design.predict_at(0, beta)) - m0
+        np.multiply((w * (y - ginv(Z @ beta)))[:, None], Z, out=psi[:, 2 : 2 + p])
+        np.multiply((robs - prop)[:, None], Zm, out=psi[:, 2 + p :])
+        return psi
 
     def jacobian(theta: np.ndarray) -> np.ndarray:
         beta, alpha = theta[2 : 2 + p], theta[2 + p :]
@@ -363,9 +381,9 @@ def _gcomp(
             slope = dginv(design.predict_at(a, beta)) if logistic else None
             B[row, 2 : 2 + p] = design.column_sums_at(a, slope) / n
         fitted_w = w * dginv(Z @ beta) if logistic else w
-        B[2 : 2 + p, 2 : 2 + p] = -(Z.T @ (Z * fitted_w[:, None])) / n
-        B[2 : 2 + p, 2 + p :] = Z.T @ (Zm * (dw * (y - ginv(Z @ beta)))[:, None]) / n
-        B[2 + p :, 2 + p :] = -(Zm.T @ (Zm * (prop * (1.0 - prop))[:, None])) / n
+        B[2 : 2 + p, 2 : 2 + p] = -_weighted_gram(Z, fitted_w) / n
+        B[2 : 2 + p, 2 + p :] = _weighted_gram(Z, dw * (y - ginv(Z @ beta)), Zm) / n
+        B[2 + p :, 2 + p :] = -_weighted_gram(Zm, prop * (1.0 - prop)) / n
         return B
 
     arm_means = [np.mean(ginv(design.predict_at(a, beta0))) for a in (1, 0)]
@@ -455,7 +473,7 @@ class _ClusterData:
         if (cluster_arms == 1).sum() < 2 or (cluster_arms == 0).sum() < 2:
             raise ValidationError("need at least two clusters per arm")
         self.y = frame.outcome
-        self.Z = design.matrix(arms)
+        self.Z = design.Z
         # per-cluster summaries used by the closed-form V inverse
         self.z_sum = self.clusters.sums(self.Z)
         self.y_sum = self.clusters.sums(self.y)

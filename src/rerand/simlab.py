@@ -273,21 +273,22 @@ class SimConfig:
                         f"estimator '{est.label}': no covariate named '{name}' "
                         "(the simulation DGPs have x1, x2 and stratum)"
                     )
+        self.design.check_columns(len(DGP_COVARIATES))
 
 
 @dataclass(frozen=True)
 class EstimatorReport:
     label: str
-    bias: float | None
-    ese: float | None
-    ase_star: float | None
-    cp_normal: float | None
-    cp_true: float | None
-    mean_r2_hat: float | None
+    bias: float
+    ese: float | None  # None with one replicate
+    ase_star: float
+    cp_normal: float
+    cp_true: float
+    mean_r2_hat: float | None  # None without X^r
     replicates_used: int
     failures: int
     diagnostic_warnings: int
-    interval_method: str | None  # CIResult.method of ci_true; distinct methods joined by "+"
+    interval_method: str  # CIResult.method of ci_true; distinct methods joined by "+"
 
 
 @dataclass(frozen=True)
@@ -567,20 +568,16 @@ def run_simulation(config: SimConfig) -> SimReport:
         rows.append(
             EstimatorReport(
                 label=est.label,
-                bias=float(deltas.mean() - delta_star) if good else None,
+                bias=float(deltas.mean() - delta_star),
                 ese=float(deltas.std(ddof=1)) if len(good) >= 2 else None,
-                ase_star=float(np.mean([rec["ase"] for rec in good])) if good else None,
-                cp_normal=float(np.mean([rec["cover_normal"] for rec in good]))
-                if good
-                else None,
-                cp_true=float(np.mean([rec["cover_true"] for rec in good]))
-                if good
-                else None,
+                ase_star=float(np.mean([rec["ase"] for rec in good])),
+                cp_normal=float(np.mean([rec["cover_normal"] for rec in good])),
+                cp_true=float(np.mean([rec["cover_true"] for rec in good])),
                 mean_r2_hat=float(np.mean(r2s)) if r2s else None,
                 replicates_used=len(good),
                 failures=failures,
                 diagnostic_warnings=int(sum(rec.get("warnings", 0) for rec in records)),
-                interval_method="+".join(sorted({r["interval_method"] for r in good})) or None,
+                interval_method="+".join(sorted({r["interval_method"] for r in good})),
             )
         )
         if per_replicate is not None:

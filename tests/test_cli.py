@@ -457,6 +457,7 @@ class TestConfigKeys:
             ("estimator = ancova covariates=x1,x3", "no covariate named 'x3'"),
             ("estimator = ancova\nestimator = ancova", "two estimators are labelled 'ancova'"),
             ("design.scheme = stratified_rerandomized\ndesign.block_size = 3", "pi*k not integer"),
+            ("design.rerand = 5", "rerandomization covariate index 5 out of range"),
         ],
     )
     def test_simulation_config_errors(self, tmp_path, monkeypatch, capsys, line, message):

@@ -25,7 +25,7 @@ from rerand import (
     write_csv,
 )
 from rerand import data_model
-from rerand.data_model import _WRITE_BLOCK_ROWS, RESERVED_COLUMNS
+from rerand.data_model import _WRITE_BLOCK_CELLS, RESERVED_COLUMNS
 from rerand.errors import DataError, ParseError, ValidationError
 
 
@@ -174,6 +174,24 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * path.stat().st_size
+
+    def test_write_peak_memory_is_below_the_file_size(self, tmp_path):
+        # 2,000 rows x 150 covariates: a block of 4,096 rows held every cell's text,
+        # several times the file
+        rng = np.random.default_rng(62)
+        n, k = 2_000, 150
+        frame = TrialFrame(
+            covariates=rng.normal(size=(n, k)), covariate_names=tuple(f"x{j}" for j in range(k)),
+            arm=np.arange(n) % 2,
+        )
+        path = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            write_csv(frame, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
     @pytest.mark.parametrize("kind", ["long_label", "long_number", "two_line_label"])
     def test_field_over_csv_limit_names_its_row(self, tmp_path, kind):
@@ -393,8 +411,8 @@ def _csv_texts(draw) -> str:
 
 
 def _large_frame() -> TrialFrame:
-    """More rows than two write blocks, ending in a partial block."""
-    n = 2 * _WRITE_BLOCK_ROWS + 3
+    """More rows than two write blocks of its 7 columns, ending in a partial block."""
+    n = 2 * (_WRITE_BLOCK_CELLS // 7) + 3
     rng = np.random.default_rng(10)
     return TrialFrame(
         covariates=np.column_stack([rng.normal(size=n), rng.integers(-5, 5, n)]),

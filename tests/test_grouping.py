@@ -29,7 +29,6 @@ from rerand.allocation import _permuted_block_draw
 from rerand.data_model import factorize
 from rerand.errors import ValidationError
 from rerand.mestimators import (
-    _ArmDesign,
     _check_full_rank,
     _ols,
     expand_model_columns,
@@ -243,8 +242,16 @@ class TestFoldAndDummyOracles:
 # The mixed model: the per-cluster loops it used before the grouping.
 
 
+def _reference_design(frame, covariates, interactions, arms):
+    """[1, A, X, A*(X - mean X)] with every unit's arm set to ``arms``."""
+    X = expand_model_columns(frame, covariates)
+    X_int = X - X.mean(axis=0) if interactions else X[:, :0]
+    arms = np.asarray(arms, dtype=float)
+    return np.column_stack([np.ones(frame.n_units), arms, X, arms[:, None] * X_int])
+
+
 class _ReferenceClusterData:
-    def __init__(self, frame, design):
+    def __init__(self, frame, covariates, interactions):
         arms = frame.require_arms()
         self.labels = sorted(set(frame.cluster.tolist()))
         self.members = [np.flatnonzero(frame.cluster == lab) for lab in self.labels]
@@ -256,9 +263,9 @@ class _ReferenceClusterData:
                 raise ValidationError(f"cluster '{self.labels[c]}' mixes treatment arms")
             self.arms[c] = cluster_arms.pop()
         self.y = frame.outcome
-        self.Z = design.matrix(arms)
-        self.Z1 = design.matrix(np.full(frame.n_units, 1.0))
-        self.Z0 = design.matrix(np.full(frame.n_units, 0.0))
+        self.Z = _reference_design(frame, covariates, interactions, arms)
+        self.Z1 = _reference_design(frame, covariates, interactions, np.full(frame.n_units, 1.0))
+        self.Z0 = _reference_design(frame, covariates, interactions, np.full(frame.n_units, 0.0))
         self.z_sum = np.vstack([self.Z[idx].sum(axis=0) for idx in self.members])
         self.y_sum = np.array([self.y[idx].sum() for idx in self.members])
         self.ZtZ = self.Z.T @ self.Z
@@ -285,8 +292,7 @@ class _ReferenceClusterData:
 
 
 def _reference_estimate_mixed_ancova(frame, covariates, interactions, estimand):
-    design = _ArmDesign(frame, covariates, interactions)
-    data = _ReferenceClusterData(frame, design)
+    data = _ReferenceClusterData(frame, covariates, interactions)
     _check_full_rank(data.Z)
 
     beta_ols = _ols(data.Z, data.y, np.ones(data.n_obs))
@@ -321,11 +327,11 @@ def _reference_estimate_mixed_ancova(frame, covariates, interactions, estimand):
     if boundary:
         sigma2 = sigma2 + tau2 if (data.sizes == 1).all() else sigma2
         tau2 = 0.0
-    return _reference_mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary)
+    return _reference_mixed_stack(frame, data, estimand, sigma2, tau2, boundary)
 
 
-def _reference_mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary):
-    p = design.width
+def _reference_mixed_stack(frame, data, estimand, sigma2, tau2, boundary):
+    p = data.Z.shape[1]
     n_clusters = len(data.labels)
     beta_init = data.gls_beta(sigma2, tau2)
 
@@ -365,7 +371,7 @@ def _reference_mixed_stack(frame, design, data, estimand, sigma2, tau2, boundary
         cluster_psi, fd_jacobian(cluster_psi), theta0
     )
     if not boundary and theta[4 + p] < 0:
-        return _reference_mixed_stack(frame, design, data, estimand, float(theta[3 + p]), 0.0, True)
+        return _reference_mixed_stack(frame, data, estimand, float(theta[3 + p]), 0.0, True)
     return EstimateResult(
         delta_hat=float(theta[0]),
         mu_hat=(float(theta[1]), float(theta[2])),

@@ -169,21 +169,38 @@ class TestAncova:
         # n=10,000, 12 covariates with interactions: p = 26 model columns. Holding
         # both per-arm designs and the full (n, dim) influence matrix peaked at
         # about 7.4 n p 8 bytes.
-        rng = np.random.default_rng(61)
-        n, k = 10_000, 12
-        x = rng.normal(size=(n, k))
-        arms = np.arange(n) % 2
-        frame = TrialFrame(
-            covariates=x, covariate_names=tuple(f"x{j}" for j in range(k)),
-            outcome=x.sum(axis=1) + arms + rng.normal(size=n), arm=arms,
-        )
-        tracemalloc.start()
-        try:
-            estimate_ancova(frame, frame.covariate_names, True, DIFF)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * n * (2 + 2 * k) * 8
+        frame, n, p = _wide_frame()
+        assert _ancova_peak(frame) <= 5 * n * p * 8
+
+    def test_peak_memory_is_the_design_and_psi(self):
+        # Z and the (n, p + 2) psi matrix take 2.08 n p 8 bytes. A second copy of X
+        # beside Z, the weighted n x p product in psi and the n x p weighted copy
+        # of Z in the Jacobian's Gram product peaked at 4.3 n p 8.
+        frame, n, p = _wide_frame()
+        assert _ancova_peak(frame) <= 3.2 * n * p * 8
+
+
+def _wide_frame():
+    """n=10,000 and 12 covariates: with interactions, p = 26 model columns."""
+    rng = np.random.default_rng(61)
+    n, k = 10_000, 12
+    x = rng.normal(size=(n, k))
+    arms = np.arange(n) % 2
+    frame = TrialFrame(
+        covariates=x, covariate_names=tuple(f"x{j}" for j in range(k)),
+        outcome=x.sum(axis=1) + arms + rng.normal(size=n), arm=arms,
+    )
+    return frame, n, 2 + 2 * k
+
+
+def _ancova_peak(frame) -> int:
+    """tracemalloc's peak over an ANCOVA fit with interactions."""
+    tracemalloc.start()
+    try:
+        estimate_ancova(frame, frame.covariate_names, True, DIFF)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _binary_frame(seed, n=60):
