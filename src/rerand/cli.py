@@ -289,7 +289,6 @@ _SIM_FIELDS = {
     "master_seed": ("master_seed", _parse_int),
     "alpha": ("alpha", _parse_float),
     "workers": ("workers", _parse_int),
-    "truth_draws": ("truth_draws", _parse_int),
     "keep_replicates": ("keep_replicates", _parse_bool),
 }
 _TRUTH_KEYS = ("truth.difference", "truth.ratio")

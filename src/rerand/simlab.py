@@ -7,9 +7,10 @@ x2^2 interaction and a logistic missingness mechanism. ``custom`` exposes the
 same term menu with free coefficients, which is enough to build correctly and
 incorrectly specified working models on demand.
 
-Replicate r's data depend only on (master_seed, r); workers never share
-state, so reports are parallelism-invariant. Wall-clock time is kept out of
-the canonical report payload for the same reason.
+The ground truth f(E Y(1), E Y(0)) is a deterministic quadrature over the
+covariate law (``true_delta``). Replicate r's data depend only on
+(master_seed, r); workers never share state, so reports are
+parallelism-invariant, and wall-clock time stays out of the report payload.
 """
 
 from __future__ import annotations
@@ -127,22 +128,27 @@ class CompleteTrial:
         return self.allocation_frame.with_columns(outcome=y, arm=arms)
 
 
+def _stratum_rate(x1):
+    """P(s = 1 | x1)."""
+    return 0.4 + 0.2 * (x1 < 1.0)
+
+
+def _outcome_mean(coef: CustomDgp, a: int, x1, x2, s):
+    """Arm ``a``'s outcome mean (binary outcomes: its logit)."""
+    return (
+        coef.y_intercept + coef.y_arm * a + coef.y_x1 * x1 + coef.y_x2 * x2 + coef.y_stratum * s
+        + coef.y_arm_stratum_x2sq * a * s * x2**2 + coef.y_exp_x1 * np.exp(x1)
+        + coef.y_abs_x2 * np.abs(x2)
+    )
+
+
 def _potential_draws(coef: CustomDgp, rng: np.random.Generator, n: int):
     x1 = rng.normal(1.0, 1.0, n)
-    s = (rng.random(n) < 0.4 + 0.2 * (x1 < 1.0)).astype(np.int8)
+    s = (rng.random(n) < _stratum_rate(x1)).astype(np.int8)
     x2 = rng.normal(0.0, 1.0, n)
     ys = []
     for a in (0, 1):
-        mean = (
-            coef.y_intercept
-            + coef.y_arm * a
-            + coef.y_x1 * x1
-            + coef.y_x2 * x2
-            + coef.y_stratum * s
-            + coef.y_arm_stratum_x2sq * a * s * x2**2
-            + coef.y_exp_x1 * np.exp(x1)
-            + coef.y_abs_x2 * np.abs(x2)
-        )
+        mean = _outcome_mean(coef, a, x1, x2, s)
         if coef.binary:
             ys.append((rng.random(n) < expit(mean)).astype(float))
         else:
@@ -175,34 +181,30 @@ def generate_trial(dgp: DgpSpec, seed: int) -> CompleteTrial:
     )
 
 
-@dataclass(frozen=True)
-class TruthEstimate:
-    delta_star: float
-    mcse: float
+_PANEL_NODES = 128  # Gauss-Legendre nodes per panel of the truth rule
 
 
-def true_delta(
-    dgp: DgpSpec, estimand: EstimandSpec, seed: int, draws: int = 10_000_000
-) -> TruthEstimate:
-    """Monte-Carlo ground truth from complete-data potential outcomes."""
-    rng = np.random.default_rng(seed)
+def _normal_rule(mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for E g(x), x ~ N(mean, 1), on two panels that meet at
+    ``mean`` and end 10 sd from it."""
+    t, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    offsets = np.concatenate([-5.0 * (1.0 + t[::-1]), 5.0 * (1.0 + t)])
+    weights = np.concatenate([w[::-1], w]) * np.exp(-0.5 * offsets**2)
+    return mean + offsets, weights * 5.0 / math.sqrt(2.0 * math.pi)
+
+
+def true_delta(dgp: DgpSpec, estimand: EstimandSpec) -> float:
+    """Ground truth f(E Y(1), E Y(0)) by tensor quadrature: x1's panels meet where
+    its stratum rate steps, x2's where |x2| kinks, and s is summed exactly. The
+    integrand is the outcome mean (the noise has mean 0), or its expit if binary."""
     coef = dgp.coefficients()
-    sums = np.zeros(5)  # y1, y0, y1^2, y0^2, y1*y0
-    remaining = draws
-    while remaining > 0:
-        batch = min(remaining, 1_000_000)
-        _, _, _, ys, _ = _potential_draws(coef, rng, batch)
-        y0, y1 = ys
-        sums += [y1.sum(), y0.sum(), (y1**2).sum(), (y0**2).sum(), (y1 * y0).sum()]
-        remaining -= batch
-    mu1, mu0 = sums[0] / draws, sums[1] / draws
-    var1 = sums[2] / draws - mu1**2
-    var0 = sums[3] / draws - mu0**2
-    cov = sums[4] / draws - mu1 * mu0
-    delta = estimand.value(mu1, mu0)
-    f1, f0 = estimand.gradient(mu1, mu0)
-    variance = f1**2 * var1 + f0**2 * var0 + 2 * f1 * f0 * cov
-    return TruthEstimate(float(delta), float(math.sqrt(max(variance, 0.0) / draws)))
+    (x1, w1), (x2, w2) = _normal_rule(1.0), _normal_rule(0.0)
+    rate = _stratum_rate(x1)
+    mu = [0.0, 0.0]
+    for a, s in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        mean = _outcome_mean(coef, a, x1[:, None], x2[None, :], s)
+        mu[a] += (w1 * (rate if s else 1.0 - rate)) @ ((expit(mean) if coef.binary else mean) @ w2)
+    return float(estimand.value(mu[1], mu[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +254,18 @@ class SimConfig:
     alpha: float = 0.05
     workers: int = 1
     truth: dict | None = None  # contrast -> (delta_star, mcse)
-    truth_draws: int = 10_000_000
     keep_replicates: bool = False
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValidationError("replicates must be at least 1")
+        if self.workers < 1:
+            raise ValidationError(f"workers must be at least 1, got {self.workers}")
+        for contrast, (delta_star, mcse) in (self.truth or {}).items():
+            if not (math.isfinite(delta_star) and 0.0 <= mcse < math.inf):
+                raise ValidationError(
+                    f"truth.{contrast}: delta_star must be finite and mcse finite and >= 0"
+                )
         if math.isnan(self.alpha):
             raise ValidationError("alpha must be a number, not NaN")
         if not self.estimators:
@@ -529,20 +537,13 @@ def run_simulation(config: SimConfig) -> SimReport:
     than 2% failures for any estimator fails the whole run.
     """
     start = time.monotonic()
-    contrasts = {est.estimand for est in config.estimators}
     truth: dict = {}
-    for contrast in sorted(contrasts):
+    for contrast in sorted({est.estimand for est in config.estimators}):
         if config.truth and contrast in config.truth:
             delta_star, mcse = config.truth[contrast]
-            truth[contrast] = {"delta_star": float(delta_star), "mcse": float(mcse)}
         else:
-            est = true_delta(
-                config.dgp,
-                EstimandSpec(contrast),
-                derive_seed(config.master_seed, "truth", contrast),
-                config.truth_draws,
-            )
-            truth[contrast] = {"delta_star": est.delta_star, "mcse": est.mcse}
+            delta_star, mcse = true_delta(config.dgp, EstimandSpec(contrast)), 0.0
+        truth[contrast] = {"delta_star": float(delta_star), "mcse": float(mcse)}
 
     tasks = [(config, truth, r) for r in range(config.replicates)]
     if config.workers > 1:

@@ -458,9 +458,16 @@ class TestConfigKeys:
             ("estimator = ancova\nestimator = ancova", "two estimators are labelled 'ancova'"),
             ("design.scheme = stratified_rerandomized\ndesign.block_size = 3", "pi*k not integer"),
             ("design.rerand = 5", "rerandomization covariate index 5 out of range"),
+            ("truth.difference = nan, -1", "truth.difference: delta_star must be finite"),
+            ("truth.difference = 2.0, -1", "mcse finite and >= 0"),
+            ("truth.difference = 2.0, inf", "mcse finite and >= 0"),
+            ("workers = 0", "workers must be at least 1, got 0"),
+            ("workers = -3", "workers must be at least 1, got -3"),
+            ("truth_draws = 5", "sim.cfg:9: unknown key 'truth_draws'"),
         ],
     )
     def test_simulation_config_errors(self, tmp_path, monkeypatch, capsys, line, message):
+        monkeypatch.delenv("RERAND_WORKERS", raising=False)
         config = write(tmp_path / "sim.cfg", SIM_LINES + line + "\n")
         replicates = []
         monkeypatch.setattr("rerand.simlab._replicate", lambda *a: replicates.append(a))
@@ -700,6 +707,19 @@ class TestSimulate:
         from rerand.cli import sim_config_from_file
 
         assert sim_config_from_file(config).workers == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_from_env_is_a_data_error(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        config = write(tmp_path / "sim.cfg", SIM_LINES + "workers = 2\n")
+        monkeypatch.setenv("RERAND_WORKERS", workers)
+        replicates = []
+        monkeypatch.setattr("rerand.simlab._replicate", lambda *a: replicates.append(a))
+        outcome = run_command(["simulate", "--config", config, "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 3
+        assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert replicates == []
 
 
 _RUN_SCRIPT = """

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +22,10 @@ from rerand import (
     run_simulation,
     true_delta,
 )
+from rerand.cli import sim_config_from_file
 from rerand.errors import NumericError, ValidationError
 from rerand.simlab import EstimatorReport, apply_estimator, report_csv_lines, scheme_inference
+from test_acceptance import TRUTH_BINARY, TRUTH_CONTINUOUS
 
 
 class TestGenerateTrial:
@@ -60,6 +63,24 @@ class TestGenerateTrial:
         assert trial.reveal(np.tile([1, 0], 20)).stratum_groups is groups
 
 
+DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("demo_*.cfg"))
+_ALL_TERMS_BINARY = CustomDgp(
+    binary=True, y_intercept=-1.0, y_arm=0.5, y_x1=0.3, y_x2=-0.4, y_stratum=0.6,
+    y_arm_stratum_x2sq=0.7, y_exp_x1=0.1, y_abs_x2=-0.25,
+)
+
+
+def monte_carlo_truth(dgp: DgpSpec, estimand: EstimandSpec, seed: int, draws: int = 1_000_000):
+    """(delta, mcse): f of the arm means of ``draws`` complete-data potential
+    outcomes, with its delta-method Monte Carlo standard error."""
+    trial = generate_trial(dataclasses.replace(dgp, n=draws), seed)
+    y0, y1 = trial.y
+    mu1, mu0 = y1.mean(), y0.mean()
+    f1, f0 = estimand.gradient(mu1, mu0)
+    variance = np.var(f1 * y1 + f0 * y0)
+    return estimand.value(mu1, mu0), math.sqrt(variance / draws)
+
+
 class TestTrueDelta:
     def test_additive_shift_is_exact(self):
         dgp = DgpSpec(
@@ -67,24 +88,60 @@ class TestTrueDelta:
             100,
             custom=CustomDgp(y_intercept=1.0, y_arm=2.5, y_x1=1.0, y_sd=0.0),
         )
-        truth = true_delta(dgp, EstimandSpec("difference"), seed=6, draws=200_000)
-        # exact up to float accumulation across separately-summed arm totals
-        assert truth.delta_star == pytest.approx(2.5, abs=1e-9)
-        assert truth.mcse < 1e-6
+        assert true_delta(dgp, EstimandSpec("difference")) == pytest.approx(2.5, abs=1e-12)
 
-    def test_null_ratio_is_one_within_mcse(self):
+    def test_null_ratio_is_one(self):
         dgp = DgpSpec(
             "custom", 100, custom=CustomDgp(y_intercept=5.0, y_x1=0.5, y_sd=1.0)
         )
-        truth = true_delta(dgp, EstimandSpec("ratio"), seed=7, draws=400_000)
-        assert abs(truth.delta_star - 1.0) < 4 * truth.mcse
+        assert true_delta(dgp, EstimandSpec("ratio")) == pytest.approx(1.0, abs=1e-12)
 
     def test_continuous_family_difference_matches_analytic_value(self):
         # E[Y(1)-Y(0)] = 4 E[S] E[X2^2] = 4 * 0.5 * 1 = 2
-        truth = true_delta(
-            DgpSpec("continuous_sec7", 100), EstimandSpec("difference"), seed=8, draws=1_000_000
-        )
-        assert abs(truth.delta_star - 2.0) < 4 * truth.mcse
+        truth = true_delta(DgpSpec("continuous_sec7", 100), EstimandSpec("difference"))
+        assert truth == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dgp, contrast, seed",
+        [
+            (DgpSpec("binary_sec7", 100), "ratio", 11),
+            (DgpSpec("custom", 100, custom=_ALL_TERMS_BINARY), "ratio", 12),
+            (DgpSpec("custom", 100, custom=_ALL_TERMS_BINARY), "difference", 13),
+        ],
+    )
+    def test_binary_truth_matches_a_monte_carlo_oracle(self, dgp, contrast, seed):
+        estimand = EstimandSpec(contrast)
+        oracle, mcse = monte_carlo_truth(dgp, estimand, seed)
+        assert abs(true_delta(dgp, estimand) - oracle) < 4 * mcse
+
+    @pytest.mark.parametrize(
+        "dgp, contrast",
+        [
+            (DgpSpec("continuous_sec7", 100), "difference"),
+            (DgpSpec("binary_sec7", 100), "ratio"),
+            (DgpSpec("custom", 100, custom=_ALL_TERMS_BINARY), "ratio"),
+        ],
+    )
+    def test_rule_agrees_with_one_of_twice_the_nodes(self, monkeypatch, dgp, contrast):
+        estimand = EstimandSpec(contrast)
+        truth = true_delta(dgp, estimand)
+        monkeypatch.setattr(rerand.simlab, "_PANEL_NODES", 256)
+        assert true_delta(dgp, estimand) == pytest.approx(truth, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "family, truth", [("continuous_sec7", TRUTH_CONTINUOUS), ("binary_sec7", TRUTH_BINARY)]
+    )
+    def test_frozen_acceptance_truths_lie_within_two_mcse(self, family, truth):
+        for contrast, (delta_star, mcse) in truth.items():
+            assert abs(delta_star - true_delta(DgpSpec(family, 100), EstimandSpec(contrast))) <= 2 * mcse
+
+    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.name)
+    def test_demo_config_truths_lie_within_two_mcse(self, monkeypatch, path):
+        monkeypatch.delenv("RERAND_WORKERS", raising=False)
+        config = sim_config_from_file(str(path))
+        assert config.truth
+        for contrast, (delta_star, mcse) in config.truth.items():
+            assert abs(delta_star - true_delta(config.dgp, EstimandSpec(contrast))) <= 2 * mcse
 
 
 def small_config(**overrides) -> SimConfig:
