@@ -164,13 +164,13 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
 
     def propose() -> np.ndarray:
         if design.stratified:
-            return _permuted_block_draw(rng, frame.stratum_groups, design.pi, design.block_size)
+            return _permuted_block_draw(rng, frame.stratum, design.pi, design.block_size)
         return (rng.random(n) < design.pi).astype(np.int8)
 
     if design.q < 1:
         return Allocation(propose(), 1, None, np.zeros(0))
     Xr = frame.covariates[:, list(design.rerand_covariates)]
-    strata = frame.stratum_groups if design.stratified else None
+    strata = frame.stratum if design.stratified else None
     _, scatter = centered_scatter(Xr, strata)
     dagger = strata is not None and design.stratified_statistic == "stratum_weighted"
 

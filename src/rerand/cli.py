@@ -387,7 +387,7 @@ def _cmd_allocate(args) -> None:
     digest = canonical_digest(resolved)
     _log_record("allocate", resolved, digest, data=args.data)
     alloc = rerandomize(frame, design, args.seed)
-    write_csv(frame.with_columns(arm=alloc.arms), args.out)
+    write_csv(dataclasses.replace(frame, arm=alloc.arms), args.out)
     meta = {
         "attempts": alloc.attempts,
         "accepted_distance": alloc.accepted_distance,

@@ -12,7 +12,7 @@ import codecs
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -29,6 +29,9 @@ DISTANCES = ("mahalanobis", "general")
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if it is a read-only array that owns its data, else a read-only copy."""
+    if isinstance(arr, np.ndarray) and not arr.flags.writeable and arr.flags.owndata:
+        return arr
     arr = np.array(arr, copy=True)
     arr.setflags(write=False)
     return arr
@@ -47,7 +50,7 @@ def _zero_one(values, name: str) -> np.ndarray:
     fault = _zero_one_fault(values, name)
     if fault:
         raise fault[2]
-    return np.asarray(values).astype(np.int8)
+    return np.asarray(values).astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,11 +132,13 @@ class TrialFrame:
     outcome : optional (n,) float array with NaN for missing outcomes.
     observed : optional (n,) 0/1 array; derived from ``outcome`` when omitted.
     arm : optional (n,) 0/1 array; absent for pre-allocation frames.
-    stratum : optional (n,) label array; all units have one or none do.
-    cluster : optional (n,) identifier array partitioning units into clusters.
+    stratum : optional (n,) labels; all units have one or none do.
+    cluster : optional (n,) identifiers partitioning units into clusters.
 
-    ``stratum_groups`` and ``cluster_groups`` group units by those columns
-    (None when absent); each is computed at most once per frame.
+    ``stratum`` and ``cluster`` are held as their :class:`Grouping` (None when
+    absent): labels are grouped once, here, by their ``str`` (so ``"10"`` sorts
+    before ``"2"``), and a ``Grouping`` given is kept. ``dataclasses.replace(frame,
+    arm=...)`` re-runs every check but shares the groupings and read-only arrays.
     """
 
     covariates: np.ndarray
@@ -141,8 +146,8 @@ class TrialFrame:
     outcome: np.ndarray | None = None
     observed: np.ndarray | None = None
     arm: np.ndarray | None = None
-    stratum: np.ndarray | None = None
-    cluster: np.ndarray | None = None
+    stratum: Grouping | None = None
+    cluster: Grouping | None = None
 
     def __post_init__(self) -> None:
         cov = np.asarray(self.covariates, dtype=float)
@@ -192,12 +197,12 @@ class TrialFrame:
                 raise ValidationError("arm length does not match covariates")
             object.__setattr__(self, "arm", _readonly(_zero_one(arm, "arm")))
         for name in ("stratum", "cluster"):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.asarray([str(v) for v in val], dtype=object)
-                if val.shape != (n,):
-                    raise ValidationError(f"{name} length does not match covariates")
-                object.__setattr__(self, name, _readonly(val))
+            groups = getattr(self, name)
+            if groups is not None and not isinstance(groups, Grouping):
+                groups = factorize(np.array([str(v) for v in groups], dtype=object))
+                object.__setattr__(self, name, groups)
+            if groups is not None and groups.codes.shape != (n,):
+                raise ValidationError(f"{name} length does not match covariates")
 
     @property
     def n_units(self) -> int:
@@ -213,23 +218,6 @@ class TrialFrame:
         except ValueError:
             raise ValidationError(f"no covariate named '{name}'") from None
         return self.covariates[:, j]
-
-    @cached_property
-    def stratum_groups(self) -> Grouping | None:
-        return None if self.stratum is None else factorize(self.stratum)
-
-    @cached_property
-    def cluster_groups(self) -> Grouping | None:
-        return None if self.cluster is None else factorize(self.cluster)
-
-    def with_columns(self, **columns) -> "TrialFrame":
-        """This frame with ``columns`` replaced; the groupings it has computed
-        carry over for the label columns left as they are."""
-        frame = replace(self, **columns)
-        for label in {"stratum", "cluster"} - columns.keys():
-            if f"{label}_groups" in self.__dict__:
-                frame.__dict__[f"{label}_groups"] = self.__dict__[f"{label}_groups"]
-        return frame
 
     def require_arms(self) -> np.ndarray:
         if self.arm is None:
@@ -533,14 +521,15 @@ def load_csv(path, hasher=None) -> TrialFrame:
     covariates = np.empty((n, len(covariate_names)))
     for j, name in enumerate(covariate_names):
         covariates[:, j] = columns[name]
+    groups = {role: factorize(np.asarray(columns[role], dtype=object))  # cells are str already
+              for role in ("stratum", "cluster") if role in columns}
     return TrialFrame(
         covariates=covariates,
         covariate_names=covariate_names,
         outcome=columns.get("outcome"),
         observed=columns.get("observed"),
         arm=columns.get("arm"),
-        stratum=columns.get("stratum"),
-        cluster=columns.get("cluster"),
+        **groups,
     )
 
 
@@ -585,7 +574,7 @@ def write_csv(frame: TrialFrame, path) -> None:
         columns.append(("observed", integers(frame.observed)))
     if frame.arm is not None:
         columns.append(("arm", integers(frame.arm)))
-    for name, groups in (("stratum", frame.stratum_groups), ("cluster", frame.cluster_groups)):
+    for name, groups in (("stratum", frame.stratum), ("cluster", frame.cluster)):
         if groups is not None:
             columns.append((name, _label_fields(groups)))
     for name, values in zip(frame.covariate_names, frame.covariates.T):

@@ -96,7 +96,7 @@ def make_folds(frame: TrialFrame, K: int, mode: str, seed: int) -> np.ndarray:
         return assignment
 
     arms = frame.require_arms()
-    strata = frame.stratum_groups
+    strata = frame.stratum
     if strata is None:
         raise ValidationError("stratum_arm cross-fitting requires strata")
     for label, rows in zip(strata.labels, strata.members):
@@ -441,7 +441,7 @@ def estimate_dml(
     elif np.shape(fold_plan) != (frame.n_units,) or not np.isin(fold_plan, range(K)).all():
         raise ValidationError(f"fold_plan needs one fold in 0..{K - 1} per unit")
     feature_names = list(frame.covariate_names)
-    if frame.stratum is not None and frame.stratum_groups.labels.size > 1:
+    if frame.stratum is not None and frame.stratum.labels.size > 1:
         feature_names.append("stratum")
     features = expand_model_columns(frame, feature_names)
 
@@ -455,8 +455,8 @@ def estimate_dml(
         cell_masks = [(np.ones(frame.n_units, dtype=bool), "")]
     else:
         cell_masks = [
-            (frame.stratum_groups.codes == s, f", stratum '{label}'")
-            for s, label in enumerate(frame.stratum_groups.labels)
+            (frame.stratum.codes == s, f", stratum '{label}'")
+            for s, label in enumerate(frame.stratum.labels)
         ]
 
     # every training set is checked and collected before any learner is fitted

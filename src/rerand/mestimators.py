@@ -32,6 +32,7 @@ from scipy.special import expit
 from .data_model import (
     EstimandSpec,
     EstimateResult,
+    Grouping,
     SolverDiag,
     TrialFrame,
 )
@@ -142,25 +143,30 @@ def contrast(estimand: EstimandSpec, theta, if_mu, diag: SolverDiag) -> Estimate
 # Model-matrix utilities.
 
 
-def expand_model_columns(frame: TrialFrame, names: Sequence[str]) -> np.ndarray:
+def expand_model_columns(
+    frame: TrialFrame, names: Sequence[str], block: Callable[[int], np.ndarray] | None = None
+) -> np.ndarray:
     """Resolve covariate names into a dense matrix.
 
-    The special name ``stratum`` expands into drop-first dummy columns for the
-    frame's stratum labels; all other names must be covariate columns.
+    The special name ``stratum`` expands into drop-first 0/1 dummy columns for the
+    frame's stratum labels; all other names must be covariate columns. The columns
+    are written straight into ``block(width)``, an (n, width) array that is
+    returned (by default a new one).
     """
-    columns: list[np.ndarray] = []
+    columns: list[np.ndarray | Grouping] = []  # a covariate, or the strata for their dummies
     for name in names:
-        if name == "stratum":
-            if frame.stratum is None:
-                raise ValidationError("frame has no strata to adjust for")
-            strata = frame.stratum_groups
-            dummies = strata.codes[:, None] == np.arange(1, strata.labels.size)
-            columns.append(dummies.astype(float))
+        if name == "stratum" and frame.stratum is None:
+            raise ValidationError("frame has no strata to adjust for")
+        columns.append(frame.stratum if name == "stratum" else frame.column(name))
+    widths = [1 if isinstance(column, np.ndarray) else column.labels.size - 1 for column in columns]
+    X = block(sum(widths)) if block else np.empty((frame.n_units, sum(widths)))
+    for j, column in zip(np.cumsum([0, *widths]).tolist(), columns):
+        if isinstance(column, Grouping):
+            for code in range(1, column.labels.size):  # label ``code``'s dummy, as 0/1 floats
+                X[:, j + code - 1] = column.codes == code
         else:
-            columns.append(frame.column(name))
-    if not columns:
-        return np.empty((frame.n_units, 0))
-    return np.column_stack(columns)
+            X[:, j] = column
+    return X
 
 
 class _ArmDesign:
@@ -169,15 +175,17 @@ class _ArmDesign:
     from Z's X block without forming Z_a."""
 
     def __init__(self, frame: TrialFrame, covariates: Sequence[str], interactions: bool):
-        X = expand_model_columns(frame, covariates)
+        def x_block(p: int) -> np.ndarray:  # Z's X block: Z holds the only copy of X
+            self.Z = np.empty((frame.n_units, 2 + p + (p if interactions else 0)))
+            return self.Z[:, 2 : 2 + p]
+
+        self.X = expand_model_columns(frame, covariates, x_block)
         arms = frame.require_arms()
-        self.n, self.k = frame.n_units, 2 + X.shape[1]
-        X_int = X if interactions else X[:, :0]  # the columns that interact with A
+        self.n, self.k = frame.n_units, 2 + self.X.shape[1]
+        X_int = self.X if interactions else self.X[:, :0]  # the columns that interact with A
         self.x_mean = X_int.mean(axis=0)
-        self.Z = np.empty((self.n, self.k + X_int.shape[1]))
-        self.Z[:, 0], self.Z[:, 1], self.Z[:, 2 : self.k] = 1.0, arms, X
+        self.Z[:, 0], self.Z[:, 1] = 1.0, arms
         np.multiply(arms[:, None], X_int - self.x_mean, out=self.Z[:, self.k :])
-        self.X = self.Z[:, 2 : self.k]  # a view: Z holds the only copy of X
 
     @property
     def width(self) -> int:
@@ -467,7 +475,7 @@ class _ClusterData:
             raise ValidationError("mixed-model estimator requires cluster ids")
         _require_complete(frame)
         arms = frame.require_arms()
-        self.clusters = frame.cluster_groups
+        self.clusters = frame.cluster
         self.sizes = self.clusters.counts
         cluster_arms = self.clusters.common_values(arms, "cluster '{}' mixes treatment arms")
         if (cluster_arms == 1).sum() < 2 or (cluster_arms == 0).sum() < 2:

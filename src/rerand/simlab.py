@@ -112,11 +112,11 @@ class CompleteTrial:
 
     @cached_property
     def allocation_frame(self) -> TrialFrame:
-        """The pre-allocation frame; ``reveal`` reuses its columns and labels."""
+        """The pre-allocation frame; ``reveal`` shares its columns and strata."""
         return TrialFrame(
             covariates=np.column_stack([self.x1, self.x2]),
             covariate_names=DGP_COVARIATES,
-            stratum=self.s.astype(str).tolist(),
+            stratum=factorize(self.s.astype(str).astype(object)),
         )
 
     def reveal(self, arms: np.ndarray) -> TrialFrame:
@@ -125,7 +125,7 @@ class CompleteTrial:
         if self.missingness:
             robs = np.where(arms == 1, self.r[1], self.r[0])
             y = np.where(robs == 1, y, np.nan)
-        return self.allocation_frame.with_columns(outcome=y, arm=arms)
+        return dataclasses.replace(self.allocation_frame, outcome=y, arm=arms)
 
 
 def _stratum_rate(x1):
@@ -425,10 +425,10 @@ def _analysis_units(est: SimEstimator, frame: TrialFrame, design: Design):
     and the arm and stratum those units must share (the estimator checks arms).
     """
     Xr = frame.covariates[:, list(design.rerand_covariates)]
-    strata = frame.stratum_groups if design.stratified else None
+    strata = frame.stratum if design.stratified else None
     if est.kind != "mixed":
         return frame.arm, strata, Xr
-    clusters = frame.cluster_groups
+    clusters = frame.cluster
     arms = frame.arm[clusters.first_rows]
     Xr = clusters.sums(Xr) / clusters.counts[:, None]
     if strata is not None:

@@ -31,6 +31,11 @@ def random_frame(seed: int, n: int = 120, beta=(1.0, -1.0), effect: float = 2.0)
     )
 
 
+def unit_labels(groups) -> np.ndarray:
+    """Each unit's label, in row order, of a frame's ``stratum`` or ``cluster`` Grouping."""
+    return groups.labels[groups.codes]
+
+
 def block_arms(strata, pi: float, k: int, seed: int) -> np.ndarray:
     """Arms of ``rerandomize`` under the stratified design with blocks of size k:
     permuted blocks within each stratum, and no balance criterion."""

@@ -21,7 +21,7 @@ from rerand.errors import (
 from rerand.allocation import _stratum_dagger, arm_product, balance_forms, centered_scatter
 from rerand.data_model import factorize
 
-from conftest import block_arms
+from conftest import block_arms, unit_labels
 
 
 def _coin_arms(n, pi, seed):
@@ -362,7 +362,7 @@ class TestRerandomize:
         alloc = rerandomize(frame, design, seed=6)
         assert alloc.accepted_distance < 1.0
         for label in ("a", "b"):
-            sub = alloc.arms[frame.stratum == label]
+            sub = alloc.arms[unit_labels(frame.stratum) == label]
             assert sub.sum() == len(sub) // 2  # exact within-stratum balance
 
     def test_stratum_weighted_statistic_option(self):
@@ -393,7 +393,7 @@ class TestRerandomize:
         if statistic == "pooled":
             expected = _imbalance(frame.covariates, alloc.arms)[0]
         else:
-            expected = _dagger(frame.covariates, alloc.arms, frame.stratum)
+            expected = _dagger(frame.covariates, alloc.arms, unit_labels(frame.stratum))
         np.testing.assert_array_equal(alloc.imbalance, expected)
 
     def test_single_full_tier_matches_plain_criterion(self):

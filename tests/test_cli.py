@@ -234,6 +234,22 @@ class TestAllocate:
         header = out.read_text().splitlines()[0].split(",")
         assert "arm" in header
 
+    def test_labels_keep_their_text_and_sort_as_strings(self, tmp_path):
+        from rerand import load_csv
+
+        cells = ["10", "2", '"a,b"'] * 8
+        lines = ["stratum,x1"] + [f"{cell},{0.125 * i!r}" for i, cell in enumerate(cells)]
+        data = write(tmp_path / "labels.csv", "\n".join(lines) + "\n")
+        labels = [cell.strip('"') for cell in cells]
+        assert load_csv(data).stratum.labels.tolist() == ["10", "2", "a,b"]  # "10" < "2"
+        cfg = write(tmp_path / "strat.cfg", "pi = 0.5\nscheme = stratified\n")
+        out = tmp_path / "alloc.csv"
+        argv = ["allocate", "--design", cfg, "--data", data, "--seed", "2", "--out", str(out)]
+        assert run_command(argv).exit_code == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            assert [row["stratum"] for row in csv.DictReader(handle)] == labels
+        assert load_csv(out).stratum.labels.tolist() == ["10", "2", "a,b"]
+
 
 class TestAnalyze:
     def test_missing_file_is_a_data_error(self):

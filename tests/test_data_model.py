@@ -6,6 +6,7 @@ import re
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping
 from unittest import mock
@@ -25,8 +26,10 @@ from rerand import (
     write_csv,
 )
 from rerand import data_model
-from rerand.data_model import _WRITE_BLOCK_CELLS, RESERVED_COLUMNS
+from rerand.data_model import _WRITE_BLOCK_CELLS, RESERVED_COLUMNS, factorize
 from rerand.errors import DataError, ParseError, ValidationError
+
+from conftest import unit_labels
 
 
 def write_lines(path, lines):
@@ -213,7 +216,7 @@ class TestLoadCsv:
         label = "a" * csv.field_size_limit()
         path.write_text(f"arm,stratum,x1\n1,{label},0\n0,b,{'0' * len(label)}\n")
         frame = load_csv(path)
-        assert frame.stratum.tolist() == [label, "b"]
+        assert unit_labels(frame.stratum).tolist() == [label, "b"]
         assert frame.covariates.tolist() == [[0.0], [0.0]]
 
     def test_header_name_over_csv_limit_is_a_parse_error(self, tmp_path):
@@ -264,14 +267,65 @@ class TestTrialFrame:
             stratum=["b", "a", "b", "a"],
             cluster=["c1", "c1", "c2", "c2"],
         )
-        assert "stratum_groups" not in frame.with_columns(arm=[1, 0, 1, 0]).__dict__
-        strata, clusters = frame.stratum_groups, frame.cluster_groups
-        assigned = frame.with_columns(arm=[1, 0, 1, 0])
-        assert assigned.stratum_groups is strata
-        assert assigned.cluster_groups is clusters
-        relabeled = frame.with_columns(stratum=["a", "a", "b", "b"])
-        assert relabeled.cluster_groups is clusters
-        assert relabeled.stratum_groups.codes.tolist() == [0, 0, 1, 1]
+        assigned = replace(frame, arm=[1, 0, 1, 0])
+        assert assigned.stratum is frame.stratum
+        assert assigned.cluster is frame.cluster
+        relabeled = replace(frame, stratum=["a", "a", "b", "b"])
+        assert relabeled.cluster is frame.cluster
+        assert relabeled.stratum.codes.tolist() == [0, 0, 1, 1]
+
+    def test_a_grouping_is_kept_as_given(self):
+        groups = factorize(np.array(["b", "a", "b"], dtype=object))
+        frame = TrialFrame(
+            covariates=np.zeros((3, 1)), covariate_names=("x",), stratum=groups, cluster=groups
+        )
+        assert frame.stratum is groups and frame.cluster is groups
+
+    @pytest.mark.parametrize("name", ["stratum", "cluster"])
+    def test_a_grouping_of_the_wrong_length_is_rejected_as_labels_are(self, name):
+        labels = np.array(["b", "a", "b"], dtype=object)
+        for column in (labels, factorize(labels)):
+            with pytest.raises(ValidationError, match=f"^{name} length does not match covariates$"):
+                TrialFrame(covariates=np.zeros((4, 1)), covariate_names=("x",), **{name: column})
+
+    def test_new_arms_group_no_labels_again(self, monkeypatch):
+        frame = TrialFrame(
+            covariates=np.zeros((4, 1)),
+            covariate_names=("x",),
+            stratum=["b", "a", "b", "a"],
+            cluster=["c1", "c1", "c2", "c2"],
+        )
+        calls = []
+        monkeypatch.setattr(data_model, "factorize", lambda values: calls.append(values))
+        assigned = replace(frame, arm=[1, 0, 1, 0])
+        assert calls == []
+        assert assigned.stratum is frame.stratum and assigned.cluster is frame.cluster
+
+    def test_new_arms_share_the_columns_the_frame_owns(self):
+        rng = np.random.default_rng(3)
+        frame = TrialFrame(
+            covariates=rng.normal(size=(6, 3)),
+            covariate_names=("x1", "x2", "x3"),
+            outcome=np.array([1.0, np.nan, 2.0, 3.0, np.nan, 4.0]),
+            arm=np.tile([1, 0], 3),
+        )
+        arms = np.tile([0, 1], 3)
+        assigned = replace(frame, arm=arms)
+        assert assigned.covariates is frame.covariates
+        assert assigned.outcome is frame.outcome and assigned.observed is frame.observed
+        assert assigned.arm.tolist() == arms.tolist() and not np.shares_memory(assigned.arm, arms)
+
+    def test_writable_inputs_and_read_only_views_are_copied(self):
+        x = np.arange(8.0).reshape(4, 2)
+        frame = TrialFrame(covariates=x, covariate_names=("x1", "x2"))
+        assert not np.shares_memory(frame.covariates, x)
+        x[0, 0] = 9.0
+        assert frame.covariates[0, 0] == 0.0
+        view = frame.covariates[:, :1]
+        assert not view.flags.writeable
+        narrow = TrialFrame(covariates=view, covariate_names=("x1",))
+        assert narrow.covariates.flags.owndata
+        assert not np.shares_memory(narrow.covariates, frame.covariates)
 
 
 class TestValidateDesign:
@@ -468,10 +522,19 @@ WRITER_FRAMES = {
 
 
 def assert_same_frame(a: TrialFrame, b: TrialFrame) -> None:
-    """Equal arrays down to dtype, memory layout, NaN payload and the sign of zero."""
+    """Equal arrays down to dtype, memory layout, NaN payload and the sign of zero;
+    label columns are equal Groupings: the same labels, codes and counts."""
     assert a.covariate_names == b.covariate_names
-    for name in ("covariates", "outcome", "observed", "arm", "stratum", "cluster"):
+    arrays = [(name, getattr(a, name), getattr(b, name))
+              for name in ("covariates", "outcome", "observed", "arm")]
+    for name in ("stratum", "cluster"):
         x, y = getattr(a, name), getattr(b, name)
+        if x is None or y is None:
+            arrays.append((name, x, y))
+        else:
+            arrays += [(f"{name}.{part}", getattr(x, part), getattr(y, part))
+                       for part in ("labels", "codes", "counts")]
+    for name, x, y in arrays:
         if x is None or y is None:
             assert x is None and y is None, name
             continue
@@ -566,8 +629,8 @@ class TestCsvMatchesRowWiseOracle:
         path = tmp_path / "in.csv"
         path.write_text(VALID_CSV["numeric_looking_labels"], encoding="utf-8")
         frame = load_csv(path)
-        assert frame.stratum.tolist() == ["10", "2", "10", "2"]
-        assert frame.stratum_groups.labels.tolist() == ["10", "2"]
+        assert unit_labels(frame.stratum).tolist() == ["10", "2", "10", "2"]
+        assert frame.stratum.labels.tolist() == ["10", "2"]
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -755,10 +818,10 @@ def _reference_write_csv(frame: TrialFrame, path) -> None:
         getters.append(lambda i: str(int(frame.arm[i])))
     if frame.stratum is not None:
         header.append("stratum")
-        getters.append(lambda i: str(frame.stratum[i]))
+        getters.append(lambda i, strata=unit_labels(frame.stratum): str(strata[i]))
     if frame.cluster is not None:
         header.append("cluster")
-        getters.append(lambda i: str(frame.cluster[i]))
+        getters.append(lambda i, clusters=unit_labels(frame.cluster): str(clusters[i]))
     for j, name in enumerate(frame.covariate_names):
         header.append(name)
         getters.append(lambda i, j=j: _reference_format_float(frame.covariates[i, j]))

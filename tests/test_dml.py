@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from rerand import (
 from rerand import dml
 from rerand._seeds import derive_seed
 from rerand.errors import ValidationError
+
+from conftest import unit_labels
 
 DIFF = EstimandSpec("difference")
 CONSTANT = LearnerSpec(kind="stump_ensemble", trees=0)
@@ -56,7 +59,7 @@ class TestMakeFolds:
         plan = make_folds(frame, 4, "stratum_arm", seed=3)
         for label in ("s0", "s1"):
             for a in (0, 1):
-                cell = (frame.stratum == label) & (frame.arm == a)
+                cell = (unit_labels(frame.stratum) == label) & (frame.arm == a)
                 counts = np.bincount(plan[cell], minlength=4)
                 assert counts.tolist() == [2, 2, 2, 2]
 
@@ -213,7 +216,7 @@ class TestEstimateDml:
         # every unit's nuisance was produced by a model excluding its own fold
         for label in ("s0", "s1"):
             for a in (0, 1):
-                cell = (frame.stratum == label) & (frame.arm == a)
+                cell = (unit_labels(frame.stratum) == label) & (frame.arm == a)
                 counts = np.bincount(plan[cell], minlength=4)
                 assert counts.max() - counts.min() <= 1
 
@@ -222,7 +225,7 @@ class TestEstimateDml:
         # and predict far below 0.01 left of the step
         frame = balanced_frame(10, n=60)
         y = np.where(frame.column("x1") > -0.5, frame.outcome, np.nan)
-        frame = frame.with_columns(outcome=y, observed=None)
+        frame = replace(frame, outcome=y, observed=None)
         res = estimate_dml(
             frame, LearnerSpec(kind="glm"), LearnerSpec(kind="glm"), 3, "plain", DIFF,
             seed=9, pi=0.5,
@@ -1009,7 +1012,7 @@ class TestEstimateDmlValidation:
         frame = self._frame(lambda arms, strata: np.arange(arms.size) != 3)
         assignment = make_folds(frame, 4, "stratum_arm", seed=21)
         # all arm-1 units of stratum s1 in fold 2: fold 2 has no arm-1 training rows
-        assignment[(frame.arm == 1) & (frame.stratum == "s1")] = 2
+        assignment[(frame.arm == 1) & (unit_labels(frame.stratum) == "s1")] = 2
         calls = self._count_fits(monkeypatch)
         with pytest.raises(
             ValidationError, match="empty training set for arm 1, fold 2, stratum 's1'"

@@ -26,7 +26,7 @@ from rerand import (
     scheme_plugins,
 )
 from rerand.allocation import _permuted_block_draw
-from rerand.data_model import factorize
+from rerand.data_model import Grouping, factorize
 from rerand.errors import ValidationError
 from rerand.mestimators import (
     _check_full_rank,
@@ -36,7 +36,7 @@ from rerand.mestimators import (
 )
 from rerand.simlab import SimEstimator, apply_estimator, scheme_inference
 
-from conftest import block_arms, fd_jacobian
+from conftest import block_arms, fd_jacobian, unit_labels
 
 DIFF = EstimandSpec("difference")
 RATIO = EstimandSpec("ratio")
@@ -102,12 +102,12 @@ class TestFactorize:
             stratum=["b", "a", "b", "a"],
             cluster=["c2", "c10", "c2", "c1"],
         )
-        assert frame.stratum_groups is frame.stratum_groups
-        assert frame.stratum_groups.labels.tolist() == ["a", "b"]
-        assert frame.cluster_groups.labels.tolist() == ["c1", "c10", "c2"]
-        assert frame.cluster_groups.codes.tolist() == [2, 1, 2, 0]
+        assert isinstance(frame.stratum, Grouping) and isinstance(frame.cluster, Grouping)
+        assert frame.stratum.labels.tolist() == ["a", "b"]
+        assert frame.cluster.labels.tolist() == ["c1", "c10", "c2"]
+        assert frame.cluster.codes.tolist() == [2, 1, 2, 0]
         bare = TrialFrame(covariates=np.zeros((2, 1)), covariate_names=("x",))
-        assert bare.stratum_groups is None and bare.cluster_groups is None
+        assert bare.stratum is None and bare.cluster is None
 
     def test_arrays_are_read_only(self):
         groups = factorize(np.array(["b", "a", "b"], dtype=object))
@@ -182,9 +182,10 @@ def _reference_make_folds_stratum_arm(frame, K, seed):
     rng = np.random.default_rng(seed)
     assignment = np.empty(frame.n_units, dtype=np.int64)
     arms = frame.require_arms()
-    for label in sorted(set(frame.stratum.tolist())):
+    strata = unit_labels(frame.stratum)
+    for label in sorted(set(strata.tolist())):
         for a in (0, 1):
-            cell = np.flatnonzero((frame.stratum == label) & (arms == a))
+            cell = np.flatnonzero((strata == label) & (arms == a))
             if cell.size < K:
                 raise ValidationError(
                     f"cell (arm={a}, stratum='{label}') has {cell.size} units, "
@@ -197,8 +198,9 @@ def _reference_make_folds_stratum_arm(frame, K, seed):
 
 def _reference_stratum_dummies(frame):
     columns, labels = [], []
-    for level in sorted(set(frame.stratum.tolist()))[1:]:
-        columns.append((frame.stratum == level).astype(float))
+    strata = unit_labels(frame.stratum)
+    for level in sorted(set(strata.tolist()))[1:]:
+        columns.append((strata == level).astype(float))
         labels.append(f"stratum={level}")
     return columns, labels
 
@@ -253,8 +255,9 @@ def _reference_design(frame, covariates, interactions, arms):
 class _ReferenceClusterData:
     def __init__(self, frame, covariates, interactions):
         arms = frame.require_arms()
-        self.labels = sorted(set(frame.cluster.tolist()))
-        self.members = [np.flatnonzero(frame.cluster == lab) for lab in self.labels]
+        clusters = unit_labels(frame.cluster)
+        self.labels = sorted(set(clusters.tolist()))
+        self.members = [np.flatnonzero(clusters == lab) for lab in self.labels]
         self.sizes = np.array([len(m) for m in self.members])
         self.arms = np.empty(len(self.labels), dtype=np.int8)
         for c, idx in enumerate(self.members):
@@ -440,7 +443,8 @@ class TestMixedOracle:
             rows = rng.permutation(frame.n_units)
             permuted = TrialFrame(
                 covariates=frame.covariates[rows], covariate_names=frame.covariate_names,
-                outcome=frame.outcome[rows], arm=frame.arm[rows], cluster=frame.cluster[rows],
+                outcome=frame.outcome[rows], arm=frame.arm[rows],
+                cluster=unit_labels(frame.cluster)[rows],
             )
             got = estimate_mixed_ancova(permuted, ("x1", "x2"), interactions, estimand)
             assert got.delta_hat == pytest.approx(base.delta_hat, rel=1e-12, abs=0)
@@ -524,12 +528,12 @@ def test_stratified_ancova_factorizes_object_labels_once(monkeypatch, distance):
     strata = np.array([f"site-{v}" for v in rng.integers(0, 20, 2_000)], dtype=object)
     x = rng.normal(size=(2_000, 2))
     arms = block_arms(strata, 0.5, 2, seed=4)
+    kinds.clear()  # counted from the frame's construction on
     frame = TrialFrame(
         covariates=x, covariate_names=("x1", "x2"),
         outcome=1.0 + arms + x @ [1.0, -1.0] + rng.normal(size=2_000),
         arm=arms, stratum=strata,
     )
-    kinds.clear()
     design = Design(
         pi=0.5, scheme="stratified_rerandomized", rerand_covariates=(0, 1),
         threshold_t=1.0, distance=distance,

@@ -23,7 +23,7 @@ from rerand.errors import (
     ValidationError,
 )
 
-from conftest import fd_jacobian, random_frame
+from conftest import fd_jacobian, random_frame, unit_labels
 
 DIFF = EstimandSpec("difference")
 RATIO = EstimandSpec("ratio")
@@ -378,8 +378,9 @@ class TestMixedAncova:
         s2_hat, t2_hat = res.details["sigma2"], res.details["tau2"]
 
         # independent oracle: dense-matrix Gaussian likelihood on a refined grid
-        labels = sorted(set(frame.cluster.tolist()))
-        members = [np.flatnonzero(frame.cluster == lab) for lab in labels]
+        clusters = unit_labels(frame.cluster)
+        labels = sorted(set(clusters.tolist()))
+        members = [np.flatnonzero(clusters == lab) for lab in labels]
         Z = np.column_stack([np.ones(frame.n_units), frame.arm, frame.covariates])
         y = frame.outcome
 

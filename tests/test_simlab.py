@@ -27,6 +27,8 @@ from rerand.errors import NumericError, ValidationError
 from rerand.simlab import EstimatorReport, apply_estimator, report_csv_lines, scheme_inference
 from test_acceptance import TRUTH_BINARY, TRUTH_CONTINUOUS
 
+from conftest import unit_labels
+
 
 class TestGenerateTrial:
     def test_first_covariate_mean_matches_its_law(self):
@@ -59,8 +61,8 @@ class TestGenerateTrial:
 
     def test_reveal_reuses_the_allocation_frame_strata(self):
         trial = generate_trial(DgpSpec("continuous_sec7", 40), seed=6)
-        groups = trial.allocation_frame.stratum_groups
-        assert trial.reveal(np.tile([1, 0], 20)).stratum_groups is groups
+        groups = trial.allocation_frame.stratum
+        assert trial.reveal(np.tile([1, 0], 20)).stratum is groups
 
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("demo_*.cfg"))
@@ -398,9 +400,9 @@ def _composed_from_plugins(est, result, frame, design, alpha):
     from rerand.data_model import factorize
 
     arms, Xr = frame.arm, frame.covariates[:, list(design.rerand_covariates)]
-    strata = frame.stratum if design.stratified else None
+    strata = unit_labels(frame.stratum) if design.stratified else None
     if est.kind == "mixed":
-        clusters = frame.cluster_groups
+        clusters = frame.cluster
         arms = arms[clusters.first_rows]
         Xr = clusters.sums(Xr) / clusters.counts[:, None]
         strata = None if strata is None else strata[clusters.first_rows]
@@ -503,15 +505,6 @@ class TestSchemeInferenceEqualsItsParts:
     def test_two_kernel_passes_and_no_stratum_factorization(
         self, monkeypatch, criterion, estimator
     ):
-        frame, estimators = _scheme_trial()
-        est = estimators[estimator]
-        design = Design(
-            pi=0.5, scheme="stratified_rerandomized", rerand_covariates=(0, 1),
-            **_criterion(criterion),
-        )
-        result = apply_estimator(est, frame, design, 3, 0)
-        assert frame.stratum_groups is not None  # cached on the frame
-
         factorized, passes = [], []
         original_factorize = rerand.data_model.factorize
         original_sandwich = rerand.inference._sandwich
@@ -529,7 +522,18 @@ class TestSchemeInferenceEqualsItsParts:
                 monkeypatch.setattr(module, "factorize", counting_factorize)
         monkeypatch.setattr(rerand.inference, "_sandwich", counting_sandwich)
 
+        frame, estimators = _scheme_trial()  # counted from the frame's construction on
+        est = estimators[estimator]
+        design = Design(
+            pi=0.5, scheme="stratified_rerandomized", rerand_covariates=(0, 1),
+            **_criterion(criterion),
+        )
+        result = apply_estimator(est, frame, design, 3, 0)
+        passes.clear()
         scheme_inference(est, result, frame, design, 0.05)
         assert len(passes) <= 2
+        assert [v.dtype.kind for v in factorized].count("O") == 1  # the frame's strata, once
         folds = result.details["fold_plan"] if est.kind == "dml" else None
-        assert all(folds is not None and np.array_equal(v, folds) for v in factorized)
+        assert all(
+            folds is not None and np.array_equal(v, folds) for v in factorized if v.dtype != object
+        )
