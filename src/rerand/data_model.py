@@ -37,20 +37,36 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _zero_one_fault(values, name: str) -> tuple | None:
-    """(row index, ``name``, error) of the first value outside {0,1}, or None."""
-    bad = np.flatnonzero(~np.isin(values, (0, 1)))
-    if bad.size:
-        return bad[0], name, ValidationError(f"{name} value not in {{0,1}} at row {bad[0] + 1}")
-    return None
+def _first_fault(columns: dict, names: tuple = (), faults: list | tuple = ()) -> tuple | None:
+    """(row index, column, error) of the earliest-row fault among ``faults`` (such as parse
+    errors) and the cells of ``columns``, or None. Within a row the order is outcome (±inf),
+    observed (outside {0,1}, or disagreeing with its outcome cell), arm (outside {0,1}),
+    the (n, p) ``covariates`` named ``names`` (non-finite), then stratum and cluster
+    (blank); on one cell ``faults`` come first. A role not in ``columns`` is not checked."""
+    found = list(faults)
 
+    def first(role: str, bad, message: str) -> None:
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            found.append((rows[0], role, ValidationError(message.format(rows[0] + 1))))
 
-def _zero_one(values, name: str) -> np.ndarray:
-    """``values`` as int8 0/1; the first other value raises, naming its row."""
-    fault = _zero_one_fault(values, name)
-    if fault:
-        raise fault[2]
-    return np.asarray(values).astype(np.int8, copy=False)
+    if "outcome" in columns:
+        first("outcome", np.isinf(columns["outcome"]), "non-finite outcome at row {}")
+    for role in ("observed", "arm"):
+        if role in columns:
+            first(role, ~np.isin(columns[role], (0, 1)), role + " value not in {{0,1}} at row {}")
+    if "observed" in columns:
+        first("observed", columns["observed"] != ~np.isnan(columns["outcome"]),
+              "observed indicator disagrees with outcome cell at row {}")
+    if "covariates" in columns and not np.isfinite(columns["covariates"]).all():
+        for name, values in zip(names, columns["covariates"].T):
+            first(name, ~np.isfinite(values), f"non-finite covariate at row {{}}, column '{name}'")
+    for role in ("stratum", "cluster"):
+        cells = columns.get(role, ())
+        if not all(map(str.strip, set(cells))):
+            first(role, [not cell.strip() for cell in cells], f"empty {role} label at row {{}}")
+    order = ("outcome", "observed", "arm", *names, "stratum", "cluster")
+    return min(found, key=lambda fault: (fault[0], order.index(fault[1])), default=None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +74,26 @@ class Grouping:
     """Units partitioned by label: the one rule for strata, clusters and folds.
 
     ``labels`` are the distinct labels in sorted order, ``codes`` each unit's
-    index into them and ``counts`` the group sizes, so group-wise sums run in
-    label order whatever the hash seed; ``members`` lists rows in ascending
-    order and ``first_rows`` each group's first row. All arrays are read-only.
+    index into them and ``counts`` the group sizes (derived from ``codes``), so
+    group-wise sums run in label order whatever the hash seed; ``members`` lists
+    rows in ascending order and ``first_rows`` each group's first row. All arrays
+    are read-only. Codes that are not 1-d integers in ``range(labels.size)`` raise
+    :class:`ValidationError`.
     """
 
     labels: np.ndarray
     codes: np.ndarray
-    counts: np.ndarray
+    counts: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        labels, codes = _readonly(self.labels), _readonly(self.codes)
+        if codes.ndim != 1 or codes.dtype.kind not in "iu" or not np.can_cast(codes.dtype, np.intp):
+            raise ValidationError("grouping codes must be a 1-d integer array")
+        if codes.size and not 0 <= codes.min() <= codes.max() < labels.size:
+            raise ValidationError(f"grouping code outside range({labels.size})")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "counts", _readonly(np.bincount(codes, minlength=labels.size)))
 
     @cached_property
     def members(self) -> list[np.ndarray]:
@@ -103,8 +131,9 @@ def factorize(values: np.ndarray) -> Grouping:
     code_of = {level: code for code, level in enumerate(levels)}
     codes = np.fromiter(map(code_of.__getitem__, items), dtype=np.intp, count=len(items))
     labels = np.array(levels, dtype=values.dtype)
-    counts = np.bincount(codes, minlength=len(levels))
-    return Grouping(_readonly(labels), _readonly(codes), _readonly(counts))
+    labels.setflags(write=False)  # read-only arrays that own their data are kept, not copied
+    codes.setflags(write=False)
+    return Grouping(labels, codes)
 
 
 def group_sums(
@@ -129,22 +158,22 @@ class TrialFrame:
     ----------
     covariates : (n, p) float array, all entries finite.
     covariate_names : p column labels.
-    outcome : optional (n,) float array with NaN for missing outcomes.
-    observed : optional (n,) 0/1 array; derived from ``outcome`` when omitted.
+    outcome : optional (n,) float array with NaN for missing outcomes, none ±inf.
     arm : optional (n,) 0/1 array; absent for pre-allocation frames.
     stratum : optional (n,) labels; all units have one or none do.
     cluster : optional (n,) identifiers partitioning units into clusters.
 
-    ``stratum`` and ``cluster`` are held as their :class:`Grouping` (None when
-    absent): labels are grouped once, here, by their ``str`` (so ``"10"`` sorts
-    before ``"2"``), and a ``Grouping`` given is kept. ``dataclasses.replace(frame,
+    A column of the wrong length raises first, then the earliest row's bad value: within
+    a row the outcome, the arm, then covariates in column order. ``observed`` is derived
+    from ``outcome``. ``stratum`` and ``cluster`` are held as their :class:`Grouping`
+    (None when absent): labels are grouped once, here, by their ``str`` (so ``"10"``
+    sorts before ``"2"``), and a ``Grouping`` given is kept. ``dataclasses.replace(frame,
     arm=...)`` re-runs every check but shares the groupings and read-only arrays.
     """
 
     covariates: np.ndarray
     covariate_names: tuple[str, ...]
     outcome: np.ndarray | None = None
-    observed: np.ndarray | None = None
     arm: np.ndarray | None = None
     stratum: Grouping | None = None
     cluster: Grouping | None = None
@@ -154,48 +183,15 @@ class TrialFrame:
         if cov.ndim != 2:
             raise ValidationError("covariates must be a 2-d array")
         n, p = cov.shape
-        if len(self.covariate_names) != p:
-            raise ValidationError(
-                f"{len(self.covariate_names)} covariate names for {p} columns"
-            )
-        if not np.all(np.isfinite(cov)):
-            bad = np.argwhere(~np.isfinite(cov))[0]
-            raise ValidationError(
-                f"non-finite covariate at row {bad[0] + 1}, "
-                f"column '{self.covariate_names[bad[1]]}'"
-            )
-        object.__setattr__(self, "covariates", _readonly(cov))
-        object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
-
-        outcome = self.outcome
-        observed = self.observed
-        if outcome is None:
-            if observed is not None:
-                raise ValidationError("observed given without outcome column")
-        else:
-            outcome = np.asarray(outcome, dtype=float)
-            if outcome.shape != (n,):
-                raise ValidationError("outcome length does not match covariates")
-            derived = (~np.isnan(outcome)).astype(np.int8)
-            if observed is None:
-                observed = derived
-            else:
-                observed = _zero_one(observed, "observed")
-                if not np.array_equal(observed, derived):
-                    row = int(np.nonzero(observed != derived)[0][0]) + 1
-                    raise ValidationError(
-                        f"observed indicator disagrees with outcome cell at row {row}"
-                    )
-            if np.any(~np.isfinite(outcome[observed == 1])):
-                raise ValidationError("observed outcomes must be finite")
-            object.__setattr__(self, "outcome", _readonly(outcome))
-            object.__setattr__(self, "observed", _readonly(observed))
-
-        if self.arm is not None:
-            arm = np.asarray(self.arm)
-            if arm.shape != (n,):
-                raise ValidationError("arm length does not match covariates")
-            object.__setattr__(self, "arm", _readonly(_zero_one(arm, "arm")))
+        names = tuple(self.covariate_names)
+        if len(names) != p:
+            raise ValidationError(f"{len(names)} covariate names for {p} columns")
+        columns = {"covariates": cov}
+        for name, dtype in (("outcome", float), ("arm", None)):
+            if getattr(self, name) is not None:
+                columns[name] = np.asarray(getattr(self, name), dtype=dtype)
+                if columns[name].shape != (n,):
+                    raise ValidationError(f"{name} length does not match covariates")
         for name in ("stratum", "cluster"):
             groups = getattr(self, name)
             if groups is not None and not isinstance(groups, Grouping):
@@ -203,6 +199,22 @@ class TrialFrame:
                 object.__setattr__(self, name, groups)
             if groups is not None and groups.codes.shape != (n,):
                 raise ValidationError(f"{name} length does not match covariates")
+        fault = _first_fault(columns, names)
+        if fault:
+            raise fault[2]
+        if "arm" in columns:
+            columns["arm"] = columns["arm"].astype(np.int8, copy=False)
+        for name, values in columns.items():
+            object.__setattr__(self, name, _readonly(values))
+        object.__setattr__(self, "covariate_names", names)
+
+    @cached_property
+    def observed(self) -> np.ndarray | None:
+        """(n,) read-only int8 response indicator, 1 where the outcome is not NaN; None
+        without an outcome."""
+        if self.outcome is None:
+            return None
+        return _readonly((~np.isnan(self.outcome)).astype(np.int8))
 
     @property
     def n_units(self) -> int:
@@ -422,8 +434,8 @@ def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict, list] 
 def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict, list]:
     """The rows of csv ``reader`` parsed cell by cell by ``float``: the row count, the
     columns, and a (row index, column, ParseError) fault for each numeric column with a
-    bad cell, whose values then stop above it. A bad row width or an oversized field
-    raises at once."""
+    bad cell, whose values from there on are 0, unparsed (a fault they show in
+    ``_first_fault`` ranks after it). A bad row width or an oversized field raises at once."""
     rows: list[list[str]] = []
     try:
         for cells in reader:
@@ -437,14 +449,13 @@ def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict, list]:
     faults = []
     for name in [name for name in header if name not in ("stratum", "cluster")]:
         parse = _blank_is_nan if name == "outcome" else float
-        values = np.empty(len(rows))
+        values = np.zeros(len(rows))
         for i, cell in enumerate(columns[name]):
             try:
                 values[i] = parse(cell)
             except ValueError:
                 message = f"malformed numeric cell '{cell}' at row {i + 1}, column '{name}'"
                 faults.append((i, name, ParseError(message)))
-                values = values[:i]
                 break
         columns[name] = values
     return len(rows), columns, faults
@@ -475,13 +486,14 @@ def load_csv(path, hasher=None) -> TrialFrame:
     roles; every other column is a covariate. Numbers are parsed by numpy's C
     reader in one pass; text it rejects or would read otherwise than ``csv`` (``1_000``,
     a blank line) is parsed again by ``float`` cell by cell, which gives the frame or
-    names the first bad cell. Empty outcome cells mean missing; an explicit ``observed``
-    column must agree. A row of the wrong width or an oversized field is named first.
-    Of the cell faults (a malformed number, an observed or arm value outside {0,1}, a
-    blank stratum or cluster label) the earliest row's is named, and within a row the
-    outcome, observed and arm cells come first, then covariates, then labels. The
-    frame's own checks (an observed cell that disagrees with its outcome, a non-finite
-    value) come after every cell fault. Text that is not UTF-8 raises
+    names the first bad cell. Empty outcome cells mean missing. The frame derives
+    ``observed`` from the outcome, so an ``observed`` column needs an ``outcome`` column
+    (checked with the header) and must agree with it. A row of the wrong width or an
+    oversized field is named next. Of the cell faults (a malformed number, a ±inf
+    outcome, an observed or arm value outside {0,1}, an observed value that disagrees
+    with its outcome cell, a non-finite covariate, a blank stratum or cluster label) the
+    earliest row's is named, and within a row the outcome, observed and arm cells come
+    first, then covariates, then labels. Text that is not UTF-8 raises
     :class:`DataError` (naming the bad byte's offset in the file), a field over
     ``csv.field_size_limit()`` :class:`ParseError`. A ``hasher`` (such as
     ``hashlib.sha256()``) is updated with the bytes of the file as read. Memory: the
@@ -498,6 +510,8 @@ def load_csv(path, hasher=None) -> TrialFrame:
         duplicates = [name for i, name in enumerate(header) if name in header[:i]]
         if duplicates:
             raise DataError(f"duplicate column name '{duplicates[0]}'")
+        if "observed" in header and "outcome" not in header:
+            raise ValidationError("observed given without outcome column")
 
         start = handle.tell()  # no rows go cell by cell: numpy would warn of no data
         parsed = _c_columns(handle, start, header) if header and handle.read(1) else None
@@ -505,32 +519,17 @@ def load_csv(path, hasher=None) -> TrialFrame:
             handle.seek(start)
             parsed = _cell_by_cell(reader, header)
     n, columns, faults = parsed
-    for name in ("observed", "arm"):  # parsed values stop above a bad cell
-        fault = name in columns and _zero_one_fault(columns[name], name)
-        if fault:
-            faults.append(fault)
-    for role in ("stratum", "cluster"):
-        cells = columns.get(role, ())
-        if not all(map(str.strip, set(cells))):
-            row = next(i for i, cell in enumerate(cells) if not cell.strip())
-            faults.append((row, role, ValidationError(f"empty {role} label at row {row + 1}")))
     covariate_names = tuple(name for name in header if name not in RESERVED_COLUMNS)
-    if faults:
-        order = ("outcome", "observed", "arm") + covariate_names + ("stratum", "cluster")
-        raise min(faults, key=lambda fault: (fault[0], order.index(fault[1])))[2]
     covariates = np.empty((n, len(covariate_names)))
     for j, name in enumerate(covariate_names):
         covariates[:, j] = columns[name]
+    cells = {role: columns[role] for role in RESERVED_COLUMNS if role in columns}
+    if faults or _first_fault(cells):  # a valid file's covariates are checked once, by the frame
+        raise _first_fault({**cells, "covariates": covariates}, covariate_names, faults)[2]
     groups = {role: factorize(np.asarray(columns[role], dtype=object))  # cells are str already
               for role in ("stratum", "cluster") if role in columns}
-    return TrialFrame(
-        covariates=covariates,
-        covariate_names=covariate_names,
-        outcome=columns.get("outcome"),
-        observed=columns.get("observed"),
-        arm=columns.get("arm"),
-        **groups,
-    )
+    return TrialFrame(covariates, covariate_names, outcome=columns.get("outcome"),
+                      arm=columns.get("arm"), **groups)
 
 
 _WRITE_BLOCK_CELLS = 8192  # cells per write, so the transient text stays bounded in rows and columns

@@ -429,7 +429,7 @@ def estimate_dml(
     if not 0.0 < pi < 1.0:
         raise ValidationError("pi must lie in (0, 1)")
     robs = frame.observed.astype(float)
-    y0 = np.where(robs == 1.0, np.nan_to_num(frame.outcome), 0.0)
+    y0 = np.nan_to_num(frame.outcome)
     any_missing = robs.min() == 0.0
     if any_missing and missingness_learner is None:
         raise ValidationError(

@@ -296,7 +296,7 @@ def estimate_unadjusted(frame: TrialFrame, estimand: EstimandSpec) -> EstimateRe
     """Contrast of arm-wise means of observed outcomes (complete-case)."""
     arms = frame.require_arms()
     frame.require_outcomes()
-    y0 = np.where(frame.observed == 1, np.nan_to_num(frame.outcome), 0.0)
+    y0 = np.nan_to_num(frame.outcome)
     robs = frame.observed.astype(float)
     a = arms.astype(float)
     treated = (robs * a).sum()
@@ -336,7 +336,7 @@ def _gcomp(
     design = _ArmDesign(frame, covariates, interactions)
     Z, p = design.Z, design.width
     robs = frame.observed.astype(float)
-    y = np.where(robs == 1.0, np.nan_to_num(frame.outcome), 0.0)
+    y = np.nan_to_num(frame.outcome)
     logistic = link != "identity"
     ginv = expit if logistic else (lambda x: x)
     dginv = lambda eta: expit(eta) * (1.0 - expit(eta))  # the logit link's slope

@@ -596,6 +596,14 @@ class TestUsage:
         assert outcome.exit_code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_misspelt_subcommand_option_gets_the_hint(self, capsys):
+        outcome = run_command(
+            ["ci", "--delta", "0", "--v", "1", "--r2", ".5", "--q", "2",
+             "--t", "1", "--n", "100", "--alpah", "0.1"]
+        )
+        assert outcome.exit_code == 2
+        assert "(did you mean '--alpha'?)" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         outcome = run_command(["--version"])
         assert outcome.exit_code == 0

@@ -75,9 +75,16 @@ class TestLoadCsv:
             ("outcome,arm,x\n1,5,2\nxyz,1,2\n", ValidationError, "arm value not in {0,1} at row 1"),
             ("outcome,arm,stratum,x\n1,0,,2\n1,7,a,2\n", ValidationError,
              "empty stratum label at row 1"),
+            ("outcome,observed,x\n,1,0\n1,1,abc\n", ValidationError,
+             "observed indicator disagrees with outcome cell at row 1"),
+            ("outcome,arm,x\n1,0,inf\n1,1,abc\n", ValidationError,
+             "non-finite covariate at row 1, column 'x'"),
+            ("outcome,arm,x\n1,0,1\ninf,1,2\n1,2,abc\n", ValidationError,
+             "non-finite outcome at row 2"),
         ],
         ids=["bad_covariate_above_bad_outcome", "bad_arm_above_bad_outcome",
-             "empty_label_above_bad_arm"],
+             "empty_label_above_bad_arm", "disagreeing_observed_above_bad_covariate",
+             "infinite_covariate_above_bad_covariate", "infinite_outcome_above_bad_arm"],
     )
     def test_first_fault_is_the_earliest_rows(self, tmp_path, text, error, message):
         path = tmp_path / "trial.csv"
@@ -110,6 +117,12 @@ class TestLoadCsv:
         path = tmp_path / "trial.csv"
         write_lines(path, ["outcome,observed,arm,x1", "1.0,1,1,0.1", ",1,0,0.2"])
         with pytest.raises(ValidationError, match="disagrees"):
+            load_csv(path)
+
+    def test_observed_outside_zero_one_names_its_row(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        write_lines(path, ["outcome,observed,x", "1,1,0", "2,1,0", "3,2,0", ",0,0"])
+        with pytest.raises(ValidationError, match="observed value not in .* at row 3"):
             load_csv(path)
 
     def test_arm_column_optional_for_preallocation_data(self, tmp_path):
@@ -245,14 +258,46 @@ class TestTrialFrame:
         with pytest.raises(ValueError):
             four_row_frame.covariates[0, 0] = 9.0
 
-    def test_observed_outside_zero_one_names_its_row(self):
-        with pytest.raises(ValidationError, match="observed value not in .* at row 3"):
-            TrialFrame(
-                covariates=np.zeros((4, 1)),
-                covariate_names=("x",),
-                outcome=np.array([1.0, 2.0, 3.0, np.nan]),
-                observed=np.array([1, 1, 2, 0]),
-            )
+    def test_observed_is_derived_from_the_outcome_and_read_only(self):
+        frame = TrialFrame(
+            covariates=np.zeros((4, 1)),
+            covariate_names=("x",),
+            outcome=np.array([1.0, np.nan, 3.0, np.nan]),
+        )
+        assert frame.observed.dtype == np.int8 and frame.observed.tolist() == [1, 0, 1, 0]
+        assert not frame.observed.flags.writeable
+        with pytest.raises(AttributeError):
+            frame.observed = np.ones(4, dtype=np.int8)
+        assert TrialFrame(covariates=np.zeros((4, 1)), covariate_names=("x",)).observed is None
+        with pytest.raises(TypeError):
+            TrialFrame(covariates=np.zeros((1, 1)), covariate_names=("x",), observed=[1])
+
+    def test_new_outcomes_with_missing_cells_replace_the_old(self):
+        frame = TrialFrame(
+            covariates=np.zeros((3, 1)), covariate_names=("x",), outcome=np.array([1.0, 2.0, 3.0])
+        )
+        revealed = replace(frame, outcome=np.array([np.nan, 2.0, 5.0]))
+        assert revealed.observed.tolist() == [0, 1, 1]
+        assert frame.observed.tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize(
+        "columns,message",
+        [
+            (dict(outcome=[1.0, np.inf, 2.0], arm=[2, 0, 1]), "arm value not in {0,1} at row 1"),
+            (dict(outcome=[1.0, 2.0, -np.inf], arm=[1, 0, 2]), "non-finite outcome at row 3"),
+            (dict(covariates=[[0.0], [np.nan], [0.0]], arm=[1, 5, 0]),
+             "arm value not in {0,1} at row 2"),
+            (dict(covariates=[[0.0], [np.nan], [0.0]], arm=[1, 0, 5]),
+             "non-finite covariate at row 2, column 'x'"),
+        ],
+        ids=["bad_arm_before_inf_outcome", "inf_outcome_before_bad_arm_same_row",
+             "bad_arm_before_nan_covariate_same_row", "nan_covariate_above_bad_arm"],
+    )
+    def test_constructor_names_the_earliest_bad_row(self, columns, message):
+        columns = {"covariates": np.zeros((3, 1)), **columns}
+        with pytest.raises(ValidationError) as raised:
+            TrialFrame(covariate_names=("x",), **columns)
+        assert str(raised.value) == message
 
     def test_non_finite_covariate_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -312,7 +357,8 @@ class TestTrialFrame:
         arms = np.tile([0, 1], 3)
         assigned = replace(frame, arm=arms)
         assert assigned.covariates is frame.covariates
-        assert assigned.outcome is frame.outcome and assigned.observed is frame.observed
+        assert assigned.outcome is frame.outcome
+        np.testing.assert_array_equal(assigned.observed, frame.observed)
         assert assigned.arm.tolist() == arms.tolist() and not np.shares_memory(assigned.arm, arms)
 
     def test_writable_inputs_and_read_only_views_are_copied(self):
@@ -434,6 +480,9 @@ MALFORMED_CSV = {
     "observed_outside_zero_one_before_a_bad_arm": "outcome,observed,arm\n1,2,1\n1,1,x\n",
     "empty_label_above_a_bad_covariate": "arm,stratum,x1\n1,,0\n0,a,abc\n",
     "empty_label_above_an_arm_outside_zero_one": "arm,stratum,x1\n1,,0\n2,a,1\n",
+    "observed_disagrees_above_a_bad_cell": "outcome,observed,x\n,1,0\n1,1,abc\n",
+    "infinite_covariate_above_a_bad_cell": "outcome,arm,x\n1,0,inf\n1,1,abc\n",
+    "infinite_outcome_above_a_bad_cell": "outcome,arm,x\n1,0,1\ninf,1,2\n1,2,abc\n",
 }
 
 
@@ -685,8 +734,9 @@ def _frames(draw) -> TrialFrame:
 
 # ---------------------------------------------------------------------------
 # Oracles: the row-wise CSV reader and writer that the column-wise ones
-# replaced, kept verbatim, except that the reader checks its cells one row at a
-# time, so that the earliest row's fault is the one it names. The column-wise
+# replaced, kept verbatim, except that the reader checks each row in full (its
+# cells and the frame's row checks) before the next, so that the earliest row's
+# fault is the one it names, and checks the observed column itself. The column-wise
 # code must give the same bytes, the same frames and, on malformed input, the
 # same exception class, row and column.
 
@@ -709,7 +759,8 @@ def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialF
     roles; every other column is a covariate. ``schema`` may remap reserved
     roles to differently-named columns, e.g. ``{"outcome": "y"}``. Empty
     outcome cells mean missing (observed = 0); when an explicit ``observed``
-    column is also present the two encodings must agree.
+    column is also present the two encodings must agree, and it needs an outcome
+    column.
     """
     schema = dict(schema or {})
     role_of: dict[str, str] = {}
@@ -734,6 +785,8 @@ def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialF
             raise DataError(f"schema maps '{role}' to missing column '{column}'")
 
     roles = [role_of.get(name) for name in header]
+    if "observed" in roles and "outcome" not in roles:
+        raise ValidationError("observed given without outcome column")
     covariate_names = [name for name, role in zip(header, roles) if role is None]
     columns: dict[str, list] = {name: [] for name in header}
     for i, cells in enumerate(data_rows, start=1):
@@ -754,24 +807,31 @@ def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialF
     observed_cells = reserved("observed")
     arm_cells = reserved("arm")
     outcome = None if outcome_cells is None else np.empty(n)
-    observed = None if observed_cells is None else np.empty(n, dtype=np.int8)
     arm = None if arm_cells is None else np.empty(n, dtype=np.int8)
     covariates = np.empty((n, len(covariate_names)))
-    # row by row; within a row outcome, observed, arm, covariates, then labels
+    # row by row, each row checked in full before the next; within a row outcome,
+    # observed, arm, covariates, then labels
     for i in range(n):
         if outcome_cells is not None:
             cell = outcome_cells[i]
             outcome[i] = (
                 np.nan if cell.strip() == "" else _reference_parse_float(cell, i + 1, "outcome")
             )
-        for role, cells, values in (("observed", observed_cells, observed), ("arm", arm_cells, arm)):
+            if np.isinf(outcome[i]):
+                raise ValidationError(f"outcome {cell} is not finite at row {i + 1}")
+        for role, cells in (("observed", observed_cells), ("arm", arm_cells)):
             if cells is not None:
                 value = _reference_parse_float(cells[i], i + 1, role)
                 if value not in (0.0, 1.0):
                     raise ValidationError(f"{role} value {cells[i]} not in {{0,1}} at row {i + 1}")
-                values[i] = int(value)
+                if role == "observed" and value != (not np.isnan(outcome[i])):
+                    raise ValidationError(f"observed {cells[i]} contradicts the outcome at row {i + 1}")
+                if role == "arm":
+                    arm[i] = int(value)
         for j, name in enumerate(covariate_names):
             covariates[i, j] = _reference_parse_float(columns[name][i], i + 1, name)
+            if not np.isfinite(covariates[i, j]):
+                raise ValidationError(f"covariate {name} is not finite at row {i + 1}")
         for role in ("stratum", "cluster"):
             cells = reserved(role)
             if cells is not None and cells[i].strip() == "":
@@ -785,7 +845,6 @@ def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialF
         covariates=covariates,
         covariate_names=tuple(covariate_names),
         outcome=outcome,
-        observed=observed,
         arm=arm,
         stratum=labels("stratum"),
         cluster=labels("cluster"),

@@ -225,7 +225,7 @@ class TestEstimateDml:
         # and predict far below 0.01 left of the step
         frame = balanced_frame(10, n=60)
         y = np.where(frame.column("x1") > -0.5, frame.outcome, np.nan)
-        frame = replace(frame, outcome=y, observed=None)
+        frame = replace(frame, outcome=y)
         res = estimate_dml(
             frame, LearnerSpec(kind="glm"), LearnerSpec(kind="glm"), 3, "plain", DIFF,
             seed=9, pi=0.5,

@@ -116,6 +116,26 @@ class TestFactorize:
                 arr[0] = arr[0]
         assert groups.first_rows.tolist() == [1, 0]
 
+    @pytest.mark.parametrize(
+        "labels,codes,message",
+        [
+            (["a"], [0, 1, 0, 1], r"grouping code outside range\(1\)"),
+            (["a", "b"], [0, -1], r"grouping code outside range\(2\)"),
+            (["a"], [0.0, 0.0], "1-d integer array"),
+            (["a"], [[0, 0]], "1-d integer array"),
+        ],
+        ids=["code_past_the_labels", "negative_code", "float_codes", "two_d_codes"],
+    )
+    def test_codes_that_name_no_label_are_rejected(self, labels, codes, message):
+        with pytest.raises(ValidationError, match=message):
+            Grouping(labels=np.array(labels, dtype=object), codes=np.array(codes))
+
+    def test_counts_are_derived_from_the_codes(self):
+        groups = Grouping(labels=np.array(["a", "b", "c"], dtype=object), codes=[2, 0, 2, 2])
+        assert groups.counts.tolist() == [1, 0, 3]
+        with pytest.raises(TypeError):
+            Grouping(labels=np.array(["a"], dtype=object), codes=[0, 0], counts=[2])
+
     @pytest.mark.parametrize("name,strata", PANEL, ids=PANEL_IDS)
     def test_weighted_sums_equal_sums_of_the_products(self, name, strata):
         rng = np.random.default_rng(8)
