@@ -45,26 +45,26 @@ def _first_fault(columns: dict, names: tuple = (), faults: list | tuple = ()) ->
     (blank); on one cell ``faults`` come first. A role not in ``columns`` is not checked."""
     found = list(faults)
 
-    def first(role: str, bad, message: str) -> None:
+    def first(role: str, bad, head: str, tail: str = "") -> None:
         rows = np.flatnonzero(bad)
         if rows.size:
-            found.append((rows[0], role, ValidationError(message.format(rows[0] + 1))))
+            found.append((rows[0], role, ValidationError(f"{head}{rows[0] + 1}{tail}")))
 
     if "outcome" in columns:
-        first("outcome", np.isinf(columns["outcome"]), "non-finite outcome at row {}")
+        first("outcome", np.isinf(columns["outcome"]), "non-finite outcome at row ")
     for role in ("observed", "arm"):
         if role in columns:
-            first(role, ~np.isin(columns[role], (0, 1)), role + " value not in {{0,1}} at row {}")
+            first(role, ~np.isin(columns[role], (0, 1)), role + " value not in {0,1} at row ")
     if "observed" in columns:
         first("observed", columns["observed"] != ~np.isnan(columns["outcome"]),
-              "observed indicator disagrees with outcome cell at row {}")
+              "observed indicator disagrees with outcome cell at row ")
     if "covariates" in columns and not np.isfinite(columns["covariates"]).all():
         for name, values in zip(names, columns["covariates"].T):
-            first(name, ~np.isfinite(values), f"non-finite covariate at row {{}}, column '{name}'")
+            first(name, ~np.isfinite(values), "non-finite covariate at row ", f", column '{name}'")
     for role in ("stratum", "cluster"):
         cells = columns.get(role, ())
         if not all(map(str.strip, set(cells))):
-            first(role, [not cell.strip() for cell in cells], f"empty {role} label at row {{}}")
+            first(role, [not cell.strip() for cell in cells], f"empty {role} label at row ")
     order = ("outcome", "observed", "arm", *names, "stratum", "cluster")
     return min(found, key=lambda fault: (fault[0], order.index(fault[1])), default=None)
 

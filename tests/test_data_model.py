@@ -81,10 +81,18 @@ class TestLoadCsv:
              "non-finite covariate at row 1, column 'x'"),
             ("outcome,arm,x\n1,0,1\ninf,1,2\n1,2,abc\n", ValidationError,
              "non-finite outcome at row 2"),
+            ("outcome,arm,a{b}\n1,0,inf\n", ValidationError,
+             "non-finite covariate at row 1, column 'a{b}'"),
+            ("outcome,arm,x{}\n1,0,1\n1,1,-inf\n", ValidationError,
+             "non-finite covariate at row 2, column 'x{}'"),
+            ("outcome,arm,x{0}\n1,0,nan\n", ValidationError,
+             "non-finite covariate at row 1, column 'x{0}'"),
         ],
         ids=["bad_covariate_above_bad_outcome", "bad_arm_above_bad_outcome",
              "empty_label_above_bad_arm", "disagreeing_observed_above_bad_covariate",
-             "infinite_covariate_above_bad_covariate", "infinite_outcome_above_bad_arm"],
+             "infinite_covariate_above_bad_covariate", "infinite_outcome_above_bad_arm",
+             "braces_in_covariate_name", "empty_braces_in_covariate_name",
+             "index_braces_in_covariate_name"],
     )
     def test_first_fault_is_the_earliest_rows(self, tmp_path, text, error, message):
         path = tmp_path / "trial.csv"
@@ -299,6 +307,12 @@ class TestTrialFrame:
             TrialFrame(covariate_names=("x",), **columns)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("name", ["a{b}", "x{}", "x{0}"])
+    def test_braces_in_a_covariate_name_are_named_verbatim(self, name):
+        with pytest.raises(ValidationError) as raised:
+            TrialFrame(covariates=np.array([[0.0], [np.inf]]), covariate_names=(name,))
+        assert str(raised.value) == f"non-finite covariate at row 2, column '{name}'"
+
     def test_non_finite_covariate_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             TrialFrame(
@@ -489,10 +503,11 @@ MALFORMED_CSV = {
 _TEXT_ALPHABET = "0123456789.eE+-_ ,\"\n\r#a\u00e9"
 # 0 and 1 twice, so that arm and observed columns often hold valid values
 _CELLS = st.sampled_from(
-    ["0", "1", "0", "1", "1.0", "-0.0", "1e3", " 2 ", "1_0", "", '"1"', '""', "a"]
+    ["0", "1", "0", "1", "1.0", "-0.0", "1e3", " 2 ", "1_0", "", '"1"', '""', "a",
+     "inf", "-inf", "nan"]
 )
 _NAMES = st.lists(
-    st.sampled_from(RESERVED_COLUMNS + ("x1", "x2")), min_size=1, max_size=4, unique=True
+    st.sampled_from(RESERVED_COLUMNS + ("x1", "x2", "x{0}")), min_size=1, max_size=4, unique=True
 )
 
 
