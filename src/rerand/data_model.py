@@ -77,8 +77,8 @@ class Grouping:
     index into them and ``counts`` the group sizes (derived from ``codes``), so
     group-wise sums run in label order whatever the hash seed; ``members`` lists
     rows in ascending order and ``first_rows`` each group's first row. All arrays
-    are read-only. Codes that are not 1-d integers in ``range(labels.size)`` raise
-    :class:`ValidationError`.
+    are read-only. Labels that are not 1-d and strictly increasing, and codes that
+    are not 1-d integers in ``range(labels.size)``, raise :class:`ValidationError`.
     """
 
     labels: np.ndarray
@@ -87,6 +87,8 @@ class Grouping:
 
     def __post_init__(self) -> None:
         labels, codes = _readonly(self.labels), _readonly(self.codes)
+        if labels.ndim != 1 or not np.all(labels[1:] > labels[:-1]):
+            raise ValidationError("grouping labels must be a 1-d, strictly increasing array")
         if codes.ndim != 1 or codes.dtype.kind not in "iu" or not np.can_cast(codes.dtype, np.intp):
             raise ValidationError("grouping codes must be a 1-d integer array")
         if codes.size and not 0 <= codes.min() <= codes.max() < labels.size:

@@ -419,7 +419,8 @@ def estimate_dml(
     denominators directly. With no missing outcomes ``missingness_learner``
     may be None, in which case kappa-hat is identically one; otherwise it is
     fitted with the logit link, and kappa-hat is clipped below at 0.01, with
-    the units clipped in their own arm counted in ``details["clip_count"]``.
+    the units clipped in their own arm (those below 0.01) counted in
+    ``details["propensity_clip_count"]``.
     Outcome learners see only observed-outcome rows of their training folds.
     ``fold_plan`` replaces the folds of ``make_folds``; ``details["fold_plan"]``
     holds the folds used.
@@ -494,7 +495,7 @@ def estimate_dml(
     clip_count = 0
     if any_missing:
         used = kappa[np.arange(frame.n_units), arms]
-        clip_count = int((used <= PROPENSITY_FLOOR).sum())
+        clip_count = int((used < PROPENSITY_FLOOR).sum())
         kappa = np.clip(kappa, PROPENSITY_FLOOR, 1.0)
 
     # row 0 holds mu1's per-unit plug-in, row 1 mu0's
@@ -507,6 +508,6 @@ def estimate_dml(
     diag = SolverDiag(iterations=0, residual_norm=float(np.abs(if_mu.mean(axis=0)).max()))
     result = contrast(estimand, mu, if_mu, diag)
     result.details.update(
-        {"fold_plan": fold_plan, "clip_count": clip_count, "eta_hat": eta, "kappa_hat": kappa}
+        fold_plan=fold_plan, propensity_clip_count=clip_count, eta_hat=eta, kappa_hat=kappa
     )
     return result

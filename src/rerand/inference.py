@@ -1,15 +1,14 @@
-"""Variance and R-squared estimation plus the non-Gaussian limit machinery.
+"""Variance and R-squared estimation plus the limit law of every design.
 
-Estimator asymptotics under constrained randomization take the form
-sqrt(V) * (sqrt(1-R^2) z + sqrt(R^2) r_{q,t}) with z standard normal and
-r_{q,t} the first coordinate of a standard q-normal conditioned on squared
-norm < t. This module estimates V with ``variance_simple`` and (V, R^2, C-hat,
-n V-hat(I)) of a scheme, stratified or not, with ``scheme_plugins``, both
-from per-unit influence values. ``confidence_interval`` inverts the
-``LimitSpec`` law into a ``CIResult`` by deterministic quadrature: 1-D for the
-Mahalanobis form, and Genz's separation of variables over a fixed point set
-for the projection form (general weights and tiers). ``sample_limit`` draws
-the Mahalanobis form; ``normal_interval`` and ``v_qt`` sit beside them.
+An estimator's sqrt(n) error tends to sqrt(V) (sqrt(1-R^2) z + sqrt(R^2) r_{q,t}),
+z standard normal and r_{q,t} the first coordinate of a standard q-normal given
+squared norm < t; simple randomization is t = inf, where r_{q,t} is standard
+normal. ``variance_simple`` and ``scheme_plugins`` estimate V (and R^2, C-hat,
+n V-hat(I)) from per-unit influence values. ``confidence_interval`` inverts a
+``LimitSpec`` into a ``CIResult``: ``normal_interval`` where the law is normal,
+else by deterministic quadrature (1-D for the Mahalanobis form, Genz's
+separation of variables for the projection form of general weights and tiers).
+``sample_limit`` draws the Mahalanobis form.
 
 All functions are pure; the sampler owns a seeded generator, so independent
 computations may run concurrently with distinct seeds.
@@ -72,8 +71,6 @@ class CIResult:
 
 def v_qt(q: int, t: float) -> float:
     """Variance of r_{q,t}: P(chi^2_{q+2} < t) / P(chi^2_q < t); 1 at t = inf."""
-    if math.isinf(t):
-        return 1.0
     denom = chi_square_cdf(q, t)
     if denom == 0.0:
         raise NumericError("threshold t too small: P(chi^2_q < t) underflows")

@@ -476,15 +476,14 @@ def _replicate(config: SimConfig, truth: dict, r: int) -> dict:
 def scheme_inference(est: SimEstimator, result, frame: TrialFrame, design: Design, alpha: float) -> dict:
     """Scheme-appropriate variance, R^2, and both interval types.
 
-    ``v_hat``/``ase`` always use the simple-randomization sandwich formula;
-    ``ci_true`` uses the limit law matching the design's scheme (normal for
-    non-rerandomized schemes, the truncated mixture otherwise, with the
-    stratified variance and R^2 plug-ins under stratified schemes): its
-    scalar-R^2 form for one Mahalanobis criterion over all of X^r, else the
-    projection form over the criterion's forms at n V-hat(I); both by
-    deterministic quadrature. It makes two sandwich passes,
-    ``variance_simple`` and ``scheme_plugins``; cross-fitted (DML) estimates
-    pass their folds to both, the stratified one only stratum-arm folds.
+    ``v_hat``, ``ase`` and ``ci_normal`` use the simple-randomization sandwich
+    formula; ``ci_true`` is the design's limit law at the scheme's plug-ins, by
+    ``inference.confidence_interval``. A design that does not rerandomize is
+    the law at t = inf; one Mahalanobis criterion over all of X^r is its
+    scalar-R^2 form, any other criterion the projection form at n V-hat(I). It
+    makes two sandwich passes, ``variance_simple`` and ``scheme_plugins``;
+    cross-fitted (DML) estimates pass their folds to both, the stratified one
+    only stratum-arm folds.
     """
     arms, strata, Xr = _analysis_units(est, frame, design)
     ifv = result.if_values
@@ -497,30 +496,23 @@ def scheme_inference(est: SimEstimator, result, frame: TrialFrame, design: Desig
         ifv, arms, design.pi, Xr if design.q else None, strata, fold_ids
     )
 
-    limit_spec = None
+    t, projection = math.inf, None  # simple randomization is the law at t = inf
     if design.rerandomized:
         first, *rest = design.criterion
         exact = not rest and first.distance == "mahalanobis" and (
             sorted(first.indices) == sorted(design.rerand_covariates)
         )
-        projection = None
+        t = first.threshold if exact else design.threshold_t
         if not exact:
             projection = (c_hat, n_var_i, balance_forms(design, n_var_i))
-        t = first.threshold if exact else design.threshold_t
-        limit_spec = inference.LimitSpec(V=v_scheme, R2=r2, q=design.q, t=t, projection=projection)
-
-    ci_normal = inference.normal_interval(result.delta_hat, v_simple, n_units, alpha)
-    if limit_spec is None:
-        ci_true = inference.normal_interval(result.delta_hat, v_scheme, n_units, alpha)
-    else:
-        ci_true = inference.confidence_interval(result.delta_hat, limit_spec, n_units, alpha)
+    spec = inference.LimitSpec(V=v_scheme, R2=r2 or 0.0, q=design.q, t=t, projection=projection)
     return {
         "v_hat": v_simple,
         "v_scheme": v_scheme,
         "r2_hat": r2,
         "ase": math.sqrt(v_simple / n_units),
-        "ci_normal": ci_normal,
-        "ci_true": ci_true,
+        "ci_normal": inference.normal_interval(result.delta_hat, v_simple, n_units, alpha),
+        "ci_true": inference.confidence_interval(result.delta_hat, spec, n_units, alpha),
         "n_units": n_units,
     }
 

@@ -241,7 +241,28 @@ class TestEstimateDml:
                 fit = dml.fit_learners(logit, [frame.covariates[train]], [frame.observed[train]])
                 raw[held] = fit[0](frame.covariates[held])
         assert (raw < 0.01).any() and np.abs(raw - 0.01).min() > 1e-6
-        assert res.details["clip_count"] == (raw <= 0.01).sum()
+        assert res.details["propensity_clip_count"] == (raw < 0.01).sum()
+
+    def test_propensity_at_the_floor_is_not_counted_as_clipped(self, monkeypatch):
+        # np.clip leaves 0.01 unchanged, so a prediction sitting at the floor is
+        # not clipped, as in DR-WLS's count and its Jacobian
+        frame = balanced_frame(10, n=60)
+        y = np.where(np.arange(60) % 5 == 0, np.nan, frame.outcome)
+        frame = replace(frame, outcome=y)
+        fit_learners = dml.fit_learners
+
+        def floor_missingness(spec, Xs, ys):
+            if spec.link != "logit":
+                return fit_learners(spec, Xs, ys)
+            return [lambda X: np.full(X.shape[0], 0.01) for _ in Xs]
+
+        monkeypatch.setattr(dml, "fit_learners", floor_missingness)
+        res = estimate_dml(
+            frame, LearnerSpec(kind="glm"), LearnerSpec(kind="glm"), 3, "plain", DIFF,
+            seed=9, pi=0.5,
+        )
+        assert (res.details["kappa_hat"] == 0.01).all()
+        assert res.details["propensity_clip_count"] == 0
 
     def test_missing_outcomes_require_a_missingness_learner(self):
         frame = balanced_frame(16, n=40)

@@ -123,8 +123,13 @@ class TestFactorize:
             (["a", "b"], [0, -1], r"grouping code outside range\(2\)"),
             (["a"], [0.0, 0.0], "1-d integer array"),
             (["a"], [[0, 0]], "1-d integer array"),
+            (["b", "a"], [1, 0, 0, 1], "strictly increasing"),
+            (["a", "a"], [0, 1, 1, 0], "strictly increasing"),
         ],
-        ids=["code_past_the_labels", "negative_code", "float_codes", "two_d_codes"],
+        ids=[
+            "code_past_the_labels", "negative_code", "float_codes", "two_d_codes",
+            "unsorted_labels", "repeated_labels",
+        ],
     )
     def test_codes_that_name_no_label_are_rejected(self, labels, codes, message):
         with pytest.raises(ValidationError, match=message):

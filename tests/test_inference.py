@@ -656,12 +656,20 @@ class TestQuadratureInterval:
                     err = abs(_limit_cdf_oracle(ci.upper, q, t, r2) - (1.0 - alpha / 2.0))
                     assert err <= (1e-9 if r2 <= 0.9999 else 1e-6), (t, r2, alpha, err)
 
-    @pytest.mark.parametrize("r2,t", [(0.0, 1.0), (0.7, math.inf), (0.7, 1000.0)])
-    def test_normal_cases_are_bit_identical_to_normal_interval(self, r2, t):
-        ci = confidence_interval(0.3, LimitSpec(V=2.0, R2=r2, q=2, t=t), 50, 0.05)
-        ref = normal_interval(0.3, 2.0, 50, 0.05)
+    @pytest.mark.parametrize(
+        "q,r2,t",
+        [(2, 0.0, 1.0), (2, 0.7, 1000.0)]
+        + [(q, r2, math.inf) for q in range(1, 11) for r2 in (0.0, 0.7, 1.0)],
+    )
+    @pytest.mark.parametrize("alpha", [0.05, 1e-9, 0.999, 1.0, 1.5])
+    def test_normal_cases_are_bit_identical_to_normal_interval(self, q, r2, t, alpha):
+        # t = inf is simple randomization: r_{q,inf} is standard normal
+        ci = confidence_interval(0.3, LimitSpec(V=2.0, R2=r2, q=q, t=t), 50, alpha)
+        ref = normal_interval(0.3, 2.0, 50, alpha)
         assert (ci.lower, ci.upper, ci.method) == (ref.lower, ref.upper, "normal")
-        assert ci.v_qt == v_qt(2, t)
+        assert ci.v_qt == v_qt(q, t)
+        if math.isinf(t):
+            assert ci.v_qt == 1.0
 
     def test_tiny_threshold_works_and_underflow_raises(self):
         ci = confidence_interval(0.0, LimitSpec(V=1.0, R2=0.5, q=3, t=1e-7), 100, 0.05)

@@ -418,15 +418,18 @@ def _composed_from_plugins(est, result, frame, design, alpha):
         v_scheme = scheme_plugins(ifv, arms, pi, None, strata, folds)[0]
     r2 = scheme_plugins(ifv, arms, pi, Xr, strata, folds)[1]
     var_i = centered_scatter(Xr, strata)[1] / arm_product(arms)
-    first, *rest = design.criterion
-    exact = not rest and first.distance == "mahalanobis" and (
-        sorted(first.indices) == sorted(design.rerand_covariates)
-    )
-    projection = None
-    if not exact:
-        c_hat = scheme_plugins(ifv, arms, pi, Xr, strata, folds)[2]
-        projection = (c_hat, n * var_i, balance_forms(design, n * var_i))
-    t = first.threshold if exact else design.threshold_t
+    # simple randomization is the law at t = inf with no projection, whatever
+    # t, distance or tiers a design that does not rerandomize carries
+    t, projection = math.inf, None
+    if design.rerandomized:
+        first, *rest = design.criterion
+        exact = not rest and first.distance == "mahalanobis" and (
+            sorted(first.indices) == sorted(design.rerand_covariates)
+        )
+        if not exact:
+            c_hat = scheme_plugins(ifv, arms, pi, Xr, strata, folds)[2]
+            projection = (c_hat, n * var_i, balance_forms(design, n * var_i))
+        t = first.threshold if exact else design.threshold_t
     spec = LimitSpec(V=v_scheme, R2=r2, q=design.q, t=t, projection=projection)
     ci = confidence_interval(result.delta_hat, spec, n, alpha)
     return v_hat, v_scheme, r2, ci.lower, ci.upper
@@ -462,7 +465,9 @@ def _scheme_trial():
 class TestSchemeInferenceEqualsItsParts:
     @pytest.mark.parametrize("estimator", list(_SCHEME_ESTIMATORS))
     @pytest.mark.parametrize("criterion", ["mahalanobis", "general", "tiers"])
-    @pytest.mark.parametrize("scheme", ["rerandomized", "stratified_rerandomized"])
+    @pytest.mark.parametrize(
+        "scheme", ["simple", "stratified", "rerandomized", "stratified_rerandomized"]
+    )
     def test_bit_for_bit(self, scheme, criterion, estimator):
         frame, estimators = _scheme_trial()
         est = estimators[estimator]
