@@ -16,7 +16,6 @@ from .data_model import (
     TrialFrame,
     load_csv,
     validate_design,
-    write_csv,
 )
 from .dml import LearnerSpec, estimate_dml, make_folds
 from .inference import (

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import __version__
-from .data_model import Design, Tier, load_csv, validate_design, write_csv
+from .data_model import CsvRecords, Design, Tier, load_csv, validate_design
 from .dml import LearnerSpec
 from .errors import DataError, NumericError, ValidationError
 from .inference import LimitSpec, confidence_interval
@@ -329,7 +329,7 @@ def _build_parser() -> _Parser:
     p_alloc.add_argument("--design", required=True, help="design config file")
     p_alloc.add_argument("--data", required=True, help="input CSV")
     p_alloc.add_argument("--seed", required=True, type=int)
-    p_alloc.add_argument("--out", required=True, help="output CSV (arm appended)")
+    p_alloc.add_argument("--out", required=True, help="output CSV: the input's records with arm")
 
     p_an = sub.add_parser("analyze", help="estimate a treatment effect")
     p_an.add_argument("--data", required=True)
@@ -378,8 +378,8 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 
 def _cmd_allocate(args) -> None:
-    data_hash = hashlib.sha256()
-    frame = load_csv(args.data, data_hash)
+    data_hash, records = hashlib.sha256(), CsvRecords()
+    frame = load_csv(args.data, data_hash, records)
     cfg = _parse_kv_file(args.design, _DESIGN_KEYS)
     design = validate_design(design_from_config(cfg, frame.covariate_names), frame)
     resolved = {"design": dataclasses.asdict(design), "seed": args.seed}
@@ -387,7 +387,7 @@ def _cmd_allocate(args) -> None:
     digest = canonical_digest(resolved)
     _log_record("allocate", resolved, digest, data=args.data)
     alloc = rerandomize(frame, design, args.seed)
-    write_csv(dataclasses.replace(frame, arm=alloc.arms), args.out)
+    records.write_with_arm(alloc.arms, args.out)
     meta = {
         "attempts": alloc.attempts,
         "accepted_distance": alloc.accepted_distance,

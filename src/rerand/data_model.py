@@ -12,8 +12,11 @@ import codecs
 import csv
 import io
 import math
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -77,8 +80,9 @@ class Grouping:
     index into them and ``counts`` the group sizes (derived from ``codes``), so
     group-wise sums run in label order whatever the hash seed; ``members`` lists
     rows in ascending order and ``first_rows`` each group's first row. All arrays
-    are read-only. Labels that are not 1-d and strictly increasing, and codes that
-    are not 1-d integers in ``range(labels.size)``, raise :class:`ValidationError`.
+    are read-only. Labels that are not 1-d and strictly increasing (or that Python cannot
+    compare), and codes that are not 1-d integers in ``range(labels.size)``, raise
+    :class:`ValidationError`.
     """
 
     labels: np.ndarray
@@ -87,7 +91,7 @@ class Grouping:
 
     def __post_init__(self) -> None:
         labels, codes = _readonly(self.labels), _readonly(self.codes)
-        if labels.ndim != 1 or not np.all(labels[1:] > labels[:-1]):
+        if labels.ndim != 1 or not np.all(_compared(np.greater, labels[1:], labels[:-1])):
             raise ValidationError("grouping labels must be a 1-d, strictly increasing array")
         if codes.ndim != 1 or codes.dtype.kind not in "iu" or not np.can_cast(codes.dtype, np.intp):
             raise ValidationError("grouping codes must be a 1-d integer array")
@@ -124,12 +128,20 @@ class Grouping:
         return first
 
 
+def _compared(compare, *labels):
+    """``compare(*labels)``; labels Python cannot compare raise :class:`ValidationError`."""
+    try:
+        return compare(*labels)
+    except TypeError as exc:
+        raise ValidationError(f"labels that cannot be ordered: {exc}") from None
+
+
 def factorize(values: np.ndarray) -> Grouping:
-    """Group units by label; labels are compared with Python's ``<`` and ``==``."""
+    """Group units by label; labels are compared with Python's ``<`` and ``==``, and labels
+    it cannot compare raise :class:`ValidationError`."""
     values = np.asarray(values)
     items = values.ravel().tolist()
-    distinct = set(items)
-    levels = sorted(distinct)
+    levels = _compared(sorted, set(items))
     code_of = {level: code for code, level in enumerate(levels)}
     codes = np.fromiter(map(code_of.__getitem__, items), dtype=np.intp, count=len(items))
     labels = np.array(levels, dtype=values.dtype)
@@ -410,12 +422,12 @@ def _record_lines(handle, count: list[int]):
         yield line
 
 
-def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict, list] | None:
+def _c_columns(handle, start: int, header: list[str]) -> tuple | None:
     """The rows from ``start`` in one ``np.loadtxt`` pass: labels str, all else float64,
     the outcome through ``_blank_is_nan`` if a pass without it fails, as
-    ``_cell_by_cell`` returns them (with no faults). None if numpy or ``_record_lines``
-    rejects the text or a record spans lines (where a field could pass csv's size limit
-    unseen)."""
+    ``_cell_by_cell`` returns them (with no faults, and None for the row ends: each row
+    is one line). None if numpy or ``_record_lines`` rejects the text or a record spans
+    lines (where a field could pass csv's size limit unseen)."""
     dtype = [(f"f{j}", object if name in ("stratum", "cluster") else float)
              for j, name in enumerate(header)]
     outcome = {header.index("outcome"): _blank_is_nan} if "outcome" in header else None
@@ -429,19 +441,22 @@ def _c_columns(handle, start: int, header: list[str]) -> tuple[int, dict, list] 
             continue
         if len(table) != lines[0]:
             return None
-        return len(table), {name: table[f"f{j}"] for j, name in enumerate(header)}, []
+        return len(table), {name: table[f"f{j}"] for j, name in enumerate(header)}, [], None
     return None
 
 
-def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict, list]:
+def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict, list, list[int]]:
     """The rows of csv ``reader`` parsed cell by cell by ``float``: the row count, the
-    columns, and a (row index, column, ParseError) fault for each numeric column with a
+    columns, a (row index, column, ParseError) fault for each numeric column with a
     bad cell, whose values from there on are 0, unparsed (a fault they show in
-    ``_first_fault`` ranks after it). A bad row width or an oversized field raises at once."""
+    ``_first_fault`` ranks after it), and the reader's ``line_num`` after each row. A bad
+    row width or an oversized field raises at once."""
     rows: list[list[str]] = []
+    ends: list[int] = []
     try:
         for cells in reader:
             rows.append(cells)
+            ends.append(reader.line_num)
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
         raise ParseError(f"row {len(rows) + 1}: {exc}") from None
     for i, cells in enumerate(rows, start=1):
@@ -460,12 +475,12 @@ def _cell_by_cell(reader, header: list[str]) -> tuple[int, dict, list]:
                 faults.append((i, name, ParseError(message)))
                 break
         columns[name] = values
-    return len(rows), columns, faults
+    return len(rows), columns, faults, ends
 
 
-def _open_text(path, hasher) -> io.TextIOWrapper:
-    """The UTF-8 file at ``path`` from one read, less a leading byte-order mark, lines
-    decoded as they are read; ``hasher`` (if given) is updated with the file's bytes."""
+def _read_utf8(path, hasher) -> bytes:
+    """The bytes of the UTF-8 file at ``path``, from one read; ``hasher`` (if given) is
+    updated with them."""
     with open(path, "rb") as file:
         data = file.read()
     if hasher is not None:
@@ -477,10 +492,101 @@ def _open_text(path, hasher) -> io.TextIOWrapper:
         except UnicodeDecodeError as exc:
             message = f"{path}: not UTF-8 text ({exc.reason} at byte {pos + exc.start})"
             raise DataError(message) from None
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    return data
 
 
-def load_csv(path, hasher=None) -> TrialFrame:
+# One field of a record by csv's default dialect: a field that opens with a quote runs to
+# the quote that closes it (a doubled quote does not), then as plain text to the next comma.
+_FIELD = re.compile(rb'"(?:[^"]|"")*"[^,]*|[^,]*')
+_ECHO_BLOCK_BYTES = 1 << 16  # bytes per line-end scan and per write: no mask or copy of the file
+
+
+def _line_ends(data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Where each line end of ``data`` (LF, CR or CRLF, as ``newline=""`` reads them)
+    starts, and where it stops."""
+    text = np.frombuffer(data, np.uint8)
+
+    def where(byte: int) -> np.ndarray:
+        blocks = range(0, text.size, _ECHO_BLOCK_BYTES)
+        found = [np.flatnonzero(text[i : i + _ECHO_BLOCK_BYTES] == byte) + i for i in blocks]
+        return np.concatenate([np.zeros(0, np.intp), *found])
+
+    lf, cr = where(10), where(13)
+    after_cr = text[np.maximum(lf - 1, 0)] == 13
+    lone_cr = cr[text[np.minimum(cr + 1, text.size - 1)] != 10]
+    starts = np.sort(np.concatenate((lf - after_cr, lone_cr)))
+    return starts, np.sort(np.concatenate((lf, lone_cr))) + 1
+
+
+def _ends_in_a_quote(data: bytes, ends: Sequence[int]) -> bool:
+    """Whether the last record of ``data`` (records end after ``ends`` physical lines) is
+    inside a quoted field at the end of the file, which csv and numpy take as closing it:
+    a line after it would join that field, so no cell could follow the record."""
+    if b'"' not in data:
+        return False
+    start = _line_ends(data)[1][ends[-2] - 1] if len(ends) > 1 else 0
+    last = io.TextIOWrapper(io.BytesIO(data[start:]), encoding="utf-8-sig", newline="")
+    try:
+        return len(list(csv.reader(chain(last, ["x"])))) == 1  # "x" joined the record
+    except csv.Error:  # "x" took a field over csv.field_size_limit()
+        return True
+
+
+def _field_span(data: bytes, column: int, start: int, stop: int) -> tuple[int, int]:
+    """Where field ``column`` of the record ``data[start:stop]`` (no line end) lies."""
+    for _ in range(column):
+        start = _FIELD.match(data, start, stop).end() + 1
+    return start, _FIELD.match(data, start, stop).end()
+
+
+@dataclass(eq=False)
+class CsvRecords:
+    """A CSV file as :func:`load_csv` read it, to be written back with an arm column.
+
+    ``data`` holds the file's bytes, ``header`` its column names, and ``ends`` the count
+    of physical lines (each ended by LF, CR or CRLF) read through the header and through
+    each row, from the loader's one parse.
+    """
+
+    data: bytes = b""
+    header: tuple[str, ...] = ()
+    ends: Sequence[int] = ()
+
+    def write_with_arm(self, arms: np.ndarray, path) -> None:
+        """Write the records with the rows' ``arms``: in place of an ``arm`` column's cells,
+        or else appended as a last column (``,arm`` after the header, ``,0`` or ``,1`` after
+        each row). Every other byte is the file's own, a byte-order mark included. A last
+        record without a line end gets the line end of the record before it, or CRLF after
+        a lone header. Output goes in writes of about ``_ECHO_BLOCK_BYTES`` of input."""
+        data = self.data
+        line_starts, line_stops = _line_ends(data)
+        last_lines = np.asarray(self.ends) - 1  # each record's last physical line
+        body_stops = np.append(line_starts, len(data))[last_lines].tolist()  # len: no line end
+        if "arm" in self.header:  # record i's cell replaces data[cut[i]:end[i]]
+            column, row_starts = self.header.index("arm"), line_stops[last_lines[:-1]].tolist()
+            spans = [_field_span(data, column, *row) for row in zip(row_starts, body_stops[1:])]
+            cut, end = map(list, zip((body_stops[0], body_stops[0]), *spans))
+            cells = [b"", *map((b"0", b"1").__getitem__, arms.tolist())]
+        else:
+            cut = end = body_stops
+            sep = b"," if self.header else b""  # a header of no columns has blank rows
+            cells = [sep + b"arm", *map((sep + b"0", sep + b"1").__getitem__, arms.tolist())]
+        tail = data[end[-1] :]
+        if body_stops[-1] == len(data):  # the last record has no line end
+            prior = last_lines[-2] if len(last_lines) > 1 else None
+            tail += b"\r\n" if prior is None else data[line_starts[prior] : line_stops[prior]]
+        copied, cuts = [0, *end[:-1]], np.array(cut)
+        with open(path, "wb") as handle:
+            first = 0
+            while first < len(cells):
+                last = max(first + 1, int(np.searchsorted(cuts, copied[first] + _ECHO_BLOCK_BYTES)))
+                pieces = map(data.__getitem__, map(slice, copied[first:last], cut[first:last]))
+                handle.write(b"".join(chain.from_iterable(zip(pieces, cells[first:last]))))
+                first = last
+            handle.write(tail)
+
+
+def load_csv(path, hasher=None, records: CsvRecords | None = None) -> TrialFrame:
     """Load a trial CSV into a :class:`TrialFrame`.
 
     The header row is required. Columns named ``outcome``, ``observed``,
@@ -491,17 +597,21 @@ def load_csv(path, hasher=None) -> TrialFrame:
     names the first bad cell. Empty outcome cells mean missing. The frame derives
     ``observed`` from the outcome, so an ``observed`` column needs an ``outcome`` column
     (checked with the header) and must agree with it. A row of the wrong width or an
-    oversized field is named next. Of the cell faults (a malformed number, a ±inf
+    oversized field is named next, then a file that ends inside a quoted field (which
+    csv and numpy would close unseen). Of the cell faults (a malformed number, a ±inf
     outcome, an observed or arm value outside {0,1}, an observed value that disagrees
     with its outcome cell, a non-finite covariate, a blank stratum or cluster label) the
     earliest row's is named, and within a row the outcome, observed and arm cells come
     first, then covariates, then labels. Text that is not UTF-8 raises
     :class:`DataError` (naming the bad byte's offset in the file), a field over
     ``csv.field_size_limit()`` :class:`ParseError`. A ``hasher`` (such as
-    ``hashlib.sha256()``) is updated with the bytes of the file as read. Memory: the
-    file's bytes plus the parsed columns; no copy of the whole text.
+    ``hashlib.sha256()``) is updated with the bytes of the file as read, and a
+    :class:`CsvRecords` given as ``records`` is filled with them and the record
+    boundaries this parse found. Memory: the file's bytes plus the parsed columns; no
+    copy of the whole text.
     """
-    with _open_text(path, hasher) as handle:  # closing frees the bytes before the frame is built
+    data = _read_utf8(path, hasher)
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(iter(handle.readline, ""))  # not next(handle), which stops tell()
         try:
             header = next(reader, None)
@@ -515,12 +625,20 @@ def load_csv(path, hasher=None) -> TrialFrame:
         if "observed" in header and "outcome" not in header:
             raise ValidationError("observed given without outcome column")
 
-        start = handle.tell()  # no rows go cell by cell: numpy would warn of no data
+        header_lines, start = reader.line_num, handle.tell()
+        # no rows go cell by cell: numpy would warn of no data
         parsed = _c_columns(handle, start, header) if header and handle.read(1) else None
         if parsed is None:
             handle.seek(start)
             parsed = _cell_by_cell(reader, header)
-    n, columns, faults = parsed
+    n, columns, faults, row_ends = parsed
+    ends = [header_lines, *row_ends] if row_ends else range(header_lines, header_lines + n + 1)
+    if _ends_in_a_quote(data, ends):
+        record = f"row {n}" if n else "header row"
+        raise ParseError(f"{record}: the file ends inside a quoted field")
+    if records is not None:
+        records.data, records.header, records.ends = data, tuple(header), ends
+    del data  # the frame is built without the file's bytes, unless ``records`` holds them
     covariate_names = tuple(name for name in header if name not in RESERVED_COLUMNS)
     covariates = np.empty((n, len(covariate_names)))
     for j, name in enumerate(covariate_names):
@@ -532,62 +650,3 @@ def load_csv(path, hasher=None) -> TrialFrame:
               for role in ("stratum", "cluster") if role in columns}
     return TrialFrame(covariates, covariate_names, outcome=columns.get("outcome"),
                       arm=columns.get("arm"), **groups)
-
-
-_WRITE_BLOCK_CELLS = 8192  # cells per write, so the transient text stays bounded in rows and columns
-
-
-def _number_fields(values: np.ndarray, rows: slice) -> list[str]:
-    """Integers below 1e16 without a point, NaN (a missing outcome) blank, others by repr."""
-    values = values[rows]
-    floats = values.tolist()
-    fields = list(map(repr, floats))
-    special = np.isnan(values) | ((values == np.trunc(values)) & (np.abs(values) < 1e16))
-    for i in np.flatnonzero(special).tolist():
-        fields[i] = "" if math.isnan(floats[i]) else str(int(floats[i]))
-    return fields
-
-
-def _label_fields(groups: Grouping):
-    """Each distinct label quoted once as csv.writer quotes it, then expanded by code."""
-    buffer, ends = io.StringIO(), [0]
-    writer = csv.writer(buffer)
-    for label in groups.labels.tolist():
-        writer.writerow((label, ""))  # a second field: csv writes a lone "" as '""'
-        ends.append(buffer.tell())
-    text = buffer.getvalue()
-    quoted = np.array([text[a : b - 3] for a, b in zip(ends, ends[1:])], dtype=object)
-    return lambda rows: quoted[groups.codes[rows]].tolist()
-
-
-def write_csv(frame: TrialFrame, path) -> None:
-    """Write a frame in the canonical reserved-name CSV layout.
-
-    Numbers are written at full round-trip precision and labels quoted by csv's
-    rules, with CRLF line ends, so write -> load -> write is byte-stable. Rows
-    are formatted in blocks of at most ``_WRITE_BLOCK_CELLS`` cells (at least
-    one row), so the text held at once does not grow with the rows or columns.
-    """
-    integers = lambda values: lambda rows: list(map(str, values[rows].tolist()))
-    columns: list = []  # (name, row slice -> that slice's CSV fields)
-    if frame.outcome is not None:
-        columns.append(("outcome", partial(_number_fields, frame.outcome)))
-        columns.append(("observed", integers(frame.observed)))
-    if frame.arm is not None:
-        columns.append(("arm", integers(frame.arm)))
-    for name, groups in (("stratum", frame.stratum), ("cluster", frame.cluster)):
-        if groups is not None:
-            columns.append((name, _label_fields(groups)))
-    for name, values in zip(frame.covariate_names, frame.covariates.T):
-        columns.append((name, partial(_number_fields, values)))
-
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerow([name for name, _ in columns])
-        block_rows = max(1, _WRITE_BLOCK_CELLS // max(1, len(columns)))
-        for start in range(0, frame.n_units, block_rows):
-            rows = slice(start, min(start + block_rows, frame.n_units))
-            fields = [column(rows) for _, column in columns]
-            if len(fields) == 1:  # csv writes a row whose only field is empty as ""
-                fields[0] = [field or '""' for field in fields[0]]
-            lines = map(",".join, zip(*fields)) if fields else [""] * (rows.stop - start)
-            handle.write("\r\n".join(lines) + "\r\n")

@@ -52,7 +52,9 @@ class LimitSpec:
     projection: tuple[np.ndarray, np.ndarray, list] | None = None
 
     def __post_init__(self) -> None:
-        if not self.V >= 0:  # NaN fails too
+        if math.isnan(self.V):
+            raise ValidationError("V must be a number, not NaN")
+        if self.V < 0:
             raise ValidationError("V must be nonnegative")
         if not 0.0 <= self.R2 <= 1.0:
             raise ValidationError("R2 must lie in [0, 1]")
@@ -214,10 +216,9 @@ def _ball_coordinate(rng, q, t, m):
     d'd, drawn as the chi^2_q quantile at U * P(chi^2_q < t), is independent of
     the direction's first coordinate z_1 / sqrt(z_1^2 + chi^2_{q-1}); the cost
     does not depend on t. Closed forms serve q = 1 (a normal truncated to
-    |r| < sqrt(t)) and q = 2 (d'd = -2 log(1 - p), uniform angle).
+    |r| < sqrt(t)) and q = 2 (d'd = -2 log(1 - p), uniform angle). At t = inf the
+    mass is 1, and the same draws are standard normal.
     """
-    if math.isinf(t):
-        return rng.standard_normal((m, q))[:, 0]
     mass = chi_square_cdf(q, t)
     if mass == 0.0:
         raise NumericError("threshold t too small: P(chi^2_q < t) underflows")

@@ -84,7 +84,7 @@ class TestCi:
 
     @pytest.mark.parametrize(
         "flag,message",
-        [("--v", "V must be nonnegative"), ("--delta", "delta must be a number, not NaN"),
+        [("--v", "V must be a number, not NaN"), ("--delta", "delta must be a number, not NaN"),
          ("--alpha", "alpha must be a number, not NaN")],
         ids=["v", "delta", "alpha"],
     )

@@ -1,12 +1,14 @@
 import codecs
 import csv
 import hashlib
+import io
 import math
 import re
 import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Mapping
 from unittest import mock
@@ -23,10 +25,9 @@ from rerand import (
     TrialFrame,
     load_csv,
     validate_design,
-    write_csv,
 )
 from rerand import data_model
-from rerand.data_model import _WRITE_BLOCK_CELLS, RESERVED_COLUMNS, factorize
+from rerand.data_model import _ECHO_BLOCK_BYTES, RESERVED_COLUMNS, CsvRecords, factorize
 from rerand.errors import DataError, ParseError, ValidationError
 
 from conftest import unit_labels
@@ -112,9 +113,9 @@ class TestLoadCsv:
         )
         first = tmp_path / "first.csv"
         second = tmp_path / "second.csv"
-        write_csv(frame, first)
+        _reference_write_csv(frame, first)
         reloaded = load_csv(first)
-        write_csv(reloaded, second)
+        _reference_write_csv(reloaded, second)
         assert first.read_bytes() == second.read_bytes()
         np.testing.assert_array_equal(frame.covariates, reloaded.covariates)
         np.testing.assert_array_equal(frame.observed, reloaded.observed)
@@ -182,7 +183,7 @@ class TestLoadCsv:
         rng = np.random.default_rng(60)
         n, names = 10_000, [f"x{j}" for j in range(10)]
         path = tmp_path / "large.csv"
-        write_csv(
+        _reference_write_csv(
             TrialFrame(
                 covariates=rng.normal(size=(n, 10)), covariate_names=tuple(names),
                 outcome=rng.normal(size=n), arm=np.arange(n) % 2,
@@ -199,23 +200,26 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert peak <= 3 * path.stat().st_size
 
-    def test_write_peak_memory_is_below_the_file_size(self, tmp_path):
-        # 2,000 rows x 150 covariates: a block of 4,096 rows held every cell's text,
-        # several times the file
+    def test_echo_peak_memory_is_below_the_file_size(self, tmp_path):
+        # 2,000 rows x 150 covariates: beyond the bytes the loader kept, the echo holds
+        # its record offsets and one block of text at a time
         rng = np.random.default_rng(62)
         n, k = 2_000, 150
         frame = TrialFrame(
             covariates=rng.normal(size=(n, k)), covariate_names=tuple(f"x{j}" for j in range(k)),
-            arm=np.arange(n) % 2,
         )
-        path = tmp_path / "wide.csv"
+        path, out = tmp_path / "wide.csv", tmp_path / "allocated.csv"
+        _reference_write_csv(frame, path)
+        records = CsvRecords()
+        load_csv(path, records=records)
         tracemalloc.start()
         try:
-            write_csv(frame, path)
+            records.write_with_arm(np.arange(n) % 2, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+        assert_echoes(path, out, np.arange(n) % 2)
 
     @pytest.mark.parametrize("kind", ["long_label", "long_number", "two_line_label"])
     def test_field_over_csv_limit_names_its_row(self, tmp_path, kind):
@@ -256,7 +260,7 @@ class TestLoadCsv:
             cluster=["c1", "c2", "#3"],
         )
         path = tmp_path / "trial.csv"
-        write_csv(frame, path)
+        _reference_write_csv(frame, path)
         monkeypatch.setattr(data_model, "_cell_by_cell", lambda *args: pytest.fail("cell by cell"))
         assert_same_frame(load_csv(path), _reference_load_csv(path))
 
@@ -497,6 +501,10 @@ MALFORMED_CSV = {
     "observed_disagrees_above_a_bad_cell": "outcome,observed,x\n,1,0\n1,1,abc\n",
     "infinite_covariate_above_a_bad_cell": "outcome,arm,x\n1,0,inf\n1,1,abc\n",
     "infinite_outcome_above_a_bad_cell": "outcome,arm,x\n1,0,1\ninf,1,2\n1,2,abc\n",
+    "quote_open_at_the_end": 'outcome,stratum\n1,a\n2,"b\n',
+    "quote_open_at_the_end_of_a_lone_cell": 'outcome\n1\n"\n',
+    "quote_open_at_the_end_above_a_bad_cell": 'outcome,stratum\nx,a\n2,"b,c',
+    "quote_open_at_the_end_of_the_header": 'x,"y\n',
 }
 
 
@@ -528,61 +536,188 @@ def _csv_texts(draw) -> str:
     return "".join(lines) + tail
 
 
-def _large_frame() -> TrialFrame:
-    """More rows than two write blocks of its 7 columns, ending in a partial block."""
-    n = 2 * (_WRITE_BLOCK_CELLS // 7) + 3
+_AWKWARD_LABELS = ["a,b", 'say "hi"', "cr\rx", "lf\nx", "a,\r\nb", '"', ",", "plain", " pad "]
+
+
+def _several_blocks_frame() -> TrialFrame:
+    """A frame whose text spans three echo blocks, with records over two lines."""
+    n = 3 * _ECHO_BLOCK_BYTES // 40 + 3
     rng = np.random.default_rng(10)
     return TrialFrame(
         covariates=np.column_stack([rng.normal(size=n), rng.integers(-5, 5, n)]),
         covariate_names=("x", "count"),
         outcome=np.where(rng.random(n) < 0.9, rng.normal(size=n), np.nan),
-        arm=rng.integers(0, 2, n),
-        stratum=[f"s{i % 7}" for i in range(n)],
+        stratum=[_AWKWARD_LABELS[i % len(_AWKWARD_LABELS)] for i in range(n)],
         cluster=[f"c,{i % 301}" for i in range(n)],
     )
 
 
-_BOUNDARY_FLOATS = [
-    1e16 - 2, -(1e16 - 2), 1e16, -1e16, -0.0, 5e-324, 2.0**53 + 2, 0.5, 1e308,
-]
-_AWKWARD_LABELS = ["a,b", 'say "hi"', "cr\rx", "lf\nx", "a,\r\nb", '"', ",", "plain", " pad "]
-
-# Frames beyond the reach of the hypothesis panel; each is written to the same
-# bytes by the column-wise writer and the row-wise oracle.
-WRITER_FRAMES = {
-    "several_blocks": _large_frame,
-    "lone_empty_stratum": lambda: TrialFrame(
-        covariates=np.zeros((4, 0)), covariate_names=(), stratum=["", "a", "", '""']
+# Texts the loader accepts, each echoed with arms: one case per line-end, quoting and
+# arm-column layout that the echo must keep byte for byte.
+ECHO_CSV = {
+    "byte_order_mark": "\ufeffstratum,x1\r\na,0.5\r\nb,0.25\r\n",
+    "lf_line_ends": "stratum,x1\na,0.5\nb,0.25\n",
+    "cr_line_ends": "stratum,x1\ra,0.5\rb,0.25\r",
+    "crlf_line_ends": "stratum,x1\r\na,0.5\r\nb,0.25\r\n",
+    "mixed_line_ends": "stratum,x1\ra,0.5\r\nb,0.25\nc,1\r",
+    "last_row_without_line_end": "stratum,x1\r\na,0.5\nb,0.25",
+    "header_only": "stratum,x1\n",
+    "header_only_without_line_end": "stratum,x1",
+    "quoted_comma_quote_and_line_ends": (
+        'stratum,x1\n"a,b",1\n"say ""hi""",2\n"two\nlines",3\n"cr\r\nlf\rcr",4\n'
     ),
-    "lone_empty_cluster": lambda: TrialFrame(
-        covariates=np.zeros((2, 0)), covariate_names=(), cluster=["", ""]
-    ),
-    "empty_label_beside_others": lambda: TrialFrame(
-        covariates=np.zeros((2, 1)), covariate_names=("x",), stratum=["", "b"]
-    ),
-    "no_columns": lambda: TrialFrame(covariates=np.zeros((3, 0)), covariate_names=()),
-    "integer_boundaries": lambda: TrialFrame(
-        covariates=np.array([_BOUNDARY_FLOATS, _BOUNDARY_FLOATS[::-1]]).T,
-        covariate_names=("x", "y"),
-        outcome=np.array(_BOUNDARY_FLOATS),
-        arm=np.arange(len(_BOUNDARY_FLOATS)) % 2,
-    ),
-    "awkward_labels": lambda: TrialFrame(
-        covariates=np.arange(len(_AWKWARD_LABELS), dtype=float)[:, None] / 4,
-        covariate_names=("x,1",),
-        stratum=_AWKWARD_LABELS,
-        cluster=_AWKWARD_LABELS[::-1],
-    ),
-    "unobserved_outcomes": lambda: TrialFrame(
-        covariates=np.ones((4, 1)),
-        covariate_names=("x",),
-        outcome=np.array([np.nan, 2.5, np.nan, -0.0]),
-        arm=np.array([0, 1, 1, 0]),
-    ),
-    "only_unobserved_outcomes": lambda: TrialFrame(
-        covariates=np.zeros((2, 0)), covariate_names=(), outcome=np.array([np.nan, np.nan])
-    ),
+    "multi_line_last_row_without_line_end": 'stratum,x1\r\na,1\r\n"two\nlines",2',
+    "multi_line_header": '"x\n1",stratum\n1,a\n2,b\n',
+    "quotes_inside_fields": 'stratum,x1\n"a"b,1\na"b,2\n"c""",3\n"""",4\n',
+    "non_ascii_labels": "stratum,x1\ncaf\u00e9,1\n\u6771\u4eac,2\ne\u0301,3\n",
+    "bom_crlf_multi_line_label": '\ufeffstratum,x1\r\n"a\r\nb",0.5\r\nc,1\r\n',
+    "arm_in_the_middle": 'x1,arm,stratum\n1,0,"a,b"\n2, 1 ,c\n3,"1.0",d\n4,0,"e\nf"\n',
+    "arm_first_without_final_line_end": "arm,x1\r\n1,0.5\r\n0,0.25",
+    "arm_last_after_a_quoted_name": '"x,1",arm\r\n0.5,"0"\r\n0.25,1\r\n',
+    "arm_only": "arm\n1\n0\n",
+    "arm_beside_a_quoted_newline": 'stratum,arm\n"x\r\ny",1\n"z",0\n',
+    "no_columns": "\n\n\n",
+    "one_column_of_empty_outcomes": 'outcome\n""\n1\n""\n',
 }
+
+
+def _records(text: str) -> list[tuple[str, str]]:
+    """(text, line end) of each record of ``text`` (no byte-order mark), its physical
+    lines grouped by ``csv.reader.line_num``."""
+    lines = io.StringIO(text, newline="").readlines()
+    reader, records, start = csv.reader(lines), [], 0
+    for _ in reader:
+        record, start = "".join(lines[start : reader.line_num]), reader.line_num
+        body = record.rstrip("\r\n")
+        records.append((body, record[len(body) :]))
+    return records
+
+
+def _field_spans(body: str) -> list[tuple[int, int]]:
+    """(start, stop) of each field of one record by csv's default dialect, walked one
+    character at a time: a quote opens a field, a doubled quote inside it is text, a
+    lone one closes it, and a comma outside it ends the field."""
+    spans, start, state = [], 0, "start"
+    for i, char in enumerate(body):
+        if state == "quoted" or (state == "quote" and char == '"'):
+            state = "quote" if state == "quoted" and char == '"' else "quoted"
+            continue
+        if char == ",":
+            spans.append((start, i))
+            start, state = i + 1, "start"
+        elif state == "start" and char == '"':
+            state = "quoted"
+        else:
+            state = "plain"
+    return spans + [(start, len(body))]
+
+
+def _without_arm_cells(text: str, column: int | None) -> tuple[str, list[str]]:
+    """``text`` with its arm cells taken out, and those cells. With ``column`` None they
+    are every record's last field, with the comma before it; else field ``column`` of
+    every row."""
+    kept, cells = [], []
+    for i, (body, end) in enumerate(_records(text)):
+        spans = _field_spans(body)
+        if column is None:
+            start, stop = (spans[-2][1] if len(spans) > 1 else 0), spans[-1][1]
+            cells.append(body[spans[-1][0] : stop])
+        elif i == 0:
+            start = stop = 0
+        else:
+            start, stop = spans[column]
+            cells.append(body[start:stop])
+        kept.append(body[:start] + body[stop:] + end)
+    return "".join(kept), cells
+
+
+def _echo(source: Path, out: Path, arms) -> None:
+    records = CsvRecords()
+    load_csv(source, records=records)
+    records.write_with_arm(np.asarray(arms), out)
+
+
+def _flipped_arms(frame: TrialFrame) -> np.ndarray:
+    """New arms that differ from any the frame has."""
+    return np.arange(frame.n_units) % 2 if frame.arm is None else 1 - frame.arm
+
+
+def assert_echoes(source: Path, out: Path, arms) -> None:
+    """``out`` is ``source`` echoed with ``arms``: it loads as ``source`` does with those
+    arms, and taking its arm cells out gives back ``source``'s bytes, with a line end
+    after a last record that had none (the record before it's, else CRLF)."""
+    frame = _load_strict(load_csv, source)
+    assert_same_frame(_load_strict(load_csv, out), replace(frame, arm=arms))
+    text, echoed = source.read_bytes().decode(), out.read_bytes().decode()
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    assert echoed.startswith(bom)
+    text, echoed = text[len(bom) :], echoed[len(bom) :]
+    if not text.endswith(("\r", "\n")):
+        records = _records(text)
+        text += records[-2][1] if len(records) > 1 else "\r\n"
+    header = next(csv.reader(io.StringIO(text, newline="")))
+    column = header.index("arm") if "arm" in header else None
+    kept, cells = _without_arm_cells(echoed, column)
+    assert cells == ["arm"] * (column is None) + [str(arm) for arm in np.asarray(arms).tolist()]
+    assert kept == (text if column is None else _without_arm_cells(text, column)[0])
+
+
+class TestEcho:
+    @pytest.mark.parametrize("name", sorted(ECHO_CSV))
+    def test_echo_panel(self, name, tmp_path):
+        source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        source.write_bytes(ECHO_CSV[name].encode())
+        arms = _flipped_arms(load_csv(source))
+        _echo(source, out, arms)
+        assert_echoes(source, out, arms)
+
+    def test_echo_spans_several_blocks(self, tmp_path):
+        source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        _reference_write_csv(_several_blocks_frame(), source)
+        assert source.stat().st_size > 3 * _ECHO_BLOCK_BYTES
+        arms = np.random.default_rng(11).integers(0, 2, load_csv(source).n_units)
+        _echo(source, out, arms)
+        assert_echoes(source, out, arms)
+
+    def test_output_keeps_the_byte_order_mark(self, tmp_path):
+        source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        source.write_bytes(ECHO_CSV["byte_order_mark"].encode())
+        _echo(source, out, [1, 0])
+        assert out.read_bytes() == codecs.BOM_UTF8 + b"stratum,x1,arm\r\na,0.5,1\r\nb,0.25,0\r\n"
+
+    @pytest.mark.parametrize(
+        "text,arms,echoed",
+        [
+            ("x\r\n1\n2", [1, 0], "x,arm\r\n1,1\n2,0\n"),
+            ("x\r1\r\n2", [0, 1], "x,arm\r1,0\r\n2,1\r\n"),
+            ('stratum\n"a\r\nb"', [1], 'stratum,arm\n"a\r\nb",1\n'),
+            ("x", [], "x,arm\r\n"),
+            ('"a\nb"', [], '"a\nb",arm\r\n'),
+            ("x,arm\r\n1,0", [1], "x,arm\r\n1,1\r\n"),
+            (ECHO_CSV["arm_in_the_middle"], [1, 0, 0, 1],
+             'x1,arm,stratum\n1,1,"a,b"\n2,0,c\n3,0,d\n4,1,"e\nf"\n'),
+        ],
+        ids=["last_row_after_lf", "last_row_after_crlf", "last_multi_line_row", "lone_header",
+             "lone_multi_line_header", "last_row_with_arm", "arm_cells_in_place"],
+    )
+    def test_echo_bytes(self, tmp_path, text, arms, echoed):
+        source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        source.write_bytes(text.encode())
+        _echo(source, out, arms)
+        assert out.read_bytes() == echoed.encode()
+
+    def test_allocate_writes_the_echo(self, tmp_path):
+        from rerand import rerandomize
+        from rerand.cli import run_command
+
+        source, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        source.write_bytes(ECHO_CSV["bom_crlf_multi_line_label"].encode())
+        design = tmp_path / "design.cfg"
+        design.write_text("pi = 0.5\nscheme = stratified\n")
+        argv = ["allocate", "--design", str(design), "--data", str(source), "--seed", "4"]
+        assert run_command(argv + ["--out", str(out)]).exit_code == 0
+        arms = rerandomize(load_csv(source), Design(scheme="stratified"), 4).arms
+        assert_echoes(source, out, arms)
 
 
 def assert_same_frame(a: TrialFrame, b: TrialFrame) -> None:
@@ -646,16 +781,9 @@ class TestCsvMatchesRowWiseOracle:
         path.write_text(VALID_CSV[name], encoding="utf-8", newline="")
         frame = _load_strict(load_csv, path)
         assert_same_frame(frame, _reference_load_csv(path))
-        written = _write_bytes(write_csv, frame, tmp_path / "new.csv")
-        assert written == _write_bytes(_reference_write_csv, frame, tmp_path / "old.csv")
-        reloaded = _load_strict(load_csv, tmp_path / "new.csv")
-        assert _write_bytes(write_csv, reloaded, tmp_path / "again.csv") == written
-
-    @pytest.mark.parametrize("name", sorted(WRITER_FRAMES))
-    def test_writer_panel(self, name, tmp_path):
-        frame = WRITER_FRAMES[name]()
-        written = _write_bytes(write_csv, frame, tmp_path / "new.csv")
-        assert written == _write_bytes(_reference_write_csv, frame, tmp_path / "old.csv")
+        arms = _flipped_arms(frame)
+        _echo(path, tmp_path / "out.csv", arms)
+        assert_echoes(path, tmp_path / "out.csv", arms)
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_CSV))
     def test_malformed_panel(self, name, tmp_path):
@@ -680,6 +808,10 @@ class TestCsvMatchesRowWiseOracle:
             with mock.patch.object(data_model, "_c_columns", return_value=None):
                 cell_by_cell = _load_or_error(load_csv, path)
             expected = _load_or_error(_reference_load_csv, path)
+            if isinstance(loaded, TrialFrame):
+                out, arms = Path(tmp, "out.csv"), _flipped_arms(loaded)
+                _echo(path, out, arms)
+                assert_echoes(path, out, arms)
         assert isinstance(loaded, TrialFrame) == isinstance(cell_by_cell, TrialFrame)
         assert isinstance(loaded, TrialFrame) == isinstance(expected, TrialFrame)
         if isinstance(loaded, TrialFrame):
@@ -702,11 +834,13 @@ class TestCsvMatchesRowWiseOracle:
         frame = data.draw(_frames())
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
-            written = _write_bytes(write_csv, frame, new)
-            assert written == _write_bytes(_reference_write_csv, frame, old)
+            written = _write_bytes(_reference_write_csv, frame, new)
             loaded = load_csv(new)
             assert_same_frame(loaded, _reference_load_csv(new))
-            assert _write_bytes(write_csv, loaded, old) == written
+            assert _write_bytes(_reference_write_csv, loaded, old) == written
+            out, arms = Path(tmp, "out.csv"), _flipped_arms(loaded)
+            _echo(new, out, arms)
+            assert_echoes(new, out, arms)
 
 
 _LABEL_TEXT = st.text(alphabet="ab1 ,\"\n\r\u00e9", min_size=1, max_size=4).filter(str.strip)
@@ -799,6 +933,13 @@ def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialF
         if column not in header:
             raise DataError(f"schema maps '{role}' to missing column '{column}'")
 
+    with open(path, newline="", encoding="utf-8") as handle:
+        # a line after the last record joins it if the file ends inside a quoted field
+        try:
+            closed = len(list(csv.reader(chain(handle, ["x"])))) == len(data_rows) + 2
+        except csv.Error:
+            closed = False
+
     roles = [role_of.get(name) for name in header]
     if "observed" in roles and "outcome" not in roles:
         raise ValidationError("observed given without outcome column")
@@ -811,6 +952,8 @@ def _reference_load_csv(path, schema: Mapping[str, str] | None = None) -> TrialF
             columns[name].append(cell)
 
     n = len(data_rows)
+    if not closed:
+        raise ParseError(f"{f'row {n}' if n else 'header row'}: the file ends inside a quoted field")
 
     def reserved(role: str) -> list[str] | None:
         for name, r in zip(header, roles):

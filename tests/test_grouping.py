@@ -76,6 +76,10 @@ class TestFactorize:
         np.testing.assert_array_equal(groups.codes, codes.ravel())
         np.testing.assert_array_equal(groups.counts, np.bincount(codes.ravel()))
 
+    def test_labels_python_cannot_compare_are_rejected(self):
+        with pytest.raises(ValidationError, match="^labels that cannot be ordered: "):
+            factorize(np.array(["a", 1, "a"], dtype=object))
+
     def test_numeric_strings_sort_as_strings_and_integers_as_numbers(self):
         assert factorize(np.array(["2", "10", "1"], dtype=object)).labels.tolist() == [
             "1", "10", "2",
@@ -125,10 +129,11 @@ class TestFactorize:
             (["a"], [[0, 0]], "1-d integer array"),
             (["b", "a"], [1, 0, 0, 1], "strictly increasing"),
             (["a", "a"], [0, 1, 1, 0], "strictly increasing"),
+            (["a", 1], [0, 1], "labels that cannot be ordered"),
         ],
         ids=[
             "code_past_the_labels", "negative_code", "float_codes", "two_d_codes",
-            "unsorted_labels", "repeated_labels",
+            "unsorted_labels", "repeated_labels", "labels_python_cannot_compare",
         ],
     )
     def test_codes_that_name_no_label_are_rejected(self, labels, codes, message):

@@ -487,8 +487,10 @@ class TestLimitSpec:
             LimitSpec(V=1.0, R2=0.5, q=2, t=math.nan)
 
     def test_nan_variance_is_rejected(self):
-        with pytest.raises(ValidationError, match="V must be nonnegative"):
+        with pytest.raises(ValidationError, match="^V must be a number, not NaN$"):
             LimitSpec(V=math.nan, R2=0.5, q=2, t=1.0)
+        with pytest.raises(ValidationError, match="^V must be nonnegative$"):
+            LimitSpec(V=-1.0, R2=0.5, q=2, t=1.0)
 
 
 class TestSampleLimit:
@@ -505,6 +507,13 @@ class TestSampleLimit:
     def test_untruncated_threshold_recovers_full_variance(self):
         draws = sample_limit(LimitSpec(V=1.0, R2=0.7, q=3, t=math.inf), 200_000, seed=2)
         assert abs(draws.var() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("q", [1, 2, 10])
+    def test_infinite_threshold_coordinate_is_standard_normal(self, q):
+        draws = sample_limit(LimitSpec(V=1.0, R2=1.0, q=q, t=math.inf), 200_000, seed=q)
+        assert np.isfinite(draws).all()
+        assert abs(draws.mean()) < 0.01 and abs(draws.var() - 1.0) < 0.02
+        assert abs(np.mean(draws**4) - 3.0) < 0.1  # the normal's kurtosis
 
     def test_paper_variance_identity_at_q2_t1(self):
         draws = sample_limit(LimitSpec(V=1.0, R2=0.5, q=2, t=1.0), 200_000, seed=3)
