@@ -108,14 +108,24 @@ def balance_distance(imbalance: np.ndarray, weight: np.ndarray) -> float:
     if imbalance.size == 0:
         return 0.0
     weight = np.atleast_2d(np.asarray(weight, dtype=float))
-    if not np.allclose(weight, weight.T, rtol=0, atol=1e-10 * max(1.0, abs(weight).max())):
+    _check_weight(weight)
+    solved = np.linalg.solve(weight, imbalance)
+    return float(imbalance @ solved)
+
+
+def _check_weight(weight: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless the weight is symmetric to 1e-10 of its
+    largest entry (entries that are equal, infinities included, match; NaN matches
+    nothing), and :class:`SingularMatrixError` when its reciprocal condition estimate
+    falls below 1e-12."""
+    mirror = weight.T
+    atol = 1e-10 * max(1.0, abs(weight).max())
+    if not np.all((weight == mirror) | ((abs(weight - mirror) <= atol) & np.isfinite(weight))):
         raise ValidationError("weight matrix must be symmetric")
     eigvals = np.linalg.eigvalsh(weight)
     top = eigvals[-1]
     if top <= 0 or eigvals[0] / top < 1e-12:
         raise SingularMatrixError(_describe_singular(weight))
-    solved = np.linalg.solve(weight, imbalance)
-    return float(imbalance @ solved)
 
 
 def _describe_singular(weight: np.ndarray) -> str:
@@ -169,36 +179,50 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
         return Allocation(propose(), 1, None, np.zeros(0))
     Xr = frame.covariates[:, list(design.rerand_covariates)]
     strata = frame.stratum if design.stratified else None
-    _, scatter = centered_scatter(Xr, strata)
     dagger = strata is not None and design.stratified_statistic == "stratum_weighted"
 
-    def statistic(arms: np.ndarray) -> tuple[np.ndarray, int]:
-        n1n0 = arm_product(arms)
+    def statistic(arms: np.ndarray) -> np.ndarray:
+        arm_product(arms)  # an empty arm raises
         if dagger:
-            return _stratum_dagger(Xr, arms, strata), n1n0
-        return Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0), n1n0
+            return _stratum_dagger(Xr, arms, strata)
+        return Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
 
     if not design.rerandomized or all(math.isinf(tier.threshold) for tier in design.criterion):
         arms = propose()
-        return Allocation(arms, 1, None, statistic(arms)[0])
+        return Allocation(arms, 1, None, statistic(arms))
 
-    forms = balance_forms(design, scatter)
+    # A form's distance I' (weight / N1 N0)^-1 I is a squared norm in whitened
+    # coordinates. With weight = L L' and W the form's X^r block centered at its overall
+    # mean times L^-T, it is n^2 / (N1 N0) |arms @ W|^2 for the pooled statistic and
+    # N1 N0 |dagger(W)|^2 for the stratum-weighted one: both are linear in X^r and blind
+    # to a constant shift. L^-1 is formed on the q x q weight, so whitening is one
+    # (n x q)(q x q) product and each proposal one product with the n x (sum of q) W.
+    centered = Xr - Xr.mean(axis=0)
+    blocks, cuts, start = [], [], 0
+    for positions, weight, threshold in balance_forms(design, centered_scatter(Xr, strata)[1]):
+        _check_weight(weight)
+        blocks.append(centered[:, positions] @ np.linalg.inv(np.linalg.cholesky(weight)).T)
+        cuts.append((slice(start, start + positions.size), threshold))
+        start += positions.size
+    whitened = np.hstack(blocks)
     for attempt in range(1, design.max_attempts + 1):
         arms = propose()
         try:
-            imb, n1n0 = statistic(arms)
+            n1n0 = arm_product(arms)
+            z = _stratum_dagger(whitened, arms, strata) if dagger else arms @ whitened
         except ValidationError:
             continue  # degenerate proposal: count it and redraw
+        scale = n1n0 if dagger else n * n / n1n0
         dists = []
-        for positions, weight, threshold in forms:
-            dists.append(balance_distance(imb[positions], weight / n1n0))
+        for cut, threshold in cuts:
+            dists.append(float(scale * (z[cut] @ z[cut])))
             if not dists[-1] < threshold:
                 break
         else:
             tiered = bool(design.tiers)
             accepted = None if tiered else dists[0]
             tier_dists = tuple(dists) if tiered else None
-            return Allocation(arms, attempt, accepted, imb, tier_dists)
+            return Allocation(arms, attempt, accepted, statistic(arms), tier_dists)
     raise NonTerminationError(
         f"no proposal satisfied the balance criterion within "
         f"{design.max_attempts} attempts; consider a larger threshold t"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import difflib
+import functools
 import hashlib
 import logging
 import math
@@ -320,6 +321,7 @@ def sim_config_from_file(path: str) -> SimConfig:
     return _record(SimConfig, _SIM_FIELDS, cfg, dgp=dgp, design=design, estimators=(), truth=truth)
 
 
+@functools.cache  # parsing leaves a parser as it was: one serves every run_command
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rerand", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rerand {__version__}")

@@ -32,11 +32,12 @@ from . import dml as dml_mod
 from . import inference, mestimators
 from ._seeds import derive_seed
 from .allocation import balance_forms, rerandomize
-from .data_model import Design, EstimandSpec, TrialFrame, factorize
+from .data_model import Design, EstimandSpec, Grouping, TrialFrame, factorize
 from .errors import DiagnosticWarning, NumericError, RerandError, ValidationError
 
 ESTIMATOR_KINDS = ("unadjusted", "ancova", "glm2", "drwls", "mixed", "dml")
 DGP_COVARIATES = ("x1", "x2")  # the covariate columns of every built-in DGP
+_STRATUM_LABELS = np.array(["0", "1"], dtype=object)  # the 0/1 stratum draws as labels
 
 
 @dataclass(frozen=True)
@@ -112,11 +113,14 @@ class CompleteTrial:
 
     @cached_property
     def allocation_frame(self) -> TrialFrame:
-        """The pre-allocation frame; ``reveal`` shares its columns and strata."""
+        """The pre-allocation frame; ``reveal`` shares its columns and strata. The strata
+        group the 0/1 draws as ``factorize`` groups their text: only the labels present,
+        ``"0"`` before ``"1"``."""
+        lo, hi = int(self.s.min()), int(self.s.max())
         return TrialFrame(
             covariates=np.column_stack([self.x1, self.x2]),
             covariate_names=DGP_COVARIATES,
-            stratum=factorize(self.s.astype(str).astype(object)),
+            stratum=Grouping(_STRATUM_LABELS[lo : hi + 1], np.subtract(self.s, lo, dtype=np.intp)),
         )
 
     def reveal(self, arms: np.ndarray) -> TrialFrame:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rerand import (
+    Allocation,
     Design,
     Tier,
     TrialFrame,
@@ -18,8 +19,14 @@ from rerand.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from rerand.allocation import _stratum_dagger, arm_product, balance_forms, centered_scatter
-from rerand.data_model import factorize
+from rerand.allocation import (
+    _permuted_block_draw,
+    _stratum_dagger,
+    arm_product,
+    balance_forms,
+    centered_scatter,
+)
+from rerand.data_model import factorize, validate_design
 
 from conftest import block_arms, unit_labels
 
@@ -254,6 +261,41 @@ class TestBalanceDistance:
     def test_asymmetric_weight_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
             balance_distance(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+    # Outcomes of the np.allclose symmetry test this check replaced: entries within 1e-10
+    # of the largest (at least 1) match, equal infinities match, NaN matches nothing.
+    @pytest.mark.parametrize(
+        "weight, expected",
+        [
+            ([[1.0, 0.5], [0.0, 1.0]], None),
+            ([[1.0, 2e-10], [0.0, 1.0]], None),
+            ([[1e6, 2e-4], [0.0, 1.0]], None),
+            ([[1.0, 1e-10], [0.0, 1.0]], 1.9999999999),
+            ([[1.0, 1e-11], [0.0, 1.0]], 1.99999999999),
+            ([[1e6, 1e-4], [0.0, 1.0]], 1.0000009999),
+            ([[np.nan]], None),
+            ([[np.nan, 0.0], [0.0, 1.0]], None),
+            ([[1.0, np.nan], [np.nan, 1.0]], None),
+            ([[1.0, np.nan], [0.0, 1.0]], None),
+            ([[1.0, np.inf], [0.0, 1.0]], None),
+            ([[1.0, np.inf], [-np.inf, 1.0]], None),
+            ([[np.inf]], 0.0),
+            ([[np.inf, 0.0], [0.0, 1.0]], 1.0),
+            ([[-np.inf, 0.0], [0.0, 1.0]], 1.0),
+            ([[1.0, np.inf], [np.inf, 1.0]], 0.0),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_symmetry_truth_table(self, weight, expected):
+        weight = np.array(weight)
+        imbalance = np.ones(len(weight))
+        if expected is None:
+            with pytest.raises(ValidationError) as raised:
+                balance_distance(imbalance, weight)
+            assert type(raised.value) is ValidationError
+            assert str(raised.value) == "weight matrix must be symmetric"
+        else:
+            assert balance_distance(imbalance, weight) == expected
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -507,3 +549,205 @@ class TestBalanceForms:
         ]
         assert alloc.tier_distances == pytest.approx(expected, rel=1e-12)
         assert all(d < t for d, (_, _, t) in zip(alloc.tier_distances, forms))
+
+
+def _reference_rerandomize(frame, design, seed):
+    """``rerandomize``'s proposal loop as it was before whitening: each proposal's
+    statistic, then one ``balance_distance`` of it against weight / N1 N0 per form."""
+    validate_design(design, frame)
+    rng = np.random.default_rng(seed)
+    n = frame.n_units
+
+    def propose():
+        if design.stratified:
+            return _permuted_block_draw(rng, frame.stratum, design.pi, design.block_size)
+        return (rng.random(n) < design.pi).astype(np.int8)
+
+    Xr = frame.covariates[:, list(design.rerand_covariates)]
+    strata = frame.stratum if design.stratified else None
+    forms = balance_forms(design, centered_scatter(Xr, strata)[1])
+    for attempt in range(1, design.max_attempts + 1):
+        arms = propose()
+        try:
+            n1n0 = arm_product(arms)
+            if strata is not None and design.stratified_statistic == "stratum_weighted":
+                imb = _stratum_dagger(Xr, arms, strata)
+            else:
+                imb = Xr[arms == 1].mean(axis=0) - Xr[arms == 0].mean(axis=0)
+        except ValidationError:
+            continue
+        dists = []
+        for positions, weight, threshold in forms:
+            dists.append(balance_distance(imb[positions], weight / n1n0))
+            if not dists[-1] < threshold:
+                break
+        else:
+            tiered = bool(design.tiers)
+            return Allocation(
+                arms, attempt, None if tiered else dists[0], imb, tuple(dists) if tiered else None
+            )
+    raise NonTerminationError(
+        f"no proposal satisfied the balance criterion within "
+        f"{design.max_attempts} attempts; consider a larger threshold t"
+    )
+
+
+def _assert_same_allocation(alloc, expected):
+    np.testing.assert_array_equal(alloc.arms, expected.arms)
+    assert alloc.attempts == expected.attempts
+    np.testing.assert_array_equal(alloc.imbalance, expected.imbalance)
+    if expected.accepted_distance is None:
+        assert alloc.accepted_distance is None
+    else:
+        assert alloc.accepted_distance == pytest.approx(expected.accepted_distance, rel=1e-12)
+    if expected.tier_distances is None:
+        assert alloc.tier_distances is None
+    else:
+        assert alloc.tier_distances == pytest.approx(expected.tier_distances, rel=1e-12)
+
+
+def _oracle_frame(n, q, seed, strata=False):
+    """Correlated covariates on unequal strata of sizes about n/2, n/3 and n/6."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, q)) @ (np.eye(q) + 0.4 * rng.normal(size=(q, q))) + 3.0
+    labels = np.array(["a", "a", "a", "b", "b", "c"] * (n // 6))
+    return TrialFrame(
+        covariates=x,
+        covariate_names=tuple(f"x{j}" for j in range(q)),
+        stratum=labels if strata else None,
+    )
+
+
+_ORACLE_SCHEMES = {
+    "simple": dict(scheme="rerandomized"),
+    "stratified_pooled": dict(scheme="stratified_rerandomized", block_size=2),
+    "stratum_weighted": dict(
+        scheme="stratified_rerandomized", block_size=2, stratified_statistic="stratum_weighted"
+    ),
+}
+_ORACLE_CRITERIA = {
+    "mahalanobis": dict(threshold_t=2.0),
+    "general": dict(threshold_t=2.0, distance="general"),
+    "tiered": dict(
+        tiers=(
+            Tier(indices=(2,), threshold=1.0),
+            Tier(indices=(0, 1, 2), threshold=2.5, distance="general"),
+        )
+    ),
+}
+
+
+class TestWhitenedProposals:
+    """``rerandomize`` checks each proposal in whitened coordinates; the retired
+    per-proposal ``balance_distance`` loop is the reference."""
+
+    @pytest.mark.parametrize("criterion", list(_ORACLE_CRITERIA))
+    @pytest.mark.parametrize("scheme", list(_ORACLE_SCHEMES))
+    def test_matches_the_per_proposal_loop(self, scheme, criterion):
+        frame = _oracle_frame(90, 3, 1, strata=scheme != "simple")  # odd strata: partial blocks
+        design = Design(
+            pi=0.5, rerand_covariates=(0, 1, 2), **_ORACLE_SCHEMES[scheme],
+            **_ORACLE_CRITERIA[criterion],
+        )
+        for seed in range(50):
+            _assert_same_allocation(
+                rerandomize(frame, design, seed), _reference_rerandomize(frame, design, seed)
+            )
+
+    @pytest.mark.parametrize("scheme", list(_ORACLE_SCHEMES))
+    def test_matches_at_q10(self, scheme):
+        frame = _oracle_frame(234, 10, 2, strata=scheme != "simple")
+        design = Design(
+            pi=0.5, rerand_covariates=tuple(range(10)), threshold_t=8.0,
+            **_ORACLE_SCHEMES[scheme],
+        )
+        for seed in range(50):
+            _assert_same_allocation(
+                rerandomize(frame, design, seed), _reference_rerandomize(frame, design, seed)
+            )
+
+    @pytest.mark.parametrize("statistic", ["pooled", "stratum_weighted"])
+    def test_degenerate_proposals_at_tiny_n_are_counted(self, statistic):
+        # simple: an arm is empty in 1/4 of the proposals at n = 3; stratified: a
+        # two-unit stratum's prefix of a permuted block of 4 lacks an arm in 1/3
+        simple = _oracle_frame(6, 2, 3)
+        simple = TrialFrame(covariates=simple.covariates[:3], covariate_names=("x0", "x1"))
+        stratified = TrialFrame(
+            covariates=_oracle_frame(6, 2, 4).covariates,
+            covariate_names=("x0", "x1"),
+            stratum=np.array(["a", "a", "b", "b", "b", "b"]),
+        )
+        cases = [
+            (simple, Design(pi=0.5, scheme="rerandomized", rerand_covariates=(0, 1),
+                            threshold_t=50.0)),
+            (stratified, Design(pi=0.5, scheme="stratified_rerandomized",
+                                rerand_covariates=(0, 1), threshold_t=50.0, block_size=4,
+                                stratified_statistic=statistic)),
+        ]
+        redrawn = 0
+        for frame, design in cases:
+            for seed in range(50):
+                alloc = rerandomize(frame, design, seed)
+                _assert_same_allocation(alloc, _reference_rerandomize(frame, design, seed))
+                redrawn += alloc.attempts > 1
+        assert redrawn > 10
+
+    @pytest.mark.parametrize("scheme", list(_ORACLE_SCHEMES))
+    def test_max_attempts_raises_as_the_loop_does(self, scheme):
+        frame = _oracle_frame(60, 3, 5, strata=scheme != "simple")
+        design = Design(
+            pi=0.5, rerand_covariates=(0, 1, 2), threshold_t=1e-6, max_attempts=7,
+            **_ORACLE_SCHEMES[scheme],
+        )
+        with pytest.raises(NonTerminationError) as expected:
+            _reference_rerandomize(frame, design, 0)
+        with pytest.raises(NonTerminationError) as raised:
+            rerandomize(frame, design, 0)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("criterion", list(_ORACLE_CRITERIA))
+    @pytest.mark.parametrize("degenerate", ["constant", "collinear"])
+    @pytest.mark.parametrize("scheme", list(_ORACLE_SCHEMES))
+    def test_singular_weight_message_is_the_loops(self, scheme, degenerate, criterion):
+        x = _oracle_frame(60, 3, 6).covariates.copy()
+        if degenerate == "constant":
+            x[:, 2] = 1.5
+        else:
+            x[:, 2] = 2.0 * x[:, 0] - x[:, 1]
+        frame = TrialFrame(
+            covariates=x,
+            covariate_names=("x0", "x1", "x2"),
+            stratum=_oracle_frame(60, 3, 6, strata=True).stratum if scheme != "simple" else None,
+        )
+        design = Design(
+            pi=0.5, rerand_covariates=(0, 1, 2), **_ORACLE_SCHEMES[scheme],
+            **_ORACLE_CRITERIA[criterion],
+        )
+        try:
+            _reference_rerandomize(frame, design, 0)
+        except SingularMatrixError as exc:
+            expected = str(exc)
+        else:  # the general criterion's diagonal is not singular for collinear columns
+            assert degenerate == "collinear" and criterion != "mahalanobis"
+            _assert_same_allocation(
+                rerandomize(frame, design, 0), _reference_rerandomize(frame, design, 0)
+            )
+            return
+        with pytest.raises(SingularMatrixError) as raised:
+            rerandomize(frame, design, 0)
+        assert str(raised.value) == expected
+
+    def test_a_singular_later_tier_raises_before_any_proposal(self):
+        # the loop checked a tier's weight only for proposals that passed the tiers
+        # before it, so it ran out of attempts here; the weights are now checked first
+        x = _oracle_frame(60, 3, 7).covariates.copy()
+        x[:, 2] = 1.5
+        frame = TrialFrame(covariates=x, covariate_names=("x0", "x1", "x2"))
+        design = Design(
+            pi=0.5, scheme="rerandomized", rerand_covariates=(0, 1, 2), max_attempts=5,
+            tiers=(Tier(indices=(0,), threshold=1e-12), Tier(indices=(1, 2), threshold=1.0)),
+        )
+        with pytest.raises(NonTerminationError):
+            _reference_rerandomize(frame, design, 0)
+        with pytest.raises(SingularMatrixError, match=r"covariate block\(s\) \{1\}"):
+            rerandomize(frame, design, 0)

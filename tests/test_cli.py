@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rerand
+from rerand import cli
 from rerand.cli import run_command
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -613,6 +615,30 @@ class TestUsage:
         assert run_command(["--help"]).exit_code == 0
         assert "allocate" in capsys.readouterr().out
 
+    def test_one_parser_serves_every_command_as_a_fresh_one_does(self, capsys):
+        ci = ["ci", "--delta", "0", "--v", "1", "--r2", ".5", "--q", "2", "--t", "1", "--n", "100"]
+        commands = [ci[:5] + ["--seeed", "7"], ci + ["--alpah", "0.1"], ["--version"], ci]
+
+        def outcomes(fresh):
+            seen = []
+            for argv in commands:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                code = run_command(argv).exit_code
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err))
+            return seen
+
+        cli._build_parser.cache_clear()
+        reused = outcomes(fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == outcomes(fresh=True)
+        assert [code for code, _, _ in reused] == [2, 2, 0, 0]
+        assert "(did you mean" not in reused[0][2]
+        assert "(did you mean '--alpha'?)" in reused[1][2]
+        assert reused[2][1].strip() == f"rerand {rerand.__version__}"
+        assert '"lower"' in reused[3][1]
+
 
 class TestSimulate:
     def test_small_run_writes_report_and_csv(self, tmp_path, capsys):
@@ -750,6 +776,8 @@ _RUN_SCRIPT = """
 import multiprocessing
 import sys
 
+import rerand
+from rerand import cli
 from rerand.cli import run_command
 
 if __name__ == "__main__":

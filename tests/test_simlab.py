@@ -23,6 +23,7 @@ from rerand import (
     true_delta,
 )
 from rerand.cli import sim_config_from_file
+from rerand.data_model import factorize
 from rerand.errors import NumericError, ValidationError
 from rerand.simlab import EstimatorReport, apply_estimator, report_csv_lines, scheme_inference
 from test_acceptance import TRUTH_BINARY, TRUTH_CONTINUOUS
@@ -63,6 +64,24 @@ class TestGenerateTrial:
         trial = generate_trial(DgpSpec("continuous_sec7", 40), seed=6)
         groups = trial.allocation_frame.stratum
         assert trial.reveal(np.tile([1, 0], 20)).stratum is groups
+
+    @pytest.mark.parametrize("draws", ["seeded", "only_0", "only_1", "one_unit"])
+    def test_allocation_frame_strata_are_the_factorized_draw_text(self, draws):
+        trials = [generate_trial(DgpSpec("continuous_sec7", 40), seed) for seed in range(5)]
+        if draws != "seeded":
+            n = 1 if draws == "one_unit" else 40
+            s = np.full(n, 1 if draws == "only_1" else 0, dtype=np.int8)
+            trials = [
+                dataclasses.replace(trial, x1=trial.x1[:n], x2=trial.x2[:n], s=s)
+                for trial in trials[:1]
+            ]
+        for trial in trials:
+            groups = trial.allocation_frame.stratum
+            expected = factorize(trial.s.astype(str).astype(object))
+            assert groups.labels.dtype == expected.labels.dtype
+            assert groups.labels.tolist() == expected.labels.tolist()
+            np.testing.assert_array_equal(groups.codes, expected.codes)
+            np.testing.assert_array_equal(groups.counts, expected.counts)
 
 
 DEMO_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("demo_*.cfg"))
@@ -537,7 +556,7 @@ class TestSchemeInferenceEqualsItsParts:
         passes.clear()
         scheme_inference(est, result, frame, design, 0.05)
         assert len(passes) <= 2
-        assert [v.dtype.kind for v in factorized].count("O") == 1  # the frame's strata, once
+        assert [v.dtype.kind for v in factorized].count("O") == 0  # strata come from the draws
         folds = result.details["fold_plan"] if est.kind == "dml" else None
         assert all(
             folds is not None and np.array_equal(v, folds) for v in factorized if v.dtype != object
