@@ -6,6 +6,9 @@ schemes, redraws until the balance criterion is met. Alongside it are
 ``Allocation``, ``chi_square_cdf``, ``balance_distance``, ``balance_forms``
 and the V-hat(I) parts ``centered_scatter`` and ``arm_product``.
 
+Every balance quadratic form I' W^-1 I, the acceptance rule's and R^2's alike,
+is the squared norm |L^-1 I|^2 of I whitened by ``_whitener``, the one checked factorization.
+
 Everything here is a pure function of (inputs, seed): callers may run many
 allocations concurrently with distinct seeds.
 """
@@ -43,6 +46,8 @@ def chi_square_cdf(q: int, t: float) -> float:
     """P(chi^2_q < t) via the regularized lower incomplete gamma function."""
     if int(q) != q or q < 1:
         raise ValidationError("degrees of freedom must be a positive integer")
+    if math.isnan(t):
+        raise ValidationError("t must be a number, not NaN")
     if t < 0:
         raise ValidationError("t must be nonnegative")
     return float(gammainc(q / 2.0, t / 2.0))  # 1 at t = inf
@@ -98,34 +103,49 @@ def _stratum_dagger(Xr: np.ndarray, arms: np.ndarray, strata: Grouping) -> np.nd
 
 
 def balance_distance(imbalance: np.ndarray, weight: np.ndarray) -> float:
-    """Quadratic form I^T W^-1 I through an SPD factorization.
+    """Quadratic form I' W^-1 I of a finite q-vector (or scalar) I and a q x q weight W,
+    as |L^-1 I|^2 with L^-1 = ``_whitener(W)``.
 
-    Raises :class:`SingularMatrixError` when the reciprocal condition estimate
-    of W falls below 1e-12; a pseudo-inverse is deliberately not used, since a
-    singular weight matrix signals degenerate rerandomization covariates.
+    Raises :class:`ValidationError` for mismatched shapes, a non-finite entry or an
+    asymmetric W, and :class:`SingularMatrixError` when W is numerically singular; a
+    pseudo-inverse is deliberately not used, since a singular weight matrix signals
+    degenerate rerandomization covariates.
     """
     imbalance = np.atleast_1d(np.asarray(imbalance, dtype=float))
+    weight = np.atleast_2d(np.asarray(weight, dtype=float))
+    if imbalance.ndim != 1 or weight.shape != (imbalance.size,) * 2:
+        raise ValidationError(f"an imbalance of shape {imbalance.shape} and a weight of shape "
+                              f"{weight.shape} do not make a quadratic form")
+    if not np.all(np.isfinite(imbalance)):
+        raise ValidationError("imbalance must be finite")
     if imbalance.size == 0:
         return 0.0
-    weight = np.atleast_2d(np.asarray(weight, dtype=float))
-    _check_weight(weight)
-    solved = np.linalg.solve(weight, imbalance)
-    return float(imbalance @ solved)
+    whitened = _whitener(weight) @ imbalance
+    return float(whitened @ whitened)
 
 
 def _check_weight(weight: np.ndarray) -> None:
-    """Raise :class:`ValidationError` unless the weight is symmetric to 1e-10 of its
-    largest entry (entries that are equal, infinities included, match; NaN matches
-    nothing), and :class:`SingularMatrixError` when its reciprocal condition estimate
-    falls below 1e-12."""
-    mirror = weight.T
+    """The one test of a weight W before it is factored: :class:`ValidationError` for a
+    non-finite entry (an overflowed scatter) or asymmetry beyond 1e-10 of the largest entry
+    (at least 1), :class:`SingularMatrixError` for an eigenvalue ratio below 1e-12 or NaN."""
+    if not np.isfinite(weight).all():
+        i, j = np.argwhere(~np.isfinite(weight))[0]
+        raise ValidationError(f"weight matrix must be finite: entry ({i}, {j}) is {weight[i, j]}")
     atol = 1e-10 * max(1.0, abs(weight).max())
-    if not np.all((weight == mirror) | ((abs(weight - mirror) <= atol) & np.isfinite(weight))):
+    if not np.all(abs(weight - weight.T) <= atol):
         raise ValidationError("weight matrix must be symmetric")
     eigvals = np.linalg.eigvalsh(weight)
     top = eigvals[-1]
-    if top <= 0 or eigvals[0] / top < 1e-12:
+    if not (top > 0 and eigvals[0] / top >= 1e-12):
         raise SingularMatrixError(_describe_singular(weight))
+
+
+def _whitener(weight: np.ndarray) -> np.ndarray:
+    """L^-1 of (W + W') / 2 = L L' for a W that ``_check_weight`` passes; halving first
+    cannot overflow, and keeps an exactly symmetric W, such as a scatter C'C, bit for bit
+    unless an entry is subnormal."""
+    _check_weight(weight)
+    return np.linalg.inv(np.linalg.cholesky(weight / 2 + weight.T / 2))
 
 
 def _describe_singular(weight: np.ndarray) -> str:
@@ -200,8 +220,7 @@ def rerandomize(frame: TrialFrame, design: Design, seed: int) -> Allocation:
     centered = Xr - Xr.mean(axis=0)
     blocks, cuts, start = [], [], 0
     for positions, weight, threshold in balance_forms(design, centered_scatter(Xr, strata)[1]):
-        _check_weight(weight)
-        blocks.append(centered[:, positions] @ np.linalg.inv(np.linalg.cholesky(weight)).T)
+        blocks.append(centered[:, positions] @ _whitener(weight).T)
         cuts.append((slice(start, start + positions.size), threshold))
         start += positions.size
     whitened = np.hstack(blocks)

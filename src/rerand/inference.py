@@ -26,6 +26,8 @@ import numpy as np
 from scipy.special import erfinv, gammainc, gammaincinv, ndtr, ndtri, owens_t
 
 from .allocation import (
+    _check_weight,
+    _whitener,
     arm_product,
     balance_distance,
     centered_scatter,
@@ -204,9 +206,9 @@ def sample_limit(spec: LimitSpec, m: int, seed: int) -> np.ndarray:
 
 
 def _spd_sqrt(mat: np.ndarray) -> np.ndarray:
+    """The symmetric root of a covariance that ``allocation._check_weight`` passes."""
+    _check_weight(mat)
     vals, vecs = np.linalg.eigh(mat)
-    if vals[0] <= 0 or vals[0] / vals[-1] < 1e-12:
-        raise NumericError("projection matrix is not positive definite")
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
@@ -341,6 +343,13 @@ def _halton_points(dim: int) -> np.ndarray:
     return points
 
 
+def _forms_in_d(root: np.ndarray, forms: list) -> list[tuple[np.ndarray, float]]:
+    """The finite-threshold forms in d, I = ``root`` d: (M'M, threshold) with M =
+    ``_whitener(weight)`` root[positions], so M'M = root[p]' weight^-1 root[p] exactly symmetric."""
+    whitened = [(_whitener(w) @ root[p], t) for p, w, t in forms if not math.isinf(t)]
+    return [(m.T @ m, t) for m, t in whitened]
+
+
 def _projection_law(spec: LimitSpec):
     """The projection-form law of x = sigma z + r s, s = u'd, as weighted intervals of s.
 
@@ -361,8 +370,7 @@ def _projection_law(spec: LimitSpec):
     root = _spd_sqrt(np.asarray(v_i, dtype=float))
     proj = np.linalg.solve(root, np.asarray(c_vec, dtype=float))
     q = proj.size
-    bounded = [(root[:, positions] @ np.linalg.solve(weight, root[positions]), threshold)
-               for positions, weight, threshold in forms if not math.isinf(threshold)]
+    bounded = _forms_in_d(root, forms)
     u, perp = np.hsplit(np.linalg.qr(np.column_stack([proj, np.eye(q)]))[0], [1])
     spread = sum((perp.T @ form @ perp / bound for form, bound in bounded), np.zeros((q - 1, q - 1)))
     basis = np.column_stack([perp @ np.linalg.eigh(spread)[1][:, ::-1], u])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -262,40 +263,66 @@ class TestBalanceDistance:
         with pytest.raises(ValidationError, match="symmetric"):
             balance_distance(np.ones(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
-    # Outcomes of the np.allclose symmetry test this check replaced: entries within 1e-10
-    # of the largest (at least 1) match, equal infinities match, NaN matches nothing.
+    # Outcomes of the one weight check: a non-finite entry fails first, named by its
+    # first position in row order; then entries within 1e-10 of the largest (at least 1)
+    # match. An accepted weight's distance is that of its symmetric part (W + W') / 2.
     @pytest.mark.parametrize(
         "weight, expected",
         [
-            ([[1.0, 0.5], [0.0, 1.0]], None),
-            ([[1.0, 2e-10], [0.0, 1.0]], None),
-            ([[1e6, 2e-4], [0.0, 1.0]], None),
+            ([[1.0, 0.5], [0.0, 1.0]], "weight matrix must be symmetric"),
+            ([[1.0, 2e-10], [0.0, 1.0]], "weight matrix must be symmetric"),
+            ([[1e6, 2e-4], [0.0, 1.0]], "weight matrix must be symmetric"),
             ([[1.0, 1e-10], [0.0, 1.0]], 1.9999999999),
             ([[1.0, 1e-11], [0.0, 1.0]], 1.99999999999),
-            ([[1e6, 1e-4], [0.0, 1.0]], 1.0000009999),
-            ([[np.nan]], None),
-            ([[np.nan, 0.0], [0.0, 1.0]], None),
-            ([[1.0, np.nan], [np.nan, 1.0]], None),
-            ([[1.0, np.nan], [0.0, 1.0]], None),
-            ([[1.0, np.inf], [0.0, 1.0]], None),
-            ([[1.0, np.inf], [-np.inf, 1.0]], None),
-            ([[np.inf]], 0.0),
-            ([[np.inf, 0.0], [0.0, 1.0]], 1.0),
-            ([[-np.inf, 0.0], [0.0, 1.0]], 1.0),
-            ([[1.0, np.inf], [np.inf, 1.0]], 0.0),
+            ([[1e6, 1e-4], [0.0, 1.0]], 1.0000009999000026),
+            ([[np.nan]], "weight matrix must be finite: entry (0, 0) is nan"),
+            ([[np.nan, 0.0], [0.0, 1.0]], "weight matrix must be finite: entry (0, 0) is nan"),
+            ([[1.0, np.nan], [np.nan, 1.0]], "weight matrix must be finite: entry (0, 1) is nan"),
+            ([[1.0, np.nan], [0.0, 1.0]], "weight matrix must be finite: entry (0, 1) is nan"),
+            ([[1.0, np.inf], [0.0, 1.0]], "weight matrix must be finite: entry (0, 1) is inf"),
+            ([[1.0, np.inf], [-np.inf, 1.0]], "weight matrix must be finite: entry (0, 1) is inf"),
+            ([[np.inf]], "weight matrix must be finite: entry (0, 0) is inf"),
+            ([[np.inf, 0.0], [0.0, 1.0]], "weight matrix must be finite: entry (0, 0) is inf"),
+            ([[-np.inf, 0.0], [0.0, 1.0]], "weight matrix must be finite: entry (0, 0) is -inf"),
+            ([[1.0, np.inf], [np.inf, 1.0]], "weight matrix must be finite: entry (0, 1) is inf"),
         ],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_symmetry_truth_table(self, weight, expected):
         weight = np.array(weight)
         imbalance = np.ones(len(weight))
-        if expected is None:
+        if isinstance(expected, str):
             with pytest.raises(ValidationError) as raised:
                 balance_distance(imbalance, weight)
             assert type(raised.value) is ValidationError
-            assert str(raised.value) == "weight matrix must be symmetric"
+            assert str(raised.value) == expected
         else:
             assert balance_distance(imbalance, weight) == expected
+
+    @pytest.mark.parametrize(
+        "imbalance, weight, message",
+        [
+            (np.ones(2), np.eye(3), r"shape \(2,\) and a weight of shape \(3, 3\)"),
+            (np.ones(3), np.ones(3), r"shape \(3,\) and a weight of shape \(1, 3\)"),
+            (np.ones((2, 2)), np.eye(2), r"shape \(2, 2\) and a weight of shape \(2, 2\)"),
+            (np.array([1.0, np.nan]), np.eye(2), "imbalance must be finite"),
+            (np.array([np.inf, 1.0]), np.eye(2), "imbalance must be finite"),
+            (np.array([1.0, -np.inf]), np.eye(2), "imbalance must be finite"),
+        ],
+    )
+    def test_malformed_imbalance_is_a_validation_error(self, imbalance, weight, message):
+        with pytest.raises(ValidationError, match=message):
+            balance_distance(imbalance, weight)
+
+    @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_a_direct_solve(self, q, seed):
+        # the solve this whitening replaced is the oracle
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(q, q))
+        weight = a @ a.T / q + np.eye(q) * rng.uniform(0.1, 10.0)
+        imbalance = rng.normal(size=q)
+        expected = float(imbalance @ np.linalg.solve(weight, imbalance))
+        assert balance_distance(imbalance, weight) == pytest.approx(expected, rel=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -321,6 +348,10 @@ class TestChiSquareCdf:
 
     def test_infinite_threshold(self):
         assert chi_square_cdf(3, math.inf) == 1.0
+
+    def test_nan_threshold_is_rejected(self):
+        with pytest.raises(ValidationError, match="t must be a number, not NaN"):
+            chi_square_cdf(3, math.nan)
 
 
 def _gaussian_frame(n, seed, strata=False):
@@ -391,6 +422,19 @@ class TestRerandomize:
         )
         with pytest.raises(SingularMatrixError):
             rerandomize(frame, design, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_scatter_raises_instead_of_accepting(self):
+        # finite covariates whose scatter overflows to inf: the distance would read 0 and
+        # every first proposal would be accepted
+        frame = _gaussian_frame(40, 6)
+        frame = dataclasses.replace(frame, covariates=frame.covariates * 1e155)
+        design = Design(
+            pi=0.5, scheme="rerandomized", rerand_covariates=(0, 1), threshold_t=0.01
+        )
+        for seed in range(5):
+            with pytest.raises(ValidationError, match="weight matrix must be finite"):
+                rerandomize(frame, design, seed)
 
     def test_stratified_rerandomized_balances_within_strata(self):
         frame = _gaussian_frame(120, 5, strata=True)

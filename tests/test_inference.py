@@ -28,7 +28,7 @@ from rerand.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from rerand.inference import _as_matrix, _clamp_unit
+from rerand.inference import _as_matrix, _clamp_unit, _forms_in_d, _spd_sqrt
 
 IF_FIXTURE = np.array([-2.0, 2.0, 1.0, -1.0])
 ARMS_FIXTURE = np.array([1, 1, 0, 0])
@@ -65,6 +65,14 @@ class TestRsquaredSimple:
     def test_constant_xr_is_singular(self):
         with pytest.raises(SingularMatrixError):
             scheme_plugins(IF_FIXTURE, ARMS_FIXTURE, 0.5, np.ones(4))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_scatter_is_a_validation_error(self):
+        # finite X^r whose scatter overflows: R^2 would read NaN
+        rng = np.random.default_rng(5)
+        xr = rng.normal(size=(40, 2)) * 1e155
+        with pytest.raises(ValidationError, match="weight matrix must be finite"):
+            scheme_plugins(rng.normal(size=40), np.array([1, 0] * 20), 0.5, xr)
 
     def test_invariant_to_adding_constants_to_xr(self):
         rng = np.random.default_rng(0)
@@ -806,6 +814,14 @@ class TestProjectionInterval:
         # stays within two of the oracle's standard errors)
         tol = 4 * float(np.std(s**2)) / math.sqrt(m) + (0.025 * ci.v_qt if q == 10 else 0.0)
         assert abs(ci.v_qt - float(np.mean(s**2))) <= tol
+        # the law's forms in d are exactly symmetric, and the oracle's to rounding
+        root = _spd_sqrt(spec.projection[1])
+        forms = spec.projection[2]
+        for (form, bound), (p, w, a) in zip(_forms_in_d(root, forms), forms, strict=True):
+            np.testing.assert_array_equal(form, form.T)
+            expected = root[:, p] @ np.linalg.solve(w, root[p])
+            np.testing.assert_allclose(form, expected, rtol=0, atol=1e-12 * abs(expected).max())
+            assert bound == a
 
     def test_full_rsquared_matches_rejection_oracle(self):
         spec = dataclasses.replace(_projection_spec(2, "tiered", 0.2, seed=4, r2=1.0), V=1.0)
