@@ -77,9 +77,11 @@ def _permuted_block_draw(
 
 def centered_scatter(Xr: np.ndarray, strata: Grouping | None) -> tuple[np.ndarray, np.ndarray]:
     """X^r centered at its overall mean, or at its ``strata`` means, and its scatter
-    matrix; V-hat(I) of an assignment is scatter / ``arm_product(arms)``."""
-    centered = Xr - Xr.mean(axis=0) if strata is None else strata.centered(Xr)
-    return centered, centered.T @ centered
+    matrix; V-hat(I) of an assignment is scatter / ``arm_product(arms)``. An overflow
+    leaves inf in the scatter, for ``_check_weight`` to report without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = Xr - Xr.mean(axis=0) if strata is None else strata.centered(Xr)
+        return centered, centered.T @ centered
 
 
 def arm_product(arms: np.ndarray) -> int:

@@ -292,18 +292,10 @@ _SIM_FIELDS = {
     "workers": ("workers", _parse_int),
     "keep_replicates": ("keep_replicates", _parse_bool),
 }
-_TRUTH_KEYS = ("truth.difference", "truth.ratio")
 _SIM_KEYS = (
     *_DGP_FIELDS, *_CUSTOM_FIELDS, *(f"design.{key}" for key in _DESIGN_KEYS), *_SIM_FIELDS,
-    *_TRUTH_KEYS, "ci_draws",  # ci_draws: ignored
+    "truth.difference", "truth.ratio", "ci_draws",  # ignored: no truth or interval is drawn
 )
-
-
-def _truth(text: str, name: str) -> tuple[float, float]:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise DataError(f"{name} must be 'delta_star, mcse'")
-    return _parse_float(parts[0], name), _parse_float(parts[1], name)
 
 
 def sim_config_from_file(path: str) -> SimConfig:
@@ -317,8 +309,7 @@ def sim_config_from_file(path: str) -> SimConfig:
     design = design_from_config(
         {k[7:]: v for k, v in cfg.items() if k.startswith("design.")}, DGP_COVARIATES
     )
-    truth = {key[6:]: _truth(cfg[key], key) for key in _TRUTH_KEYS if key in cfg} or None
-    return _record(SimConfig, _SIM_FIELDS, cfg, dgp=dgp, design=design, estimators=(), truth=truth)
+    return _record(SimConfig, _SIM_FIELDS, cfg, dgp=dgp, design=design, estimators=())
 
 
 @functools.cache  # parsing leaves a parser as it was: one serves every run_command

@@ -16,6 +16,7 @@ parallelism-invariant, and wall-clock time stays out of the report payload.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -67,6 +68,12 @@ class CustomDgp:
     r_x2: float = 1.0
     r_stratum: float = 1.0
     r_x2sq: float = 0.0
+
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):  # binary is a bool, and finite
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValidationError(f"dgp.{field.name}: coefficient must be finite, got {value}")
 
 
 _SEC7_CONTINUOUS = CustomDgp(
@@ -211,6 +218,11 @@ def true_delta(dgp: DgpSpec, estimand: EstimandSpec) -> float:
     return float(estimand.value(mu[1], mu[0]))
 
 
+@functools.cache  # one process may run many simulations of one DGP (a benchmark does)
+def _truth(dgp: DgpSpec, contrast: str) -> float:
+    return true_delta(dgp, EstimandSpec(contrast))
+
+
 # ---------------------------------------------------------------------------
 # Estimator specs and the replicated runner.
 
@@ -257,7 +269,6 @@ class SimConfig:
     master_seed: int = 0
     alpha: float = 0.05
     workers: int = 1
-    truth: dict | None = None  # contrast -> (delta_star, mcse)
     keep_replicates: bool = False
 
     def __post_init__(self) -> None:
@@ -265,11 +276,6 @@ class SimConfig:
             raise ValidationError("replicates must be at least 1")
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
-        for contrast, (delta_star, mcse) in (self.truth or {}).items():
-            if not (math.isfinite(delta_star) and 0.0 <= mcse < math.inf):
-                raise ValidationError(
-                    f"truth.{contrast}: delta_star must be finite and mcse finite and >= 0"
-                )
         if math.isnan(self.alpha):
             raise ValidationError("alpha must be a number, not NaN")
         if not self.estimators:
@@ -533,13 +539,10 @@ def run_simulation(config: SimConfig) -> SimReport:
     than 2% failures for any estimator fails the whole run.
     """
     start = time.monotonic()
-    truth: dict = {}
-    for contrast in sorted({est.estimand for est in config.estimators}):
-        if config.truth and contrast in config.truth:
-            delta_star, mcse = config.truth[contrast]
-        else:
-            delta_star, mcse = true_delta(config.dgp, EstimandSpec(contrast)), 0.0
-        truth[contrast] = {"delta_star": float(delta_star), "mcse": float(mcse)}
+    truth = {  # computed, so its Monte Carlo standard error is 0
+        contrast: {"delta_star": _truth(config.dgp, contrast), "mcse": 0.0}
+        for contrast in sorted({est.estimand for est in config.estimators})
+    }
 
     tasks = [(config, truth, r) for r in range(config.replicates)]
     if config.workers > 1:

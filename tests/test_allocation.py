@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,16 @@ class TestRerandomize:
         for seed in range(5):
             with pytest.raises(ValidationError, match="weight matrix must be finite"):
                 rerandomize(frame, design, seed)
+
+    @pytest.mark.parametrize("scheme", ["rerandomized", "stratified_rerandomized"])
+    def test_overflowing_scatter_raises_without_a_numpy_warning(self, scheme):
+        frame = _gaussian_frame(40, 6, strata=True)
+        frame = dataclasses.replace(frame, covariates=frame.covariates * 1e155)
+        design = Design(pi=0.5, scheme=scheme, rerand_covariates=(0, 1), threshold_t=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="weight matrix must be finite"):
+                rerandomize(frame, design, 5)
 
     def test_stratified_rerandomized_balances_within_strata(self):
         frame = _gaussian_frame(120, 5, strata=True)

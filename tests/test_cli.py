@@ -436,7 +436,6 @@ class TestAnalyze:
 SIM_LINES = (
     "dgp.family = continuous_sec7\ndgp.n = 80\ndesign.scheme = rerandomized\n"
     "design.rerand = x1,x2\nestimator = unadjusted\nreplicates = 2\nci_draws = 2000\n"
-    "truth.difference = 2.0, 0.0015\n"
 )
 
 
@@ -447,6 +446,17 @@ class TestConfigKeys:
         plain = write(tmp_path / "plain.cfg", SIM_LINES.replace("ci_draws = 2000\n", ""))
         lots = write(tmp_path / "lots.cfg", SIM_LINES.replace("ci_draws = 2000", "ci_draws = lots"))
         assert sim_config_from_file(lots) == sim_config_from_file(plain)
+
+    def test_truth_lines_are_read_and_ignored(self, tmp_path):
+        reports = []
+        for name, lines in [
+            ("plain", ""), ("frozen", "truth.difference = 5, 0\n"), ("text", "truth.ratio = abc\n")
+        ]:
+            config = write(tmp_path / f"{name}.cfg", SIM_LINES + lines)
+            out = tmp_path / f"{name}.json"
+            assert run_command(["simulate", "--config", config, "--out", str(out)]).exit_code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     def test_design_tier_repeats_in_a_simulation_config(self, tmp_path):
         from rerand.cli import sim_config_from_file
@@ -462,8 +472,8 @@ class TestConfigKeys:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("tier = x1 : 0.05", "sim.cfg:9: unknown key 'tier'"),
-            ("design.threshold = 0.05", "sim.cfg:9: unknown key 'design.threshold'"),
+            ("tier = x1 : 0.05", "sim.cfg:8: unknown key 'tier'"),
+            ("design.threshold = 0.05", "sim.cfg:8: unknown key 'design.threshold'"),
             ("design.tier = x1 : 0.05\ndesign.t = 1.0", "thresholds from its tiers"),
             ("design.tier = x1 : 0.05\ndesign.distance = general", "distances from its tiers"),
             ("design.t = nan", "balance thresholds must be positive"),
@@ -476,12 +486,10 @@ class TestConfigKeys:
             ("estimator = ancova\nestimator = ancova", "two estimators are labelled 'ancova'"),
             ("design.scheme = stratified_rerandomized\ndesign.block_size = 3", "pi*k not integer"),
             ("design.rerand = 5", "rerandomization covariate index 5 out of range"),
-            ("truth.difference = nan, -1", "truth.difference: delta_star must be finite"),
-            ("truth.difference = 2.0, -1", "mcse finite and >= 0"),
-            ("truth.difference = 2.0, inf", "mcse finite and >= 0"),
+            ("dgp.family = custom\ndgp.y_arm = nan", "dgp.y_arm: coefficient must be finite"),
             ("workers = 0", "workers must be at least 1, got 0"),
             ("workers = -3", "workers must be at least 1, got -3"),
-            ("truth_draws = 5", "sim.cfg:9: unknown key 'truth_draws'"),
+            ("truth_draws = 5", "sim.cfg:8: unknown key 'truth_draws'"),
         ],
     )
     def test_simulation_config_errors(self, tmp_path, monkeypatch, capsys, line, message):
@@ -578,9 +586,7 @@ class TestConfigKeys:
         )
         monkeypatch.delenv("RERAND_WORKERS", raising=False)
         config = sim_config_from_file(write(tmp_path / "sim.cfg", blocks["# sim.cfg"]))
-        assert (config.dgp.family, config.workers, config.truth) == (
-            "continuous_sec7", 2, {"difference": (2.0, 0.0015)}
-        )
+        assert (config.dgp.family, config.workers) == ("continuous_sec7", 2)
 
     def test_readme_library_quick_start_runs(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -656,7 +662,6 @@ class TestSimulate:
                     "replicates = 4",
                     "master_seed = 5",
                     "ci_draws = 2000",
-                    "truth.difference = 2.0, 0.0015",
                 ]
             )
             + "\n",
@@ -713,7 +718,6 @@ class TestSimulate:
             ("design.block_size", "two"),
             ("design.t", "1.0x"),
             ("design.pi", "half"),
-            ("truth.difference", "2.0, abc"),
         ],
     )
     def test_malformed_number_is_a_data_error(self, tmp_path, monkeypatch, key, value):
@@ -724,7 +728,6 @@ class TestSimulate:
             "estimator": "dml learners=stump:50:0.1,none",
             "replicates": "2",
             "ci_draws": "2000",
-            "truth.difference": "2.0, 0.0015",
         }
         lines[key] = value
         config = write(
@@ -747,7 +750,6 @@ class TestSimulate:
                     "estimator = unadjusted",
                     "replicates = 2",
                     "ci_draws = 2000",
-                    "truth.difference = 2.0, 0.0015",
                     "workers = 1",
                 ]
             )
@@ -852,7 +854,6 @@ class TestDeterminism:
                     "replicates = 16",
                     "master_seed = 11",
                     "ci_draws = 1000",
-                    "truth.difference = 2.0, 0.0015",
                 ]
             )
             + "\n",

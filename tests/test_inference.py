@@ -74,6 +74,16 @@ class TestRsquaredSimple:
         with pytest.raises(ValidationError, match="weight matrix must be finite"):
             scheme_plugins(rng.normal(size=40), np.array([1, 0] * 20), 0.5, xr)
 
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_overflowing_scatter_raises_without_a_numpy_warning(self, stratified):
+        rng = np.random.default_rng(5)
+        xr = rng.normal(size=(40, 2)) * 1e155
+        strata = factorize(np.array(["a", "a", "b", "b"] * 10)) if stratified else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="weight matrix must be finite"):
+                scheme_plugins(rng.normal(size=40), np.array([1, 0] * 20), 0.5, xr, strata)
+
     def test_invariant_to_adding_constants_to_xr(self):
         rng = np.random.default_rng(0)
         ifv = rng.normal(size=30)

@@ -26,7 +26,6 @@ from rerand.cli import sim_config_from_file
 from rerand.data_model import factorize
 from rerand.errors import NumericError, ValidationError
 from rerand.simlab import EstimatorReport, apply_estimator, report_csv_lines, scheme_inference
-from test_acceptance import TRUTH_BINARY, TRUTH_CONTINUOUS
 
 from conftest import unit_labels
 
@@ -150,19 +149,38 @@ class TestTrueDelta:
         assert true_delta(dgp, estimand) == pytest.approx(truth, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "family, truth", [("continuous_sec7", TRUTH_CONTINUOUS), ("binary_sec7", TRUTH_BINARY)]
+        "field, value", [("y_arm", math.nan), ("y_sd", math.inf), ("r_x2sq", -math.inf)]
     )
-    def test_frozen_acceptance_truths_lie_within_two_mcse(self, family, truth):
-        for contrast, (delta_star, mcse) in truth.items():
-            assert abs(delta_star - true_delta(DgpSpec(family, 100), EstimandSpec(contrast))) <= 2 * mcse
+    def test_non_finite_coefficient_is_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"dgp.{field}: coefficient must be finite"):
+            CustomDgp(**{field: value})
 
-    @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda path: path.name)
-    def test_demo_config_truths_lie_within_two_mcse(self, monkeypatch, path):
+    def test_binary_demo_reports_the_computed_truth(self, monkeypatch):
         monkeypatch.delenv("RERAND_WORKERS", raising=False)
-        config = sim_config_from_file(str(path))
-        assert config.truth
-        for contrast, (delta_star, mcse) in config.truth.items():
-            assert abs(delta_star - true_delta(config.dgp, EstimandSpec(contrast))) <= 2 * mcse
+        path = next(path for path in DEMO_CONFIGS if path.name == "demo_binary_missing.cfg")
+        config = dataclasses.replace(sim_config_from_file(str(path)), replicates=2, workers=1)
+        delta_star = true_delta(config.dgp, EstimandSpec("ratio"))
+        assert run_simulation(config).truth == {"ratio": {"delta_star": delta_star, "mcse": 0.0}}
+        assert delta_star == pytest.approx(1.4801440481366734, rel=1e-12)
+
+    def test_each_truth_is_computed_once_per_process(self, monkeypatch):
+        calls = []
+
+        def counted(dgp, estimand):
+            calls.append((dgp, estimand.contrast))
+            return true_delta(dgp, estimand)
+
+        rerand.simlab._truth.cache_clear()
+        monkeypatch.setattr(rerand.simlab, "true_delta", counted)
+        estimators = (
+            SimEstimator(kind="unadjusted", label="D"),
+            SimEstimator(kind="unadjusted", label="R", estimand="ratio"),
+        )
+        for master_seed in (1, 2):
+            config = small_config(estimators=estimators, replicates=2, master_seed=master_seed)
+            run_simulation(config)
+        dgp = DgpSpec("continuous_sec7", 100)
+        assert calls == [(dgp, "difference"), (dgp, "ratio")]
 
 
 def small_config(**overrides) -> SimConfig:
@@ -177,7 +195,6 @@ def small_config(**overrides) -> SimConfig:
         ),
         replicates=12,
         master_seed=99,
-        truth={"difference": (2.0, 0.0015)},
     )
     base.update(overrides)
     return SimConfig(**base)
@@ -333,7 +350,6 @@ class TestSchemePlumbing:
                 ),
             ),
             replicates=20,
-            truth={"ratio": (1.4809031279609284, 0.0006303535956919716)},
         )
         report = run_simulation(config)
         assert report.rows[0].failures == 0
@@ -362,7 +378,6 @@ class TestSchemePlumbing:
                 ),
             ),
             replicates=15,
-            truth={"ratio": (1.4809031279609284, 0.0006303535956919716)},
         )
         report = run_simulation(config)
         assert report.rows[0].failures == 0
