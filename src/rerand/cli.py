@@ -442,6 +442,8 @@ def _cmd_ci(args) -> None:
     _log_record("ci", resolved, digest)
     if math.isnan(args.delta):
         raise ValidationError("delta must be a number, not NaN")
+    if math.isinf(args.delta):
+        raise ValidationError("delta must be finite")
     spec = LimitSpec(V=args.v, R2=args.r2, q=args.q, t=args.t)
     ci = confidence_interval(args.delta, spec, args.n, args.alpha)
     payload = {

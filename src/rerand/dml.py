@@ -411,7 +411,6 @@ def estimate_dml(
     estimand: EstimandSpec,
     seed: int,
     pi: float,
-    fold_plan: np.ndarray | None = None,
 ) -> EstimateResult:
     """Cross-fitted AIPW estimate of the arm means and their contrast.
 
@@ -422,8 +421,7 @@ def estimate_dml(
     the units clipped in their own arm (those below 0.01) counted in
     ``details["propensity_clip_count"]``.
     Outcome learners see only observed-outcome rows of their training folds.
-    ``fold_plan`` replaces the folds of ``make_folds``; ``details["fold_plan"]``
-    holds the folds used.
+    ``details["fold_plan"]`` holds the folds of ``make_folds``.
     """
     arms = frame.require_arms()
     frame.require_outcomes()
@@ -437,10 +435,7 @@ def estimate_dml(
             "outcomes are missing but no missingness learner was given"
         )
 
-    if fold_plan is None:
-        fold_plan = make_folds(frame, K, mode, derive_seed(seed, "folds"))
-    elif np.shape(fold_plan) != (frame.n_units,) or not np.isin(fold_plan, range(K)).all():
-        raise ValidationError(f"fold_plan needs one fold in 0..{K - 1} per unit")
+    fold_plan = make_folds(frame, K, mode, derive_seed(seed, "folds"))
     feature_names = list(frame.covariate_names)
     if frame.stratum is not None and frame.stratum.labels.size > 1:
         feature_names.append("stratum")

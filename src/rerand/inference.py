@@ -56,12 +56,14 @@ class LimitSpec:
     def __post_init__(self) -> None:
         if math.isnan(self.V):
             raise ValidationError("V must be a number, not NaN")
-        if self.V < 0:
-            raise ValidationError("V must be nonnegative")
+        if not 0.0 <= self.V < math.inf:
+            raise ValidationError("V must be nonnegative" if self.V < 0 else "V must be finite")
         if not 0.0 <= self.R2 <= 1.0:
             raise ValidationError("R2 must lie in [0, 1]")
         if math.isnan(self.t):
             raise ValidationError("t must be a number, not NaN")
+        if self.t <= 0.0:
+            raise ValidationError("t must be positive")
 
 
 @dataclass(frozen=True)
@@ -247,6 +249,8 @@ def confidence_interval(delta_hat: float, spec: LimitSpec, n: int, alpha: float)
         raise ValidationError("n must be at least 2")
     if math.isnan(alpha):
         raise ValidationError("alpha must be a number, not NaN")
+    if alpha < 0.0:
+        raise ValidationError("alpha must be nonnegative")
     if spec.projection is None:
         vqt = v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0
     else:
@@ -436,6 +440,8 @@ def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIRe
         raise ValidationError("variance estimate must be nonnegative")
     if math.isnan(alpha):
         raise ValidationError("alpha must be a number, not NaN")
+    if alpha < 0.0:
+        raise ValidationError("alpha must be nonnegative")
     half = 0.0 if alpha >= 1.0 else float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(vhat / n)
     return CIResult(delta_hat - half, delta_hat + half, alpha, 1.0, "normal")
 

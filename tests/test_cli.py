@@ -85,18 +85,24 @@ class TestCi:
         assert "t must be a number, not NaN" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,message",
-        [("--v", "V must be a number, not NaN"), ("--delta", "delta must be a number, not NaN"),
-         ("--alpha", "alpha must be a number, not NaN")],
-        ids=["v", "delta", "alpha"],
+        "flag,value,message",
+        [("--v", "nan", "V must be a number, not NaN"),
+         ("--delta", "nan", "delta must be a number, not NaN"),
+         ("--alpha", "nan", "alpha must be a number, not NaN"),
+         ("--alpha", "-0.1", "alpha must be nonnegative"), ("--t", "0", "t must be positive"),
+         ("--t", "-1", "t must be positive"), ("--delta", "inf", "delta must be finite"),
+         ("--delta", "-inf", "delta must be finite"), ("--v", "inf", "V must be finite"),
+         ("--v", "-inf", "V must be nonnegative")],
+        ids=["nan_v", "nan_delta", "nan_alpha", "negative_alpha", "zero_t", "negative_t",
+             "inf_delta", "minus_inf_delta", "inf_v", "minus_inf_v"],
     )
-    def test_nan_input_is_a_data_error(self, capsys, flag, message):
+    def test_input_without_an_interval_is_a_data_error(self, capsys, flag, value, message):
         argv = {"--delta": "0", "--v": "1", "--r2": "0.5", "--q": "2", "--t": "1",
-                "--n": "100", "--alpha": "0.05", flag: "nan"}
-        outcome = run_command(["ci", *(item for pair in argv.items() for item in pair)])
+                "--n": "100", "--alpha": "0.05", flag: value}
+        outcome = run_command(["ci", *(f"{key}={text}" for key, text in argv.items())])
         assert outcome.exit_code == 3
         captured = capsys.readouterr()
-        assert message in captured.err
+        assert f"data error: {message}" in captured.err
         assert captured.out == ""
 
     def test_tiny_acceptance_succeeds(self, capsys):
@@ -673,7 +679,7 @@ class TestSimulate:
         )
         assert outcome.exit_code == 0
         report = json.loads(out.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert {row["label"] for row in report["estimators"]} == {"Unadjusted", "ANCOVA"}
         assert csv_out.read_text().startswith("label,")
 
@@ -691,6 +697,15 @@ class TestSimulate:
             rows[name] = json.loads(out.read_text())["estimators"]
         assert rows["AB"] == rows["A"] + rows["B"]
         assert rows["A"][0]["bias"] != rows["B"][0]["bias"]
+
+    def test_negative_alpha_fails_before_the_truth_is_computed(self, tmp_path, monkeypatch, capsys):
+        config = write(tmp_path / "sim.cfg", SIM_LINES + "alpha = -0.1\n")
+        truths = []
+        monkeypatch.setattr("rerand.simlab._truth", lambda *a: truths.append(a))
+        outcome = run_command(["simulate", "--config", config, "--out", str(tmp_path / "r.json")])
+        assert outcome.exit_code == 3
+        assert "data error: alpha must be nonnegative" in capsys.readouterr().err
+        assert truths == []
 
     def test_mixed_estimator_fails_at_config_time(self, tmp_path, monkeypatch):
         config = write(

@@ -32,6 +32,13 @@ from rerand.inference import _as_matrix, _clamp_unit, _forms_in_d, _spd_sqrt
 
 IF_FIXTURE = np.array([-2.0, 2.0, 1.0, -1.0])
 ARMS_FIXTURE = np.array([1, 1, 0, 0])
+# V-tilde-hat < 0: at pi = 0.2 stratum a, all in arm 1, has a large between-arm term
+FLOORED_FIXTURE = dict(
+    if_values=np.array([1, 1.1, 0.9, 1, 1.05, 0.95, 0.1, -0.1, 0.2, -0.2, 0.1, -0.1]),
+    arms=np.array([1] * 6 + [1, 0, 0, 0, 0, 1]),
+    pi=0.2,
+    strata=factorize(np.array(["a"] * 6 + ["b"] * 6, dtype=object)),
+)
 
 
 class TestVarianceSimple:
@@ -65,6 +72,10 @@ class TestRsquaredSimple:
     def test_constant_xr_is_singular(self):
         with pytest.raises(SingularMatrixError):
             scheme_plugins(IF_FIXTURE, ARMS_FIXTURE, 0.5, np.ones(4))
+
+    def test_zero_variance_makes_r2_undefined(self):
+        with pytest.raises(NumericError, match=r"^V-hat is zero: R\^2 undefined$"):
+            scheme_plugins(np.zeros(4), np.array([1, 0, 1, 0]), 0.5, np.array([0.0, 1, 2, 4]))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_scatter_is_a_validation_error(self):
@@ -125,6 +136,17 @@ class TestVarianceStratified:
         strata = np.array(["a", "b", "c"] * (n // 3), dtype=object)
         v_t = scheme_plugins(ifv, arms, 0.5, None, factorize(strata))[0]
         assert v_t <= variance_simple(ifv) + 1e-12
+
+    def test_negative_estimate_is_floored_at_zero_with_a_warning(self):
+        message = r"^stratified variance estimate -1\.488e\+00 floored at 0$"
+        with pytest.warns(DiagnosticWarning, match=message):
+            assert scheme_plugins(**FLOORED_FIXTURE) == (0.0, None, None, None)
+
+    def test_floored_estimate_makes_r2_undefined(self):
+        message = r"^stratified variance estimate is zero: R\^2 undefined$"
+        with pytest.warns(DiagnosticWarning, match="floored at 0"):
+            with pytest.raises(NumericError, match=message):
+                scheme_plugins(**FLOORED_FIXTURE, Xr=np.arange(12.0)[:, None])
 
 
 class TestRsquaredStratified:
@@ -510,6 +532,17 @@ class TestLimitSpec:
         with pytest.raises(ValidationError, match="^V must be nonnegative$"):
             LimitSpec(V=-1.0, R2=0.5, q=2, t=1.0)
 
+    @pytest.mark.parametrize("V", [math.inf, -math.inf])
+    def test_infinite_variance_is_rejected(self, V):
+        message = "^V must be finite$" if V > 0 else "^V must be nonnegative$"
+        with pytest.raises(ValidationError, match=message):
+            LimitSpec(V=V, R2=0.5, q=2, t=1.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, -math.inf])
+    def test_nonpositive_threshold_is_rejected(self, t):
+        with pytest.raises(ValidationError, match="^t must be positive$"):
+            LimitSpec(V=1.0, R2=0.5, q=2, t=t)
+
 
 class TestSampleLimit:
     def test_zero_rsquared_is_exactly_scaled_normal(self):
@@ -644,6 +677,18 @@ class TestConfidenceInterval:
         )
         with pytest.raises(ValidationError, match="alpha must be a number, not NaN"):
             confidence_interval(0.0, spec, n=100, alpha=math.nan)
+
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_negative_alpha_is_rejected_and_zero_is_the_whole_line(self, projection):
+        forms = [(np.array([0]), np.eye(1), 1.0)]
+        spec = LimitSpec(
+            V=1.0, R2=0.5, q=1, t=1.0,
+            projection=(np.array([0.5]), np.eye(1), forms) if projection else None,
+        )
+        with pytest.raises(ValidationError, match="^alpha must be nonnegative$"):
+            confidence_interval(0.0, spec, n=100, alpha=-0.1)
+        ci = confidence_interval(0.0, spec, n=100, alpha=0.0)
+        assert (ci.lower, ci.upper, ci.method) == (-math.inf, math.inf, "normal")
 
     def test_normal_case_quantile_oracle(self):
         spec = LimitSpec(V=1.0, R2=0.0, q=2, t=1.0)
@@ -917,3 +962,12 @@ class TestNormalInterval:
     def test_nan_alpha_is_rejected(self):
         with pytest.raises(ValidationError, match="alpha must be a number, not NaN"):
             normal_interval(2.0, 4.0, 100, math.nan)
+
+    @pytest.mark.parametrize("alpha", [-0.1, -math.inf])
+    def test_negative_alpha_is_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="^alpha must be nonnegative$"):
+            normal_interval(2.0, 4.0, 100, alpha)
+
+    def test_alpha_zero_is_the_whole_line(self):
+        ci = normal_interval(2.0, 4.0, 100, 0.0)
+        assert (ci.lower, ci.upper) == (-math.inf, math.inf)

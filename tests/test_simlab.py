@@ -160,7 +160,7 @@ class TestTrueDelta:
         path = next(path for path in DEMO_CONFIGS if path.name == "demo_binary_missing.cfg")
         config = dataclasses.replace(sim_config_from_file(str(path)), replicates=2, workers=1)
         delta_star = true_delta(config.dgp, EstimandSpec("ratio"))
-        assert run_simulation(config).truth == {"ratio": {"delta_star": delta_star, "mcse": 0.0}}
+        assert run_simulation(config).truth == {"ratio": delta_star}
         assert delta_star == pytest.approx(1.4801440481366734, rel=1e-12)
 
     def test_each_truth_is_computed_once_per_process(self, monkeypatch):
@@ -208,6 +208,10 @@ class TestSimConfig:
     def test_nan_alpha_rejected_before_any_replicate(self):
         with pytest.raises(ValidationError, match="alpha must be a number, not NaN"):
             small_config(alpha=math.nan)
+
+    def test_negative_alpha_rejected_before_any_replicate(self):
+        with pytest.raises(ValidationError, match="^alpha must be nonnegative$"):
+            small_config(alpha=-0.1)
 
 
 class TestRunSimulation:
