@@ -2,12 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .allocation import (
-    Allocation,
-    balance_distance,
-    chi_square_cdf,
-    rerandomize,
-)
+from .allocation import Allocation, balance_distance, rerandomize
 from .data_model import (
     Design,
     EstimandSpec,
@@ -21,6 +16,7 @@ from .dml import LearnerSpec, estimate_dml, make_folds
 from .inference import (
     CIResult,
     LimitSpec,
+    chi_square_cdf,
     confidence_interval,
     normal_interval,
     sample_limit,

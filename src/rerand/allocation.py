@@ -3,8 +3,8 @@
 ``rerandomize`` is the one assignment entry: it draws independent coin flips
 or stratified permuted blocks under a ``Design`` and, for rerandomized
 schemes, redraws until the balance criterion is met. Alongside it are
-``Allocation``, ``chi_square_cdf``, ``balance_distance``, ``balance_forms``
-and the V-hat(I) parts ``centered_scatter`` and ``arm_product``.
+``Allocation``, ``balance_distance``, ``balance_forms`` and the V-hat(I) parts
+``centered_scatter`` and ``arm_product``.
 
 Every balance quadratic form I' W^-1 I, the acceptance rule's and R^2's alike,
 is the squared norm |L^-1 I|^2 of I whitened by ``_whitener``, the one checked factorization.
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .data_model import Design, Grouping, TrialFrame, group_sums, validate_design
 from .errors import NonTerminationError, SingularMatrixError, ValidationError
@@ -40,17 +39,6 @@ class Allocation:
     accepted_distance: float | None
     imbalance: np.ndarray
     tier_distances: tuple[float, ...] | None = None
-
-
-def chi_square_cdf(q: int, t: float) -> float:
-    """P(chi^2_q < t) via the regularized lower incomplete gamma function."""
-    if int(q) != q or q < 1:
-        raise ValidationError("degrees of freedom must be a positive integer")
-    if math.isnan(t):
-        raise ValidationError("t must be a number, not NaN")
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
-    return float(gammainc(q / 2.0, t / 2.0))  # 1 at t = inf
 
 
 def _permuted_block_draw(

@@ -3,11 +3,13 @@
 An estimator's sqrt(n) error tends to sqrt(V) (sqrt(1-R^2) z + sqrt(R^2) r_{q,t}),
 z standard normal and r_{q,t} the first coordinate of a standard q-normal given
 squared norm < t; simple randomization is t = inf, where r_{q,t} is standard
-normal. ``variance_simple`` and ``scheme_plugins`` estimate V (and R^2, C-hat,
-n V-hat(I)) from per-unit influence values. ``confidence_interval`` inverts a
-``LimitSpec`` into a ``CIResult``: ``normal_interval`` where the law is normal,
-else by deterministic quadrature (1-D for the Mahalanobis form, Genz's
-separation of variables for the projection form of general weights and tiers).
+normal. ``chi_square_cdf`` gives the acceptance mass P(chi^2_q < t) and ``v_qt``
+the variance of r_{q,t}. ``variance_simple`` and ``scheme_plugins`` estimate V
+(and R^2, C-hat, n V-hat(I)) from per-unit influence values.
+``confidence_interval`` inverts a ``LimitSpec`` into a ``CIResult``:
+``normal_interval`` where the law is normal, else by deterministic quadrature
+(1-D for the Mahalanobis form, Genz's separation of variables for the
+projection form of general weights and tiers).
 ``sample_limit`` draws the Mahalanobis form.
 
 All functions are pure; the sampler owns a seeded generator, so independent
@@ -25,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfinv, gammainc, gammaincinv, ndtr, ndtri, owens_t
 
-from .allocation import (
-    _check_weight,
-    _whitener,
-    arm_product,
-    balance_distance,
-    centered_scatter,
-    chi_square_cdf,
-)
+from .allocation import _check_weight, _whitener, arm_product, balance_distance, centered_scatter
 from .data_model import Grouping, factorize
 from .errors import DiagnosticWarning, NumericError, ValidationError
 
@@ -75,12 +70,28 @@ class CIResult:
     method: str  # "normal", "quadrature" or "projection_quadrature"
 
 
+def chi_square_cdf(q: int, t: float) -> float:
+    """P(chi^2_q < t) via the regularized lower incomplete gamma function."""
+    if int(q) != q or q < 1:
+        raise ValidationError("degrees of freedom must be a positive integer")
+    if math.isnan(t):
+        raise ValidationError("t must be a number, not NaN")
+    if t < 0:
+        raise ValidationError("t must be nonnegative")
+    return float(gammainc(q / 2.0, t / 2.0))  # 1 at t = inf
+
+
+def _acceptance_mass(q: int, t: float) -> float:
+    """The acceptance mass P(chi^2_q < t) of the limit law, which must not underflow."""
+    mass = chi_square_cdf(q, t)
+    if mass == 0.0:
+        raise NumericError("threshold t too small: P(chi^2_q < t) underflows")
+    return mass
+
+
 def v_qt(q: int, t: float) -> float:
     """Variance of r_{q,t}: P(chi^2_{q+2} < t) / P(chi^2_q < t); 1 at t = inf."""
-    denom = chi_square_cdf(q, t)
-    if denom == 0.0:
-        raise NumericError("threshold t too small: P(chi^2_q < t) underflows")
-    return chi_square_cdf(q + 2, t) / denom
+    return chi_square_cdf(q + 2, t) / _acceptance_mass(q, t)
 
 
 def variance_simple(if_values: np.ndarray, fold_ids: np.ndarray | None = None) -> float:
@@ -223,9 +234,7 @@ def _ball_coordinate(rng, q, t, m):
     |r| < sqrt(t)) and q = 2 (d'd = -2 log(1 - p), uniform angle). At t = inf the
     mass is 1, and the same draws are standard normal.
     """
-    mass = chi_square_cdf(q, t)
-    if mass == 0.0:
-        raise NumericError("threshold t too small: P(chi^2_q < t) underflows")
+    mass = _acceptance_mass(q, t)
     u = rng.random(m)
     if q == 1:
         return math.sqrt(2.0) * erfinv(mass * (2.0 * u - 1.0))
@@ -242,20 +251,17 @@ def confidence_interval(delta_hat: float, spec: LimitSpec, n: int, alpha: float)
 
     Mahalanobis form: the CDF by 1-D quadrature ("quadrature"). Projection form: over the
     weighted intervals of ``_projection_law`` ("projection_quadrature"), with the law's own
-    v_qt. Exactly ``normal_interval`` when R2 = 0 or alpha is outside (0, 1), and for
-    the Mahalanobis form when P(chi^2_q < t) rounds to 1 (t = inf).
+    v_qt. Exactly ``normal_interval`` when V = 0, R2 = 0 or alpha is outside (0, 1), and
+    for the Mahalanobis form when P(chi^2_q < t) rounds to 1 (t = inf).
     """
     if n < 2:
         raise ValidationError("n must be at least 2")
-    if math.isnan(alpha):
-        raise ValidationError("alpha must be a number, not NaN")
-    if alpha < 0.0:
-        raise ValidationError("alpha must be nonnegative")
+    _check_alpha(alpha)  # before the law, whose mass may underflow
     if spec.projection is None:
         vqt = v_qt(spec.q, spec.t) if spec.q >= 1 else 1.0
     else:
         vqt, second, cdf = _projection_law(spec)
-    if spec.R2 == 0.0 or not 0.0 < alpha < 1.0 or (
+    if spec.V == 0.0 or spec.R2 == 0.0 or not 0.0 < alpha < 1.0 or (
         spec.projection is None and chi_square_cdf(spec.q, spec.t) == 1.0
     ):
         return dataclasses.replace(normal_interval(delta_hat, spec.V, n, alpha), v_qt=vqt)
@@ -435,26 +441,30 @@ def _projection_cdf(x: float, sigma: float, r: float, w, lower, upper, mass) -> 
 
 
 def normal_interval(delta_hat: float, vhat: float, n: int, alpha: float) -> CIResult:
-    """Normal-approximation interval delta_hat +/- z_{1-alpha/2} sqrt(vhat/n)."""
+    """Normal-approximation interval delta_hat +/- z_{1-alpha/2} sqrt(vhat/n); the point
+    delta_hat when vhat = 0 or alpha >= 1, the whole line when alpha = 0 and vhat > 0."""
     if vhat < 0:
         raise ValidationError("variance estimate must be nonnegative")
+    _check_alpha(alpha)
+    point = alpha >= 1.0 or vhat == 0.0  # at vhat = 0 and alpha = 0, not inf * 0 = nan
+    half = 0.0 if point else float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(vhat / n)
+    return CIResult(delta_hat - half, delta_hat + half, alpha, 1.0, "normal")
+
+
+def _check_alpha(alpha: float) -> None:
+    """The one rule for an interval's alpha: a number, at least 0 (1 and above give zero width)."""
     if math.isnan(alpha):
         raise ValidationError("alpha must be a number, not NaN")
     if alpha < 0.0:
         raise ValidationError("alpha must be nonnegative")
-    half = 0.0 if alpha >= 1.0 else float(ndtri(1.0 - alpha / 2.0)) * math.sqrt(vhat / n)
-    return CIResult(delta_hat - half, delta_hat + half, alpha, 1.0, "normal")
 
 
 def _clamp_unit(raw: float, label: str) -> float:
+    """R^2 capped at 1 with a diagnostic warning. Its raw plug-in |L^-1 C|^2 / V is a
+    squared norm over V > 0 (``scheme_plugins`` raises on V = 0), so it is never negative."""
     if raw > 1.0:
         warnings.warn(
             f"raw {label} estimate {raw:.4f} clamped to 1", DiagnosticWarning, stacklevel=3
         )
         return 1.0
-    if raw < 0.0:
-        warnings.warn(
-            f"raw {label} estimate {raw:.4f} clamped to 0", DiagnosticWarning, stacklevel=3
-        )
-        return 0.0
     return float(raw)

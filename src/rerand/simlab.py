@@ -276,10 +276,7 @@ class SimConfig:
             raise ValidationError("replicates must be at least 1")
         if self.workers < 1:
             raise ValidationError(f"workers must be at least 1, got {self.workers}")
-        if math.isnan(self.alpha):
-            raise ValidationError("alpha must be a number, not NaN")
-        if self.alpha < 0.0:
-            raise ValidationError("alpha must be nonnegative")
+        inference._check_alpha(self.alpha)
         if not self.estimators:
             raise ValidationError("at least one estimator is required")
         if any(est.kind == "mixed" for est in self.estimators):
@@ -519,12 +516,10 @@ def scheme_inference(est: SimEstimator, result, frame: TrialFrame, design: Desig
     spec = inference.LimitSpec(V=v_scheme, R2=r2 or 0.0, q=design.q, t=t, projection=projection)
     return {
         "v_hat": v_simple,
-        "v_scheme": v_scheme,
         "r2_hat": r2,
         "ase": math.sqrt(v_simple / n_units),
         "ci_normal": inference.normal_interval(result.delta_hat, v_simple, n_units, alpha),
         "ci_true": inference.confidence_interval(result.delta_hat, spec, n_units, alpha),
-        "n_units": n_units,
     }
 
 

@@ -105,6 +105,31 @@ class TestCi:
         assert f"data error: {message}" in captured.err
         assert captured.out == ""
 
+    def test_alpha_is_checked_before_the_acceptance_mass(self, capsys):
+        # t = 1e-300 alone is exit 4 (the mass underflows); the NaN alpha is reported first
+        outcome = run_command(
+            [
+                "ci", "--delta", "0", "--v", "1", "--r2", "0.5", "--q", "10",
+                "--t", "1e-300", "--n", "100", "--alpha", "nan",
+            ]
+        )
+        assert outcome.exit_code == 3
+        assert "data error: alpha must be a number, not NaN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r2", ["0.5", "0"])
+    @pytest.mark.parametrize("alpha", ["0", "0.05", "1"])
+    def test_zero_variance_gives_the_point_at_every_alpha(self, capsys, r2, alpha):
+        outcome = run_command(
+            [
+                "ci", "--delta", "1.5", "--v", "0", "--r2", r2, "--q", "2", "--t", "1",
+                "--n", "100", f"--alpha={alpha}",
+            ]
+        )
+        assert outcome.exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["lower"], payload["upper"]) == (1.5, 1.5)
+        assert payload["method"]["interval"] == "normal"
+
     def test_tiny_acceptance_succeeds(self, capsys):
         outcome = run_command(
             [
@@ -697,6 +722,40 @@ class TestSimulate:
             rows[name] = json.loads(out.read_text())["estimators"]
         assert rows["AB"] == rows["A"] + rows["B"]
         assert rows["A"][0]["bias"] != rows["B"][0]["bias"]
+
+    def test_keep_replicates_adds_only_the_per_replicate_block(self, tmp_path):
+        lines = SIM_LINES + "estimator = ancova label=ANCOVA\n"
+        reports = {}
+        for name, extra in [("plain", ""), ("kept", "keep_replicates = true\n")]:
+            config = write(tmp_path / f"{name}.cfg", lines + extra)
+            out = tmp_path / f"{name}.json"
+            assert run_command(["simulate", "--config", config, "--out", str(out)]).exit_code == 0
+            reports[name] = json.loads(out.read_text())
+        kept = reports["kept"].pop("per_replicate")
+        assert reports["kept"] == reports["plain"]
+        used = {row["label"]: row["replicates_used"] for row in reports["plain"]["estimators"]}
+        assert set(kept) == set(used) == {"unadjusted", "ANCOVA"}
+        for label, columns in kept.items():
+            assert set(columns) == {"delta", "r2_hat", "v_hat"}
+            assert all(len(values) == used[label] for values in columns.values())
+
+    def test_dml_default_learners_are_the_stated_pair_under_missingness(self, tmp_path):
+        # without learners=, DML fits stumps to the outcome and, since outcomes are
+        # missing, a logistic GLM to the missingness
+        lines = (
+            "dgp.family = binary_sec7\ndgp.n = 120\ndgp.missingness = true\n"
+            "design.scheme = simple\nreplicates = 2\nmaster_seed = 3\n"
+        )
+        estimator = "estimator = dml estimand=ratio folds=2 label=DML"
+        reports = {}
+        for name, extra in [("default", ""), ("stated", " learners=stump:200:0.1,glm:logit")]:
+            config = write(tmp_path / f"{name}.cfg", lines + estimator + extra + "\n")
+            out = tmp_path / f"{name}.json"
+            assert run_command(["simulate", "--config", config, "--out", str(out)]).exit_code == 0
+            reports[name] = json.loads(out.read_text())
+        assert reports["default"].pop("config_hash") != reports["stated"].pop("config_hash")
+        assert reports["default"] == reports["stated"]
+        assert reports["default"]["estimators"][0]["replicates_used"] == 2
 
     def test_negative_alpha_fails_before_the_truth_is_computed(self, tmp_path, monkeypatch, capsys):
         config = write(tmp_path / "sim.cfg", SIM_LINES + "alpha = -0.1\n")

@@ -23,6 +23,7 @@ from rerand import (
     TrialFrame,
     estimate_mixed_ancova,
     make_folds,
+    normal_interval,
     scheme_plugins,
 )
 from rerand.allocation import _permuted_block_draw
@@ -517,7 +518,7 @@ class TestMixedAnalysisUnits:
         design = Design(pi=0.5, scheme="simple")
         result = apply_estimator(self.EST, frame, design, 1, 0)
         info = scheme_inference(self.EST, result, frame, design, 0.05)
-        assert info["n_units"] == 40
+        assert info["ase"] == math.sqrt(info["v_hat"] / 40)
 
     def test_nested_clusters_take_their_stratum(self):
         frame = _stratified_cluster_frame(span=False)
@@ -528,9 +529,10 @@ class TestMixedAnalysisUnits:
         index = np.array(sorted(range(40), key=lambda c: f"c{c}"))
         cluster_arms = index % 2
         cluster_strata = np.where(index % 4 < 2, "a", "b").astype(object)
-        assert info["v_scheme"] == scheme_plugins(
+        v_scheme = scheme_plugins(
             result.if_values, cluster_arms, 0.5, None, factorize(cluster_strata)
         )[0]
+        assert info["ci_true"] == normal_interval(result.delta_hat, v_scheme, 40, 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import chi2
 
+import rerand.allocation
+import rerand.inference
 from rerand import (
     LimitSpec,
     chi_square_cdf,
@@ -28,7 +30,7 @@ from rerand.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from rerand.inference import _as_matrix, _clamp_unit, _forms_in_d, _spd_sqrt
+from rerand.inference import _acceptance_mass, _as_matrix, _clamp_unit, _forms_in_d, _spd_sqrt
 
 IF_FIXTURE = np.array([-2.0, 2.0, 1.0, -1.0])
 ARMS_FIXTURE = np.array([1, 1, 0, 0])
@@ -603,6 +605,13 @@ class TestSampleLimit:
         with pytest.raises(NumericError, match="underflows"):
             sample_limit(LimitSpec(V=1.0, R2=0.5, q=10, t=1e-300), 1000, seed=7)
 
+    def test_acceptance_mass_is_the_chi_square_law_that_must_not_underflow(self):
+        assert _acceptance_mass(2, 1.0) == chi_square_cdf(2, 1.0)
+        with pytest.raises(NumericError, match="^threshold t too small: P"):
+            _acceptance_mass(10, 1e-300)
+        assert rerand.chi_square_cdf is rerand.inference.chi_square_cdf
+        assert not hasattr(rerand.allocation, "chi_square_cdf")
+
     def test_projection_spec_is_rejected(self):
         forms = [(np.arange(2), np.eye(2), 1.0)]
         spec = LimitSpec(V=1.0, R2=0.5, q=2, t=1.0, projection=(np.full(2, 0.5), np.eye(2), forms))
@@ -689,6 +698,15 @@ class TestConfidenceInterval:
             confidence_interval(0.0, spec, n=100, alpha=-0.1)
         ci = confidence_interval(0.0, spec, n=100, alpha=0.0)
         assert (ci.lower, ci.upper, ci.method) == (-math.inf, math.inf, "normal")
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_zero_variance_is_the_point_at_every_alpha(self, projection, alpha):
+        spec = LimitSpec(V=0.0, R2=0.5, q=2, t=2.0)
+        if projection:
+            spec = dataclasses.replace(_projection_spec(2, "general", 0.2, seed=3), V=0.0)
+        ci = confidence_interval(1.5, spec, 100, alpha)
+        assert (ci.lower, ci.upper, ci.method) == (1.5, 1.5, "normal")
 
     def test_normal_case_quantile_oracle(self):
         spec = LimitSpec(V=1.0, R2=0.0, q=2, t=1.0)
@@ -951,8 +969,9 @@ class TestNormalInterval:
         assert ci.lower == pytest.approx(-0.392, abs=5e-4)
         assert ci.upper == pytest.approx(0.392, abs=5e-4)
 
-    def test_zero_variance_degenerates_to_point(self):
-        ci = normal_interval(1.5, 0.0, 100, 0.05)
+    @pytest.mark.parametrize("alpha", [0.0, 0.05, 1.0])
+    def test_zero_variance_degenerates_to_point(self, alpha):
+        ci = normal_interval(1.5, 0.0, 100, alpha)
         assert ci.lower == ci.upper == 1.5
 
     def test_alpha_one_collapses_to_estimate(self):

@@ -53,6 +53,24 @@ class TestSolver:
         )
         assert diag.residual_norm <= 1e-10
 
+    def test_step_halving_recovers_from_an_overshoot(self):
+        # from 0 the full Newton step on arctan(theta - 3) lands near 12.5, where the
+        # residual is larger than at the start; halving it twice lands near 3.1
+        calls = []
+
+        def evaluate(theta):
+            calls.append(float(theta[0]))
+            return np.full((10, 1), np.arctan(theta[0] - 3.0))
+
+        def jacobian(theta):
+            return np.array([[1.0 / (1.0 + (theta[0] - 3.0) ** 2)]])
+
+        theta, _, diag = solve_estimating_equations(evaluate, jacobian, np.zeros(1))
+        assert theta[0] == pytest.approx(3.0, abs=1e-10)
+        assert diag.iterations == 4
+        assert len(calls) > diag.iterations + 1
+        assert calls[1] > 12.0 and 3.0 < calls[3] < calls[2] < calls[1]
+
     def test_separated_logistic_does_not_converge(self):
         # two-point separable set: y jumps 0 -> 1 with x
         X = np.array([[1.0, -1.0], [1.0, 1.0]])

@@ -473,6 +473,21 @@ def _composed_from_plugins(est, result, frame, design, alpha):
     return v_hat, v_scheme, r2, ci.lower, ci.upper
 
 
+def _scheme_inference_parts(monkeypatch, est, result, frame, design, alpha):
+    """scheme_inference's v_hat, the V of the law it inverts, r2_hat and ci_true's ends."""
+    specs = []
+    original = rerand.inference.confidence_interval
+
+    def recording(delta_hat, spec, n, alpha):
+        specs.append(spec)
+        return original(delta_hat, spec, n, alpha)
+
+    monkeypatch.setattr(rerand.inference, "confidence_interval", recording)
+    info = scheme_inference(est, result, frame, design, alpha)
+    (spec,) = specs
+    return info["v_hat"], spec.V, info["r2_hat"], info["ci_true"].lower, info["ci_true"].upper
+
+
 def _criterion(kind: str) -> dict:
     if kind == "tiers":
         return dict(tiers=(Tier((0,), 0.5), Tier((1,), 1.0, "general")))
@@ -506,20 +521,16 @@ class TestSchemeInferenceEqualsItsParts:
     @pytest.mark.parametrize(
         "scheme", ["simple", "stratified", "rerandomized", "stratified_rerandomized"]
     )
-    def test_bit_for_bit(self, scheme, criterion, estimator):
+    def test_bit_for_bit(self, monkeypatch, scheme, criterion, estimator):
         frame, estimators = _scheme_trial()
         est = estimators[estimator]
         design = Design(pi=0.5, scheme=scheme, rerand_covariates=(0, 1), **_criterion(criterion))
         result = apply_estimator(est, frame, design, 3, 0)
-        info = scheme_inference(est, result, frame, design, 0.05)
-        got = (
-            info["v_hat"], info["v_scheme"], info["r2_hat"],
-            info["ci_true"].lower, info["ci_true"].upper,
-        )
+        got = _scheme_inference_parts(monkeypatch, est, result, frame, design, 0.05)
         assert got == _composed_from_plugins(est, result, frame, design, 0.05)
 
     @pytest.mark.parametrize("criterion", ["mahalanobis", "general", "tiers"])
-    def test_mixed_model_with_clusters_under_a_stratified_design(self, criterion):
+    def test_mixed_model_with_clusters_under_a_stratified_design(self, monkeypatch, criterion):
         rng = np.random.default_rng(8)
         cluster = np.repeat(np.arange(40), 6)
         arms = (cluster // 4) % 2
@@ -536,11 +547,7 @@ class TestSchemeInferenceEqualsItsParts:
         )
         est = SimEstimator(kind="mixed", covariates=("x1", "x2"))
         result = apply_estimator(est, frame, design, 3, 0)
-        info = scheme_inference(est, result, frame, design, 0.05)
-        got = (
-            info["v_hat"], info["v_scheme"], info["r2_hat"],
-            info["ci_true"].lower, info["ci_true"].upper,
-        )
+        got = _scheme_inference_parts(monkeypatch, est, result, frame, design, 0.05)
         assert got == _composed_from_plugins(est, result, frame, design, 0.05)
 
     @pytest.mark.parametrize("estimator", list(_SCHEME_ESTIMATORS))
